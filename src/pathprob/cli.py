@@ -94,7 +94,10 @@ def _load_config(args) -> dict:
 def _potential(config: dict) -> BandLimitedPotential:
     if "potential" not in config:
         return BandLimitedPotential.zero()
-    return potential_from_dict(config["potential"])
+    try:
+        return potential_from_dict(config["potential"])
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"bad potential: {exc}") from exc
 
 
 def _lattice(config: dict, args) -> LatticeConfig:
@@ -116,8 +119,7 @@ def _lattice(config: dict, args) -> LatticeConfig:
     )
 
 
-def _sampler(config: dict, args, gamma_default: float | None = None) -> SamplerConfig:
-    del gamma_default
+def _sampler(config: dict, args) -> SamplerConfig:
     s = dict(config.get("sampler", {}))
     if getattr(args, "seed", None) is not None:
         s["seed"] = args.seed

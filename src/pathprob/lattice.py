@@ -138,8 +138,8 @@ def interior_from_velocity_changes(s, cfg: LatticeConfig) -> np.ndarray:
         raise ValueError("velocity-change vector must have length n-1")
     T = second_difference_matrix(n)
     b = np.zeros(n - 1)
-    b[0] = cfg.z_a
-    b[-1] = cfg.z_b
+    b[0] += cfg.z_a
+    b[-1] += cfg.z_b  # the same entry when n = 2
     Tinv = np.linalg.inv(T)
     line = Tinv @ (-b)
     return line + cfg.eps * (s @ Tinv.T)

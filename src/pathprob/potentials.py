@@ -263,15 +263,30 @@ def potential_to_dict(p: BandLimitedPotential) -> dict:
 
 
 def potential_from_dict(d: dict) -> BandLimitedPotential:
+    """Potential from its JSON form (see :func:`potential_to_dict`).
+
+    A declared ``R`` or ``K`` may be looser than the representation needs but
+    not tighter: a line or grid node beyond ``R``, or a ``K`` below the
+    computed ``\\int |Vt|``, raises ValueError.  A grid keeps the declared
+    ``K``; lines keep the computed ``R`` and ``K``.
+    """
     if "grid" in d:
         g = d["grid"]
         vals = np.asarray(g["values"], dtype=float)
         vt = vals[:, 0] + 1j * vals[:, 1]
         q = np.linspace(-float(g["qmax"]), float(g["qmax"]), vt.size)
-        return BandLimitedPotential.from_grid(q, vt, K=d.get("K"))
-    lines = [SpectralLine(q=ln["q"], a=ln["a"], phi=ln.get("phi", 0.0)) for ln in d.get("lines", [])]
-    p = BandLimitedPotential.from_lines(lines)
-    # declared R/K may be looser than the computed ones; keep the computed line values
+        # the constructor rejects a declared K below the spectral integral
+        p = BandLimitedPotential.from_grid(q, vt, K=d.get("K"))
+    else:
+        lines = [
+            SpectralLine(q=ln["q"], a=ln["a"], phi=ln.get("phi", 0.0))
+            for ln in d.get("lines", [])
+        ]
+        p = BandLimitedPotential.from_lines(lines)
+        if "K" in d and float(d["K"]) < p.K - 1e-10 * max(1.0, p.K):
+            raise ValueError(f"declared K={d['K']} below the lines' 2*pi*sum|a_k| = {p.K}")
+    if "R" in d and p.R > float(d["R"]) * (1 + 1e-12):
+        raise ValueError(f"spectrum reaches q={p.R}, beyond the declared R={d['R']}")
     return p
 
 

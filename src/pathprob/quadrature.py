@@ -20,13 +20,14 @@ Three routes are provided:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import jv
 
-from .lattice import LatticeConfig, second_difference_matrix
+from .lattice import LatticeConfig, interior_from_velocity_changes, second_difference_matrix
 from .potentials import TWO_PI, BandLimitedPotential
 from .weights import NonConvergenceError, step_m
 
@@ -107,27 +108,79 @@ def probability_from_amplitude(k: KernelEstimate) -> TransitionEstimate:
     )
 
 
-def _tensor_eval(func, d: int, nodes: np.ndarray, weights: np.ndarray, chunk: int = 2**18):
-    """Sum ``w_1..w_d * func(theta_1..theta_d)`` over the tensor grid, chunked."""
+def _tensor_sum(
+    p: BandLimitedPotential,
+    cfg: LatticeConfig,
+    window: float,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    cap: int = 2**18,
+):
+    """Integrand sum over the tensor grid ``nodes^d`` of tangent angles.
+
+    Returns ``(sum, out_mass, tot_mass)``: the weighted integrand sum, and the
+    unweighted ``|integrand|`` summed over the points with some ``|z_i|``
+    beyond ``window`` and over all points.
+
+    The grid is evaluated in blocks of at most ``cap`` points.  The leading
+    axes are enumerated one node at a time, as few as the cap needs; the next
+    axis is taken in slices and the trailing axes whole, so every quantity
+    that depends on one axis's node (``s = gamma tan theta``, its weight, the
+    Lorentzian pairs inside ``step_m``) is evaluated on the 1-D node table
+    and broadcast.
+    """
+    d = cfg.n - 1
+    eps, gamma = cfg.eps, cfg.gamma
+    Tinv = np.linalg.inv(second_difference_matrix(cfg.n))
+    line = interior_from_velocity_changes(np.zeros(d), cfg)  # the straight path
     m = nodes.size
-    total_pts = m**d
-    acc = 0.0
-    extra = None
-    for start in range(0, total_pts, chunk):
-        idx = np.arange(start, min(start + chunk, total_pts))
-        coords = np.empty((idx.size, d))
-        wprod = np.ones(idx.size)
-        rem = idx
-        for axis in range(d - 1, -1, -1):
-            k = rem % m
-            coords[:, axis] = nodes[k]
-            wprod *= weights[k]
-            rem = rem // m
-        vals, aux = func(coords)
-        acc += float(np.sum(wprod * vals))
-        if aux is not None:
-            extra = aux if extra is None else tuple(a + b for a, b in zip(extra, aux))
-    return acc, extra
+    s = gamma * np.tan(nodes)
+    # shift[i, j, k]: the change of z_i from node k on axis j
+    shift = eps * Tinv[:, :, None] * s[None, None, :]
+
+    lead = 0
+    while m ** (d - 1 - lead) > cap:
+        lead += 1
+    step = max(1, cap // m ** (d - 1 - lead))
+
+    def on_axis(table, j):
+        """A 1-D table along block axis ``j`` (``j >= lead``)."""
+        return table.reshape((-1,) + (1,) * (d - 1 - j))
+
+    acc = out_mass = tot_mass = 0.0
+    for idx in itertools.product(range(m), repeat=lead):
+        w_lead = float(np.prod(weights[list(idx)]))
+        for start in range(0, m, step):
+            part = slice(start, start + step)
+            prod = abs_sum = outside = None
+            for i in range(d):
+                # add the smallest tables first: only the last sum is block-sized
+                zi = line[i] + sum(shift[i, j, k] for j, k in enumerate(idx))
+                for j in range(d - 1, lead, -1):
+                    zi = zi + on_axis(shift[i, j], j)
+                zi = zi + on_axis(shift[i, lead, part], lead)
+                if i < lead:
+                    si = s[idx[i]]
+                else:
+                    si = on_axis(s[part] if i == lead else s, i)
+                fac = 1.0 - eps * step_m(p, zi, si, gamma)
+                azi = np.abs(zi)
+                if prod is None:
+                    prod, abs_sum, outside = fac, azi, azi > window
+                else:
+                    prod *= fac
+                    abs_sum += azi
+                    outside |= azi > window
+            vals = np.exp(-gamma * abs_sum) * prod
+            # contract the weights axis by axis, last axis first
+            wsum = vals.ravel()
+            for _ in range(d - 1 - lead):
+                wsum = wsum.reshape(-1, m) @ weights
+            acc += w_lead * float(wsum @ weights[part])
+            mass = np.abs(vals)
+            tot_mass += float(np.sum(mass))
+            out_mass += float(np.sum(mass[outside]))
+    return acc, out_mass, tot_mass
 
 
 def transition_probability_quadrature(
@@ -153,22 +206,6 @@ def transition_probability_quadrature(
     if window is None:
         window = max(abs(cfg.z_a), abs(cfg.z_b)) + 14.0 / gamma
 
-    T = second_difference_matrix(n)
-    Tinv = np.linalg.inv(T)
-    b = np.zeros(d)
-    b[0], b[-1] = cfg.z_a, cfg.z_b
-    line = Tinv @ (-b)
-
-    def integrand(theta: np.ndarray):
-        s = gamma * np.tan(theta)
-        z = line[None, :] + eps * (s @ Tinv.T)
-        m = step_m(p, z, s, gamma)
-        fac = np.exp(-gamma * np.abs(z)) * (1.0 - eps * m)
-        vals = np.prod(fac, axis=1)
-        out_mask = np.any(np.abs(z) > window, axis=1)
-        mass = np.abs(vals)
-        return vals, (float(np.sum(mass[out_mask])), float(np.sum(mass)))
-
     prefactor = 1.0 / (TWO_PI * cfg.duration * np.pi ** d)
 
     if points_per_dim ** d * 2 ** (doublings * d) > 3e8:
@@ -179,7 +216,7 @@ def transition_probability_quadrature(
         x, w = np.polynomial.legendre.leggauss(ppd)
         nodes = 0.5 * np.pi * x
         wts = 0.5 * np.pi * w
-        acc, (out_mass, tot_mass) = _tensor_eval(integrand, d, nodes, wts)
+        acc, out_mass, tot_mass = _tensor_sum(p, cfg, window, nodes, wts)
         results.append(prefactor * acc)
         ppd *= 2
     if tot_mass > 0 and out_mass > 1e-4 * tot_mass:
@@ -285,14 +322,30 @@ def amplitude_discrete(
 
 # -- squared amplitude in product form --------------------------------
 
-def _pair_integral_line(z, s, a, q, phi, eps, gamma, m_terms=12):
+def _bessel_terms(beta_max: float) -> int:
+    """Order ``M`` past which ``|J_m(beta)| <= 1e-17`` for all ``|beta| <= beta_max``.
+
+    For ``m > beta_max``, ``|J_m(beta)|`` grows with ``|beta|`` up to
+    ``beta_max`` and falls off faster than geometrically in ``m``, so the
+    omitted orders ``|m| > M`` sum to about ``2 |J_{M+1}(beta_max)|``.  At
+    least 12 orders are kept.
+    """
+    m = max(12, math.ceil(beta_max))
+    while abs(jv(m + 1, beta_max)) > 1e-17:
+        m += 1
+    return m
+
+
+def _pair_integral_line(z, s, a, q, phi, eps, gamma):
     """Closed-form pair-separation integral for a single-line potential.
 
     ``int du exp(-2 gamma max(|z|, |u|/2)) exp(-ius) exp(i eps [V(z - u/2)
-    - V(z + u/2)])`` via the Bessel expansion of the oscillating phase.
+    - V(z + u/2)])`` via the Bessel expansion of the oscillating phase,
+    summed over the orders that ``beta = 2 a eps sin(qz + phi)`` needs.
     Vectorized over matching-shape arrays z, s.
     """
     beta = 2.0 * a * eps * np.sin(q * z + phi)
+    m_terms = _bessel_terms(float(np.max(np.abs(beta), initial=0.0)))
     out = np.zeros_like(np.asarray(z, dtype=float))
     az2 = 2.0 * np.abs(z)
     decay = np.exp(-gamma * az2)

@@ -192,6 +192,16 @@ class TestUsageErrors:
         f.write_text(json.dumps({"lattice": {"ta": 0.0}}))
         assert run(["transition", "-c", str(f)]) == 1
 
+    @pytest.mark.parametrize("declared", [{"R": 0.5}, {"K": 1.0}])
+    def test_violated_potential_declaration(self, tmp_path, capsys, declared):
+        config = json.loads(json.dumps(COSINE_CONFIG))
+        config["potential"].update(declared)
+        f = tmp_path / "tight.json"
+        f.write_text(json.dumps(config))
+        assert run(["positivity", "-c", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad potential") and "Traceback" not in err
+
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 

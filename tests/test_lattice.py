@@ -98,7 +98,7 @@ class TestBridgeSolve:
             assert abs(det) == pytest.approx(n, rel=1e-10)
 
     @given(
-        st.integers(3, 10),
+        st.integers(2, 10),
         st.floats(-2, 2),
         st.floats(-2, 2),
     )

@@ -146,3 +146,25 @@ class TestInterchange:
     def test_zero_round_trip(self):
         p = BandLimitedPotential.zero()
         assert potential_from_dict(potential_to_dict(p)).is_zero
+
+    def test_looser_declaration_accepted(self):
+        d = {"lines": [{"q": 1.0, "a": 0.5}], "R": 2.0, "K": 10.0}
+        assert potential_from_dict(d) == BandLimitedPotential.single_line(a=0.5, q=1.0)
+
+    @pytest.mark.parametrize(
+        "declared, match",
+        [({"R": 0.5}, "beyond the declared R"), ({"K": 3.0}, "declared K")],
+    )
+    def test_violated_line_declaration_rejected(self, declared, match):
+        with pytest.raises(ValueError, match=match):
+            potential_from_dict({"lines": [{"q": 1.0, "a": 1.0}], **declared})
+
+    @pytest.mark.parametrize(
+        "declared, match", [({"R": 1.5}, "beyond the declared R"), ({"K": 0.5}, "below")]
+    )
+    def test_violated_grid_declaration_rejected(self, declared, match):
+        x = np.linspace(-30, 30, 2001)
+        p, _ = band_limit(x, np.cos(x), R=2.0)
+        d = {**potential_to_dict(p), **declared}
+        with pytest.raises(ValueError, match=match):
+            potential_from_dict(d)

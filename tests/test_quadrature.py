@@ -1,19 +1,25 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import jv
 
-from pathprob.lattice import LatticeConfig
-from pathprob.potentials import BandLimitedPotential
+from pathprob.lattice import LatticeConfig, interior_from_velocity_changes
+from pathprob.potentials import BandLimitedPotential, SpectralLine
 from pathprob.quadrature import (
     KernelEstimate,
+    _pair_integral_line,
+    _tensor_sum,
     amplitude_discrete,
     extrapolate_gamma,
     probability_from_amplitude,
     probability_product_form,
     transition_probability_quadrature,
 )
-from pathprob.weights import NonConvergenceError
+from pathprob.weights import NonConvergenceError, step_m
 
 TWO_PI = 2.0 * math.pi
 FREE = BandLimitedPotential.zero()
@@ -68,6 +74,16 @@ class TestFreeParticle:
         ]
         assert max(abs(v - vals[0]) / vals[0] for v in vals) < 0.02
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_endpoint_swap_symmetry(self, n):
+        # reversing time maps the paths za -> zb onto the paths zb -> za with
+        # the same free weights
+        fwd, rev = (
+            transition_probability_quadrature(FREE, free_cfg(n, 0.1, za, zb), points_per_dim=16)
+            for za, zb in ((0.4, -0.1), (-0.1, 0.4))
+        )
+        assert rev.value == pytest.approx(fwd.value, rel=1e-12)
+
     def test_refinement_deltas_decrease(self):
         est = transition_probability_quadrature(
             FREE, free_cfg(3, 0.1), points_per_dim=16, doublings=2
@@ -92,6 +108,51 @@ class TestGuards:
             transition_probability_quadrature(
                 FREE, free_cfg(2, 0.05), window=2.0, points_per_dim=32
             )
+
+
+def flat_tensor_sum(p, cfg, window, nodes, weights):
+    """Reference for ``_tensor_sum``: every grid point as one row."""
+    d = cfg.n - 1
+    theta = np.array(list(itertools.product(nodes, repeat=d)))
+    w = np.prod(np.array(list(itertools.product(weights, repeat=d))), axis=1)
+    s = cfg.gamma * np.tan(theta)
+    z = interior_from_velocity_changes(s, cfg)
+    fac = np.exp(-cfg.gamma * np.abs(z)) * (1.0 - cfg.eps * step_m(p, z, s, cfg.gamma))
+    vals = np.prod(fac, axis=1)
+    outside = np.any(np.abs(z) > window, axis=1)
+    mass = np.abs(vals)
+    return np.sum(w * vals), np.sum(mass[outside]), np.sum(mass), np.sum(w * mass)
+
+
+class TestTensorSum:
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.2, 2.0), st.floats(-0.5, 0.5), st.floats(0.0, 6.28)),
+            max_size=3,
+        ),
+        st.floats(0.1, 1.0),
+        st.floats(-1.0, 1.0),
+        st.floats(-1.0, 1.0),
+        st.integers(1, 3),
+        st.sampled_from([3, 5, 7]),
+        st.integers(0, 2),
+        st.floats(0.3, 5.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_matches_flat_sum(self, specs, gamma, za, zb, d, m, lead, window):
+        p = BandLimitedPotential.from_lines([SpectralLine(q, a, phi) for q, a, phi in specs])
+        cfg = LatticeConfig(0.0, 1.0, d + 1, gamma, za, zb)
+        x, w = np.polynomial.legendre.leggauss(m)
+        nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
+        # enumerate `lead` axes and take the next in slices of 2 nodes: with
+        # m odd the last slice is partial
+        lead = min(lead, d - 1)
+        cap = 2 * m ** (d - 1 - lead)
+        got = _tensor_sum(p, cfg, window, nodes, weights, cap=cap)
+        acc, out_mass, tot_mass, scale = flat_tensor_sum(p, cfg, window, nodes, weights)
+        assert got[0] == pytest.approx(acc, rel=1e-12, abs=1e-12 * scale)
+        assert got[1] == pytest.approx(out_mass, rel=1e-12, abs=1e-12 * tot_mass)
+        assert got[2] == pytest.approx(tot_mass, rel=1e-12)
 
 
 class TestAmplitude:
@@ -127,6 +188,27 @@ class TestProductForm:
         lhs = amplitude_discrete(FREE, cfg, regularizer="laplace").modulus_squared
         rhs = probability_product_form(FREE, cfg)
         assert rhs == pytest.approx(lhs, rel=1e-5)
+
+    def test_bessel_series_sized_from_beta(self):
+        # beta = 2 a eps sin(qz + phi) reaches 12 here; the sum must match a
+        # 100-order reference of the same expansion
+        a, q, phi, eps, gamma = 10.0, 1.0, 0.3, 0.6, 0.5
+        z = np.linspace(-3.0, 3.0, 41)[:, None]
+        s = np.linspace(-4.0, 4.0, 33)[None, :]
+        beta = 2.0 * a * eps * np.sin(q * z + phi)
+        assert np.max(np.abs(beta)) > 10.0
+        az2 = 2.0 * np.abs(z)
+        ref = 0.0
+        for m in range(-100, 101):
+            omega = s - 0.5 * m * q
+            denom = gamma**2 + omega**2
+            g_val = 2.0 * np.exp(-gamma * az2) * (
+                gamma**2 * az2 * np.sinc(az2 * omega / np.pi) / denom
+                + gamma * np.cos(az2 * omega) / denom
+            )
+            ref = ref + jv(m, beta) * g_val
+        got = _pair_integral_line(z, s, a, q, phi, eps, gamma)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_multi_line_rejected(self):
         p = BandLimitedPotential.from_lines([(1.0, 0.1, 0.0), (0.5, 0.1, 0.0)])

@@ -9,6 +9,8 @@ from scipy.integrate import quad
 from pathprob.lattice import LatticeConfig, make_path, straight_line_path
 from pathprob.potentials import BandLimitedPotential, band_limit
 from pathprob.weights import (
+    NonConvergenceError,
+    _step_m_grid,
     batch_log_weights,
     lorentzian_pair,
     m_bound,
@@ -89,6 +91,30 @@ class TestStepM:
         for z, s in [(0.4, 0.8), (-1.0, 1.2)]:
             assert step_m(p_grid, z, s, 0.1) == pytest.approx(
                 step_m(COSINE, z, s, 0.1), rel=0.02
+            )
+
+    def test_grid_unresolved_phase_raises(self):
+        # 4001 samples over [-60, 60] give spectral intervals of about 0.013,
+        # one panel each at gamma = 0.1; at z = 2000 exp(-izq) turns by 26 rad
+        # across a panel, which the 10- and 21-point rules cannot resolve
+        x = np.linspace(-60, 60, 4001)
+        p_grid, _ = band_limit(x, np.cos(x), R=2.0)
+        assert math.isfinite(step_m(p_grid, 500.0, 0.7, 0.1))
+        with pytest.raises(NonConvergenceError, match="grid M"):
+            step_m(p_grid, 2000.0, 0.7, 0.1)
+
+    def test_grid_batch_matches_pointwise(self):
+        x = np.linspace(-20, 20, 201)
+        p_grid, _ = band_limit(x, 0.05 * np.cos(0.6 * x + 0.4), R=1.5)
+        z = np.linspace(-30.0, 30.0, 7)[:, None]
+        s = np.linspace(-2.0, 2.0, 5)[None, :]
+        # 64 spectral intervals x 21 nodes: two pairs per block, the last
+        # block holds one
+        batch = _step_m_grid(p_grid, z, s, 0.5, chunk=3000)
+        assert batch.shape == (7, 5)
+        for i, j in [(0, 0), (3, 2), (6, 4), (2, 1)]:
+            assert batch[i, j] == pytest.approx(
+                step_m(p_grid, z[i, 0], s[0, j], 0.5), rel=1e-13, abs=1e-15
             )
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
