@@ -118,6 +118,10 @@ def _step_m_grid(p: BandLimitedPotential, z, s, gamma, chunk: int = 2**16):
     # which the Lorentzian pair is smooth too.  Every panel carries a
     # Gauss-Kronrod 10/21 pair: the 21-point value is returned and its
     # difference from the embedded 10-point value is the refinement check.
+    # M reaches the step factor only as exp(-gamma|z|) (1 - eps M), so both
+    # the difference and the scale it is held to are weighted by the decay:
+    # a far pair whose phase the panels cannot follow, but whose decay has
+    # put it below every near pair, does not fail the batch.
     qg = p.grid.q
     pos = qg >= 0
     qp, vtp = qg[pos], p.grid.vt[pos]
@@ -145,8 +149,9 @@ def _step_m_grid(p: BandLimitedPotential, z, s, gamma, chunk: int = 2**16):
         )
         both[sl] = vals @ wx
     kronrod, gauss = both[:, 0], both[:, 1]
-    err = float(np.max(np.abs(kronrod - gauss), initial=0.0))
-    if err > 1e-8 * max(1.0, float(np.max(np.abs(kronrod), initial=0.0))):
+    decay = np.exp(-gamma * np.abs(zf))
+    err = float(np.max(decay * np.abs(kronrod - gauss), initial=0.0))
+    if err > 1e-8 * max(1.0, float(np.max(decay * np.abs(kronrod), initial=0.0))):
         raise NonConvergenceError(f"grid M quadrature refinement delta {err:.3g}")
     out = kronrod.reshape(zb.shape)
     return out if out.ndim else float(out)

@@ -11,7 +11,7 @@ from pathprob.montecarlo import (
     estimate_transition_mc,
     sample_bridge_paths,
 )
-from pathprob.potentials import BandLimitedPotential
+from pathprob.potentials import BandLimitedPotential, band_limit
 from pathprob.quadrature import transition_probability_quadrature
 from pathprob.weights import NonConvergenceError
 
@@ -138,6 +138,24 @@ class TestEstimator:
         for key in ("value", "std_error", "ess", "negative_mass_fraction", "n", "gamma", "seed"):
             assert key in d
         assert 0.0 <= est.negative_mass_fraction < 1.0
+
+    def test_grid_potential_far_cauchy_tail(self):
+        # a tabulated potential in grid form under the default Cauchy
+        # proposal: seed 7 draws interior points beyond |z| = 2000, where the
+        # grid M panels cannot follow the phase but exp(-gamma |z|) has
+        # removed the pair from the weight; the estimate must come back and
+        # agree with the same potential written as lines
+        lines = [(0.04, 0.6, 0.3), (0.03, 1.1, 1.0)]
+        x = np.linspace(-20.0, 20.0, 201)
+        v = sum(a * np.cos(q * x + phi) for a, q, phi in lines)
+        grid, _ = band_limit(x, v, R=1.5)
+        cfg = LatticeConfig(0.0, 1.0, 6, 0.5, 0.0, 0.2)
+        sc = SamplerConfig(n_samples=4096, seed=7)
+        interiors, _ = sample_bridge_paths(cfg, sc, 4096, 0)
+        assert np.max(np.abs(interiors)) > 2000.0
+        est = estimate_transition_mc(grid, cfg, sc)
+        ref = estimate_transition_mc(BandLimitedPotential.from_lines(lines), cfg, sc)
+        assert est.value == pytest.approx(ref.value, rel=0.02)
 
     def test_mismatched_proposal_raises(self):
         cfg = LatticeConfig(0.0, 1.0, 4, 0.1, -0.2, 0.3)

@@ -9,6 +9,8 @@ from scipy.integrate import quad
 from pathprob.lattice import LatticeConfig, make_path, straight_line_path
 from pathprob.potentials import BandLimitedPotential, band_limit
 from pathprob.weights import (
+    _GK_W,
+    _GK_X,
     NonConvergenceError,
     _step_m_grid,
     batch_log_weights,
@@ -93,15 +95,40 @@ class TestStepM:
                 step_m(COSINE, z, s, 0.1), rel=0.02
             )
 
+    def test_grid_gauss_kronrod_pair(self):
+        # the refinement check compares two different rules on shared nodes:
+        # the 10-point Gauss rule is exact to degree 19, the 21-point Kronrod
+        # rule to degree 31, and they disagree on x^20
+        assert np.count_nonzero(_GK_W[:, 1]) == 10
+        for deg in range(0, 32, 2):
+            exact = 2.0 / (deg + 1)
+            assert _GK_W[:, 0] @ _GK_X**deg == pytest.approx(exact, rel=1e-14)
+            if deg < 20:
+                assert _GK_W[:, 1] @ _GK_X**deg == pytest.approx(exact, rel=1e-14)
+        assert _GK_W[:, 1] @ _GK_X**20 < (1.0 - 1e-6) * (2.0 / 21.0)
+
     def test_grid_unresolved_phase_raises(self):
-        # 4001 samples over [-60, 60] give spectral intervals of about 0.013,
-        # one panel each at gamma = 0.1; at z = 2000 exp(-izq) turns by 26 rad
-        # across a panel, which the 10- and 21-point rules cannot resolve
-        x = np.linspace(-60, 60, 4001)
-        p_grid, _ = band_limit(x, np.cos(x), R=2.0)
-        assert math.isfinite(step_m(p_grid, 500.0, 0.7, 0.1))
+        # 9 spectral nodes on [-2, 2]: intervals of 0.5, 16 panels of 0.031
+        # each at gamma = 0.002.  s = 5 keeps the Lorentzian pair smooth on
+        # the band, so only exp(-izq) can outrun the panels: at z = 1000 it
+        # turns by 31 rad across one, while exp(-gamma z) = 0.14 still
+        # carries the error into the step factor
+        x = np.linspace(-30, 30, 601)
+        p_grid, _ = band_limit(x, np.cos(x), R=2.0, n_q=9)
+        assert math.isfinite(step_m(p_grid, 300.0, 5.0, 0.002))
         with pytest.raises(NonConvergenceError, match="grid M"):
-            step_m(p_grid, 2000.0, 0.7, 0.1)
+            step_m(p_grid, 1000.0, 5.0, 0.002)
+
+    def test_grid_far_pair_below_decay_passes(self):
+        # panels of 0.023 at gamma = 0.5 cannot follow exp(-izq) at z = 2e4,
+        # but there exp(-gamma z) has underflowed, so that pair cannot move
+        # the step factor and must not fail the batch
+        x = np.linspace(-20, 20, 201)
+        p_grid, _ = band_limit(x, 0.05 * np.cos(0.6 * x + 0.4), R=1.5)
+        z = np.array([0.3, 224.0, 2000.0, 2.0e4])
+        m = step_m(p_grid, z, 0.4, 0.5)
+        assert np.all(np.isfinite(m))
+        assert m[0] == pytest.approx(step_m(p_grid, 0.3, 0.4, 0.5), rel=1e-13)
 
     def test_grid_batch_matches_pointwise(self):
         x = np.linspace(-20, 20, 201)
