@@ -17,7 +17,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .lattice import LatticeConfig
+from .lattice import LatticeConfig, velocity_changes
 from .montecarlo import SamplerConfig, estimate_transition_mc, sample_bridge_paths
 from .potentials import BandLimitedPotential, potential_to_dict
 from .quadrature import (
@@ -82,7 +82,6 @@ def classical_concentration_scan(
     delta: float,
     n_samples: int = 100_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> ScanResult:
     """Weighted fraction of free-particle path mass with ``max_j |s_j| > delta``.
 
@@ -90,21 +89,12 @@ def classical_concentration_scan(
     uniform-velocity (classical) path, so the fraction carrying large velocity
     changes should shrink with gamma.
     """
-    del threads  # sampling below is already vectorized per gamma
     rows = []
     for g in gammas:
         cfg_g = LatticeConfig(cfg.t_a, cfg.t_b, cfg.n, g, cfg.z_a, cfg.z_b)
         sampler = SamplerConfig(n_samples=n_samples, seed=seed)
         interiors, _ = sample_bridge_paths(cfg_g, sampler, n_samples, batch=0)
-        z = np.concatenate(
-            [
-                np.full((n_samples, 1), cfg_g.z_a),
-                interiors,
-                np.full((n_samples, 1), cfg_g.z_b),
-            ],
-            axis=1,
-        )
-        s = (z[:, 2:] - 2.0 * z[:, 1:-1] + z[:, :-2]) / cfg_g.eps
+        s = velocity_changes(interiors, cfg_g)
         # free-particle importance ratio under the matched Cauchy proposal
         w = np.exp(-g * np.sum(np.abs(interiors), axis=1))
         exceed = np.max(np.abs(s), axis=1) > delta

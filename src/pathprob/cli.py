@@ -54,18 +54,16 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(payload: dict, args, csv_rows=None, csv_columns=None) -> None:
+def _emit(payload: dict, args, csv_rows=None) -> None:
     """Write the result as JSON (default) or CSV to --out / stdout."""
     fmt = getattr(args, "format", "json") or "json"
     out = getattr(args, "out", None)
     if fmt == "csv":
-        if csv_rows is None:
-            raise SystemExit("this subcommand has no CSV representation")
         import csv as _csv
 
         fh = open(out, "w", newline="") if out else sys.stdout
         try:
-            writer = _csv.DictWriter(fh, fieldnames=csv_columns or list(csv_rows[0]))
+            writer = _csv.DictWriter(fh, fieldnames=list(csv_rows[0]))
             writer.writeheader()
             for row in csv_rows:
                 writer.writerow(_jsonable(row))
@@ -306,19 +304,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, sampler=False):
+    # the optional flags; each subcommand takes only those it reads
+    flags = {
+        "format": ("--format", dict(choices=["json", "csv"], default="json")),
+        "seed": ("--seed", dict(type=int)),
+        "threads": ("--threads", dict(type=int)),
+        "gamma": ("--gamma", dict(type=float, help="override lattice gamma")),
+        "n": ("-n", dict(type=int, help="override lattice step count")),
+        "samples": ("--samples", dict(type=int, help="override sample count")),
+    }
+
+    def common(sp, *names):
         sp.add_argument("-c", "--config", help="JSON config file")
         sp.add_argument("--out", help="output file (default stdout)")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--gamma", type=float, help="override lattice gamma")
-        sp.add_argument("-n", type=int, help="override lattice step count")
-        if sampler:
-            sp.add_argument("--samples", type=int, help="override sample count")
+        for name in names:
+            flag, kwargs = flags[name]
+            sp.add_argument(flag, **kwargs)
 
     sp = sub.add_parser("weight", help="evaluate the weight of a path file")
-    common(sp)
+    common(sp, "gamma", "n")
     sp.add_argument("--path", required=True, help="path CSV (j,t,z)")
     sp.add_argument("--form", choices=["linear", "exponential"], default="linear")
     sp.add_argument(
@@ -329,11 +333,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_weight)
 
     sp = sub.add_parser("positivity", help="positivity thresholds for a potential")
-    common(sp)
+    common(sp, "gamma")
     sp.set_defaults(func=_cmd_positivity)
 
     sp = sub.add_parser("transition", help="transition probability estimate")
-    common(sp, sampler=True)
+    common(sp, "format", "seed", "threads", "gamma", "n", "samples")
     sp.add_argument("--method", choices=["quadrature", "mc"], default="quadrature")
     sp.add_argument("--points-per-dim", type=int, default=24)
     sp.set_defaults(func=_cmd_transition)
@@ -349,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_ck)
 
     sp = sub.add_parser("scan", help="analysis sweeps")
-    common(sp)
+    common(sp, "format", "seed", "threads", "gamma", "n")
     sp.add_argument(
         "--kind",
         choices=["classical", "convergence", "linearization"],

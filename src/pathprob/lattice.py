@@ -18,6 +18,7 @@ __all__ = [
     "Path",
     "StepQuantities",
     "second_differences",
+    "velocity_changes",
     "straight_line_path",
     "interior_from_velocity_changes",
     "write_path_csv",
@@ -101,11 +102,29 @@ def validate_path(path: Path, cfg: LatticeConfig) -> None:
         raise ValueError("path endpoints do not match the lattice config")
 
 
+def _stencil(z, eps: float):
+    """``(z_{j+1} - 2 z_j + z_{j-1}) / eps`` along the last axis."""
+    return (z[..., 2:] - 2.0 * z[..., 1:-1] + z[..., :-2]) / eps
+
+
 def second_differences(path: Path, cfg: LatticeConfig) -> np.ndarray:
     """Velocity changes ``s_j = (z_{j+1} - 2 z_j + z_{j-1}) / eps``, j = 1..n-1."""
     validate_path(path, cfg)
-    z = path.z
-    return (z[2:] - 2.0 * z[1:-1] + z[:-2]) / cfg.eps
+    return _stencil(path.z, cfg.eps)
+
+
+def velocity_changes(interiors, cfg: LatticeConfig) -> np.ndarray:
+    """Velocity changes of the paths with interior points ``interiors``.
+
+    ``interiors`` has shape (..., n-1); the endpoints are the lattice's.  The
+    inverse of :func:`interior_from_velocity_changes`.
+    """
+    interiors = np.asarray(interiors, dtype=float)
+    pin = interiors.shape[:-1] + (1,)
+    z = np.concatenate(
+        [np.full(pin, cfg.z_a), interiors, np.full(pin, cfg.z_b)], axis=-1
+    )
+    return _stencil(z, cfg.eps)
 
 
 def straight_line_path(cfg: LatticeConfig) -> Path:

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _BATCH = 4096
+_N_BATCHES = 16  # batch means behind the standard error
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,10 @@ class SamplerConfig:
     gamma_prop: float | None = None
     sigma_prop: float = 1.0
     threads: int = 1
-    n_batches: int = 16
 
     def __post_init__(self):
-        if not self.n_samples >= self.n_batches >= 8:
-            raise ValueError("need n_samples >= n_batches >= 8")
+        if not self.n_samples >= _N_BATCHES:
+            raise ValueError(f"need n_samples >= {_N_BATCHES}")
         if self.method not in ("cauchy", "gaussian"):
             raise ValueError(f"unknown sampler method {self.method!r}")
         if self.gamma_prop is not None and not self.gamma_prop > 0:
@@ -134,9 +134,8 @@ def estimate_transition_mc(
 
     The estimator is ``(2 pi T)^(-1)`` times the mean importance ratio
     (signed path weight over proposal density).  The standard error comes
-    from batch means over ``sampler.n_batches`` groups; ``ess`` and the
-    fraction of importance mass carried by negative-weight paths are
-    attached for diagnostics.  Warns when eps exceeds the strict positivity
+    from batch means over 16 groups; ``ess`` and the fraction of importance
+    mass carried by negative-weight paths are attached for diagnostics.  Warns when eps exceeds the strict positivity
     threshold (the estimate then targets a signed measure).
     """
     thr = positivity_threshold(p, cfg.gamma)
@@ -169,8 +168,8 @@ def estimate_transition_mc(
     shift = float(np.max(log_ratio))
     r = signs * np.exp(log_ratio - shift)
     mean_r = float(np.mean(r))
-    batch_means = np.array([np.mean(b) for b in np.array_split(r, sampler.n_batches)])
-    std_r = float(np.std(batch_means, ddof=1)) / math.sqrt(sampler.n_batches)
+    batch_means = np.array([np.mean(b) for b in np.array_split(r, _N_BATCHES)])
+    std_r = float(np.std(batch_means, ddof=1)) / math.sqrt(_N_BATCHES)
     scale = math.exp(shift) / (TWO_PI * cfg.duration)
 
     ess = effective_sample_size(r)

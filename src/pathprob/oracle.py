@@ -228,7 +228,6 @@ def ck_check(
     window: float | None = None,
     half_width: float | None = None,
     n_points: int | None = None,
-    transition=None,
 ) -> CKResult:
     """Test the composition law over the intermediate time ``t_c``.
 
@@ -237,9 +236,7 @@ def ck_check(
     quantity that fails for this process.  The intermediate integral runs
     over ``|z_c| <= window``; a widened window probes convergence, and a
     diverging probability integral is reported with ``converged=False``
-    rather than raised.  ``transition`` optionally supplies
-    ``P(a, t -> c, t')`` from a different source (e.g. path weights) as a
-    callable ``(za, zc, duration) -> float`` evaluated pointwise.
+    rather than raised.
     """
     if not (t_a < t_c < t_b):
         raise ValueError("need t_a < t_c < t_b")
@@ -258,9 +255,9 @@ def ck_check(
     # forward leg from z_a and (time-symmetric kernel) leg from z_b
     leg_a = _delta_amplitude(p, x, z_a, t1, dt, source_sigma).psi
     leg_b = _delta_amplitude(p, x, z_b, t2, dt, source_sigma).psi
-    full = _delta_amplitude(p, x, z_a, t_b - t_a, dt, source_sigma).psi
 
     if mode == "amplitude":
+        full = _delta_amplitude(p, x, z_a, t_b - t_a, dt, source_sigma).psi
         src_b = gaussian_packet(x, z_b, source_sigma, amplitude_normalized=True).psi
         lhs = complex(np.sum(leg_a * leg_b) * dx)
         rhs = complex(np.sum(full * src_b) * dx)
@@ -272,19 +269,10 @@ def ck_check(
 
     corr_a = free_kernel_amplitudes(x, z_a, t1) / _smeared_free_kernel(x, z_a, t1, source_sigma)
     corr_b = free_kernel_amplitudes(x, z_b, t2) / _smeared_free_kernel(x, z_b, t2, source_sigma)
-    if transition is None:
-        prob_a = np.abs(leg_a * corr_a) ** 2
-        prob_b = np.abs(leg_b * corr_b) ** 2
-        rhs_amp = kernel_estimate(
-            p, z_a, z_b, t_b - t_a, half_width=half_width, n_points=n_points
-        )
-        rhs = rhs_amp.modulus_squared
-    else:
-        prob_a = np.asarray([transition(z_a, zc, t1) for zc in x])
-        prob_b = np.asarray([transition(zc, z_b, t2) for zc in x])
-        rhs = float(transition(z_a, z_b, t_b - t_a))
-
-    integrand = prob_a * prob_b
+    integrand = np.abs(leg_a * corr_a) ** 2 * np.abs(leg_b * corr_b) ** 2
+    rhs = kernel_estimate(
+        p, z_a, z_b, t_b - t_a, half_width=half_width, n_points=n_points
+    ).modulus_squared
 
     def lhs_over(wdw):
         mask = np.abs(x) <= wdw

@@ -142,11 +142,9 @@ class BandLimitedPotential:
         return cls.from_lines([SpectralLine(q=q, a=a, phi=phi)])
 
     @classmethod
-    def from_grid(cls, q, vt, K: float | None = None) -> "BandLimitedPotential":
+    def from_grid(cls, q, vt) -> "BandLimitedPotential":
         grid = SpectralGrid(q=np.asarray(q, float), vt=np.asarray(vt, complex))
-        if K is None:
-            K = grid.abs_integral()
-        return cls(R=float(grid.q[-1]), K=float(K), grid=grid)
+        return cls(R=float(grid.q[-1]), K=grid.abs_integral(), grid=grid)
 
     # -- queries ------------------------------------------------------
 
@@ -265,26 +263,28 @@ def potential_to_dict(p: BandLimitedPotential) -> dict:
 def potential_from_dict(d: dict) -> BandLimitedPotential:
     """Potential from its JSON form (see :func:`potential_to_dict`).
 
-    A declared ``R`` or ``K`` may be looser than the representation needs but
-    not tighter: a line or grid node beyond ``R``, or a ``K`` below the
-    computed ``\\int |Vt|``, raises ValueError.  A grid keeps the declared
-    ``K``; lines keep the computed ``R`` and ``K``.
+    ``R`` and ``K`` are computed from the representation: the largest line
+    wavenumber or grid node, and ``2 pi sum|a_k|`` for lines or the trapezoid
+    ``\\int |Vt| dq`` over the grid nodes (which bounds the integral of the
+    interpolated spectrum).  A declared ``R`` or ``K`` may be looser than
+    these but not tighter: a line or grid node beyond ``R``, or a ``K`` below
+    the computed value, raises ValueError.  A looser declaration is checked
+    and then dropped, so it never changes the positivity thresholds.
     """
     if "grid" in d:
         g = d["grid"]
         vals = np.asarray(g["values"], dtype=float)
         vt = vals[:, 0] + 1j * vals[:, 1]
         q = np.linspace(-float(g["qmax"]), float(g["qmax"]), vt.size)
-        # the constructor rejects a declared K below the spectral integral
-        p = BandLimitedPotential.from_grid(q, vt, K=d.get("K"))
+        p = BandLimitedPotential.from_grid(q, vt)
     else:
         lines = [
             SpectralLine(q=ln["q"], a=ln["a"], phi=ln.get("phi", 0.0))
             for ln in d.get("lines", [])
         ]
         p = BandLimitedPotential.from_lines(lines)
-        if "K" in d and float(d["K"]) < p.K - 1e-10 * max(1.0, p.K):
-            raise ValueError(f"declared K={d['K']} below the lines' 2*pi*sum|a_k| = {p.K}")
+    if "K" in d and float(d["K"]) < p.K - 1e-10 * max(1.0, p.K):
+        raise ValueError(f"declared K={d['K']} below the computed integral of |Vt|, {p.K}")
     if "R" in d and p.R > float(d["R"]) * (1 + 1e-12):
         raise ValueError(f"spectrum reaches q={p.R}, beyond the declared R={d['R']}")
     return p

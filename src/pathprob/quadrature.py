@@ -37,7 +37,6 @@ __all__ = [
     "transition_probability_quadrature",
     "amplitude_discrete",
     "probability_product_form",
-    "probability_from_amplitude",
     "extrapolate_gamma",
 ]
 
@@ -94,18 +93,6 @@ class KernelEstimate:
     @property
     def modulus_squared(self) -> float:
         return float(abs(self.amplitude) ** 2)
-
-
-def probability_from_amplitude(k: KernelEstimate) -> TransitionEstimate:
-    """Wrap ``|A|^2`` as a deterministic transition estimate."""
-    return TransitionEstimate(
-        value=k.modulus_squared,
-        std_error=0.0,
-        method="amplitude",
-        n=0,
-        eps=0.0,
-        gamma=0.0,
-    )
 
 
 def _tensor_sum(

@@ -13,6 +13,17 @@ with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
 For a grid-represented spectrum, M is the quadrature
 ``pi^-1 \\int_0^R Im[Vt(q) exp(-izq)] D(s, q) dq``.
 
+This module holds the one definition of the linearized ``Q`` (``_m_and_q``,
+which returns ``M`` with it) and the one reduction of a product of step
+factors to a sign and ``log|n prod Q|`` (``_sign_log_abs``); the single-step,
+batch and single-path routes all go through them.  The tensor-grid
+quadrature is the exception: after ``s = gamma tan theta`` it integrates
+``exp(-gamma sum|z|) prod (1 - eps M)``, which is ``prod Q`` divided by the
+Lorentzian factors ``(2 pi eps)^-1 2 gamma / (s^2 + gamma^2)`` that the
+substitution absorbs into the measure.  Routing it through ``Q`` would
+multiply each integrand point by those factors and divide them out again,
+at a cost and with a change in the last digits.
+
 The weight of a path is ``W = n * prod_j Q_j``; it is nonnegative for every
 path once ``eps`` is at or below a threshold.  Two thresholds are exposed:
 the closed-form leading-order one, ``2 pi gamma^2 / (R^2 K)``, and a strict
@@ -32,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .lattice import LatticeConfig, Path, StepQuantities, second_differences, validate_path
+from .lattice import LatticeConfig, Path, StepQuantities, second_differences, velocity_changes
 from .potentials import TWO_PI, BandLimitedPotential
 
 __all__ = [
@@ -233,20 +244,37 @@ def positivity_threshold(p: BandLimitedPotential, gamma: float) -> ThresholdPair
     return ThresholdPair(float(lam_paper), float(lam_strict))
 
 
-def step_q_linear(p: BandLimitedPotential, z, s, eps: float, gamma: float):
-    """Linearized step factor; the form certified nonnegative for eps below threshold."""
-    if eps <= 0 or gamma <= 0:
-        raise ValueError("eps and gamma must be positive")
+def _m_and_q(p: BandLimitedPotential, z, s, eps: float, gamma: float):
+    """``(M, Q)`` at broadcast ``z, s``: the one evaluation of the linearized Q."""
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
     m = step_m(p, z, s, gamma)
-    out = (
+    q = (
         (1.0 / (TWO_PI * eps))
         * np.exp(-gamma * np.abs(z))
         * (2.0 * gamma / (s * s + gamma * gamma))
         * (1.0 - eps * m)
     )
-    return out if np.ndim(out) else float(out)
+    return m, q
+
+
+def _sign_log_abs(q, n: int):
+    """Sign and ``log|n prod Q|`` of the step-factor product along the last axis.
+
+    A zero factor makes the sign 0 and the log ``-inf``.
+    """
+    sign = np.prod(np.sign(q), axis=-1)
+    with np.errstate(divide="ignore"):
+        log_abs = np.sum(np.log(np.abs(q)), axis=-1) + math.log(n)
+    return sign, log_abs
+
+
+def step_q_linear(p: BandLimitedPotential, z, s, eps: float, gamma: float):
+    """Linearized step factor; the form certified nonnegative for eps below threshold."""
+    if eps <= 0 or gamma <= 0:
+        raise ValueError("eps and gamma must be positive")
+    _, q = _m_and_q(p, z, s, eps, gamma)
+    return q if np.ndim(q) else float(q)
 
 
 def _pair_difference(p: BandLimitedPotential, z: float, u):
@@ -329,32 +357,10 @@ def batch_log_weights(p: BandLimitedPotential, interiors: np.ndarray, cfg: Latti
     where ``q_signs`` is the per-step sign matrix (N, n-1).
     """
     interiors = np.atleast_2d(np.asarray(interiors, dtype=float))
-    n = cfg.n
-    eps = cfg.eps
-    gamma = cfg.gamma
-    z_full = np.concatenate(
-        [
-            np.full((interiors.shape[0], 1), cfg.z_a),
-            interiors,
-            np.full((interiors.shape[0], 1), cfg.z_b),
-        ],
-        axis=1,
-    )
-    s = (z_full[:, 2:] - 2.0 * z_full[:, 1:-1] + z_full[:, :-2]) / eps
-    z = interiors
-    m = step_m(p, z, s, gamma)
-    q = (
-        (1.0 / (TWO_PI * eps))
-        * np.exp(-gamma * np.abs(z))
-        * (2.0 * gamma / (s * s + gamma * gamma))
-        * (1.0 - eps * m)
-    )
-    q_signs = np.sign(q)
-    signs = np.prod(np.where(q_signs == 0, 1.0, q_signs), axis=1)
-    signs = np.where(np.any(q_signs == 0, axis=1), 0.0, signs)
-    with np.errstate(divide="ignore"):
-        log_abs = np.sum(np.log(np.abs(q)), axis=1) + math.log(n)
-    return signs.astype(int), log_abs, q_signs.astype(int)
+    s = velocity_changes(interiors, cfg)
+    _, q = _m_and_q(p, interiors, s, cfg.eps, cfg.gamma)
+    signs, log_abs = _sign_log_abs(q, cfg.n)
+    return signs.astype(int), log_abs, np.sign(q).astype(int)
 
 
 def path_weight(
@@ -369,27 +375,20 @@ def path_weight(
     positivity theorem certifies) or the full exponential ("exponential")
     step factor.
     """
-    validate_path(path, cfg)
     s = second_differences(path, cfg)
     z = path.z[1:-1]
-    m = step_m(p, z, s, cfg.gamma)
     if form == "linear":
-        q = step_q_linear(p, z, s, cfg.eps, cfg.gamma)
+        m, q = _m_and_q(p, z, s, cfg.eps, cfg.gamma)
     elif form == "exponential":
+        m = step_m(p, z, s, cfg.gamma)
         q = np.array(
             [step_q_exponential(p, zj, sj, cfg.eps, cfg.gamma) for zj, sj in zip(z, s)]
         )
     else:
         raise ValueError(f"unknown step-factor form {form!r}")
-    q = np.atleast_1d(q)
-    steps = StepQuantities(s=s, M=np.atleast_1d(m), Q=q)
-    sign_arr = np.sign(q)
-    if np.any(sign_arr == 0):
-        sign = 0
-    else:
-        sign = int(np.prod(sign_arr))
-    with np.errstate(divide="ignore"):
-        log_abs = float(np.sum(np.log(np.abs(q))) + math.log(cfg.n))
+    steps = StepQuantities(s=s, M=m, Q=q)
+    sign, log_abs = _sign_log_abs(q, cfg.n)
+    sign, log_abs = int(sign), float(log_abs)
     if sign == 0:
         w = 0.0
     else:

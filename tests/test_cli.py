@@ -181,8 +181,21 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(["bogus"]) == 1
 
-    def test_unknown_flag(self, capsys):
-        assert run(["positivity", "--frobnicate"]) == 1
+    def test_unknown_flag(self, tmp_path, free_json, capsys):
+        # a subcommand rejects the flags it does not read
+        cfg = LatticeConfig(0.0, 1.0, 2, 0.05, 0.0, 0.0)
+        path_file = tmp_path / "p.csv"
+        write_path_csv(straight_line_path(cfg), cfg, path_file)
+        weight = ["weight", "-c", free_json, "--path", str(path_file)]
+        for argv in (
+            ["positivity", "--frobnicate"],
+            ["oracle", "-c", free_json, "--seed", "1"],
+            weight + ["--threads", "2"],
+            ["positivity", "-c", free_json, "-n", "4"],
+            ["ck", "-c", free_json, "--gamma", "0.1"],
+            weight + ["--format", "json"],
+        ):
+            assert run(argv) == 1, argv
 
     def test_missing_config_file(self, capsys):
         assert run(["positivity", "-c", "/nonexistent.json", "--gamma", "0.1"]) == 1

@@ -12,6 +12,7 @@ from pathprob.lattice import (
     second_difference_matrix,
     second_differences,
     straight_line_path,
+    velocity_changes,
     write_path_csv,
 )
 
@@ -110,6 +111,9 @@ class TestBridgeSolve:
         interior = interior_from_velocity_changes(s, cfg)
         path = make_path(cfg, interior)
         assert np.allclose(second_differences(path, cfg), s, atol=1e-8)
+        batch = rng.standard_cauchy((3, 2, n - 1))
+        back = velocity_changes(interior_from_velocity_changes(batch, cfg), cfg)
+        assert np.allclose(back, batch, atol=1e-8)
 
     def test_zero_velocity_changes_give_straight_line(self):
         cfg = LatticeConfig(0.0, 1.0, 5, 0.1, -1.0, 2.0)

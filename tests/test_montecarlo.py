@@ -43,9 +43,7 @@ class TestEffectiveSampleSize:
 class TestSamplerConfig:
     def test_batch_count_invariant(self):
         with pytest.raises(ValueError):
-            SamplerConfig(n_samples=4, n_batches=8)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_batches=4)
+            SamplerConfig(n_samples=4)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pathprob import oracle
 from pathprob.oracle import (
     WavefunctionGrid,
     ck_check,
@@ -197,6 +198,19 @@ class TestCompositionCheck:
         p = BandLimitedPotential.single_line(a=0.5, q=1.0)
         res = ck_check(p, -0.2, 0.0, 0.6, 0.4, 1.0, mode="probability")
         assert res.residual > 0.05
+
+    def test_probability_mode_propagation_count(self, monkeypatch):
+        # two legs plus the three source widths of the direct kernel; the
+        # full-duration leg is the amplitude mode's alone
+        calls = []
+
+        def counting_propagate(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(oracle, "propagate", counting_propagate)
+        ck_check(FREE, -0.2, 0.0, 0.6, 0.4, 1.0, half_width=12.7, n_points=512)
+        assert len(calls) == 5
 
     def test_free_probability_nonconvergent(self):
         res = ck_check(FREE, 0.0, 0.0, 0.5, 0.0, 1.0, mode="probability")

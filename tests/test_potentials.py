@@ -148,8 +148,13 @@ class TestInterchange:
         assert potential_from_dict(potential_to_dict(p)).is_zero
 
     def test_looser_declaration_accepted(self):
+        # a looser R or K is accepted and dropped for lines and grids alike
         d = {"lines": [{"q": 1.0, "a": 0.5}], "R": 2.0, "K": 10.0}
         assert potential_from_dict(d) == BandLimitedPotential.single_line(a=0.5, q=1.0)
+        x = np.linspace(-30, 30, 2001)
+        p, _ = band_limit(x, 0.05 * np.cos(x), R=2.0)
+        loaded = potential_from_dict({**potential_to_dict(p), "R": 3.0, "K": 10.0})
+        assert (loaded.R, loaded.K) == (p.R, p.K)
 
     @pytest.mark.parametrize(
         "declared, match",

@@ -15,7 +15,6 @@ from pathprob.quadrature import (
     _tensor_sum,
     amplitude_discrete,
     extrapolate_gamma,
-    probability_from_amplitude,
     probability_product_form,
     transition_probability_quadrature,
 )
@@ -218,20 +217,17 @@ class TestProductForm:
 
 class TestProbabilityFromAmplitude:
     def test_unit(self):
-        assert probability_from_amplitude(KernelEstimate(1 + 0j)).value == 1.0
+        assert KernelEstimate(1 + 0j).modulus_squared == 1.0
 
     def test_phase_invariance(self):
         z = 0.3 - 0.4j
         rot = z * np.exp(1j * 0.77)
-        assert probability_from_amplitude(KernelEstimate(rot)).value == pytest.approx(
-            abs(z) ** 2, rel=1e-14
-        )
+        assert KernelEstimate(rot).modulus_squared == pytest.approx(abs(z) ** 2, rel=1e-14)
 
     def test_free_kernel(self):
         amp = (TWO_PI * 1.0) ** -0.5 * np.exp(-1j * np.pi / 4)
-        est = probability_from_amplitude(KernelEstimate(complex(amp)))
-        assert est.value == pytest.approx(1.0 / TWO_PI, rel=1e-12)
-        assert est.method == "amplitude"
+        est = KernelEstimate(complex(amp))
+        assert est.modulus_squared == pytest.approx(1.0 / TWO_PI, rel=1e-12)
 
 
 class TestExtrapolation:

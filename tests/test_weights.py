@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from pathprob import weights
 from pathprob.lattice import LatticeConfig, make_path, straight_line_path
 from pathprob.potentials import BandLimitedPotential, band_limit
 from pathprob.weights import (
@@ -295,14 +296,32 @@ class TestPathWeight:
         assert ev.sign == 1
 
     def test_batch_matches_single(self):
+        # both routes evaluate the one Q definition and the one reduction,
+        # so they agree exactly, for lines and for a grid spectrum
+        x = np.linspace(-20.0, 20.0, 201)
+        grid, _ = band_limit(x, 0.03 * np.cos(0.6 * x + 0.4) + 0.04 * np.cos(1.1 * x), R=1.5)
         cfg = LatticeConfig(0.0, 1.0, 4, 0.1, -0.2, 0.3)
         rng = np.random.default_rng(3)
         interiors = rng.normal(size=(5, 3))
-        signs, log_abs, q_signs = batch_log_weights(COSINE, interiors, cfg)
-        for i in range(5):
-            ev = path_weight(COSINE, make_path(cfg, interiors[i]), cfg)
-            assert signs[i] == ev.sign
-            assert log_abs[i] == pytest.approx(ev.log_abs_w, rel=1e-12)
+        for p in (COSINE, grid):
+            signs, log_abs, q_signs = batch_log_weights(p, interiors, cfg)
+            for i in range(5):
+                ev = path_weight(p, make_path(cfg, interiors[i]), cfg)
+                assert signs[i] == ev.sign
+                assert log_abs[i] == ev.log_abs_w
+                assert np.array_equal(q_signs[i], np.sign(ev.steps.Q))
+
+    def test_step_m_once_per_path(self, monkeypatch):
+        calls = []
+
+        def counting_step_m(*args):
+            calls.append(args)
+            return step_m(*args)
+
+        monkeypatch.setattr(weights, "step_m", counting_step_m)
+        cfg = LatticeConfig(0.0, 1.0, 5, 0.1, -0.3, 0.5)
+        path_weight(COSINE, make_path(cfg, [0.1, -0.2, 0.4, 0.3]), cfg, form="linear")
+        assert len(calls) == 1
 
     def test_report_schema(self):
         cfg = LatticeConfig(0.0, 1.0, 3, 0.1, 0.0, 0.4)
