@@ -211,13 +211,11 @@ def _cmd_oracle(args) -> int:
     p = _potential(config)
     cfg = _lattice(config, args)
     osec = config.get("oracle", {})
-    kwargs = {}
-    if "X" in osec:
-        kwargs["half_width"] = float(osec["X"])
-    if "L" in osec:
-        kwargs["n_points"] = int(osec["L"])
-    if "dt" in osec:
-        kwargs["dt"] = float(osec["dt"])
+    fields = {"X": ("half_width", float), "L": ("n_points", int), "dt": ("dt", float)}
+    unknown = set(osec) - set(fields)
+    if unknown:
+        raise SystemExit(f"unknown oracle fields: {sorted(unknown)}")
+    kwargs = {name: cast(osec[key]) for key, (name, cast) in fields.items() if key in osec}
     est = oracle.kernel_estimate(p, cfg.z_a, cfg.z_b, cfg.duration, **kwargs)
     _emit(
         {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WavefunctionGrid:
-    """Complex amplitudes on a uniform periodic grid at one instant."""
+    """One wavefunction, or a stack along leading axes, on a uniform periodic grid."""
 
     x: np.ndarray
     psi: np.ndarray
@@ -43,8 +43,8 @@ class WavefunctionGrid:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         psi = np.asarray(self.psi, dtype=complex)
-        if x.shape != psi.shape or x.ndim != 1:
-            raise ValueError("x and psi must be matching 1D arrays")
+        if x.ndim != 1 or psi.shape[-1:] != x.shape:
+            raise ValueError("x must be 1D and match the last axis of psi")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "psi", psi)
 
@@ -52,8 +52,9 @@ class WavefunctionGrid:
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.dx)
+    def norm(self):
+        """Squared norm of each wavefunction (one per leading index)."""
+        return np.sum(np.abs(self.psi) ** 2, axis=-1) * self.dx
 
 
 def make_grid(half_width: float, n_points: int) -> np.ndarray:
@@ -86,13 +87,13 @@ def gaussian_packet(
     return WavefunctionGrid(x=x, psi=psi, time=0.0)
 
 
-def _check_guards(p: BandLimitedPotential, x: np.ndarray, dt: float):
+def _check_guards(p: BandLimitedPotential, x: np.ndarray, v: np.ndarray, dt: float):
     dx = float(x[1] - x[0])
     if p.R > 0 and dx * p.R > 0.5:
         raise ValueError(
             f"grid too coarse for the potential band: dx*R = {dx * p.R:.3g} > 0.5"
         )
-    vmax = float(np.max(np.abs(p.evaluate(x)))) if not p.is_zero else 0.0
+    vmax = float(np.max(np.abs(v)))
     if vmax > 0 and dt * vmax > 0.1:
         raise ValueError(
             f"dt too large for the potential: dt*max|V| = {dt * vmax:.3g} > 0.1; "
@@ -112,18 +113,18 @@ def propagate(
     duration: float,
     dt: float,
 ) -> WavefunctionGrid:
-    """Strang-split spectral evolution over ``duration`` (periodic boundary)."""
+    """Strang-split spectral evolution over ``duration`` (periodic boundary), row by row."""
     if duration < 0:
         raise ValueError("duration must be >= 0")
     if duration == 0.0:
         return psi0
     x = psi0.x
-    _check_guards(p, x, dt)
+    v = p.evaluate(x) if not p.is_zero else np.zeros_like(x)
+    _check_guards(p, x, v, dt)
     n_steps = max(1, int(math.ceil(duration / dt)))
     step = duration / n_steps
     k = TWO_PI * np.fft.fftfreq(x.size, d=psi0.dx)
     kinetic = np.exp(-0.5j * step * k**2)
-    v = p.evaluate(x) if not p.is_zero else np.zeros_like(x)
     half_pot = np.exp(-0.5j * step * v)
     psi = psi0.psi * half_pot
     for _ in range(n_steps - 1):
@@ -132,14 +133,17 @@ def propagate(
     return WavefunctionGrid(x=x, psi=psi, time=psi0.time + duration)
 
 
+def free_kernel_amplitudes(x, z_a: float, duration: float):
+    """Closed-form free propagator ``(2 pi i T)^(-1/2) exp(i (x-za)^2 / 2T)`` at each ``x``."""
+    pref = (TWO_PI * duration) ** -0.5 * np.exp(-1j * np.pi / 4.0)
+    return pref * np.exp(0.5j * (np.asarray(x) - z_a) ** 2 / duration)
+
+
 def free_kernel_exact(z_a: float, z_b: float, duration: float) -> KernelEstimate:
-    """Closed-form free propagator ``(2 pi i T)^(-1/2) exp(i (zb-za)^2 / 2T)``."""
+    """Closed-form free propagator from ``z_a`` to ``z_b``."""
     if duration <= 0:
         raise ValueError("duration must be positive")
-    pref = (TWO_PI * duration) ** -0.5 * np.exp(-1j * np.pi / 4.0)
-    return KernelEstimate(
-        amplitude=complex(pref * np.exp(0.5j * (z_b - z_a) ** 2 / duration))
-    )
+    return KernelEstimate(amplitude=complex(free_kernel_amplitudes(z_b, z_a, duration)))
 
 
 def _smeared_free_kernel(x, z_a: float, duration: float, sigma: float):
@@ -148,9 +152,20 @@ def _smeared_free_kernel(x, z_a: float, duration: float, sigma: float):
     return (TWO_PI * var) ** -0.5 * np.exp(-((x - z_a) ** 2) / (2.0 * var))
 
 
-def _delta_amplitude(p, x, z_a, duration, dt, sigma):
-    src = gaussian_packet(x, z_a, sigma, amplitude_normalized=True)
-    return propagate(src, p, duration, dt)
+def _grid(half_width: float, n_points: int | None):
+    """Grid ``x``, its ``dx`` and the safe step ``dt = 0.999 dx^2 / pi^2``.
+
+    ``n_points`` defaults to the smallest power of two >= 1024 with dx <= 0.04.
+    """
+    if n_points is None:
+        n_points = 1 << max(10, int(math.ceil(math.log2(half_width / 0.02))))
+    x = make_grid(half_width, n_points)
+    dx = x[1] - x[0]
+    return x, dx, 0.999 * dx**2 / np.pi**2
+
+
+SOURCE_SIGMAS = (0.4, 0.3, 0.2)  # kernel_estimate's unit-mass sources, widest first
+CK_SOURCE_SIGMA = 0.15  # ck_check's sources at both ends
 
 
 def kernel_estimate(
@@ -158,44 +173,38 @@ def kernel_estimate(
     z_a: float,
     z_b: float,
     duration: float,
-    sigmas=(0.4, 0.3, 0.2),
     half_width: float | None = None,
     n_points: int | None = None,
     dt: float | None = None,
 ) -> KernelEstimate:
     """Transition amplitude from narrow-source propagation.
 
-    Unit-mass Gaussians of the given widths are propagated from ``z_a``; the
-    value at ``z_b`` is corrected by the exact free-propagation smearing
-    factor and the remaining potential-induced bias is extrapolated to zero
-    source width, linearly in ``sigma^2``.  The extrapolation residual is
-    attached to the returned estimate.
+    Unit-mass Gaussians of the widths ``SOURCE_SIGMAS`` are propagated
+    together from ``z_a``; the value at ``z_b`` is corrected by the exact
+    free-propagation smearing factor and the remaining potential-induced
+    bias is extrapolated to zero source width, linearly in ``sigma^2``.  The
+    extrapolation residual is attached to the returned estimate.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    sigmas = tuple(sorted(sigmas, reverse=True))
-    if len(sigmas) < 2:
-        raise ValueError("need at least two source widths to extrapolate")
     if half_width is None:
         half_width = max(abs(z_a), abs(z_b)) + 6.0 + 5.0 * math.sqrt(duration)
-    if n_points is None:
-        n_points = 1 << max(10, int(math.ceil(math.log2(half_width / 0.02))))
-    x = make_grid(half_width, n_points)
-    dx = x[1] - x[0]
-    if min(sigmas) < 4.0 * dx:
+    x, dx, safe_dt = _grid(half_width, n_points)
+    if SOURCE_SIGMAS[-1] < 4.0 * dx:
         raise ValueError("smallest source width is not resolvable on the grid")
     if dt is None:
-        dt = 0.999 * dx**2 / np.pi**2
+        dt = safe_dt
 
+    sources = [gaussian_packet(x, z_a, s, amplitude_normalized=True).psi for s in SOURCE_SIGMAS]
+    out = propagate(WavefunctionGrid(x=x, psi=sources), p, duration, dt).psi
+    free_exact = free_kernel_exact(z_a, z_b, duration).amplitude
     amps = []
-    for sigma in sigmas:
-        out = _delta_amplitude(p, x, z_a, duration, dt, sigma)
-        measured = complex(np.interp(z_b, x, out.psi.real) + 1j * np.interp(z_b, x, out.psi.imag))
-        free_exact = free_kernel_exact(z_a, z_b, duration).amplitude
+    for sigma, psi in zip(SOURCE_SIGMAS, out):
+        measured = complex(np.interp(z_b, x, psi.real) + 1j * np.interp(z_b, x, psi.imag))
         free_smeared = complex(_smeared_free_kernel(np.array([z_b]), z_a, duration, sigma)[0])
         amps.append(measured * free_exact / free_smeared)
     amps = np.asarray(amps)
-    s2 = np.asarray([s**2 for s in sigmas])
+    s2 = np.asarray([s**2 for s in SOURCE_SIGMAS])
     coeff_r = np.polyfit(s2, amps.real, 1)
     coeff_i = np.polyfit(s2, amps.imag, 1)
     a0 = complex(coeff_r[1], coeff_i[1])
@@ -224,8 +233,6 @@ def ck_check(
     z_b: float,
     t_b: float,
     mode: str = "probability",
-    source_sigma: float = 0.15,
-    window: float | None = None,
     half_width: float | None = None,
     n_points: int | None = None,
 ) -> CKResult:
@@ -233,42 +240,38 @@ def ck_check(
 
     ``mode="amplitude"`` composes complex kernels (expected to close, the
     control case); ``mode="probability"`` composes squared moduli, the
-    quantity that fails for this process.  The intermediate integral runs
-    over ``|z_c| <= window``; a widened window probes convergence, and a
-    diverging probability integral is reported with ``converged=False``
-    rather than raised.
+    quantity that fails for this process.  Both legs start from sources of
+    width ``CK_SOURCE_SIGMA``.  The intermediate integral runs over
+    ``|z_c| <= half_width - 4`` (reported as ``window``); a widened window
+    probes convergence, and a diverging probability integral is reported
+    with ``converged=False`` rather than raised.
     """
+    if mode not in ("amplitude", "probability"):
+        raise ValueError(f"unknown mode {mode!r}")
     if not (t_a < t_c < t_b):
         raise ValueError("need t_a < t_c < t_b")
     t1 = t_c - t_a
     t2 = t_b - t_c
     if half_width is None:
         half_width = max(abs(z_a), abs(z_b)) + 10.0 + 5.0 * math.sqrt(t_b - t_a)
-    if n_points is None:
-        n_points = 1 << max(10, int(math.ceil(math.log2(half_width / 0.02))))
-    x = make_grid(half_width, n_points)
-    dx = x[1] - x[0]
-    dt = 0.999 * dx**2 / np.pi**2
-    if window is None:
-        window = half_width - 4.0
+    x, dx, dt = _grid(half_width, n_points)
+    window = half_width - 4.0
 
     # forward leg from z_a and (time-symmetric kernel) leg from z_b
-    leg_a = _delta_amplitude(p, x, z_a, t1, dt, source_sigma).psi
-    leg_b = _delta_amplitude(p, x, z_b, t2, dt, source_sigma).psi
+    src_a = gaussian_packet(x, z_a, CK_SOURCE_SIGMA, amplitude_normalized=True)
+    src_b = gaussian_packet(x, z_b, CK_SOURCE_SIGMA, amplitude_normalized=True)
+    leg_a = propagate(src_a, p, t1, dt).psi
+    leg_b = propagate(src_b, p, t2, dt).psi
 
     if mode == "amplitude":
-        full = _delta_amplitude(p, x, z_a, t_b - t_a, dt, source_sigma).psi
-        src_b = gaussian_packet(x, z_b, source_sigma, amplitude_normalized=True).psi
+        full = propagate(src_a, p, t_b - t_a, dt).psi
         lhs = complex(np.sum(leg_a * leg_b) * dx)
-        rhs = complex(np.sum(full * src_b) * dx)
+        rhs = complex(np.sum(full * src_b.psi) * dx)
         residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         return CKResult(lhs, rhs, residual, mode, True, window)
 
-    if mode != "probability":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    corr_a = free_kernel_amplitudes(x, z_a, t1) / _smeared_free_kernel(x, z_a, t1, source_sigma)
-    corr_b = free_kernel_amplitudes(x, z_b, t2) / _smeared_free_kernel(x, z_b, t2, source_sigma)
+    corr_a = free_kernel_amplitudes(x, z_a, t1) / _smeared_free_kernel(x, z_a, t1, CK_SOURCE_SIGMA)
+    corr_b = free_kernel_amplitudes(x, z_b, t2) / _smeared_free_kernel(x, z_b, t2, CK_SOURCE_SIGMA)
     integrand = np.abs(leg_a * corr_a) ** 2 * np.abs(leg_b * corr_b) ** 2
     rhs = kernel_estimate(
         p, z_a, z_b, t_b - t_a, half_width=half_width, n_points=n_points
@@ -284,12 +287,6 @@ def ck_check(
     converged = tail <= 1e-3
     residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return CKResult(lhs, rhs, residual, mode, converged, window)
-
-
-def free_kernel_amplitudes(x, z_a: float, duration: float):
-    """Vectorized closed-form free kernel from ``z_a`` to every grid point."""
-    pref = (TWO_PI * duration) ** -0.5 * np.exp(-1j * np.pi / 4.0)
-    return pref * np.exp(0.5j * (np.asarray(x) - z_a) ** 2 / duration)
 
 
 def write_wavefunction_csv(w: WavefunctionGrid, fname) -> None:

@@ -42,6 +42,10 @@ __all__ = [
 
 MAX_QUADRATURE_N = 6
 MAX_AMPLITUDE_N = 4
+AMPLITUDE_TAIL = 1e-10  # amplitude_discrete's regularizer cut-off
+AMPLITUDE_DENSITY = 6.0  # its nodes per local period, checked against 1.6 times as many
+AMPLITUDE_TOL = 1e-6  # the relative gap it allows between the two
+PRODUCT_POINTS = 1200  # Gauss-Legendre nodes per position in probability_product_form
 
 
 @dataclass(frozen=True)
@@ -246,17 +250,17 @@ def _oscillatory_nodes(u_max: float, eps: float, extra_freq: float, density: flo
     return np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])
 
 
-def _amplitude_value(p, cfg, regularizer, tail, density):
+def _amplitude_value(p, cfg, regularizer, density):
     n = cfg.n
     eps = cfg.eps
     gamma = cfg.gamma
     if regularizer == "laplace":
-        u_max = -math.log(tail) / gamma
+        u_max = -math.log(AMPLITUDE_TAIL) / gamma
 
         def reg(x):
             return np.exp(-gamma * np.abs(x))
     elif regularizer == "gaussian":
-        u_max = math.sqrt(-math.log(tail) / gamma)
+        u_max = math.sqrt(-math.log(AMPLITUDE_TAIL) / gamma)
 
         def reg(x):
             return np.exp(-gamma * x * x)
@@ -284,25 +288,23 @@ def amplitude_discrete(
     p: BandLimitedPotential,
     cfg: LatticeConfig,
     regularizer: str = "gaussian",
-    tol: float = 1e-6,
-    tail: float = 1e-10,
-    density: float = 6.0,
 ) -> KernelEstimate:
     """Brute-force discretized transition amplitude at small n.
 
     Nested oscillatory quadrature over the n-1 intermediate positions with a
     per-interior-point regularizer ("gaussian" or "laplace").  The result is
-    verified against a refined node set; failing the ``tol`` comparison
-    raises with panel diagnostics.
+    verified against a refined node set; failing the ``AMPLITUDE_TOL``
+    comparison raises with panel diagnostics.
     """
     if cfg.n > MAX_AMPLITUDE_N:
         raise ValueError(f"discrete amplitudes are limited to n <= {MAX_AMPLITUDE_N}")
-    a0 = _amplitude_value(p, cfg, regularizer, tail, density)
-    a1 = _amplitude_value(p, cfg, regularizer, tail, density * 1.6)
-    if abs(a1 - a0) > tol * max(abs(a1), 1e-300):
+    density = AMPLITUDE_DENSITY
+    a0 = _amplitude_value(p, cfg, regularizer, density)
+    a1 = _amplitude_value(p, cfg, regularizer, density * 1.6)
+    if abs(a1 - a0) > AMPLITUDE_TOL * max(abs(a1), 1e-300):
         raise NonConvergenceError(
-            f"oscillatory quadrature not converged: |delta|={abs(a1 - a0):.3g} at "
-            f"node density {density} vs {density * 1.6} per period (rel tol {tol})"
+            f"oscillatory quadrature not converged: |delta|={abs(a1 - a0):.3g} at node "
+            f"density {density} vs {density * 1.6} per period (rel tol {AMPLITUDE_TOL})"
         )
     return KernelEstimate(amplitude=a1)
 
@@ -351,8 +353,6 @@ def _pair_integral_line(z, s, a, q, phi, eps, gamma):
 def probability_product_form(
     p: BandLimitedPotential,
     cfg: LatticeConfig,
-    points_per_dim: int = 1200,
-    z_window: float | None = None,
 ) -> float:
     """Squared amplitude as a product of per-step pair-separation integrals.
 
@@ -360,8 +360,9 @@ def probability_product_form(
     the exact linear change from the two path copies to mean positions and
     pair separations: same Laplace regularizer (which becomes
     ``exp(-2 gamma max(|z|, |u|/2))``), potential difference at half the
-    pair separation.  Single-line potentials only (the separation integral
-    is closed form there); n <= 3.
+    pair separation.  ``PRODUCT_POINTS`` Gauss-Legendre nodes per position.
+    Single-line potentials only (the separation integral is closed form
+    there); n <= 3.
     """
     if len(p.lines) > 1 or p.grid is not None:
         raise ValueError("product form needs a single-line or zero potential")
@@ -375,10 +376,9 @@ def probability_product_form(
         a, q, phi = p.lines[0].a, p.lines[0].q, p.lines[0].phi
     else:
         a, q, phi = 0.0, 1.0, 0.0
-    if z_window is None:
-        z_window = max(abs(cfg.z_a), abs(cfg.z_b)) + math.log(1e14) / (2.0 * gamma)
+    z_window = max(abs(cfg.z_a), abs(cfg.z_b)) + math.log(1e14) / (2.0 * gamma)
 
-    x, w = np.polynomial.legendre.leggauss(points_per_dim)
+    x, w = np.polynomial.legendre.leggauss(PRODUCT_POINTS)
     nodes = z_window * x
     wts = z_window * w
     pref = (TWO_PI * eps) ** (-n)

@@ -197,6 +197,14 @@ class TestUsageErrors:
         ):
             assert run(argv) == 1, argv
 
+    def test_unknown_oracle_field(self, tmp_path, capsys):
+        f = tmp_path / "typo.json"
+        f.write_text(json.dumps(dict(FREE_CONFIG, oracle={"X": 12.0, "DT": 1e-4})))
+        assert run(["oracle", "-c", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown oracle fields") and "'DT'" in err
+        assert "'X'" not in err and "Traceback" not in err
+
     def test_missing_config_file(self, capsys):
         assert run(["positivity", "-c", "/nonexistent.json", "--gamma", "0.1"]) == 1
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pathprob import oracle
@@ -15,7 +17,7 @@ from pathprob.oracle import (
     propagate,
     write_wavefunction_csv,
 )
-from pathprob.potentials import BandLimitedPotential
+from pathprob.potentials import BandLimitedPotential, SpectralLine
 
 TWO_PI = 2.0 * math.pi
 FREE = BandLimitedPotential.zero()
@@ -28,6 +30,18 @@ def default_grid():
 def safe_dt(x):
     dx = x[1] - x[0]
     return 0.999 * dx**2 / math.pi**2
+
+
+def counting(monkeypatch):
+    """Route the oracle's own calls to ``propagate`` through a recorder."""
+    calls = []
+
+    def counting_propagate(*args):
+        calls.append(args)
+        return propagate(*args)
+
+    monkeypatch.setattr(oracle, "propagate", counting_propagate)
+    return calls
 
 
 class TestPropagation:
@@ -91,6 +105,44 @@ class TestPropagation:
         x = default_grid()
         with pytest.raises(ValueError, match="dt"):
             propagate(gaussian_packet(x, 0.0, 1.0), p, 1.0, dt=0.1)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(0.0, 6.28)),
+            max_size=3,
+        ),
+        st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(0.3, 1.5), st.floats(-2.0, 2.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.floats(0.01, 0.3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_rows(self, specs, packets, duration):
+        p = BandLimitedPotential.from_lines([SpectralLine(q, a, phi) for q, a, phi in specs])
+        x = make_grid(8.0, 128)
+        dt = safe_dt(x)
+        rows = [gaussian_packet(x, c, s, momentum=k).psi for c, s, k in packets]
+        stacked = propagate(WavefunctionGrid(x=x, psi=rows), p, duration, dt)
+        assert stacked.psi.shape == (len(rows), x.size)
+        for row, out in zip(rows, stacked.psi):
+            single = propagate(WavefunctionGrid(x=x, psi=row), p, duration, dt)
+            assert np.array_equal(out, single.psi)
+
+    def test_potential_evaluated_once(self):
+        calls = []
+
+        class Counting(BandLimitedPotential):
+            def evaluate(self, x):
+                calls.append(np.size(x))
+                return super().evaluate(x)
+
+        base = BandLimitedPotential.single_line(a=0.3, q=1.0)
+        p = Counting(R=base.R, K=base.K, lines=base.lines)
+        x = make_grid(8.0, 128)
+        propagate(gaussian_packet(x, 0.0, 1.0), p, 0.1, safe_dt(x))
+        assert calls == [x.size]
 
     def test_guard_grid_resolution(self):
         p = BandLimitedPotential.single_line(a=0.1, q=100.0)
@@ -177,15 +229,15 @@ class TestKernelEstimate:
             devs.append(abs(est.amplitude / free - 1.0))
         assert devs[0] > devs[1] > devs[2]
 
-    def test_needs_two_widths(self):
-        with pytest.raises(ValueError):
-            kernel_estimate(FREE, 0.0, 0.0, 1.0, sigmas=(0.3,))
-
     def test_unresolvable_width_rejected(self):
         with pytest.raises(ValueError, match="resolvable"):
-            kernel_estimate(
-                FREE, 0.0, 0.0, 1.0, sigmas=(0.3, 0.001), half_width=20.0, n_points=256
-            )
+            kernel_estimate(FREE, 0.0, 0.0, 1.0, half_width=20.0, n_points=256)
+
+    def test_one_stacked_propagation(self, monkeypatch):
+        calls = counting(monkeypatch)
+        kernel_estimate(FREE, -0.3, 0.5, 0.2, half_width=12.7, n_points=512)
+        assert len(calls) == 1
+        assert calls[0][0].psi.shape == (len(oracle.SOURCE_SIGMAS), 512)
 
 
 class TestCompositionCheck:
@@ -200,17 +252,17 @@ class TestCompositionCheck:
         assert res.residual > 0.05
 
     def test_probability_mode_propagation_count(self, monkeypatch):
-        # two legs plus the three source widths of the direct kernel; the
-        # full-duration leg is the amplitude mode's alone
-        calls = []
-
-        def counting_propagate(*args):
-            calls.append(args)
-            return propagate(*args)
-
-        monkeypatch.setattr(oracle, "propagate", counting_propagate)
+        # two legs plus one stacked propagation of the direct kernel's source
+        # widths; the full-duration leg is the amplitude mode's alone
+        calls = counting(monkeypatch)
         ck_check(FREE, -0.2, 0.0, 0.6, 0.4, 1.0, half_width=12.7, n_points=512)
-        assert len(calls) == 5
+        assert len(calls) == 3
+
+    def test_unknown_mode_rejected_before_propagating(self, monkeypatch):
+        calls = counting(monkeypatch)
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            ck_check(FREE, -0.2, 0.0, 0.6, 0.4, 1.0, mode="bogus")
+        assert calls == []
 
     def test_free_probability_nonconvergent(self):
         res = ck_check(FREE, 0.0, 0.0, 0.5, 0.0, 1.0, mode="probability")
@@ -234,3 +286,14 @@ class TestIO:
     def test_grid_shape_validation(self):
         with pytest.raises(ValueError):
             WavefunctionGrid(x=np.zeros(4), psi=np.zeros(5))
+        with pytest.raises(ValueError):
+            WavefunctionGrid(x=np.zeros(4), psi=np.zeros((4, 5)))
+        with pytest.raises(ValueError):
+            WavefunctionGrid(x=np.zeros((2, 4)), psi=np.zeros((2, 4)))
+
+    def test_stack_norms(self):
+        x = make_grid(8.0, 256)
+        rows = [gaussian_packet(x, c, 1.0).psi for c in (-1.0, 0.5)]
+        w = WavefunctionGrid(x=x, psi=[rows[0], 2.0 * rows[1]])
+        assert w.norm() == pytest.approx([1.0, 4.0], rel=1e-10)
+        assert w.norm()[0] == WavefunctionGrid(x=x, psi=rows[0]).norm()
