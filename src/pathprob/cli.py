@@ -206,16 +206,26 @@ def _cmd_transition(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    config = _load_config(args)
-    p = _potential(config)
-    cfg = _lattice(config, args)
+def _oracle_options(config: dict) -> dict:
+    """Keyword arguments from the config's ``oracle`` section.
+
+    ``X`` is the grid half-width, ``L`` the number of grid points and ``dt``
+    the step of the split-step integrator (without it the oracle
+    propagates exactly in time).
+    """
     osec = config.get("oracle", {})
     fields = {"X": ("half_width", float), "L": ("n_points", int), "dt": ("dt", float)}
     unknown = set(osec) - set(fields)
     if unknown:
         raise SystemExit(f"unknown oracle fields: {sorted(unknown)}")
-    kwargs = {name: cast(osec[key]) for key, (name, cast) in fields.items() if key in osec}
+    return {name: cast(osec[key]) for key, (name, cast) in fields.items() if key in osec}
+
+
+def _cmd_oracle(args) -> int:
+    config = _load_config(args)
+    p = _potential(config)
+    cfg = _lattice(config, args)
+    kwargs = _oracle_options(config)
     est = oracle.kernel_estimate(p, cfg.z_a, cfg.z_b, cfg.duration, **kwargs)
     _emit(
         {
@@ -236,9 +246,12 @@ def _cmd_ck(args) -> int:
     config = _load_config(args)
     p = _potential(config)
     cfg = _lattice(config, args)
+    kwargs = _oracle_options(config)
+    if "dt" in kwargs:
+        raise SystemExit("oracle field dt does not apply to ck, which propagates exactly in time")
     t_c = args.tc if args.tc is not None else 0.5 * (cfg.t_a + cfg.t_b)
     res = oracle.ck_check(
-        p, cfg.z_a, cfg.t_a, t_c, cfg.z_b, cfg.t_b, mode=args.mode
+        p, cfg.z_a, cfg.t_a, t_c, cfg.z_b, cfg.t_b, mode=args.mode, **kwargs
     )
     _emit(
         {

@@ -1,20 +1,32 @@
 """Independent ground truth: direct wavefunction propagation and kernels.
 
 The propagator here never touches path weights: it evolves wavefunctions
-under ``H = -1/2 d^2/dx^2 + V`` with a second-order split-step spectral
-scheme on a periodic grid (units hbar = m = 1), and extracts transition
-amplitudes by propagating narrow Gaussians and extrapolating their width to
-zero.  Everything downstream (positivity, path-weight probabilities) is
-validated against these numbers.
+under ``H = -1/2 d^2/dx^2 + V`` on a periodic grid with a spectral (FFT)
+kinetic operator (units hbar = m = 1), and extracts transition amplitudes by
+propagating narrow Gaussians and extrapolating their width to zero.
+Everything downstream (positivity, path-weight probabilities) is validated
+against these numbers.
+
+Which integrator runs is set by ``propagate``'s ``dt``:
+
+* ``dt`` given: second-order Strang splitting with (at most) that step.
+* ``dt=None`` and ``V = 0``: one exact kinetic factor ``exp(-i T k^2/2)``.
+* ``dt=None`` otherwise: the Chebyshev expansion of ``exp(-iHT)``
+  (Tal-Ezer and Kosloff 1984), exact in time up to a Bessel tail held
+  below ``CHEB_TOL``.
+
+``kernel_estimate`` and ``ck_check`` use ``dt=None`` unless a caller passes a
+step to ``kernel_estimate``; the CLI config field ``oracle.dt`` is that step,
+so it means "the split-step integrator with this step".
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import jv
 
 from .potentials import TWO_PI, BandLimitedPotential
 from .quadrature import KernelEstimate
@@ -28,7 +40,6 @@ __all__ = [
     "kernel_estimate",
     "ck_check",
     "CKResult",
-    "write_wavefunction_csv",
 ]
 
 
@@ -87,12 +98,14 @@ def gaussian_packet(
     return WavefunctionGrid(x=x, psi=psi, time=0.0)
 
 
-def _check_guards(p: BandLimitedPotential, x: np.ndarray, v: np.ndarray, dt: float):
+def _check_guards(p: BandLimitedPotential, x: np.ndarray, v: np.ndarray, dt: float | None):
     dx = float(x[1] - x[0])
     if p.R > 0 and dx * p.R > 0.5:
         raise ValueError(
             f"grid too coarse for the potential band: dx*R = {dx * p.R:.3g} > 0.5"
         )
+    if dt is None:
+        return
     vmax = float(np.max(np.abs(v)))
     if vmax > 0 and dt * vmax > 0.1:
         raise ValueError(
@@ -107,13 +120,87 @@ def _check_guards(p: BandLimitedPotential, x: np.ndarray, v: np.ndarray, dt: flo
         )
 
 
+CHEB_TOL = 1e-13  # bound on the dropped Chebyshev terms, relative to the norm
+
+
+def _chebyshev_coefficients(a: float) -> np.ndarray:
+    """Coefficients ``(2 - delta_k0) (-i)^k J_k(a)`` of ``exp(-i a y)`` in ``T_k(y)``.
+
+    By the Jacobi-Anger expansion ``exp(-i a y) = sum_k c_k T_k(y)`` on
+    ``[-1, 1]``, where ``|T_k| <= 1``.  Applied to a Hermitian operator with
+    its spectrum in ``[-1, 1]``, every ``T_k`` has operator norm at most 1, so
+    dropping the orders ``k >= K`` changes the result by at most
+    ``2 sum_{k>=K} |J_k(a)|`` times the norm.  The fewest ``K`` that holds this
+    below ``CHEB_TOL`` is kept.
+
+    The sum is taken over computed ``J_k`` up to an order ``M > a``.  Past
+    it, Kapteyn's inequality (Watson, *Bessel Functions*, 8.7) gives
+    ``|J_k(a)| <= exp(-g(k))`` with ``g(k) = k arccosh(k/a) - sqrt(k^2 - a^2)``;
+    since ``g'(k) = arccosh(k/a)`` grows with ``k``, the bound falls by a
+    factor ``rho = exp(-arccosh(M/a)) < 1`` or more per order, and the orders
+    ``k >= M`` add at most ``exp(-g(M)) / (1 - rho)``.  ``M`` is chosen to
+    hold that below ``CHEB_TOL / 4``.
+    """
+
+    def rest(m):  # bound on sum_{k>=m} |J_k(a)|, for m > a
+        g = m * math.acosh(m / a) - math.sqrt(m * m - a * a)
+        return math.exp(-g) / (1.0 - math.exp(-math.acosh(m / a)))
+
+    m = int(a) + 1
+    while rest(m) > CHEB_TOL / 4.0:
+        m += 8
+    orders = np.arange(m)
+    j = jv(orders, a)
+    # tail[K] bounds 2 sum_{k>=K} |J_k(a)|; tail[m] <= CHEB_TOL / 2 by the choice of m
+    tail = 2.0 * (np.append(np.cumsum(np.abs(j[::-1]))[::-1], 0.0) + rest(m))
+    n_terms = max(2, int(np.argmax(tail <= CHEB_TOL)))
+    coeff = (-1j) ** orders[:n_terms] * j[:n_terms]
+    coeff[1:] *= 2.0
+    return coeff
+
+
+def _chebyshev_propagate(psi, kinetic, v, duration):
+    """``exp(-i H T) psi`` for ``H = ifft(kinetic * fft(.)) + v``, by Chebyshev series.
+
+    The spectrum of the grid ``H`` lies in ``[min v, max kinetic + max v]``
+    (Weyl's inequality: both terms are Hermitian, the kinetic one with
+    eigenvalues ``kinetic`` and the potential one diagonal), so
+    ``Ht = (H - c) / r`` with that interval's centre ``c`` and half-width
+    ``r`` has its spectrum in ``[-1, 1]``.  The series in ``T_k(Ht) psi`` runs
+    by the three-term recurrence ``T_{k+1} = 2 Ht T_k - T_{k-1}``; FFTs act on
+    the last axis, so a stack propagates row by row.
+    """
+    e_min, e_max = float(np.min(v)), float(np.max(kinetic) + np.max(v))
+    c, r = 0.5 * (e_max + e_min), 0.5 * (e_max - e_min)
+    coeff = _chebyshev_coefficients(r * duration) * np.exp(-1j * c * duration)
+    kin2, v2 = 2.0 * kinetic / r, 2.0 * (v - c) / r
+
+    def two_ht(phi):
+        return np.fft.ifft(kin2 * np.fft.fft(phi)) + v2 * phi
+
+    prev, cur = psi, 0.5 * two_ht(psi)
+    out = coeff[0] * prev + coeff[1] * cur
+    for ck in coeff[2:]:
+        prev, cur = cur, two_ht(cur) - prev
+        out += ck * cur
+    return out
+
+
 def propagate(
     psi0: WavefunctionGrid,
     p: BandLimitedPotential,
     duration: float,
-    dt: float,
+    dt: float | None = None,
 ) -> WavefunctionGrid:
-    """Strang-split spectral evolution over ``duration`` (periodic boundary), row by row."""
+    """Spectral evolution over ``duration`` (periodic boundary), row by row.
+
+    With ``dt`` given, Strang splitting with the largest step ``<= dt`` that
+    divides ``duration``; the guards ``dt max|V| <= 0.1`` and
+    ``dt (pi/dx)^2 / 2 <= 0.5`` apply.  With ``dt=None`` the evolution is
+    exact in time: one kinetic factor for ``V = 0``, else a Chebyshev series
+    whose dropped terms are bounded by ``CHEB_TOL`` of the norm.  The grid
+    must resolve the potential band, ``dx R <= 0.5``, on both routes.
+    """
     if duration < 0:
         raise ValueError("duration must be >= 0")
     if duration == 0.0:
@@ -121,9 +208,15 @@ def propagate(
     x = psi0.x
     v = p.evaluate(x) if not p.is_zero else np.zeros_like(x)
     _check_guards(p, x, v, dt)
+    k = TWO_PI * np.fft.fftfreq(x.size, d=psi0.dx)
+    if dt is None:
+        if p.is_zero:
+            psi = np.fft.ifft(np.exp(-0.5j * duration * k**2) * np.fft.fft(psi0.psi))
+        else:
+            psi = _chebyshev_propagate(psi0.psi, 0.5 * k**2, v, duration)
+        return WavefunctionGrid(x=x, psi=psi, time=psi0.time + duration)
     n_steps = max(1, int(math.ceil(duration / dt)))
     step = duration / n_steps
-    k = TWO_PI * np.fft.fftfreq(x.size, d=psi0.dx)
     kinetic = np.exp(-0.5j * step * k**2)
     half_pot = np.exp(-0.5j * step * v)
     psi = psi0.psi * half_pot
@@ -146,26 +239,58 @@ def free_kernel_exact(z_a: float, z_b: float, duration: float) -> KernelEstimate
     return KernelEstimate(amplitude=complex(free_kernel_amplitudes(z_b, z_a, duration)))
 
 
-def _smeared_free_kernel(x, z_a: float, duration: float, sigma: float):
-    """Free kernel from a unit-mass Gaussian source of width sigma (exact)."""
+def _smeared_free_kernel(x, z_a: float, duration: float, sigma):
+    """Free kernel from a unit-mass Gaussian source of width sigma (exact; broadcasts)."""
     var = 1j * duration + sigma**2
     return (TWO_PI * var) ** -0.5 * np.exp(-((x - z_a) ** 2) / (2.0 * var))
 
 
 def _grid(half_width: float, n_points: int | None):
-    """Grid ``x``, its ``dx`` and the safe step ``dt = 0.999 dx^2 / pi^2``.
+    """Grid ``x`` and its ``dx``.
 
     ``n_points`` defaults to the smallest power of two >= 1024 with dx <= 0.04.
     """
     if n_points is None:
         n_points = 1 << max(10, int(math.ceil(math.log2(half_width / 0.02))))
     x = make_grid(half_width, n_points)
-    dx = x[1] - x[0]
-    return x, dx, 0.999 * dx**2 / np.pi**2
+    return x, x[1] - x[0]
+
+
+def _spectral_value(psi: np.ndarray, x: np.ndarray, z: float):
+    """Trigonometric interpolant of each row of ``psi`` at ``z``.
+
+    ``(1/N) sum_k psihat_k exp(i k (z - x_0))`` over the grid wavenumbers,
+    with the Nyquist term (even ``N``) taken as its cosine, so the
+    interpolant is real for real data; exact for the grid's band-limited
+    function.
+    """
+    n = x.size
+    k = TWO_PI * np.fft.fftfreq(n, d=x[1] - x[0])
+    phase = np.exp(1j * k * (z - x[0]))
+    if n % 2 == 0:
+        phase[n // 2] = np.cos(k[n // 2] * (z - x[0]))
+    return np.fft.fft(psi) @ phase / n
 
 
 SOURCE_SIGMAS = (0.4, 0.3, 0.2)  # kernel_estimate's unit-mass sources, widest first
 CK_SOURCE_SIGMA = 0.15  # ck_check's sources at both ends
+IMAGE_TOL = 1e-12  # bound on a source's periodic image at z_b, default half-width
+
+
+def _image_safe_half_width(z_a: float, z_b: float, duration: float) -> float:
+    """Smallest half-width at which every source's periodic image at ``z_b`` is small.
+
+    A unit-mass Gaussian of width ``sigma`` evolved freely for ``T`` falls
+    off from ``z_a`` like ``exp(-sigma^2 d^2 / (2 (T^2 + sigma^4)))`` relative
+    to its peak; its nearest image is ``d = 2X - |z_b - z_a|`` from ``z_b``.
+    The half-width holds that below ``IMAGE_TOL`` for each of
+    ``SOURCE_SIGMAS``, and is never below ``max(|z_a|, |z_b|) + 6 + 5 sqrt(T)``
+    so both endpoints sit well inside the grid.
+    """
+    log_tol = -math.log(IMAGE_TOL)
+    d = max(math.sqrt(2.0 * (duration**2 + s**4) * log_tol) / s for s in SOURCE_SIGMAS)
+    inside = max(abs(z_a), abs(z_b)) + 6.0 + 5.0 * math.sqrt(duration)
+    return max(inside, 0.5 * (d + abs(z_b - z_a)))
 
 
 def kernel_estimate(
@@ -180,31 +305,29 @@ def kernel_estimate(
     """Transition amplitude from narrow-source propagation.
 
     Unit-mass Gaussians of the widths ``SOURCE_SIGMAS`` are propagated
-    together from ``z_a``; the value at ``z_b`` is corrected by the exact
-    free-propagation smearing factor and the remaining potential-induced
-    bias is extrapolated to zero source width, linearly in ``sigma^2``.  The
-    extrapolation residual is attached to the returned estimate.
+    together from ``z_a`` (by ``propagate`` with ``dt``: exact in time when
+    ``dt`` is None) and read at ``z_b`` by trigonometric interpolation; each
+    value is corrected by the exact free-propagation smearing factor and the
+    remaining potential-induced bias is extrapolated to zero source width,
+    linearly in ``sigma^2``.  The extrapolation residual is attached to the
+    returned estimate.  The default ``half_width`` keeps the sources'
+    periodic images at ``z_b`` below ``IMAGE_TOL``.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     if half_width is None:
-        half_width = max(abs(z_a), abs(z_b)) + 6.0 + 5.0 * math.sqrt(duration)
-    x, dx, safe_dt = _grid(half_width, n_points)
+        half_width = _image_safe_half_width(z_a, z_b, duration)
+    x, dx = _grid(half_width, n_points)
     if SOURCE_SIGMAS[-1] < 4.0 * dx:
         raise ValueError("smallest source width is not resolvable on the grid")
-    if dt is None:
-        dt = safe_dt
 
     sources = [gaussian_packet(x, z_a, s, amplitude_normalized=True).psi for s in SOURCE_SIGMAS]
     out = propagate(WavefunctionGrid(x=x, psi=sources), p, duration, dt).psi
+    measured = _spectral_value(out, x, z_b)
     free_exact = free_kernel_exact(z_a, z_b, duration).amplitude
-    amps = []
-    for sigma, psi in zip(SOURCE_SIGMAS, out):
-        measured = complex(np.interp(z_b, x, psi.real) + 1j * np.interp(z_b, x, psi.imag))
-        free_smeared = complex(_smeared_free_kernel(np.array([z_b]), z_a, duration, sigma)[0])
-        amps.append(measured * free_exact / free_smeared)
-    amps = np.asarray(amps)
-    s2 = np.asarray([s**2 for s in SOURCE_SIGMAS])
+    sigmas = np.asarray(SOURCE_SIGMAS)
+    amps = measured * free_exact / _smeared_free_kernel(z_b, z_a, duration, sigmas)
+    s2 = sigmas**2
     coeff_r = np.polyfit(s2, amps.real, 1)
     coeff_i = np.polyfit(s2, amps.imag, 1)
     a0 = complex(coeff_r[1], coeff_i[1])
@@ -241,7 +364,8 @@ def ck_check(
     ``mode="amplitude"`` composes complex kernels (expected to close, the
     control case); ``mode="probability"`` composes squared moduli, the
     quantity that fails for this process.  Both legs start from sources of
-    width ``CK_SOURCE_SIGMA``.  The intermediate integral runs over
+    width ``CK_SOURCE_SIGMA`` and are propagated exact in time
+    (``propagate`` with ``dt=None``).  The intermediate integral runs over
     ``|z_c| <= half_width - 4`` (reported as ``window``); a widened window
     probes convergence, and a diverging probability integral is reported
     with ``converged=False`` rather than raised.
@@ -254,17 +378,17 @@ def ck_check(
     t2 = t_b - t_c
     if half_width is None:
         half_width = max(abs(z_a), abs(z_b)) + 10.0 + 5.0 * math.sqrt(t_b - t_a)
-    x, dx, dt = _grid(half_width, n_points)
+    x, dx = _grid(half_width, n_points)
     window = half_width - 4.0
 
     # forward leg from z_a and (time-symmetric kernel) leg from z_b
     src_a = gaussian_packet(x, z_a, CK_SOURCE_SIGMA, amplitude_normalized=True)
     src_b = gaussian_packet(x, z_b, CK_SOURCE_SIGMA, amplitude_normalized=True)
-    leg_a = propagate(src_a, p, t1, dt).psi
-    leg_b = propagate(src_b, p, t2, dt).psi
+    leg_a = propagate(src_a, p, t1).psi
+    leg_b = propagate(src_b, p, t2).psi
 
     if mode == "amplitude":
-        full = propagate(src_a, p, t_b - t_a, dt).psi
+        full = propagate(src_a, p, t_b - t_a).psi
         lhs = complex(np.sum(leg_a * leg_b) * dx)
         rhs = complex(np.sum(full * src_b.psi) * dx)
         residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
@@ -287,12 +411,3 @@ def ck_check(
     converged = tail <= 1e-3
     residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return CKResult(lhs, rhs, residual, mode, converged, window)
-
-
-def write_wavefunction_csv(w: WavefunctionGrid, fname) -> None:
-    """Snapshot rows (x, Re psi, Im psi)."""
-    with open(fname, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re_psi", "im_psi"])
-        for xv, pv in zip(w.x, w.psi):
-            writer.writerow([repr(float(xv)), repr(float(pv.real)), repr(float(pv.imag))])

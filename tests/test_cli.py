@@ -152,6 +152,13 @@ class TestOtherCommands:
         assert code == 0
         assert payload["residual"] <= 1e-6
 
+    def test_ck_reads_oracle_grid(self, tmp_path):
+        f = tmp_path / "grid.json"
+        f.write_text(json.dumps(dict(COSINE_CONFIG, oracle={"X": 14.0, "L": 1024})))
+        code, payload = run_json(["ck", "-c", str(f), "--mode", "amplitude"], tmp_path)
+        assert code == 0
+        assert payload["window"] == 10.0
+
     def test_scan_writes_table_and_provenance(self, free_json, tmp_path):
         prefix = tmp_path / "scan"
         code = run(
@@ -200,10 +207,18 @@ class TestUsageErrors:
     def test_unknown_oracle_field(self, tmp_path, capsys):
         f = tmp_path / "typo.json"
         f.write_text(json.dumps(dict(FREE_CONFIG, oracle={"X": 12.0, "DT": 1e-4})))
-        assert run(["oracle", "-c", str(f)]) == 1
+        for command in ("oracle", "ck"):
+            assert run([command, "-c", str(f)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: unknown oracle fields") and "'DT'" in err
+            assert "'X'" not in err and "Traceback" not in err
+
+    def test_ck_rejects_time_step(self, tmp_path, capsys):
+        f = tmp_path / "dt.json"
+        f.write_text(json.dumps(dict(FREE_CONFIG, oracle={"dt": 1e-4})))
+        assert run(["ck", "-c", str(f)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown oracle fields") and "'DT'" in err
-        assert "'X'" not in err and "Traceback" not in err
+        assert err.startswith("error: oracle field dt") and "Traceback" not in err
 
     def test_missing_config_file(self, capsys):
         assert run(["positivity", "-c", "/nonexistent.json", "--gamma", "0.1"]) == 1
