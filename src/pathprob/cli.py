@@ -209,12 +209,10 @@ def _cmd_transition(args) -> int:
 def _oracle_options(config: dict) -> dict:
     """Keyword arguments from the config's ``oracle`` section.
 
-    ``X`` is the grid half-width, ``L`` the number of grid points and ``dt``
-    the step of the split-step integrator (without it the oracle
-    propagates exactly in time).
+    ``X`` is the grid half-width and ``L`` the number of grid points.
     """
     osec = config.get("oracle", {})
-    fields = {"X": ("half_width", float), "L": ("n_points", int), "dt": ("dt", float)}
+    fields = {"X": ("half_width", float), "L": ("n_points", int)}
     unknown = set(osec) - set(fields)
     if unknown:
         raise SystemExit(f"unknown oracle fields: {sorted(unknown)}")
@@ -247,8 +245,6 @@ def _cmd_ck(args) -> int:
     p = _potential(config)
     cfg = _lattice(config, args)
     kwargs = _oracle_options(config)
-    if "dt" in kwargs:
-        raise SystemExit("oracle field dt does not apply to ck, which propagates exactly in time")
     t_c = args.tc if args.tc is not None else 0.5 * (cfg.t_a + cfg.t_b)
     res = oracle.ck_check(
         p, cfg.z_a, cfg.t_a, t_c, cfg.z_b, cfg.t_b, mode=args.mode, **kwargs

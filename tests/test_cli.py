@@ -213,12 +213,27 @@ class TestUsageErrors:
             assert err.startswith("error: unknown oracle fields") and "'DT'" in err
             assert "'X'" not in err and "Traceback" not in err
 
-    def test_ck_rejects_time_step(self, tmp_path, capsys):
+    def test_time_step_is_unknown_field(self, tmp_path, capsys):
+        # both subcommands propagate exactly in time; no field picks an integrator
         f = tmp_path / "dt.json"
         f.write_text(json.dumps(dict(FREE_CONFIG, oracle={"dt": 1e-4})))
-        assert run(["ck", "-c", str(f)]) == 1
+        for command in ("oracle", "ck"):
+            assert run([command, "-c", str(f)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: unknown oracle fields") and "'dt'" in err
+
+    def test_points_without_half_width(self, tmp_path, capsys):
+        # L alone keeps the image-safe default X (18.6 here)
+        f = tmp_path / "l.json"
+        f.write_text(json.dumps(dict(FREE_CONFIG, oracle={"L": 512})))
+        assert run(["oracle", "-c", str(f)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: oracle field dt") and "Traceback" not in err
+        assert "X = 18.6 with L = 512" in err and "use L >= 744" in err
+        assert "Traceback" not in err
+        f.write_text(json.dumps(dict(FREE_CONFIG, oracle={"L": 768})))
+        code, payload = run_json(["oracle", "-c", str(f)], tmp_path)
+        assert code == 0
+        assert payload["probability"] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-9)
 
     def test_missing_config_file(self, capsys):
         assert run(["positivity", "-c", "/nonexistent.json", "--gamma", "0.1"]) == 1

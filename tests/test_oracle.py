@@ -327,6 +327,12 @@ class TestKernelEstimate:
         with pytest.raises(ValueError, match="resolvable"):
             kernel_estimate(FREE, 0.0, 0.0, 1.0, half_width=20.0, n_points=256)
 
+    def test_default_grid_size(self):
+        # the smallest FFT-friendly size >= 1024 with dx <= 0.04, not a power of two
+        for half_width, n in ((12.7, 1024), (20.48, 1024), (20.5, 1029), (93.3, 4704)):
+            x, dx = oracle._grid(half_width, None)
+            assert x.size == n and dx <= 0.04
+
     def test_one_stacked_propagation(self, monkeypatch):
         calls = counting(monkeypatch)
         kernel_estimate(FREE, -0.3, 0.5, 0.2, half_width=12.7, n_points=512)
