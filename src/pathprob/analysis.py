@@ -21,6 +21,7 @@ from .lattice import LatticeConfig, velocity_changes
 from .montecarlo import SamplerConfig, estimate_transition_mc, sample_bridge_paths
 from .potentials import BandLimitedPotential, potential_to_dict
 from .quadrature import (
+    _Result,
     extrapolate_gamma,
     transition_probability_quadrature,
 )
@@ -35,7 +36,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ScanResult:
+class ScanResult(_Result):
     """Rows of a scan plus everything needed to reproduce them."""
 
     name: str
@@ -56,13 +57,10 @@ class ScanResult:
             writer.writeheader()
             for row in self.rows:
                 writer.writerow(row)
+        sidecar = self.to_dict()
+        sidecar.pop("rows", None)
         with open(json_path, "w") as fh:
-            json.dump(
-                {"name": self.name, "provenance": self.provenance, "summary": self.summary},
-                fh,
-                indent=2,
-                default=float,
-            )
+            json.dump(sidecar, fh, indent=2)
         return csv_path, json_path
 
 

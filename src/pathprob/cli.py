@@ -18,7 +18,7 @@ from . import analysis, oracle
 from .lattice import LatticeConfig, read_path_csv
 from .montecarlo import SamplerConfig, estimate_transition_mc
 from .potentials import BandLimitedPotential, potential_from_dict
-from .quadrature import transition_probability_quadrature
+from .quadrature import _jsonable, transition_probability_quadrature
 from .weights import (
     NonConvergenceError,
     m_sup_certified,
@@ -37,23 +37,6 @@ EXIT_NUMERIC = 2
 EXIT_INVARIANT = 3
 
 
-def _jsonable(obj):
-    """Make a structure JSON-safe: inf/nan become strings, tuples lists."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
-    if hasattr(obj, "item"):
-        return _jsonable(obj.item())
-    return obj
-
-
 def _emit(payload: dict, args, csv_rows=None) -> None:
     """Write the result as JSON (default) or CSV to --out / stdout."""
     fmt = getattr(args, "format", "json") or "json"
@@ -65,14 +48,12 @@ def _emit(payload: dict, args, csv_rows=None) -> None:
         try:
             writer = _csv.DictWriter(fh, fieldnames=list(csv_rows[0]))
             writer.writeheader()
-            for row in csv_rows:
-                writer.writerow(_jsonable(row))
+            writer.writerows(_jsonable(csv_rows))
         finally:
             if out:
                 fh.close()
         return
-    payload = dict(payload)
-    payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    payload = {**payload, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -98,44 +79,61 @@ def _potential(config: dict) -> BandLimitedPotential:
         raise SystemExit(f"bad potential: {exc}") from exc
 
 
-def _lattice(config: dict, args) -> LatticeConfig:
-    lat = dict(config.get("lattice", {}))
-    for flag, key in (("n", "n"), ("gamma", "gamma")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            lat[key] = v
-    missing = [k for k in ("ta", "tb", "n", "gamma", "za", "zb") if k not in lat]
-    if missing:
-        raise SystemExit(f"config lattice section missing fields: {missing}")
-    return LatticeConfig(
-        t_a=float(lat["ta"]),
-        t_b=float(lat["tb"]),
-        n=int(lat["n"]),
-        gamma=float(lat["gamma"]),
-        z_a=float(lat["za"]),
-        z_b=float(lat["zb"]),
-    )
+# config section -> {key: (keyword, cast)}
+_SECTIONS = {
+    "lattice": {
+        "ta": ("t_a", float), "tb": ("t_b", float), "n": ("n", int),
+        "gamma": ("gamma", float), "za": ("z_a", float), "zb": ("z_b", float),
+    },
+    "sampler": {
+        "n_samples": ("n_samples", int), "method": ("method", str), "seed": ("seed", int),
+        "gamma_prop": ("gamma_prop", float), "sigma_prop": ("sigma_prop", float),
+        "threads": ("threads", int),
+    },
+    "oracle": {"X": ("half_width", float), "L": ("n_points", int)},
+}
+# flag -> (section, key) it overrides
+_FLAGS = {
+    "gamma": ("lattice", "gamma"),
+    "n": ("lattice", "n"),
+    "seed": ("sampler", "seed"),
+    "threads": ("sampler", "threads"),
+    "samples": ("sampler", "n_samples"),
+}
 
 
-def _sampler(config: dict, args) -> SamplerConfig:
-    s = dict(config.get("sampler", {}))
-    if getattr(args, "seed", None) is not None:
-        s["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        s["threads"] = args.threads
-    if getattr(args, "samples", None) is not None:
-        s["n_samples"] = args.samples
-    allowed = {"n_samples", "method", "seed", "gamma_prop", "sigma_prop", "threads"}
-    unknown = set(s) - allowed
+def _section(config: dict, args, name: str, build=dict, required: bool = False):
+    """``build(**keywords)`` from the config section ``name`` and its flags.
+
+    A flag overrides its key and a ``null`` value counts as absent.  An
+    unknown key, a missing key when ``required``, a value its cast rejects
+    and the ``ValueError``/``TypeError`` of ``build`` are usage errors.
+    """
+    table = _SECTIONS[name]
+    values = dict(config.get(name, {}))
+    for flag, (section, key) in _FLAGS.items():
+        if section == name and getattr(args, flag, None) is not None:
+            values[key] = getattr(args, flag)
+    unknown = set(values) - set(table)
     if unknown:
-        raise SystemExit(f"unknown sampler fields: {sorted(unknown)}")
-    return SamplerConfig(**s)
+        raise SystemExit(f"unknown {name} fields: {sorted(unknown)}")
+    if required:
+        missing = [k for k in table if values.get(k) is None]
+        if missing:
+            raise SystemExit(f"config {name} section missing fields: {missing}")
+    try:
+        keywords = {
+            table[k][0]: table[k][1](v) for k, v in values.items() if v is not None
+        }
+        return build(**keywords)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"bad {name} config: {exc}") from exc
 
 
 def _cmd_weight(args) -> int:
     config = _load_config(args)
     p = _potential(config)
-    cfg = _lattice(config, args)
+    cfg = _section(config, args, "lattice", LatticeConfig, required=True)
     path = read_path_csv(args.path)
     ev = path_weight(p, path, cfg, form=args.form)
     _emit(weight_report(ev), args)
@@ -147,12 +145,9 @@ def _cmd_weight(args) -> int:
 def _cmd_positivity(args) -> int:
     config = _load_config(args)
     p = _potential(config)
-    gamma = args.gamma
-    if gamma is None:
-        gamma = config.get("lattice", {}).get("gamma")
-    if gamma is None:
-        raise SystemExit("positivity needs --gamma or a lattice.gamma config field")
-    gamma = float(gamma)
+    gamma = _section(config, args, "lattice").get("gamma")
+    if gamma is None or not gamma > 0:
+        raise SystemExit("positivity needs a positive --gamma or lattice.gamma config field")
     thr = positivity_threshold(p, gamma)
     payload = {
         "gamma": gamma,
@@ -165,6 +160,7 @@ def _cmd_positivity(args) -> int:
         payload["m_sup_certified"] = sup.certified
     # spot-check the theorem at the witness point: Q must be nonnegative at
     # the strict threshold and turn negative just above it
+    code = EXIT_OK
     if p.lines and math.isfinite(thr.lambda_strict):
         z_w, s_w, _ = negative_step_witness(p, gamma)
         q_at = float(step_q_linear(p, z_w, s_w, thr.lambda_strict, gamma))
@@ -176,23 +172,23 @@ def _cmd_positivity(args) -> int:
             "q_above_threshold": q_above,
         }
         if q_at < 0:
-            _emit(payload, args)
-            return EXIT_INVARIANT
+            code = EXIT_INVARIANT
     _emit(payload, args)
-    return EXIT_OK
+    return code
 
 
 def _cmd_transition(args) -> int:
     config = _load_config(args)
     p = _potential(config)
-    cfg = _lattice(config, args)
+    cfg = _section(config, args, "lattice", LatticeConfig, required=True)
     if args.method == "quadrature":
         est = transition_probability_quadrature(
             p, cfg, points_per_dim=args.points_per_dim
         )
     else:
-        est = estimate_transition_mc(p, cfg, _sampler(config, args))
-    d = est.to_dict()
+        est = estimate_transition_mc(
+            p, cfg, _section(config, args, "sampler", SamplerConfig)
+        )
     rows = [
         {
             "n": est.n,
@@ -202,35 +198,20 @@ def _cmd_transition(args) -> int:
             "refinement_delta": est.refinement[-1] if est.refinement else est.std_error,
         }
     ]
-    _emit(d, args, csv_rows=rows)
+    _emit(est.to_dict(), args, csv_rows=rows)
     return EXIT_OK
-
-
-def _oracle_options(config: dict) -> dict:
-    """Keyword arguments from the config's ``oracle`` section.
-
-    ``X`` is the grid half-width and ``L`` the number of grid points.
-    """
-    osec = config.get("oracle", {})
-    fields = {"X": ("half_width", float), "L": ("n_points", int)}
-    unknown = set(osec) - set(fields)
-    if unknown:
-        raise SystemExit(f"unknown oracle fields: {sorted(unknown)}")
-    return {name: cast(osec[key]) for key, (name, cast) in fields.items() if key in osec}
 
 
 def _cmd_oracle(args) -> int:
     config = _load_config(args)
     p = _potential(config)
-    cfg = _lattice(config, args)
-    kwargs = _oracle_options(config)
+    cfg = _section(config, args, "lattice", LatticeConfig, required=True)
+    kwargs = _section(config, args, "oracle")
     est = oracle.kernel_estimate(p, cfg.z_a, cfg.z_b, cfg.duration, **kwargs)
     _emit(
-        {
-            "amplitude_re": est.amplitude.real,
-            "amplitude_im": est.amplitude.imag,
+        est.to_dict()
+        | {
             "probability": est.modulus_squared,
-            "extrapolation_residual": est.extrapolation_residual,
             "za": cfg.z_a,
             "zb": cfg.z_b,
             "duration": cfg.duration,
@@ -243,25 +224,13 @@ def _cmd_oracle(args) -> int:
 def _cmd_ck(args) -> int:
     config = _load_config(args)
     p = _potential(config)
-    cfg = _lattice(config, args)
-    kwargs = _oracle_options(config)
+    cfg = _section(config, args, "lattice", LatticeConfig, required=True)
+    kwargs = _section(config, args, "oracle")
     t_c = args.tc if args.tc is not None else 0.5 * (cfg.t_a + cfg.t_b)
     res = oracle.ck_check(
         p, cfg.z_a, cfg.t_a, t_c, cfg.z_b, cfg.t_b, mode=args.mode, **kwargs
     )
-    _emit(
-        {
-            "mode": res.mode,
-            "lhs_re": res.lhs.real,
-            "lhs_im": res.lhs.imag,
-            "rhs_re": res.rhs.real,
-            "rhs_im": res.rhs.imag,
-            "residual": res.residual,
-            "converged": res.converged,
-            "window": res.window,
-        },
-        args,
-    )
+    _emit(res.to_dict(), args)
     if args.mode == "amplitude" and res.residual > 1e-6:
         return EXIT_INVARIANT
     return EXIT_OK
@@ -270,7 +239,7 @@ def _cmd_ck(args) -> int:
 def _cmd_scan(args) -> int:
     config = _load_config(args)
     p = _potential(config)
-    cfg = _lattice(config, args)
+    cfg = _section(config, args, "lattice", LatticeConfig, required=True)
     seed = args.seed if args.seed is not None else 0
     if args.kind == "classical":
         res = analysis.classical_concentration_scan(
@@ -295,11 +264,7 @@ def _cmd_scan(args) -> int:
         csv_path, json_path = res.write(args.out)
         sys.stdout.write(f"{csv_path}\n{json_path}\n")
     else:
-        _emit(
-            {"name": res.name, "rows": res.rows, "summary": _jsonable(res.summary)},
-            args,
-            csv_rows=res.rows,
-        )
+        _emit(res.to_dict(), args, csv_rows=res.rows)
     return EXIT_OK
 
 

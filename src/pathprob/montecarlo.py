@@ -150,16 +150,13 @@ def estimate_transition_mc(
         min(_BATCH, sampler.n_samples - b * _BATCH) for b in range(n_batches)
     ]
 
-    if sampler.threads > 1:
-        with ThreadPoolExecutor(max_workers=sampler.threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda b: _batch_ratios(p, cfg, sampler, sizes[b], b),
-                    range(n_batches),
-                )
+    with ThreadPoolExecutor(max_workers=sampler.threads) as pool:
+        parts = list(
+            pool.map(
+                lambda b: _batch_ratios(p, cfg, sampler, sizes[b], b),
+                range(n_batches),
             )
-    else:
-        parts = [_batch_ratios(p, cfg, sampler, sizes[b], b) for b in range(n_batches)]
+        )
 
     signs = np.concatenate([s for s, _ in parts])
     log_ratio = np.concatenate([lr for _, lr in parts])

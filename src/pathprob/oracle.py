@@ -29,7 +29,7 @@ from scipy.fft import next_fast_len
 from scipy.special import jv
 
 from .potentials import TWO_PI, BandLimitedPotential
-from .quadrature import KernelEstimate
+from .quadrature import KernelEstimate, _Result
 
 __all__ = [
     "WavefunctionGrid",
@@ -259,6 +259,16 @@ def _grid(half_width: float, n_points: int | None):
     return x, x[1] - x[0]
 
 
+def _check_half_width(half_width: float, z_a: float, z_b: float) -> None:
+    """Reject a half-width at which ``ck_check``'s window ``half_width - 4`` misses an endpoint."""
+    reach = max(abs(z_a), abs(z_b)) + 4.0
+    if not half_width > reach:
+        raise ValueError(
+            f"grid half-width X = {half_width:.4g} does not hold the endpoints: "
+            f"need X > max(|za|, |zb|) + 4 = {reach:.4g}"
+        )
+
+
 def _spectral_value(psi: np.ndarray, x: np.ndarray, z: float):
     """Trigonometric interpolant of each row of ``psi`` at ``z``.
 
@@ -315,12 +325,13 @@ def kernel_estimate(
     returned estimate.  The default ``half_width`` keeps the sources'
     periodic images at ``z_b`` below ``IMAGE_TOL``; it grows about as
     ``18.6 T``, so at the default grid's ``dx`` near 0.04 the work grows
-    about as ``T^2``.
+    about as ``T^2``.  A given one must exceed ``max(|z_a|, |z_b|) + 4``.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     if half_width is None:
         half_width = _image_safe_half_width(z_a, z_b, duration)
+    _check_half_width(half_width, z_a, z_b)
     x, dx = _grid(half_width, n_points)
     if SOURCE_SIGMAS[-1] < 4.0 * dx:
         raise ValueError(
@@ -346,7 +357,7 @@ def kernel_estimate(
 
 
 @dataclass(frozen=True)
-class CKResult:
+class CKResult(_Result):
     """Both sides of a composition identity plus its relative residual."""
 
     lhs: complex
@@ -377,7 +388,8 @@ def ck_check(
     (``propagate`` with ``dt=None``).  The intermediate integral runs over
     ``|z_c| <= half_width - 4`` (reported as ``window``); a widened window
     probes convergence, and a diverging probability integral is reported
-    with ``converged=False`` rather than raised.
+    with ``converged=False`` rather than raised.  A ``half_width`` at or
+    below ``max(|z_a|, |z_b|) + 4`` is rejected before any propagation.
     """
     if mode not in ("amplitude", "probability"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -387,6 +399,7 @@ def ck_check(
     t2 = t_b - t_c
     if half_width is None:
         half_width = max(abs(z_a), abs(z_b)) + 10.0 + 5.0 * math.sqrt(t_b - t_a)
+    _check_half_width(half_width, z_a, z_b)
     x, dx = _grid(half_width, n_points)
     window = half_width - 4.0
 

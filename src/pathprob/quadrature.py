@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import jv
 
 from .lattice import LatticeConfig, interior_from_velocity_changes, second_difference_matrix
 from .potentials import TWO_PI, BandLimitedPotential
-from .weights import NonConvergenceError, step_m
+from .weights import NonConvergenceError, _gauss_panels, step_m
 
 __all__ = [
     "TransitionEstimate",
@@ -48,8 +48,44 @@ AMPLITUDE_TOL = 1e-6  # the relative gap it allows between the two
 PRODUCT_POINTS = 1200  # Gauss-Legendre nodes per position in probability_product_form
 
 
+def _jsonable(obj):
+    """Make a structure JSON-safe: inf/nan become strings, tuples lists."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+        return obj
+    if hasattr(obj, "item"):
+        return _jsonable(obj.item())
+    return obj
+
+
 @dataclass(frozen=True)
-class TransitionEstimate:
+class _Result:
+    """Base of the result types: their one JSON-ready form."""
+
+    def to_dict(self) -> dict:
+        """The fields in order, without ``None`` and ``()``; a field annotated
+        ``complex`` becomes ``<name>_re`` and ``<name>_im`` whatever its value's type."""
+        d = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None or (isinstance(v, tuple) and not v):
+                continue
+            if f.type in ("complex", complex):
+                d[f"{f.name}_re"], d[f"{f.name}_im"] = v.real, v.imag
+            else:
+                d[f.name] = v
+        return _jsonable(d)
+
+
+@dataclass(frozen=True)
+class TransitionEstimate(_Result):
     """Relative transition probability (per squared length) with uncertainty."""
 
     value: float
@@ -67,28 +103,9 @@ class TransitionEstimate:
         if self.std_error < 0:
             raise ValueError("std_error must be >= 0")
 
-    def to_dict(self) -> dict:
-        d = {
-            "value": self.value,
-            "std_error": self.std_error,
-            "method": self.method,
-            "n": self.n,
-            "eps": self.eps,
-            "gamma": self.gamma,
-        }
-        if self.refinement:
-            d["refinement"] = list(self.refinement)
-        if self.ess is not None:
-            d["ess"] = self.ess
-        if self.negative_mass_fraction is not None:
-            d["negative_mass_fraction"] = self.negative_mass_fraction
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d
-
 
 @dataclass(frozen=True)
-class KernelEstimate:
+class KernelEstimate(_Result):
     """Complex transition amplitude and its squared modulus."""
 
     amplitude: complex
@@ -242,11 +259,7 @@ def _oscillatory_nodes(u_max: float, eps: float, extra_freq: float, density: flo
         freq = (x + u_max) / eps + extra_freq  # worst-case local frequency
         h = min(TWO_PI / freq * 12.0 / density, u_max / 8.0)
         edges.append(min(x + h, u_max))
-    edges = np.asarray(edges)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    xs = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    ws = (half[:, None] * gl_w[None, :]).ravel()
+    xs, ws = _gauss_panels(np.asarray(edges), gl_x, gl_w)
     return np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])
 
 

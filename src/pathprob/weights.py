@@ -123,6 +123,19 @@ _GK_W[1:10:2, 1] = _WG
 _GK_W[19:10:-2, 1] = _WG
 
 
+def _gauss_panels(edges, x, w):
+    """A rule with nodes ``x`` on [-1, 1] repeated on each panel between ``edges``.
+
+    ``w`` holds one weight per node, or one column of weights per rule on the
+    same nodes; the panel weights keep that shape with the panels stacked.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half.reshape((-1,) + (1,) * w.ndim) * w).reshape((-1,) + w.shape[1:])
+    return nodes, weights
+
+
 def _step_m_grid(p: BandLimitedPotential, z, s, gamma, chunk: int = 2**16):
     # The interpolated spectrum is smooth between its grid nodes, so each grid
     # interval is split into panels no wider than gamma / 2 (at most 16), on
@@ -138,10 +151,8 @@ def _step_m_grid(p: BandLimitedPotential, z, s, gamma, chunk: int = 2**16):
     qp, vtp = qg[pos], p.grid.vt[pos]
     k = max(1, min(16, math.ceil(p.grid.dq / (0.5 * gamma))))
     edges = np.linspace(qp[0], qp[-1], (qp.size - 1) * k + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    qx = (mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()
-    wx = (half[:, None, None] * _GK_W[None, :, :]).reshape(-1, 2) / np.pi
+    qx, wx = _gauss_panels(edges, _GK_X, _GK_W)
+    wx = wx / np.pi
     vt_re = np.interp(qx, qp, vtp.real)
     vt_im = np.interp(qx, qp, vtp.imag)
 
@@ -310,11 +321,7 @@ def step_q_exponential(
         nodes, wts = np.polynomial.legendre.leggauss(10)
         edges = np.arange(0.0, u_max + h, h)
         edges[-1] = u_max
-        lo, hi = edges[:-1], edges[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        u_pos = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w_pos = (half[:, None] * wts[None, :]).ravel()
+        u_pos, w_pos = _gauss_panels(edges, nodes, wts)
         u = np.concatenate([-u_pos, u_pos])
         w = np.concatenate([w_pos, w_pos])
         integrand = np.exp(

@@ -1,7 +1,9 @@
+import argparse
 import importlib.metadata
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +17,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
     import tomli as tomllib
 
 import pathprob
-from pathprob.cli import main, run
+from pathprob.cli import _build_parser, main, run
 from pathprob.lattice import LatticeConfig, straight_line_path, write_path_csv
 
 COSINE_CONFIG = {
@@ -235,6 +237,34 @@ class TestUsageErrors:
         assert code == 0
         assert payload["probability"] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["transition", "--gamma", "-1"], FREE_CONFIG),
+            (["positivity", "--gamma", "-1"], FREE_CONFIG),
+            (["transition", "-n", "1"], FREE_CONFIG),
+            (["transition"], {"lattice": dict(FREE_CONFIG["lattice"], n="four")}),
+            (["transition", "--method", "mc", "--threads", "0"], FREE_CONFIG),
+            (["transition", "--method", "mc", "--samples", "5"], FREE_CONFIG),
+            (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"method": "bogus"})),
+            (["transition"], {"lattice": dict(FREE_CONFIG["lattice"], gama=0.1)}),
+        ],
+    )
+    def test_bad_config_value(self, tmp_path, capsys, argv, config):
+        # a value the config types reject is a usage error, like a bad flag
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(config))
+        assert run([argv[0], "-c", str(f), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_grid_without_endpoints(self, tmp_path, capsys):
+        f = tmp_path / "narrow.json"
+        f.write_text(json.dumps(dict(COSINE_CONFIG, oracle={"X": 3.0})))
+        assert run(["ck", "-c", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert "X = 3 does not hold the endpoints" in err and "Traceback" not in err
+
     def test_missing_config_file(self, capsys):
         assert run(["positivity", "-c", "/nonexistent.json", "--gamma", "0.1"]) == 1
 
@@ -252,6 +282,71 @@ class TestUsageErrors:
         assert run(["positivity", "-c", str(f)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad potential") and "Traceback" not in err
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+CK_KEYS = {"mode", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual", "converged", "window"}
+SCAN_KEYS = {"name", "rows", "summary", "provenance"}
+TRANSITION_KEYS = {"value", "std_error", "method", "n", "eps", "gamma"}
+
+
+class TestSchema:
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (
+                ["positivity"],
+                {"gamma", "lambda_paper", "lambda_strict", "m_sup", "m_sup_certified", "witness"},
+            ),
+            (
+                ["weight", "--path", "PATH"],
+                {"W", "sign", "logabsW", "lambda_paper", "lambda_strict", "positive", "per_step"},
+            ),
+            (["transition", "--points-per-dim", "8"], TRANSITION_KEYS | {"refinement"}),
+            (
+                ["transition", "--method", "mc", "--samples", "4096"],
+                TRANSITION_KEYS | {"ess", "negative_mass_fraction", "seed"},
+            ),
+            (
+                ["oracle"],
+                {"amplitude_re", "amplitude_im", "extrapolation_residual", "probability",
+                 "za", "zb", "duration"},
+            ),
+            (["ck", "--mode", "probability"], CK_KEYS),
+            (["ck", "--mode", "amplitude"], CK_KEYS),
+            (["scan", "--kind", "linearization", "--eps-list", "0.02", "0.01"], SCAN_KEYS),
+            (["scan", "--kind", "classical", "--gammas", "0.2"], SCAN_KEYS),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:.*lambda_strict.*:UserWarning")
+    def test_payload_keys(self, tmp_path, capsys, argv, keys):
+        f = tmp_path / "cosine.json"
+        f.write_text(json.dumps(dict(COSINE_CONFIG, oracle={"X": 14.0, "L": 1024})))
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
+        path_file = tmp_path / "p.csv"
+        write_path_csv(straight_line_path(cfg), cfg, path_file)
+        argv = [str(path_file) if a == "PATH" else a for a in argv]
+        assert run([argv[0], "-c", str(f), *argv[1:]]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == keys | {"timestamp"}
+
+    def test_readme_flag_table(self):
+        # README's per-subcommand table lists every flag each subparser takes
+        with open(README) as fh:
+            text = fh.read()
+        table = text[text.index("| subcommand"):].split("\n\n", 1)[0]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            _, name, flags, _ = re.split(r"(?<!\\)\|", row)
+            documented[name.strip().strip("`")] = set(re.findall(r"`(-[^\s`]+)", flags))
+        (sub,) = [
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        accepted = {
+            name: {opt for action in sp._actions for opt in action.option_strings}
+            for name, sp in sub.choices.items()
+        }
+        common = {"-c", "--config", "--out", "-h", "--help"}
+        assert accepted == {name: flags | common for name, flags in documented.items()}
 
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")

@@ -364,6 +364,17 @@ class TestCompositionCheck:
             ck_check(FREE, -0.2, 0.0, 0.6, 0.4, 1.0, mode="bogus")
         assert calls == []
 
+    def test_grid_without_endpoints_rejected_before_propagating(self, monkeypatch):
+        # X <= max(|za|, |zb|) + 4 leaves an endpoint outside ck's window
+        calls = counting(monkeypatch)
+        p = BandLimitedPotential.single_line(a=0.5, q=1.0)
+        for mode in ("probability", "amplitude"):
+            with pytest.raises(ValueError, match="does not hold the endpoints"):
+                ck_check(p, -0.2, 0.0, 0.6, 0.4, 1.0, mode=mode, half_width=4.4)
+        with pytest.raises(ValueError, match="does not hold the endpoints"):
+            kernel_estimate(p, 0.0, 0.0, 1.0, half_width=0.3)
+        assert calls == []
+
     def test_free_probability_nonconvergent(self):
         res = ck_check(FREE, 0.0, 0.0, 0.5, 0.0, 1.0, mode="probability")
         assert not res.converged

@@ -221,6 +221,36 @@ class TestThresholds:
         thr = positivity_threshold(BandLimitedPotential.zero(), 0.1)
         assert math.isinf(thr.lambda_paper) and math.isinf(thr.lambda_strict)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.2, 2.0),
+                st.floats(0.05, 1.0),
+                st.sampled_from([-1.0, 1.0]),
+                st.floats(0.0, TWO_PI),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.floats(0.05, 0.5),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_nonnegative_at_strict_threshold(self, lines, gamma):
+        # zero tolerance, as in acceptance criterion 1: no Q below 0 at
+        # eps = lambda_strict on a (z, s) grid or at the witness
+        p = BandLimitedPotential.from_lines([(q, sign * a, phi) for q, a, sign, phi in lines])
+        eps = positivity_threshold(p, gamma).lambda_strict
+        q_min = min(ln.q for ln in p.lines)
+        s_max = p.R + 10.0 * gamma
+        z = np.linspace(-np.pi / q_min, np.pi / q_min, 201)[:, None]
+        s = np.linspace(-s_max, s_max, 201)[None, :]
+        assert np.all(step_q_linear(p, z, s, eps, gamma) >= 0)
+        z_w, s_w, _ = negative_step_witness(p, gamma)
+        assert step_q_linear(p, z_w, s_w, eps, gamma) >= 0
+        if len(p.lines) == 1:
+            # one line attains its certified supremum, so twice the step is too long
+            assert step_q_linear(p, z_w, s_w, 2.0 * eps, gamma) < 0
+
 
 class TestStepQ:
     def test_free_closed_form(self):
