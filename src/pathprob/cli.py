@@ -227,6 +227,10 @@ def _cmd_ck(args) -> int:
     cfg = _section(config, args, "lattice", LatticeConfig, required=True)
     kwargs = _section(config, args, "oracle")
     t_c = args.tc if args.tc is not None else 0.5 * (cfg.t_a + cfg.t_b)
+    if not cfg.t_a < t_c < cfg.t_b:
+        raise SystemExit(
+            f"--tc {t_c} must lie strictly between ta = {cfg.t_a} and tb = {cfg.t_b}"
+        )
     res = oracle.ck_check(
         p, cfg.z_a, cfg.t_a, t_c, cfg.z_b, cfg.t_b, mode=args.mode, **kwargs
     )
@@ -236,14 +240,22 @@ def _cmd_ck(args) -> int:
     return EXIT_OK
 
 
+def _given_sampler_fields(**keywords) -> dict:
+    """The given sampler keywords, once ``SamplerConfig`` accepts them."""
+    SamplerConfig(**keywords)
+    return keywords
+
+
 def _cmd_scan(args) -> int:
     config = _load_config(args)
     p = _potential(config)
     cfg = _section(config, args, "lattice", LatticeConfig, required=True)
-    seed = args.seed if args.seed is not None else 0
+    # the scans keep their own sample-count defaults, so only given fields pass
+    sampler = _section(config, args, "sampler", _given_sampler_fields)
+    sampled = {k: sampler[k] for k in ("n_samples", "seed") if k in sampler}
     if args.kind == "classical":
         res = analysis.classical_concentration_scan(
-            cfg, args.gammas, delta=args.delta, seed=seed
+            cfg, args.gammas, delta=args.delta, **sampled
         )
     elif args.kind == "convergence":
         res = analysis.convergence_sweep(
@@ -252,8 +264,8 @@ def _cmd_scan(args) -> int:
             n_list=args.n_list,
             gamma_list=args.gammas,
             method=args.method,
-            seed=seed,
-            threads=args.threads or 1,
+            threads=sampler.get("threads", 1),
+            **sampled,
         )
     else:
         pts = [tuple(map(float, pt.split(","))) for pt in args.points]

@@ -144,24 +144,48 @@ def second_difference_matrix(n: int) -> np.ndarray:
     return T
 
 
+# OpenBLAS runs a dgemm on the calling thread when M*N*K <= 65536 *
+# GEMM_MULTITHREAD_THRESHOLD = 2**18 (interface/gemm.c, threshold 4).  A
+# larger product wakes its thread pool, whose threads spin after the call and
+# take the cores away from the Monte Carlo worker threads.
+_ONE_THREAD_GEMM = 2**18
+
+
 def interior_from_velocity_changes(s, cfg: LatticeConfig) -> np.ndarray:
     """Interior positions of the unique path with given velocity changes.
 
     Solves the bridge problem: ``s_j`` fixed for j = 1..n-1 and both
     endpoints pinned.  ``s`` may be a single vector of length n-1 or a
-    batch of shape (..., n-1).
+    batch of shape (..., n-1).  A large batch is contracted in row blocks
+    that OpenBLAS multiplies on the calling thread.
     """
     s = np.asarray(s, dtype=float)
     n = cfg.n
-    if s.shape[-1] != n - 1:
+    d = n - 1
+    if s.shape[-1] != d:
         raise ValueError("velocity-change vector must have length n-1")
     T = second_difference_matrix(n)
-    b = np.zeros(n - 1)
+    b = np.zeros(d)
     b[0] += cfg.z_a
     b[-1] += cfg.z_b  # the same entry when n = 2
     Tinv = np.linalg.inv(T)
     line = Tinv @ (-b)
-    return line + cfg.eps * (s @ Tinv.T)
+    block = _ONE_THREAD_GEMM // (d * d)
+    m = s.size // d
+    # near-equal blocks of at most `block` rows hold two or more rows once
+    # block >= 3 (numpy hands a one-row product to gemv, whose sums may
+    # differ from dgemm's in the last bit); past n = 296 it stays one product
+    if s.ndim < 2 or block < 3 or m <= block:
+        return line + cfg.eps * (s @ Tinv.T)
+    rows = s.reshape(m, d)
+    out = np.empty((m, d))
+    k = -(-m // block)
+    for i in range(k):
+        lo, hi = i * m // k, (i + 1) * m // k
+        np.matmul(rows[lo:hi], Tinv.T, out=out[lo:hi])
+    out *= cfg.eps
+    out += line
+    return out.reshape(s.shape)
 
 
 def make_path(cfg: LatticeConfig, interior) -> Path:

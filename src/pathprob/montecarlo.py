@@ -8,6 +8,13 @@ free particle reduces to a bounded product ``prod exp(-gamma |z_j|)``.
 Sampling is deterministic given a seed: every batch owns a counter-based
 random stream keyed by ``(seed, batch index)``, so results are independent of
 the number of worker threads.
+
+A batch's work is elementwise numpy plus a bridge solve that
+:func:`~pathprob.lattice.interior_from_velocity_changes` runs as one-thread
+dgemm blocks (up to n = 296), so BLAS starts no threads of its own and
+``threads`` workers share the cores between them alone: on a 2-vCPU x86_64 VM,
+65 536 paths at n = 16 take about 0.19 s with ``threads=1`` and 0.12 s with
+``threads=2``.
 """
 
 from __future__ import annotations

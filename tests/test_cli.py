@@ -174,6 +174,15 @@ class TestOtherCommands:
         prov = json.load(open(tmp_path / "scan.provenance.json"))
         assert prov["provenance"]["seed"] == 3
 
+    def test_scan_reads_sampler_config(self, tmp_path):
+        f = tmp_path / "sampled.json"
+        f.write_text(json.dumps(dict(FREE_CONFIG, sampler={"n_samples": 2000, "seed": 4})))
+        prefix = tmp_path / "scan"
+        code = run(["scan", "-c", str(f), "--kind", "classical", "--out", str(prefix)])
+        assert code == 0
+        prov = json.load(open(tmp_path / "scan.provenance.json"))["provenance"]
+        assert prov["n_samples"] == 2000 and prov["seed"] == 4
+
     def test_scan_linearization(self, cosine_json, capsys):
         code = run(
             [
@@ -248,6 +257,11 @@ class TestUsageErrors:
             (["transition", "--method", "mc", "--samples", "5"], FREE_CONFIG),
             (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"method": "bogus"})),
             (["transition"], {"lattice": dict(FREE_CONFIG["lattice"], gama=0.1)}),
+            (["scan", "--kind", "classical"], dict(FREE_CONFIG, sampler={"n_samples": 5})),
+            (["scan", "--kind", "classical", "--threads", "0"], FREE_CONFIG),
+            (["scan", "--kind", "convergence"], dict(FREE_CONFIG, sampler={"sed": 1})),
+            (["ck", "--tc", "2.0"], FREE_CONFIG),
+            (["ck", "--tc", "0.0"], FREE_CONFIG),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, argv, config):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathprob import lattice
 from pathprob.lattice import (
     LatticeConfig,
     Path,
@@ -114,6 +115,23 @@ class TestBridgeSolve:
         batch = rng.standard_cauchy((3, 2, n - 1))
         back = velocity_changes(interior_from_velocity_changes(batch, cfg), cfg)
         assert np.allclose(back, batch, atol=1e-8)
+
+    @given(st.integers(2, 40), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_matches_solve(self, n, data):
+        # batches from one row to past three one-thread dgemm blocks, so the
+        # near-equal split and its last block are both exercised
+        block = lattice._ONE_THREAD_GEMM // (n - 1) ** 2
+        rows = data.draw(st.integers(1, 3 * block + 1))
+        cfg = LatticeConfig(0.0, 1.0, n, 0.1, 0.7, -1.3)
+        s = np.random.default_rng(rows).standard_cauchy((rows, n - 1))
+        z = interior_from_velocity_changes(s, cfg)
+        b = np.zeros(n - 1)
+        b[0] += cfg.z_a
+        b[-1] += cfg.z_b
+        want = np.linalg.solve(second_difference_matrix(n), (cfg.eps * s - b).T).T
+        assert z.shape == s.shape
+        assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_velocity_changes_give_straight_line(self):
         cfg = LatticeConfig(0.0, 1.0, 5, 0.1, -1.0, 2.0)

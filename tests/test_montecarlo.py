@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -169,3 +170,16 @@ class TestEstimator:
         cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.0)  # eps = 0.25 >> lambda
         with pytest.warns(UserWarning, match="lambda_strict"):
             estimate_transition_mc(strong, cfg, SamplerConfig(n_samples=1000, seed=1))
+
+    def test_one_thread_uses_one_core(self):
+        # at threads=1 the batch work is elementwise numpy plus a one-thread
+        # dgemm, so the process burns at most about one CPU-second per wall
+        # second; with the bridge solve on OpenBLAS's pool it read about 1.9
+        # on two cores
+        cfg = LatticeConfig(0.0, 1.0, 16, 0.1, 0.0, 0.3)
+        sc = SamplerConfig(n_samples=65_536, seed=3)
+        estimate_transition_mc(WEAK, cfg, sc)  # let earlier BLAS threads settle
+        wall, cpu = time.perf_counter(), time.process_time()
+        estimate_transition_mc(WEAK, cfg, sc)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        assert cpu <= 1.5 * wall

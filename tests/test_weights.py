@@ -263,6 +263,45 @@ class TestStepQ:
     def test_negative_above_threshold(self):
         assert step_q_linear(COSINE, -math.pi / 2, 1.0, 0.02, 0.1) < 0
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.2, 2.0),
+                st.floats(-1.0, 1.0),
+                st.floats(0.0, TWO_PI),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.floats(-5.0, 5.0),
+        st.floats(0.05, 1.0),
+        st.floats(0.01, 0.5),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_integral_over_s(self, lines, z, gamma, eps):
+        # int Q(z, s) ds = exp(-gamma |z|) / eps: the Lorentzian factor
+        # integrates to 2 pi and M is odd in s.  Over s > 0 alone each line
+        # adds 4 eps a sin(q z + phi) atan(q / gamma) to the 2 pi, which checks
+        # M's size as well.  With s = gamma tan(theta), ds = (s^2 + gamma^2) /
+        # gamma dtheta; M peaks at s = +-q, a width ~ gamma^2 / (q^2 + gamma^2)
+        # in theta, so panels split there and shrink geometrically toward it.
+        p = BandLimitedPotential.from_lines(lines)
+        edges = [-np.pi / 2, 0.0, np.pi / 2]
+        for q, _, _ in lines:
+            peak, width = math.atan(q / gamma), gamma**2 / (q**2 + gamma**2)
+            grading = width * 4.0 ** np.arange(-2, 10)
+            for c in (-peak, peak):
+                edges += [c, *(c - grading), *(c + grading)]
+        edges = np.unique(np.clip(edges, -np.pi / 2, np.pi / 2))
+        theta, w = weights._gauss_panels(edges, _GK_X, _GK_W[:, 0])
+        s = gamma * np.tan(theta)
+        f = w * step_q_linear(p, z, s, eps, gamma) * (s * s + gamma**2) / gamma
+        scale = math.exp(-gamma * abs(z)) / eps
+        assert np.sum(f) == pytest.approx(scale, rel=1e-12)
+        lines_term = sum(a * math.sin(q * z + phi) * math.atan(q / gamma) for q, a, phi in lines)
+        half = scale / TWO_PI * (np.pi + 4.0 * eps * lines_term)
+        assert abs(np.sum(f[theta > 0]) - half) <= 1e-12 * scale
+
     def test_exponential_free_matches_closed_form(self):
         p = BandLimitedPotential.zero()
         for z, s in [(0.0, 0.0), (0.5, 0.7), (-1.0, 2.0)]:
