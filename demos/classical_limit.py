@@ -7,13 +7,14 @@ concentrates on the uniform-velocity (classical) trajectory.
 
 from pathprob.analysis import classical_concentration_scan
 from pathprob.lattice import LatticeConfig
+from pathprob.montecarlo import SamplerConfig
 
 
 def main():
     cfg = LatticeConfig(0.0, 1.0, 16, 0.1, 0.0, 0.4)
     gammas = [0.5, 0.2, 0.1, 0.05, 0.02]
     res = classical_concentration_scan(
-        cfg, gammas, delta=1.0, n_samples=200_000, seed=0
+        cfg, gammas, delta=1.0, sampler=SamplerConfig(n_samples=200_000, seed=0)
     )
     print("fraction of free-particle path mass with max_j |s_j| > 1")
     print(f"(n = {cfg.n} steps, endpoints {cfg.z_a} -> {cfg.z_b}, T = 1)\n")

@@ -7,6 +7,8 @@ and then constructs an explicit path whose weight turns negative once the
 step size is pushed above the threshold.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from pathprob.lattice import LatticeConfig, Path
@@ -30,8 +32,9 @@ def main():
 
     n = 6
     cfg = LatticeConfig(0.0, n * lam_strict, n, gamma, 0.0, 0.0)
+    # bridge paths drawn at gamma = 1 have wider tails than the lattice's
     interiors, _ = sample_bridge_paths(
-        cfg, SamplerConfig(seed=0, gamma_prop=1.0), 200_000
+        replace(cfg, gamma=1.0), SamplerConfig(seed=0), 200_000
     )
     _, _, q_signs = batch_log_weights(p, interiors, cfg)
     print(f"\nat eps = certified threshold, {interiors.shape[0]} random paths:")

@@ -11,14 +11,19 @@ import csv
 import json
 import math
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .lattice import LatticeConfig, velocity_changes
-from .montecarlo import SamplerConfig, estimate_transition_mc, sample_bridge_paths
+from .lattice import LatticeConfig, interior_from_velocity_changes
+from .montecarlo import (
+    SamplerConfig,
+    _draw_velocity_changes,
+    _map_batches,
+    estimate_transition_mc,
+)
 from .potentials import BandLimitedPotential, potential_to_dict
 from .quadrature import (
     _Result,
@@ -78,32 +83,36 @@ def classical_concentration_scan(
     cfg: LatticeConfig,
     gammas,
     delta: float,
-    n_samples: int = 100_000,
-    seed: int = 0,
+    sampler: SamplerConfig = SamplerConfig(),
 ) -> ScanResult:
     """Weighted fraction of free-particle path mass with ``max_j |s_j| > delta``.
 
     As the regularization is removed the path measure concentrates on the
     uniform-velocity (classical) path, so the fraction carrying large velocity
-    changes should shrink with gamma.
+    changes should shrink with gamma.  Paths are drawn in the
+    ``(seed, batch)``-keyed batches of the Monte Carlo estimator, on
+    ``sampler.threads`` workers, and judged by the drawn velocity changes.
     """
     rows = []
     for g in gammas:
-        cfg_g = LatticeConfig(cfg.t_a, cfg.t_b, cfg.n, g, cfg.z_a, cfg.z_b)
-        sampler = SamplerConfig(n_samples=n_samples, seed=seed)
-        interiors, _ = sample_bridge_paths(cfg_g, sampler, n_samples, batch=0)
-        s = velocity_changes(interiors, cfg_g)
-        # free-particle importance ratio under the matched Cauchy proposal
-        w = np.exp(-g * np.sum(np.abs(interiors), axis=1))
-        exceed = np.max(np.abs(s), axis=1) > delta
+        cfg_g = replace(cfg, gamma=g)
+
+        def weigh(size, batch):
+            s = _draw_velocity_changes(cfg_g, sampler, size, batch)
+            interiors = interior_from_velocity_changes(s, cfg_g)
+            # free-particle importance ratio under the matched Cauchy proposal
+            w = np.exp(-g * np.sum(np.abs(interiors), axis=1))
+            return w, np.max(np.abs(s), axis=1) > delta
+
+        w, exceed = _map_batches(sampler, weigh)
         fraction = float(np.sum(w[exceed]) / np.sum(w))
         rows.append({"gamma": g, "delta": delta, "fraction": fraction})
     prov = _provenance(
         lattice=vars(cfg) | {"gamma": "scanned"},
         gammas=list(gammas),
         delta=delta,
-        n_samples=n_samples,
-        seed=seed,
+        n_samples=sampler.n_samples,
+        seed=sampler.seed,
     )
     return ScanResult("classical_concentration", rows, prov)
 
@@ -115,9 +124,7 @@ def convergence_sweep(
     gamma_list,
     method: str = "quadrature",
     points_per_dim: int = 24,
-    n_samples: int = 200_000,
-    seed: int = 0,
-    threads: int = 1,
+    sampler: SamplerConfig = SamplerConfig(),
 ) -> ScanResult:
     """Transition-probability estimates over an ``(n, gamma)`` grid.
 
@@ -132,17 +139,13 @@ def convergence_sweep(
     for n in n_list:
         values = []
         for g in gamma_list:
-            cfg_ng = LatticeConfig(cfg.t_a, cfg.t_b, n, g, cfg.z_a, cfg.z_b)
+            cfg_ng = replace(cfg, n=n, gamma=g)
             if method == "quadrature":
                 est = transition_probability_quadrature(
                     p, cfg_ng, points_per_dim=points_per_dim
                 )
             else:
-                est = estimate_transition_mc(
-                    p,
-                    cfg_ng,
-                    SamplerConfig(n_samples=n_samples, seed=seed, threads=threads),
-                )
+                est = estimate_transition_mc(p, cfg_ng, sampler)
             values.append(est.value)
             rows.append(
                 {
@@ -163,8 +166,8 @@ def convergence_sweep(
         gamma_list=list(gamma_list),
         method=method,
         points_per_dim=points_per_dim,
-        n_samples=n_samples,
-        seed=seed,
+        n_samples=sampler.n_samples,
+        seed=sampler.seed,
     )
     return ScanResult(
         "convergence_sweep", rows, prov, summary={"gamma_extrapolated": extrapolated}

@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import analysis, oracle
-from .lattice import LatticeConfig, read_path_csv
+from .lattice import LatticeConfig, read_path_csv, validate_path
 from .montecarlo import SamplerConfig, estimate_transition_mc
 from .potentials import BandLimitedPotential, potential_from_dict
 from .quadrature import _jsonable, transition_probability_quadrature
@@ -67,6 +67,10 @@ def _load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
+    if not isinstance(cfg, dict) or any(
+        not isinstance(cfg.get(k) or {}, dict) for k in ("potential", *_SECTIONS)
+    ):
+        raise SystemExit("config and each of its sections must be a JSON object")
     return cfg
 
 
@@ -86,9 +90,7 @@ _SECTIONS = {
         "gamma": ("gamma", float), "za": ("z_a", float), "zb": ("z_b", float),
     },
     "sampler": {
-        "n_samples": ("n_samples", int), "method": ("method", str), "seed": ("seed", int),
-        "gamma_prop": ("gamma_prop", float), "sigma_prop": ("sigma_prop", float),
-        "threads": ("threads", int),
+        "n_samples": ("n_samples", int), "seed": ("seed", int), "threads": ("threads", int),
     },
     "oracle": {"X": ("half_width", float), "L": ("n_points", int)},
 }
@@ -110,7 +112,7 @@ def _section(config: dict, args, name: str, build=dict, required: bool = False):
     and the ``ValueError``/``TypeError`` of ``build`` are usage errors.
     """
     table = _SECTIONS[name]
-    values = dict(config.get(name, {}))
+    values = dict(config.get(name) or {})
     for flag, (section, key) in _FLAGS.items():
         if section == name and getattr(args, flag, None) is not None:
             values[key] = getattr(args, flag)
@@ -134,7 +136,11 @@ def _cmd_weight(args) -> int:
     config = _load_config(args)
     p = _potential(config)
     cfg = _section(config, args, "lattice", LatticeConfig, required=True)
-    path = read_path_csv(args.path)
+    try:
+        path = read_path_csv(args.path)
+        validate_path(path, cfg)
+    except ValueError as exc:
+        raise SystemExit(f"bad path file: {exc}") from exc
     ev = path_weight(p, path, cfg, form=args.form)
     _emit(weight_report(ev), args)
     if args.expect_positive and ev.sign <= 0:
@@ -240,22 +246,14 @@ def _cmd_ck(args) -> int:
     return EXIT_OK
 
 
-def _given_sampler_fields(**keywords) -> dict:
-    """The given sampler keywords, once ``SamplerConfig`` accepts them."""
-    SamplerConfig(**keywords)
-    return keywords
-
-
 def _cmd_scan(args) -> int:
     config = _load_config(args)
     p = _potential(config)
     cfg = _section(config, args, "lattice", LatticeConfig, required=True)
-    # the scans keep their own sample-count defaults, so only given fields pass
-    sampler = _section(config, args, "sampler", _given_sampler_fields)
-    sampled = {k: sampler[k] for k in ("n_samples", "seed") if k in sampler}
+    sampler = _section(config, args, "sampler", SamplerConfig)
     if args.kind == "classical":
         res = analysis.classical_concentration_scan(
-            cfg, args.gammas, delta=args.delta, **sampled
+            cfg, args.gammas, delta=args.delta, sampler=sampler
         )
     elif args.kind == "convergence":
         res = analysis.convergence_sweep(
@@ -264,8 +262,7 @@ def _cmd_scan(args) -> int:
             n_list=args.n_list,
             gamma_list=args.gammas,
             method=args.method,
-            threads=sampler.get("threads", 1),
-            **sampled,
+            sampler=sampler,
         )
     else:
         pts = [tuple(map(float, pt.split(","))) for pt in args.points]

@@ -207,12 +207,9 @@ def write_path_csv(path: Path, cfg: LatticeConfig, fname) -> None:
 
 
 def read_path_csv(fname) -> Path:
-    z = []
+    """Read a :func:`write_path_csv` file; a malformed one raises ``ValueError``."""
     with open(fname, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["j", "t", "z"]:
-            raise ValueError("unrecognized path file header")
-        for row in reader:
-            z.append(float(row[2]))
-    return Path(np.asarray(z))
+        rows = list(csv.reader(fh))
+    if not rows or rows[0][:3] != ["j", "t", "z"] or min(map(len, rows)) < 3:
+        raise ValueError("need a j,t,z header and three columns in every row")
+    return Path(np.asarray([row[2] for row in rows[1:]], dtype=float))

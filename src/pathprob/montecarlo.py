@@ -1,13 +1,16 @@
 """Importance-sampled Monte Carlo estimation of transition probabilities.
 
-Paths are generated as pinned bridges in velocity-change space.  The default
-proposal draws each velocity change from a Cauchy distribution, which matches
-the heavy tails of the step factors exactly, so the importance ratio for the
-free particle reduces to a bounded product ``prod exp(-gamma |z_j|)``.
+Paths are generated as pinned bridges in velocity-change space.  The one
+proposal draws each velocity change as ``gamma * standard_cauchy``: the
+Lorentzian law of the model's velocity changes, which matches the heavy tails
+of the step factors exactly, so the importance ratio for the free particle
+reduces to a bounded product ``prod exp(-gamma |z_j|)``.
 
 Sampling is deterministic given a seed: every batch owns a counter-based
 random stream keyed by ``(seed, batch index)``, so results are independent of
-the number of worker threads.
+the number of worker threads.  This estimator and
+:func:`~pathprob.analysis.classical_concentration_scan` draw through the same
+batch loop.
 
 A batch's work is elementwise numpy plus a bridge solve that
 :func:`~pathprob.lattice.interior_from_velocity_changes` runs as one-thread
@@ -44,37 +47,24 @@ _N_BATCHES = 16  # batch means behind the standard error
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Proposal choice and sampling budget.
-
-    ``gamma_prop`` defaults to the lattice gamma; ``method`` is "cauchy"
-    (velocity-change increments, the robust default) or "gaussian" (a
-    Brownian-bridge proposal with position scale ``sigma_prop``, useful to
-    expose heavy-tail failure modes).
-    """
+    """Sampling budget; the proposal is fixed by the lattice's ``gamma``."""
 
     n_samples: int = 100_000
-    method: str = "cauchy"
     seed: int = 0
-    gamma_prop: float | None = None
-    sigma_prop: float = 1.0
     threads: int = 1
 
     def __post_init__(self):
         if not self.n_samples >= _N_BATCHES:
             raise ValueError(f"need n_samples >= {_N_BATCHES}")
-        if self.method not in ("cauchy", "gaussian"):
-            raise ValueError(f"unknown sampler method {self.method!r}")
-        if self.gamma_prop is not None and not self.gamma_prop > 0:
-            raise ValueError("gamma_prop must be positive")
-        if not self.sigma_prop > 0:
-            raise ValueError("sigma_prop must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
 
-def _rng_for_batch(seed: int, batch: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, batch], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _draw_velocity_changes(cfg: LatticeConfig, sampler: SamplerConfig, size: int, batch: int):
+    """``size`` rows of ``cfg.gamma * standard_cauchy`` from the ``(seed, batch)`` stream."""
+    key = np.array([sampler.seed & 0xFFFFFFFFFFFFFFFF, batch], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return cfg.gamma * rng.standard_cauchy(size=(size, cfg.n - 1))
 
 
 def sample_bridge_paths(
@@ -82,39 +72,35 @@ def sample_bridge_paths(
 ):
     """Draw ``size`` pinned paths; returns ``(interiors, log_density)``.
 
-    ``log_density`` is the proposal density of each path in interior-position
-    space, i.e. including the velocity-change Jacobian ``n / eps^(n-1)``
-    for the Cauchy proposal.
+    The velocity changes are ``cfg.gamma * standard_cauchy`` from the
+    ``(sampler.seed, batch)`` stream.  ``log_density`` is the proposal density
+    of each path in interior-position space, i.e. including the
+    velocity-change Jacobian ``n / eps^(n-1)``.
     """
-    rng = _rng_for_batch(sampler.seed, batch)
-    n = cfg.n
-    d = n - 1
-    if sampler.method == "cauchy":
-        gp = cfg.gamma if sampler.gamma_prop is None else sampler.gamma_prop
-        s = gp * rng.standard_cauchy(size=(size, d))
-        interiors = interior_from_velocity_changes(s, cfg)
-        log_density = (
-            np.sum(np.log(gp / np.pi) - np.log(s * s + gp * gp), axis=1)
-            + math.log(n)
-            - d * math.log(cfg.eps)
-        )
-        return interiors, log_density
-
-    # Gaussian Brownian-bridge proposal, built step by step so the density
-    # factorizes over the sequential conditionals.
-    sig2 = sampler.sigma_prop**2 * cfg.eps
-    interiors = np.empty((size, d))
-    log_density = np.zeros(size)
-    prev = np.full(size, cfg.z_a)
-    for j in range(1, n):
-        steps_left = n - j + 1
-        mean = prev + (cfg.z_b - prev) / steps_left
-        var = sig2 * (steps_left - 1) / steps_left
-        z = mean + math.sqrt(var) * rng.standard_normal(size)
-        log_density += -0.5 * (z - mean) ** 2 / var - 0.5 * math.log(TWO_PI * var)
-        interiors[:, j - 1] = z
-        prev = z
+    d = cfg.n - 1
+    g = cfg.gamma
+    s = _draw_velocity_changes(cfg, sampler, size, batch)
+    interiors = interior_from_velocity_changes(s, cfg)
+    log_density = (
+        np.sum(np.log(g / np.pi) - np.log(s * s + g * g), axis=1)
+        + math.log(cfg.n)
+        - d * math.log(cfg.eps)
+    )
     return interiors, log_density
+
+
+def _map_batches(sampler: SamplerConfig, work) -> list:
+    """``work(size, batch)`` over the batches of ``sampler.n_samples`` paths.
+
+    Batches hold at most ``_BATCH`` paths and run on ``sampler.threads``
+    workers.  ``work`` draws its batch and returns a tuple of per-path arrays,
+    never the interiors; each is concatenated in batch order, so the result
+    does not depend on the thread count.
+    """
+    sizes = [min(_BATCH, sampler.n_samples - a) for a in range(0, sampler.n_samples, _BATCH)]
+    with ThreadPoolExecutor(max_workers=sampler.threads) as pool:
+        parts = list(pool.map(work, sizes, range(len(sizes))))
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -124,12 +110,6 @@ def effective_sample_size(weights: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.sum(w)) ** 2 / denom
-
-
-def _batch_ratios(p, cfg, sampler, size, batch):
-    interiors, log_density = sample_bridge_paths(cfg, sampler, size, batch)
-    signs, log_abs, _ = batch_log_weights(p, interiors, cfg)
-    return signs, log_abs - log_density
 
 
 def estimate_transition_mc(
@@ -152,21 +132,13 @@ def estimate_transition_mc(
             "weights may be negative; this is signed-measure estimation",
             stacklevel=2,
         )
-    n_batches = int(math.ceil(sampler.n_samples / _BATCH))
-    sizes = [
-        min(_BATCH, sampler.n_samples - b * _BATCH) for b in range(n_batches)
-    ]
 
-    with ThreadPoolExecutor(max_workers=sampler.threads) as pool:
-        parts = list(
-            pool.map(
-                lambda b: _batch_ratios(p, cfg, sampler, sizes[b], b),
-                range(n_batches),
-            )
-        )
+    def ratios(size, batch):
+        interiors, log_density = sample_bridge_paths(cfg, sampler, size, batch)
+        signs, log_abs, _ = batch_log_weights(p, interiors, cfg)
+        return signs, log_abs - log_density
 
-    signs = np.concatenate([s for s, _ in parts])
-    log_ratio = np.concatenate([lr for _, lr in parts])
+    signs, log_ratio = _map_batches(sampler, ratios)
 
     # log-domain reduction: shift by the max so exp never overflows
     shift = float(np.max(log_ratio))
@@ -179,19 +151,18 @@ def estimate_transition_mc(
     ess = effective_sample_size(r)
     if ess < 10.0:
         raise NonConvergenceError(
-            f"effective sample size {ess:.2f} < 10: the proposal is badly "
-            "mismatched; retune gamma_prop/sigma_prop or switch method"
+            f"effective sample size {ess:.2f} < 10: the importance weights are "
+            "too concentrated; lower gamma, eps or n, or draw more samples"
         )
     abs_mass = float(np.sum(np.abs(r)))
     neg_mass = float(np.sum(np.abs(r[signs < 0])))
     return TransitionEstimate(
         value=mean_r * scale,
         std_error=std_r * scale,
-        method=f"mc-{sampler.method}",
+        method="mc-cauchy",
         n=cfg.n,
         eps=cfg.eps,
         gamma=cfg.gamma,
-        refinement=(),
         ess=ess,
         negative_mass_fraction=(neg_mass / abs_mass) if abs_mass > 0 else 0.0,
         seed=sampler.seed,

@@ -202,8 +202,8 @@ def transition_probability_quadrature(
 
     ``window`` is the half-width in position within which the integrand mass
     must live; the run aborts if more than 1e-4 of the sampled mass sits
-    outside.  The value is refined through ``doublings`` point doublings and
-    the successive changes are reported.
+    outside.  The value is refined through ``doublings`` point doublings; the
+    successive changes are reported, and the size of the last is the error.
     """
     n = cfg.n
     if n > MAX_QUADRATURE_N:
@@ -216,6 +216,8 @@ def transition_probability_quadrature(
 
     prefactor = 1.0 / (TWO_PI * cfg.duration * np.pi ** d)
 
+    if doublings < 1:
+        raise ValueError("need doublings >= 1: the last refinement is the error")
     if points_per_dim ** d * 2 ** (doublings * d) > 3e8:
         raise ValueError("tensor grid too large; reduce points_per_dim or doublings")
     results = []
@@ -235,7 +237,7 @@ def transition_probability_quadrature(
     deltas = tuple(results[i + 1] - results[i] for i in range(len(results) - 1))
     return TransitionEstimate(
         value=results[-1],
-        std_error=0.0,
+        std_error=abs(deltas[-1]),
         method="quadrature",
         n=n,
         eps=eps,

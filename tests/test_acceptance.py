@@ -6,6 +6,7 @@ fixed; parameters were chosen once and frozen.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,9 +67,10 @@ def test_criterion_01_positivity_zero_tolerance():
         for gamma in (0.05, 0.1, 0.2):
             eps = positivity_threshold(p, gamma).lambda_strict
             cfg = LatticeConfig(0.0, n * eps, n, gamma, 0.0, 0.1 * eps)
-            # wide-tailed bridge paths stress large |s_j| and large |z_j|
+            # wide-tailed bridge paths (drawn at gamma = 1) stress large
+            # |s_j| and large |z_j|
             interiors, _ = sample_bridge_paths(
-                cfg, SamplerConfig(seed=1, gamma_prop=1.0), n_paths
+                replace(cfg, gamma=1.0), SamplerConfig(seed=1), n_paths
             )
             signs, _, q_signs = batch_log_weights(p, interiors, cfg)
             negatives += int(np.sum(q_signs < 0)) + int(np.sum(signs < 0))
@@ -207,7 +209,8 @@ def test_criterion_06_non_markovianity():
 def test_criterion_07_classical_limit():
     cfg = LatticeConfig(0.0, 1.0, 16, 0.1, 0.0, 0.4)
     res = classical_concentration_scan(
-        cfg, [0.5, 0.2, 0.1, 0.05], delta=1.0, n_samples=100_000, seed=3
+        cfg, [0.5, 0.2, 0.1, 0.05], delta=1.0,
+        sampler=SamplerConfig(n_samples=100_000, seed=3),
     )
     fractions = [row["fraction"] for row in res.rows]
     ok = all(a > b for a, b in zip(fractions, fractions[1:]))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,33 +11,48 @@ from pathprob.analysis import (
     linearization_order_scan,
 )
 from pathprob.lattice import LatticeConfig
+from pathprob.montecarlo import SamplerConfig, estimate_transition_mc
 from pathprob.potentials import BandLimitedPotential
 
 FREE = BandLimitedPotential.zero()
 COSINE = BandLimitedPotential.single_line(a=1.0, q=1.0)
 CFG = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.4)
+SAMPLER = SamplerConfig(n_samples=2000, seed=2)
 
 
 class TestClassicalConcentration:
     def test_fraction_shrinks_with_gamma(self):
         res = classical_concentration_scan(
-            CFG, [0.5, 0.2, 0.1, 0.05], delta=1.0, n_samples=50_000, seed=1
+            CFG, [0.5, 0.2, 0.1, 0.05], delta=1.0,
+            sampler=SamplerConfig(n_samples=50_000, seed=1),
         )
         fractions = [row["fraction"] for row in res.rows]
         assert all(a > b for a, b in zip(fractions, fractions[1:]))
 
     def test_huge_delta_gives_zero(self):
-        res = classical_concentration_scan(CFG, [0.1], delta=1e9, n_samples=2000, seed=2)
+        res = classical_concentration_scan(CFG, [0.1], delta=1e9, sampler=SAMPLER)
         assert res.rows[0]["fraction"] == 0.0
 
     def test_zero_delta_gives_one(self):
-        res = classical_concentration_scan(CFG, [0.1], delta=0.0, n_samples=2000, seed=2)
+        res = classical_concentration_scan(CFG, [0.1], delta=0.0, sampler=SAMPLER)
         assert res.rows[0]["fraction"] == 1.0
 
     def test_deterministic(self):
-        a = classical_concentration_scan(CFG, [0.2], delta=1.0, n_samples=5000, seed=7)
-        b = classical_concentration_scan(CFG, [0.2], delta=1.0, n_samples=5000, seed=7)
+        sampler = SamplerConfig(n_samples=5000, seed=7)
+        a = classical_concentration_scan(CFG, [0.2], delta=1.0, sampler=sampler)
+        b = classical_concentration_scan(CFG, [0.2], delta=1.0, sampler=sampler)
         assert a.rows == b.rows
+
+    def test_thread_count_invariance(self):
+        # the paths come in (seed, batch)-keyed batches, gathered in order
+        rows = [
+            classical_concentration_scan(
+                CFG, [0.5, 0.1], delta=1.0,
+                sampler=SamplerConfig(n_samples=20_000, seed=7, threads=threads),
+            ).rows
+            for threads in (1, 2)
+        ]
+        assert rows[0] == rows[1]
 
 
 class TestConvergenceSweep:
@@ -66,6 +82,13 @@ class TestConvergenceSweep:
         )
         v = [row["value"] for row in res.rows]
         assert abs(v[2] - v[1]) <= abs(v[1] - v[0])
+
+    def test_mc_rows_use_sampler(self):
+        sampler = SamplerConfig(n_samples=4096, seed=5, threads=2)
+        res = convergence_sweep(FREE, CFG, [2], [0.1], method="mc", sampler=sampler)
+        est = estimate_transition_mc(FREE, replace(CFG, n=2), sampler)
+        assert res.rows[0]["value"] == est.value
+        assert res.provenance["n_samples"] == 4096 and res.provenance["seed"] == 5
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

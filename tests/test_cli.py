@@ -17,7 +17,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
     import tomli as tomllib
 
 import pathprob
-from pathprob.cli import _build_parser, main, run
+from pathprob.cli import _SECTIONS, _build_parser, main, run
 from pathprob.lattice import LatticeConfig, straight_line_path, write_path_csv
 
 COSINE_CONFIG = {
@@ -262,6 +262,14 @@ class TestUsageErrors:
             (["scan", "--kind", "convergence"], dict(FREE_CONFIG, sampler={"sed": 1})),
             (["ck", "--tc", "2.0"], FREE_CONFIG),
             (["ck", "--tc", "0.0"], FREE_CONFIG),
+            (["transition"], [FREE_CONFIG]),
+            (["transition"], dict(FREE_CONFIG, lattice=[1, 2])),
+            (
+                ["scan", "--kind", "convergence", "--method", "mc"],
+                dict(FREE_CONFIG, sampler={"method": "gaussian"}),
+            ),
+            (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"gamma_prop": 1.0})),
+            (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"sigma_prop": 1.0})),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, argv, config):
@@ -271,6 +279,23 @@ class TestUsageErrors:
         assert run([argv[0], "-c", str(f), *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            ["j,t,z", "0,0.0,0.0", "1,0.25", "2,0.5,0.1", "3,0.75,0.1", "4,1.0,0.2"],
+            ["j,t,z", "0,0.0,0.0", "1,0.25,x", "2,0.5,0.1", "3,0.75,0.1", "4,1.0,0.2"],
+            ["j,t,z"] + [f"{j},{j / 5},{0.04 * j}" for j in range(6)],
+        ],
+        ids=["empty", "short-row", "non-numeric-z", "five-steps-for-n4"],
+    )
+    def test_bad_path_file(self, tmp_path, capsys, cosine_json, rows):
+        path_file = tmp_path / "bad.csv"
+        path_file.write_text("".join(row + "\n" for row in rows))
+        assert run(["weight", "-c", cosine_json, "--path", str(path_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad path file: ") and "Traceback" not in err
 
     def test_grid_without_endpoints(self, tmp_path, capsys):
         f = tmp_path / "narrow.json"
@@ -361,6 +386,17 @@ class TestSchema:
         }
         common = {"-c", "--config", "--out", "-h", "--help"}
         assert accepted == {name: flags | common for name, flags in documented.items()}
+
+    def test_readme_config_fields(self):
+        # README names each config section's fields, in the reader's order
+        with open(README) as fh:
+            text = fh.read()
+        lines = text[text.index("Config fields by section:"):].split("\n\n")[1]
+        documented = {}
+        for line in lines.splitlines():
+            name, fields = line.split(":", 1)
+            documented[name.strip("- `")] = re.findall(r"`([^`]+)`", fields)
+        assert documented == {name: list(table) for name, table in _SECTIONS.items()}
 
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")

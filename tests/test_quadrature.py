@@ -90,11 +90,23 @@ class TestFreeParticle:
         assert len(est.refinement) == 2
         assert abs(est.refinement[-1]) <= abs(est.refinement[-2])
 
+    def test_error_is_last_refinement(self):
+        # criterion 9's weak-cosine reference reports its last change as error
+        weak = BandLimitedPotential.single_line(a=0.1, q=1.0)
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.3)
+        est = transition_probability_quadrature(weak, cfg, points_per_dim=32)
+        assert est.std_error == abs(est.refinement[-1])
+        assert est.std_error > 0.0
+
 
 class TestGuards:
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
             transition_probability_quadrature(FREE, free_cfg(9, 0.1))
+
+    def test_needs_a_refinement(self):
+        with pytest.raises(ValueError, match="doublings"):
+            transition_probability_quadrature(FREE, free_cfg(2, 0.1), doublings=0)
 
     def test_tensor_budget_guard(self):
         with pytest.raises(ValueError, match="tensor grid"):
