@@ -83,16 +83,23 @@ def _potential(config: dict) -> BandLimitedPotential:
         raise SystemExit(f"bad potential: {exc}") from exc
 
 
+def _int(v) -> int:
+    """``int(v)`` for a whole number; a bool or a fractional value is a ValueError."""
+    if isinstance(v, bool) or int(v) != v:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 # config section -> {key: (keyword, cast)}
 _SECTIONS = {
     "lattice": {
-        "ta": ("t_a", float), "tb": ("t_b", float), "n": ("n", int),
+        "ta": ("t_a", float), "tb": ("t_b", float), "n": ("n", _int),
         "gamma": ("gamma", float), "za": ("z_a", float), "zb": ("z_b", float),
     },
     "sampler": {
-        "n_samples": ("n_samples", int), "seed": ("seed", int), "threads": ("threads", int),
+        "n_samples": ("n_samples", _int), "seed": ("seed", _int), "threads": ("threads", _int),
     },
-    "oracle": {"X": ("half_width", float), "L": ("n_points", int)},
+    "oracle": {"X": ("half_width", float), "L": ("n_points", _int)},
 }
 # flag -> (section, key) it overrides
 _FLAGS = {
@@ -128,7 +135,7 @@ def _section(config: dict, args, name: str, build=dict, required: bool = False):
             table[k][0]: table[k][1](v) for k, v in values.items() if v is not None
         }
         return build(**keywords)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SystemExit(f"bad {name} config: {exc}") from exc
 
 
@@ -265,9 +272,8 @@ def _cmd_scan(args) -> int:
             sampler=sampler,
         )
     else:
-        pts = [tuple(map(float, pt.split(","))) for pt in args.points]
         res = analysis.linearization_order_scan(
-            p, pts, gamma=cfg.gamma, eps_list=args.eps_list
+            p, args.points, gamma=cfg.gamma, eps_list=args.eps_list
         )
     if args.out:
         csv_path, json_path = res.write(args.out)
@@ -275,6 +281,25 @@ def _cmd_scan(args) -> int:
     else:
         _emit(res.to_dict(), args, csv_rows=res.rows)
     return EXIT_OK
+
+
+def _checked(cast, ok, what):
+    """An argparse ``type``: ``cast(text)``, a usage error unless ``ok`` holds for it."""
+
+    def parse(text):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
+_point = _checked(lambda t: tuple(map(float, t.split(","))), lambda v: len(v) == 2, "a z,s pair")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -320,7 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("transition", help="transition probability estimate")
     common(sp, "format", "seed", "threads", "gamma", "n", "samples")
     sp.add_argument("--method", choices=["quadrature", "mc"], default="quadrature")
-    sp.add_argument("--points-per-dim", type=int, default=24)
+    sp.add_argument(
+        "--points-per-dim", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=24
+    )
     sp.set_defaults(func=_cmd_transition)
 
     sp = sub.add_parser("oracle", help="wavefunction-propagation kernel estimate")
@@ -340,18 +367,22 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["classical", "convergence", "linearization"],
         required=True,
     )
-    sp.add_argument("--gammas", type=float, nargs="+", default=[0.5, 0.2, 0.1, 0.05])
+    sp.add_argument("--gammas", type=_positive, nargs="+", default=[0.5, 0.2, 0.1, 0.05])
     sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--n-list", type=int, nargs="+", default=[2, 3, 4])
+    sp.add_argument(
+        "--n-list", type=_checked(int, lambda v: v >= 2, "an integer >= 2"), nargs="+",
+        default=[2, 3, 4],
+    )
     sp.add_argument("--method", choices=["quadrature", "mc"], default="quadrature")
     sp.add_argument(
         "--points",
+        type=_point,
         nargs="+",
-        default=["0.3,0.7"],
+        default=[(0.3, 0.7)],
         help='linearization points as "z,s" pairs',
     )
     sp.add_argument(
-        "--eps-list", type=float, nargs="+", default=[0.04, 0.02, 0.01, 0.005]
+        "--eps-list", type=_positive, nargs="+", default=[0.04, 0.02, 0.01, 0.005]
     )
     sp.set_defaults(func=_cmd_scan)
     return ap

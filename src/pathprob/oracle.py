@@ -7,16 +7,10 @@ propagating narrow Gaussians and extrapolating their width to zero.
 Everything downstream (positivity, path-weight probabilities) is validated
 against these numbers.
 
-Which integrator runs is set by ``propagate``'s ``dt``:
-
-* ``dt`` given: second-order Strang splitting with (at most) that step.
-* ``dt=None`` and ``V = 0``: one exact kinetic factor ``exp(-i T k^2/2)``.
-* ``dt=None`` otherwise: the Chebyshev expansion of ``exp(-iHT)``
-  (Tal-Ezer and Kosloff 1984), exact in time up to a Bessel tail held
-  below ``CHEB_TOL``.
-
-``kernel_estimate`` and ``ck_check`` always use ``dt=None``; the Strang route
-is the step-refinable reference that the exact route is tested against.
+``propagate`` is exact in time: for ``V = 0`` it applies one kinetic factor
+``exp(-i T k^2/2)``, otherwise the Chebyshev expansion of ``exp(-iHT)``
+(Tal-Ezer and Kosloff 1984), whose dropped terms are bounded by
+``CHEB_TOL`` of the norm.  There is no time step to choose.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ class WavefunctionGrid:
 
     x: np.ndarray
     psi: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -95,29 +88,7 @@ def gaussian_packet(
             (TWO_PI * sigma**2) ** 0.25
         )
     psi = psi * np.exp(1j * momentum * x)
-    return WavefunctionGrid(x=x, psi=psi, time=0.0)
-
-
-def _check_guards(p: BandLimitedPotential, x: np.ndarray, v: np.ndarray, dt: float | None):
-    dx = float(x[1] - x[0])
-    if p.R > 0 and dx * p.R > 0.5:
-        raise ValueError(
-            f"grid too coarse for the potential band: dx*R = {dx * p.R:.3g} > 0.5"
-        )
-    if dt is None:
-        return
-    vmax = float(np.max(np.abs(v)))
-    if vmax > 0 and dt * vmax > 0.1:
-        raise ValueError(
-            f"dt too large for the potential: dt*max|V| = {dt * vmax:.3g} > 0.1; "
-            f"use dt <= {0.1 / vmax:.3g}"
-        )
-    k_phase = dt * (np.pi / dx) ** 2 / 2.0
-    if k_phase > 0.5:
-        raise ValueError(
-            f"dt too large for the grid: dt*(pi/dx)^2/2 = {k_phase:.3g} > 0.5; "
-            f"use dt <= {dx**2 / np.pi**2:.3g}"
-        )
+    return WavefunctionGrid(x=x, psi=psi)
 
 
 CHEB_TOL = 1e-13  # bound on the dropped Chebyshev terms, relative to the norm
@@ -186,44 +157,26 @@ def _chebyshev_propagate(psi, kinetic, v, duration):
     return out
 
 
-def propagate(
-    psi0: WavefunctionGrid,
-    p: BandLimitedPotential,
-    duration: float,
-    dt: float | None = None,
-) -> WavefunctionGrid:
-    """Spectral evolution over ``duration`` (periodic boundary), row by row.
+def propagate(psi0: WavefunctionGrid, p: BandLimitedPotential, duration: float) -> WavefunctionGrid:
+    """Spectral evolution over ``duration`` (periodic boundary), exact in time, row by row.
 
-    With ``dt`` given, Strang splitting with the largest step ``<= dt`` that
-    divides ``duration``; the guards ``dt max|V| <= 0.1`` and
-    ``dt (pi/dx)^2 / 2 <= 0.5`` apply.  With ``dt=None`` the evolution is
-    exact in time: one kinetic factor for ``V = 0``, else a Chebyshev series
-    whose dropped terms are bounded by ``CHEB_TOL`` of the norm.  The grid
-    must resolve the potential band, ``dx R <= 0.5``, on both routes.
+    One kinetic factor for ``V = 0``, else a Chebyshev series whose dropped
+    terms are bounded by ``CHEB_TOL`` of the norm.  The grid must resolve
+    the potential band, ``dx R <= 0.5``.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
     if duration == 0.0:
         return psi0
-    x = psi0.x
-    v = p.evaluate(x) if not p.is_zero else np.zeros_like(x)
-    _check_guards(p, x, v, dt)
-    k = TWO_PI * np.fft.fftfreq(x.size, d=psi0.dx)
-    if dt is None:
-        if p.is_zero:
-            psi = np.fft.ifft(np.exp(-0.5j * duration * k**2) * np.fft.fft(psi0.psi))
-        else:
-            psi = _chebyshev_propagate(psi0.psi, 0.5 * k**2, v, duration)
-        return WavefunctionGrid(x=x, psi=psi, time=psi0.time + duration)
-    n_steps = max(1, int(math.ceil(duration / dt)))
-    step = duration / n_steps
-    kinetic = np.exp(-0.5j * step * k**2)
-    half_pot = np.exp(-0.5j * step * v)
-    psi = psi0.psi * half_pot
-    for _ in range(n_steps - 1):
-        psi = np.fft.ifft(kinetic * np.fft.fft(psi)) * half_pot * half_pot
-    psi = np.fft.ifft(kinetic * np.fft.fft(psi)) * half_pot
-    return WavefunctionGrid(x=x, psi=psi, time=psi0.time + duration)
+    x, dx = psi0.x, psi0.dx
+    if p.R > 0 and dx * p.R > 0.5:
+        raise ValueError(f"grid too coarse for the potential band: dx*R = {dx * p.R:.3g} > 0.5")
+    k = TWO_PI * np.fft.fftfreq(x.size, d=dx)
+    if p.is_zero:
+        psi = np.fft.ifft(np.exp(-0.5j * duration * k**2) * np.fft.fft(psi0.psi))
+    else:
+        psi = _chebyshev_propagate(psi0.psi, 0.5 * k**2, p.evaluate(x), duration)
+    return WavefunctionGrid(x=x, psi=psi)
 
 
 def free_kernel_amplitudes(x, z_a: float, duration: float):
@@ -317,8 +270,8 @@ def kernel_estimate(
     """Transition amplitude from narrow-source propagation.
 
     Unit-mass Gaussians of the widths ``SOURCE_SIGMAS`` are propagated
-    together from ``z_a``, exact in time (``propagate`` with ``dt=None``),
-    and read at ``z_b`` by trigonometric interpolation; each
+    together from ``z_a`` by ``propagate``, exact in time, and read at
+    ``z_b`` by trigonometric interpolation; each
     value is corrected by the exact free-propagation smearing factor and the
     remaining potential-induced bias is extrapolated to zero source width,
     linearly in ``sigma^2``.  The extrapolation residual is attached to the
@@ -384,8 +337,8 @@ def ck_check(
     ``mode="amplitude"`` composes complex kernels (expected to close, the
     control case); ``mode="probability"`` composes squared moduli, the
     quantity that fails for this process.  Both legs start from sources of
-    width ``CK_SOURCE_SIGMA`` and are propagated exact in time
-    (``propagate`` with ``dt=None``).  The intermediate integral runs over
+    width ``CK_SOURCE_SIGMA`` and are propagated exact in time by
+    ``propagate``.  The intermediate integral runs over
     ``|z_c| <= half_width - 4`` (reported as ``window``); a widened window
     probes convergence, and a diverging probability integral is reported
     with ``converged=False`` rather than raised.  A ``half_width`` at or

@@ -274,6 +274,8 @@ def potential_from_dict(d: dict) -> BandLimitedPotential:
     if "grid" in d:
         g = d["grid"]
         vals = np.asarray(g["values"], dtype=float)
+        if vals.ndim != 2 or vals.shape[1] != 2:
+            raise ValueError(f"grid values must be [re, im] pairs, got shape {vals.shape}")
         vt = vals[:, 0] + 1j * vals[:, 1]
         q = np.linspace(-float(g["qmax"]), float(g["qmax"]), vt.size)
         p = BandLimitedPotential.from_grid(q, vt)

@@ -224,13 +224,12 @@ def test_criterion_07_classical_limit():
 
 def test_criterion_08_oracle_integrity():
     x = make_grid(20.0, 2048)
-    dt = 0.999 * (x[1] - x[0]) ** 2 / math.pi**2
     p = BandLimitedPotential.single_line(a=0.5, q=1.0)
     w = gaussian_packet(x, 0.0, 1.0, momentum=1.0)
-    norm_drift = abs(propagate(w, p, 1.0, dt).norm() - w.norm()) / w.norm()
+    norm_drift = abs(propagate(w, p, 1.0).norm() - w.norm()) / w.norm()
 
     sigma0, T = 0.7, 1.5
-    out = propagate(gaussian_packet(x, 0.0, sigma0), BandLimitedPotential.zero(), T, dt)
+    out = propagate(gaussian_packet(x, 0.0, sigma0), BandLimitedPotential.zero(), T)
     dens = np.abs(out.psi) ** 2
     dens /= np.sum(dens) * out.dx
     var = float(np.sum(x**2 * dens) * out.dx)

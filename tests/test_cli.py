@@ -270,6 +270,15 @@ class TestUsageErrors:
             ),
             (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"gamma_prop": 1.0})),
             (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"sigma_prop": 1.0})),
+            (
+                ["positivity", "--gamma", "0.1"],
+                {"potential": {"grid": {"qmax": 1.0, "values": [1.0, 2.0, 3.0]}}},
+            ),
+            (["transition"], {"lattice": dict(FREE_CONFIG["lattice"], n=3.7)}),
+            (["transition"], {"lattice": dict(FREE_CONFIG["lattice"], n=math.inf)}),
+            (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"n_samples": 1000.9})),
+            (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"threads": True})),
+            (["oracle"], dict(FREE_CONFIG, oracle={"L": 1000.5})),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, argv, config):
@@ -279,6 +288,22 @@ class TestUsageErrors:
         assert run([argv[0], "-c", str(f), *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--kind", "classical", "--gammas", "0.5", "-0.1"],
+            ["scan", "--kind", "convergence", "--n-list", "1"],
+            ["scan", "--kind", "linearization", "--eps-list", "-0.01", "0.02"],
+            ["scan", "--kind", "linearization", "--points", "0.3"],
+            ["scan", "--kind", "linearization", "--points", "a,b"],
+            ["transition", "--points-per-dim", "0"],
+        ],
+    )
+    def test_out_of_range_flag(self, free_json, capsys, argv):
+        # the parser rejects the value before any work, like an unknown flag
+        assert run([*argv, "-c", free_json]) == 1
+        assert "error: argument --" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rows",

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pathprob.lattice import LatticeConfig
@@ -12,7 +14,7 @@ from pathprob.montecarlo import (
     estimate_transition_mc,
     sample_bridge_paths,
 )
-from pathprob.potentials import BandLimitedPotential, band_limit
+from pathprob.potentials import BandLimitedPotential, SpectralLine, band_limit
 from pathprob.quadrature import transition_probability_quadrature
 from pathprob.weights import NonConvergenceError
 
@@ -93,6 +95,25 @@ class TestEstimator:
         quad = transition_probability_quadrature(WEAK, cfg, points_per_dim=32)
         mc = estimate_transition_mc(WEAK, cfg, SamplerConfig(n_samples=100_000, seed=13))
         assert abs(mc.value - quad.value) <= 3.0 * mc.std_error
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-0.1, 0.1), st.floats(0.3, 1.5), st.floats(0.0, 6.28)),
+            max_size=2,
+        ),
+        st.integers(2, 4),
+        st.floats(0.1, 0.4),
+        st.floats(-0.5, 0.5),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_agrees_with_quadrature(self, specs, n, gamma, z_b, seed):
+        # the two routes' reported errors cover their difference
+        p = BandLimitedPotential.from_lines([SpectralLine(q, a, phi) for a, q, phi in specs])
+        cfg = LatticeConfig(0.0, 1.0, n, gamma, 0.0, z_b)
+        quad = transition_probability_quadrature(p, cfg, points_per_dim=24)
+        mc = estimate_transition_mc(p, cfg, SamplerConfig(n_samples=50_000, seed=seed))
+        assert abs(mc.value - quad.value) <= 4.0 * np.hypot(mc.std_error, quad.std_error)
 
     def test_deterministic_given_seed(self):
         cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.3)

@@ -49,19 +49,19 @@ class TestPropagation:
         p = BandLimitedPotential.single_line(a=0.5, q=1.0)
         x = default_grid()
         w = gaussian_packet(x, 0.0, 1.0, momentum=1.5)
-        out = propagate(w, p, 1.0, safe_dt(x))
+        out = propagate(w, p, 1.0)
         assert abs(out.norm() - w.norm()) <= 1e-10 * w.norm()
 
     def test_zero_duration_is_identity(self):
         x = default_grid()
         w = gaussian_packet(x, 0.3, 0.8)
-        out = propagate(w, FREE, 0.0, safe_dt(x))
+        out = propagate(w, FREE, 0.0)
         assert np.array_equal(out.psi, w.psi)
 
     def test_free_dispersion_law(self):
         x = default_grid()
         sigma0, T = 0.7, 1.5
-        out = propagate(gaussian_packet(x, 0.0, sigma0), FREE, T, safe_dt(x))
+        out = propagate(gaussian_packet(x, 0.0, sigma0), FREE, T)
         dens = np.abs(out.psi) ** 2
         dens /= np.sum(dens) * out.dx
         var = float(np.sum(x**2 * dens) * out.dx)
@@ -80,16 +80,15 @@ class TestPropagation:
         x = default_grid()
         w = gaussian_packet(x, 0.0, 1.0)
         T = 1.0
-        dt = safe_dt(x)
-        out = propagate(w, p, T, dt)
-        out_s = propagate(w, ps, T, dt)
+        out = propagate(w, p, T)
+        out_s = propagate(w, ps, T)
         assert np.max(np.abs(np.abs(out_s.psi) ** 2 - np.abs(out.psi) ** 2)) <= 1e-10
         assert np.allclose(out_s.psi, out.psi * np.exp(-1j * c * T), atol=1e-9)
 
     def test_free_energy_conserved(self):
         x = default_grid()
         w = gaussian_packet(x, 0.0, 0.9, momentum=2.0)
-        out = propagate(w, FREE, 1.0, safe_dt(x))
+        out = propagate(w, FREE, 1.0)
         k = TWO_PI * np.fft.fftfreq(x.size, d=w.dx)
 
         def energy(psi):
@@ -99,36 +98,6 @@ class TestPropagation:
             )
 
         assert energy(out.psi) == pytest.approx(energy(w.psi), rel=1e-6)
-
-    def test_guard_dt_potential(self):
-        p = BandLimitedPotential.single_line(a=5.0, q=1.0)
-        x = default_grid()
-        with pytest.raises(ValueError, match="dt"):
-            propagate(gaussian_packet(x, 0.0, 1.0), p, 1.0, dt=0.1)
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(0.0, 6.28)),
-            max_size=3,
-        ),
-        st.lists(
-            st.tuples(st.floats(-3.0, 3.0), st.floats(0.3, 1.5), st.floats(-2.0, 2.0)),
-            min_size=1,
-            max_size=3,
-        ),
-        st.floats(0.01, 0.3),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_stack_matches_rows(self, specs, packets, duration):
-        p = BandLimitedPotential.from_lines([SpectralLine(q, a, phi) for q, a, phi in specs])
-        x = make_grid(8.0, 128)
-        dt = safe_dt(x)
-        rows = [gaussian_packet(x, c, s, momentum=k).psi for c, s, k in packets]
-        stacked = propagate(WavefunctionGrid(x=x, psi=rows), p, duration, dt)
-        assert stacked.psi.shape == (len(rows), x.size)
-        for row, out in zip(rows, stacked.psi):
-            single = propagate(WavefunctionGrid(x=x, psi=row), p, duration, dt)
-            assert np.array_equal(out, single.psi)
 
     def test_potential_evaluated_once(self):
         calls = []
@@ -141,33 +110,18 @@ class TestPropagation:
         base = BandLimitedPotential.single_line(a=0.3, q=1.0)
         p = Counting(R=base.R, K=base.K, lines=base.lines)
         x = make_grid(8.0, 128)
-        propagate(gaussian_packet(x, 0.0, 1.0), p, 0.1, safe_dt(x))
+        propagate(gaussian_packet(x, 0.0, 1.0), p, 0.1)
         assert calls == [x.size]
 
     def test_guard_grid_resolution(self):
         p = BandLimitedPotential.single_line(a=0.1, q=100.0)
         x = make_grid(20.0, 512)
-        for dt in (1e-5, None):
-            with pytest.raises(ValueError, match="dx"):
-                propagate(gaussian_packet(x, 0.0, 1.0), p, 1.0, dt=dt)
-
-    def test_split_step_matches_reference_loop(self):
-        # the explicit-dt route is the plain Strang loop, bit for bit
-        x = make_grid(8.0, 128)
-        line = BandLimitedPotential.single_line(a=0.5, q=1.0, phi=0.3)
-        rows = [gaussian_packet(x, c, 0.8, momentum=1.0).psi for c in (-1.0, 0.5)]
-        for p, psi, duration, dt in (
-            (line, rows[0], 0.3, safe_dt(x)),
-            (line, rows, 0.25, 1.1e-3),
-            (FREE, rows[1], 0.7, safe_dt(x)),
-        ):
-            w = WavefunctionGrid(x=x, psi=psi)
-            out = propagate(w, p, duration, dt)
-            assert np.array_equal(out.psi, strang_reference(w, p, duration, dt))
+        with pytest.raises(ValueError, match="dx"):
+            propagate(gaussian_packet(x, 0.0, 1.0), p, 1.0)
 
 
 def strang_reference(w, p, duration, dt):
-    """Strang splitting written out step by step, the explicit-dt route's reference."""
+    """Strang splitting written out step by step: the dt -> 0 reference for ``propagate``."""
     v = p.evaluate(w.x) if not p.is_zero else np.zeros_like(w.x)
     n_steps = max(1, int(math.ceil(duration / dt)))
     step = duration / n_steps
@@ -186,7 +140,7 @@ def rel_l2(a, b):
 
 
 class TestExactPropagation:
-    """``propagate`` with ``dt=None``: Chebyshev series, or one kinetic factor for V = 0."""
+    """``propagate``: Chebyshev series, or one kinetic factor for V = 0."""
 
     @given(
         st.lists(
@@ -215,8 +169,8 @@ class TestExactPropagation:
         # Strang's O(dt^2) error at the safe dt reaches ~4e-6 here; its
         # Richardson extrapolation from dt and dt/2 is the dt -> 0 limit
         dt = safe_dt(x)
-        coarse = propagate(w, p, t1 + t2, dt).psi
-        fine = propagate(w, p, t1 + t2, dt / 2).psi
+        coarse = strang_reference(w, p, t1 + t2, dt)
+        fine = strang_reference(w, p, t1 + t2, dt / 2)
         assert rel_l2((4.0 * fine - coarse) / 3.0, out.psi) <= 1e-7
 
     def test_free_dispersed_gaussian(self):
