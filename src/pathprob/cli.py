@@ -159,8 +159,10 @@ def _cmd_positivity(args) -> int:
     config = _load_config(args)
     p = _potential(config)
     gamma = _section(config, args, "lattice").get("gamma")
-    if gamma is None or not gamma > 0:
-        raise SystemExit("positivity needs a positive --gamma or lattice.gamma config field")
+    if gamma is None or not 0 < gamma < math.inf:
+        raise SystemExit(
+            "positivity needs a positive finite --gamma or lattice.gamma config field"
+        )
     thr = positivity_threshold(p, gamma)
     payload = {
         "gamma": gamma,

@@ -9,6 +9,7 @@ carried entirely by the per-step velocity changes
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ __all__ = [
     "StepQuantities",
     "second_differences",
     "velocity_changes",
-    "straight_line_path",
     "interior_from_velocity_changes",
     "write_path_csv",
     "read_path_csv",
@@ -42,6 +42,10 @@ class LatticeConfig:
     z_b: float
 
     def __post_init__(self):
+        names = ("t_a", "t_b", "gamma", "z_a", "z_b")
+        bad = [f for f in names if not math.isfinite(getattr(self, f))]
+        if bad:
+            raise ValueError(f"lattice fields must be finite: {bad}")
         if self.n < 2:
             raise ValueError("need at least n = 2 time steps")
         if not self.t_b > self.t_a:
@@ -125,12 +129,6 @@ def velocity_changes(interiors, cfg: LatticeConfig) -> np.ndarray:
         [np.full(pin, cfg.z_a), interiors, np.full(pin, cfg.z_b)], axis=-1
     )
     return _stencil(z, cfg.eps)
-
-
-def straight_line_path(cfg: LatticeConfig) -> Path:
-    """Uniform-velocity path between the endpoints (all s_j = 0)."""
-    j = np.arange(cfg.n + 1)
-    return Path(cfg.z_a + j * (cfg.z_b - cfg.z_a) / cfg.n)
 
 
 def second_difference_matrix(n: int) -> np.ndarray:

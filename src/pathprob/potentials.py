@@ -15,7 +15,6 @@ supported:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "BandLimitedPotential",
     "BandLimitReport",
     "band_limit",
-    "load_potential",
-    "save_potential",
 ]
 
 
@@ -291,12 +288,3 @@ def potential_from_dict(d: dict) -> BandLimitedPotential:
         raise ValueError(f"spectrum reaches q={p.R}, beyond the declared R={d['R']}")
     return p
 
-
-def save_potential(p: BandLimitedPotential, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(potential_to_dict(p), fh, indent=2)
-
-
-def load_potential(path) -> BandLimitedPotential:
-    with open(path) as fh:
-        return potential_from_dict(json.load(fh))

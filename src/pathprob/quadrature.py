@@ -29,7 +29,7 @@ from scipy.special import jv
 
 from .lattice import LatticeConfig, interior_from_velocity_changes, second_difference_matrix
 from .potentials import TWO_PI, BandLimitedPotential
-from .weights import NonConvergenceError, _gauss_panels, step_m
+from .weights import NonConvergenceError, _gauss_panels, lorentzian_pair, step_m
 
 __all__ = [
     "TransitionEstimate",
@@ -116,6 +116,25 @@ class KernelEstimate(_Result):
         return float(abs(self.amplitude) ** 2)
 
 
+def _line_tables(p: BandLimitedPotential, cfg: LatticeConfig, line, shift, s):
+    """Per-line phase tables from which the tensor sum builds ``1 - eps M``.
+
+    For a line ``a cos(q x + phi)``, ``-eps M(z_i, s_i) = eps a D(s_i, q)
+    Im exp(i(q z_i + phi))``.  With ``z_i = line_i + sum_j shift[i, j, k_j]``
+    the exponential is ``base[i] * prod_j ph[i, j, k_j]``, and ``D(s_i, q)``
+    depends on axis ``i``'s node alone, so ``eps a D`` is folded into
+    ``ph[i, i]``.  Returns one ``(base, ph)`` pair per line.
+    """
+    diag = np.arange(cfg.n - 1)
+    tables = []
+    for ln in p.lines:
+        base = np.exp(1j * (ln.q * line + ln.phi))
+        ph = np.exp(1j * ln.q * shift)
+        ph[diag, diag] *= cfg.eps * ln.a * lorentzian_pair(s, ln.q, cfg.gamma)
+        tables.append((base, ph))
+    return tables
+
+
 def _tensor_sum(
     p: BandLimitedPotential,
     cfg: LatticeConfig,
@@ -134,8 +153,17 @@ def _tensor_sum(
     axes are enumerated one node at a time, as few as the cap needs; the next
     axis is taken in slices and the trailing axes whole, so every quantity
     that depends on one axis's node (``s = gamma tan theta``, its weight, the
-    Lorentzian pairs inside ``step_m``) is evaluated on the 1-D node table
-    and broadcast.
+    Lorentzian pairs) is evaluated on the 1-D node table and broadcast, and
+    what depends on the trailing axes alone is built once for all blocks.
+
+    For line (and zero) potentials, ``1 - eps M`` comes from the phase tables
+    of :func:`_line_tables` instead of ``step_m``: on a block it is
+    ``1 + sum_lines Im(tab * last)``, with ``tab`` the product over the
+    trailing axes and ``last`` over the others, which is one matrix product
+    of a per-row and a per-column table.  Evaluating ``sin`` at every point
+    was most of the quadrature's time.  ``step_m`` stays the definition of
+    ``M`` that this form is tested against, and grid potentials go through
+    it.
     """
     d = cfg.n - 1
     eps, gamma = cfg.eps, cfg.gamma
@@ -145,49 +173,80 @@ def _tensor_sum(
     s = gamma * np.tan(nodes)
     # shift[i, j, k]: the change of z_i from node k on axis j
     shift = eps * Tinv[:, :, None] * s[None, None, :]
+    tables = _line_tables(p, cfg, line, shift, s)
 
     lead = 0
     while m ** (d - 1 - lead) > cap:
         lead += 1
     step = max(1, cap // m ** (d - 1 - lead))
+    trail = (m,) * (d - 1 - lead)
 
     def on_axis(table, j):
         """A 1-D table along block axis ``j`` (``j >= lead``)."""
         return table.reshape((-1,) + (1,) * (d - 1 - j))
 
+    # per interior point, the sums and products over the trailing axes, the
+    # smallest tables first: z_i, and for the table route the rows Re tab,
+    # Im tab per line and a row of ones
+    z_trail, ph_trail = [], []
+    for i in range(d):
+        zi, tabs = line[i], [base[i] for base, _ in tables]
+        for j in range(d - 1, lead, -1):
+            zi = zi + on_axis(shift[i, j], j)
+            tabs = [tab * on_axis(ph[i, j], j) for tab, (_, ph) in zip(tabs, tables)]
+        z_trail.append(zi)
+        parts = [r for tab in tabs for r in (tab.real, tab.imag)] + [1.0]
+        ph_trail.append(np.stack([np.broadcast_to(r, trail).ravel() for r in parts]))
+
+    # the block-sized work reuses these buffers: fresh block-sized
+    # temporaries cost page faults and raise the peak memory
+    bufs = np.empty((5, min(step, m)) + trail)
     acc = out_mass = tot_mass = 0.0
     for idx in itertools.product(range(m), repeat=lead):
         w_lead = float(np.prod(weights[list(idx)]))
         for start in range(0, m, step):
             part = slice(start, start + step)
-            prod = abs_sum = outside = None
+            rows = min(step, m - start)
+            z, fac, prod, abs_sum, zmax = bufs[:, :rows]
+            abs_sum.fill(0.0)
+            zmax.fill(0.0)
             for i in range(d):
-                # add the smallest tables first: only the last sum is block-sized
-                zi = line[i] + sum(shift[i, j, k] for j, k in enumerate(idx))
-                for j in range(d - 1, lead, -1):
-                    zi = zi + on_axis(shift[i, j], j)
-                zi = zi + on_axis(shift[i, lead, part], lead)
-                if i < lead:
-                    si = s[idx[i]]
+                z_lead = sum(shift[i, j, k] for j, k in enumerate(idx))
+                np.add(z_trail[i], z_lead + on_axis(shift[i, lead, part], lead), out=z)
+                out = prod if i == 0 else fac
+                if p.grid is not None:
+                    if i < lead:
+                        si = s[idx[i]]
+                    else:
+                        si = on_axis(s[part] if i == lead else s, i)
+                    np.subtract(1.0, eps * step_m(p, z, si, gamma), out=out)
                 else:
-                    si = on_axis(s[part] if i == lead else s, i)
-                fac = 1.0 - eps * step_m(p, zi, si, gamma)
-                azi = np.abs(zi)
-                if prod is None:
-                    prod, abs_sum, outside = fac, azi, azi > window
-                else:
+                    # the columns Im last, Re last per line and a column of
+                    # ones, against ph_trail's rows
+                    cols = []
+                    for _, ph in tables:
+                        last = math.prod(
+                            (ph[i, j, k] for j, k in enumerate(idx)), start=ph[i, lead, part]
+                        )
+                        cols += [last.imag, last.real]
+                    cols.append(np.ones(rows))
+                    np.matmul(np.stack(cols, axis=1), ph_trail[i], out=out.reshape(rows, -1))
+                if i:
                     prod *= fac
-                    abs_sum += azi
-                    outside |= azi > window
-            vals = np.exp(-gamma * abs_sum) * prod
+                np.abs(z, out=z)
+                abs_sum += z
+                np.maximum(zmax, z, out=zmax)
+            np.multiply(abs_sum, -gamma, out=abs_sum)
+            vals = np.exp(abs_sum, out=abs_sum)
+            vals *= prod
             # contract the weights axis by axis, last axis first
             wsum = vals.ravel()
             for _ in range(d - 1 - lead):
                 wsum = wsum.reshape(-1, m) @ weights
             acc += w_lead * float(wsum @ weights[part])
-            mass = np.abs(vals)
+            mass = np.abs(vals, out=z)
             tot_mass += float(np.sum(mass))
-            out_mass += float(np.sum(mass[outside]))
+            out_mass += float(np.sum(mass[zmax > window]))
     return acc, out_mass, tot_mass
 
 

@@ -22,7 +22,13 @@ quadrature is the exception: after ``s = gamma tan theta`` it integrates
 Lorentzian factors ``(2 pi eps)^-1 2 gamma / (s^2 + gamma^2)`` that the
 substitution absorbs into the measure.  Routing it through ``Q`` would
 multiply each integrand point by those factors and divide them out again,
-at a cost and with a change in the last digits.
+at a cost and with a change in the last digits.  For line potentials it
+does not call ``step_m`` either: on its grid each ``z`` is affine in the
+node indices, so ``sin(q z + phi)`` is the imaginary part of a product of
+per-axis phase tables, and ``1 - eps M`` costs a matrix product per block
+instead of a ``sin`` per point, which was most of the quadrature's time.
+``step_m`` stays the pointwise definition of ``M``: the quadrature's tests
+compare the table form against it, and grid potentials use it directly.
 
 The weight of a path is ``W = n * prod_j Q_j``; it is nonnegative for every
 path once ``eps`` is at or below a threshold.  Two thresholds are exposed:

@@ -18,7 +18,12 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
 
 import pathprob
 from pathprob.cli import _SECTIONS, _build_parser, main, run
-from pathprob.lattice import LatticeConfig, straight_line_path, write_path_csv
+from pathprob.lattice import (
+    LatticeConfig,
+    interior_from_velocity_changes,
+    make_path,
+    write_path_csv,
+)
 
 COSINE_CONFIG = {
     "potential": {
@@ -46,6 +51,11 @@ def free_json(tmp_path):
     f = tmp_path / "free.json"
     f.write_text(json.dumps(FREE_CONFIG))
     return str(f)
+
+
+def straight_line(cfg):
+    """The path with every velocity change zero."""
+    return make_path(cfg, interior_from_velocity_changes(np.zeros(cfg.n - 1), cfg))
 
 
 def run_json(argv, tmp_path):
@@ -113,7 +123,7 @@ class TestWeight:
     def test_straight_line_free_path(self, tmp_path, free_json):
         cfg = LatticeConfig(0.0, 1.0, 2, 0.05, 0.0, 0.0)
         path_file = tmp_path / "p.csv"
-        write_path_csv(straight_line_path(cfg), cfg, path_file)
+        write_path_csv(straight_line(cfg), cfg, path_file)
         code, payload = run_json(
             ["weight", "-c", free_json, "--path", str(path_file), "--expect-positive"],
             tmp_path,
@@ -203,7 +213,7 @@ class TestUsageErrors:
         # a subcommand rejects the flags it does not read
         cfg = LatticeConfig(0.0, 1.0, 2, 0.05, 0.0, 0.0)
         path_file = tmp_path / "p.csv"
-        write_path_csv(straight_line_path(cfg), cfg, path_file)
+        write_path_csv(straight_line(cfg), cfg, path_file)
         weight = ["weight", "-c", free_json, "--path", str(path_file)]
         for argv in (
             ["positivity", "--frobnicate"],
@@ -279,6 +289,18 @@ class TestUsageErrors:
             (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"n_samples": 1000.9})),
             (["transition", "--method", "mc"], dict(FREE_CONFIG, sampler={"threads": True})),
             (["oracle"], dict(FREE_CONFIG, oracle={"L": 1000.5})),
+            (
+                ["transition"],
+                dict(COSINE_CONFIG, lattice=dict(COSINE_CONFIG["lattice"], zb=math.inf)),
+            ),
+            (["transition"], {"lattice": dict(FREE_CONFIG["lattice"], zb=math.inf)}),
+            (["transition"], {"lattice": dict(FREE_CONFIG["lattice"], za=-math.inf)}),
+            (["transition"], {"lattice": dict(FREE_CONFIG["lattice"], tb=math.inf)}),
+            (["transition"], {"lattice": dict(FREE_CONFIG["lattice"], ta=math.nan)}),
+            (["transition", "--gamma", "inf"], FREE_CONFIG),
+            (["transition", "--gamma", "nan"], FREE_CONFIG),
+            (["positivity", "--gamma", "inf"], FREE_CONFIG),
+            (["oracle"], {"lattice": dict(FREE_CONFIG["lattice"], zb=math.inf)}),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, argv, config):
@@ -388,7 +410,7 @@ class TestSchema:
         f.write_text(json.dumps(dict(COSINE_CONFIG, oracle={"X": 14.0, "L": 1024})))
         cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
         path_file = tmp_path / "p.csv"
-        write_path_csv(straight_line_path(cfg), cfg, path_file)
+        write_path_csv(straight_line(cfg), cfg, path_file)
         argv = [str(path_file) if a == "PATH" else a for a in argv]
         assert run([argv[0], "-c", str(f), *argv[1:]]) == 0
         assert set(json.loads(capsys.readouterr().out)) == keys | {"timestamp"}

@@ -12,10 +12,14 @@ from pathprob.lattice import (
     read_path_csv,
     second_difference_matrix,
     second_differences,
-    straight_line_path,
     velocity_changes,
     write_path_csv,
 )
+
+
+def straight_line(cfg):
+    """Uniform velocity between the endpoints, written out."""
+    return Path(cfg.z_a + np.arange(cfg.n + 1) * (cfg.z_b - cfg.z_a) / cfg.n)
 
 
 def cfg_for(z, t_a=0.0, t_b=1.0, gamma=0.1):
@@ -136,13 +140,13 @@ class TestBridgeSolve:
     def test_zero_velocity_changes_give_straight_line(self):
         cfg = LatticeConfig(0.0, 1.0, 5, 0.1, -1.0, 2.0)
         interior = interior_from_velocity_changes(np.zeros(4), cfg)
-        assert np.allclose(interior, straight_line_path(cfg).z[1:-1])
+        assert np.allclose(interior, straight_line(cfg).z[1:-1])
 
 
 class TestIO:
     def test_csv_round_trip(self, tmp_path):
         cfg = LatticeConfig(0.5, 1.5, 4, 0.1, 0.0, 1.0)
-        path = straight_line_path(cfg)
+        path = straight_line(cfg)
         f = tmp_path / "path.csv"
         write_path_csv(path, cfg, f)
         back = read_path_csv(f)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from pathprob import quadrature
 from pathprob.lattice import LatticeConfig, interior_from_velocity_changes
-from pathprob.potentials import BandLimitedPotential, SpectralLine
+from pathprob.potentials import BandLimitedPotential, SpectralLine, band_limit
 from pathprob.quadrature import (
     KernelEstimate,
     _pair_integral_line,
@@ -135,6 +136,12 @@ def flat_tensor_sum(p, cfg, window, nodes, weights):
     return np.sum(w * vals), np.sum(mass[outside]), np.sum(mass), np.sum(w * mass)
 
 
+def cosine_grid(a):
+    """``a cos x`` in the grid representation."""
+    x = np.linspace(-30.0, 30.0, 2001)
+    return band_limit(x, a * np.cos(x), R=2.0)[0]
+
+
 class TestTensorSum:
     @given(
         st.lists(
@@ -164,6 +171,38 @@ class TestTensorSum:
         assert got[0] == pytest.approx(acc, rel=1e-12, abs=1e-12 * scale)
         assert got[1] == pytest.approx(out_mass, rel=1e-12, abs=1e-12 * tot_mass)
         assert got[2] == pytest.approx(tot_mass, rel=1e-12)
+
+    @pytest.mark.parametrize("d,m,lead", [(1, 5, 0), (2, 3, 0), (2, 5, 0), (2, 5, 1)])
+    def test_grid_potential_matches_flat_sum(self, d, m, lead):
+        # grid potentials take the step_m route, in the same blocks
+        p = cosine_grid(0.2)
+        cfg = LatticeConfig(0.0, 1.0, d + 1, 0.3, 0.1, -0.2)
+        x, w = np.polynomial.legendre.leggauss(m)
+        nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
+        cap = 2 * m ** (d - 1 - lead)
+        got = _tensor_sum(p, cfg, 0.25, nodes, weights, cap=cap)
+        acc, out_mass, tot_mass, scale = flat_tensor_sum(p, cfg, 0.25, nodes, weights)
+        assert out_mass > 0.0
+        assert got[0] == pytest.approx(acc, rel=1e-12, abs=1e-12 * scale)
+        assert got[1] == pytest.approx(out_mass, rel=1e-12)
+        assert got[2] == pytest.approx(tot_mass, rel=1e-12)
+
+    def test_route_per_potential_kind(self, monkeypatch):
+        # line and zero potentials never call step_m; grid potentials do
+        def no_step_m(*args, **kwargs):
+            raise AssertionError("step_m called")
+
+        monkeypatch.setattr(quadrature, "step_m", no_step_m)
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.2, 0.0, 0.3)
+        x, w = np.polynomial.legendre.leggauss(5)
+        nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
+        for p in (BandLimitedPotential.single_line(a=0.1, q=1.0, phi=0.4), FREE):
+            got = _tensor_sum(p, cfg, 10.0, nodes, weights, cap=25)
+            acc, _, tot_mass, scale = flat_tensor_sum(p, cfg, 10.0, nodes, weights)
+            assert got[0] == pytest.approx(acc, rel=1e-12, abs=1e-12 * scale)
+            assert got[2] == pytest.approx(tot_mass, rel=1e-12)
+        with pytest.raises(AssertionError, match="step_m called"):
+            _tensor_sum(cosine_grid(0.1), cfg, 10.0, nodes, weights)
 
 
 class TestAmplitude:

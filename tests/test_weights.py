@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pathprob import weights
-from pathprob.lattice import LatticeConfig, make_path, straight_line_path
+from pathprob.lattice import LatticeConfig, interior_from_velocity_changes, make_path
 from pathprob.potentials import BandLimitedPotential, band_limit
 from pathprob.weights import (
     _GK_W,
@@ -30,6 +30,11 @@ from pathprob.weights import (
 TWO_PI = 2.0 * math.pi
 
 COSINE = BandLimitedPotential.single_line(a=1.0, q=1.0, phi=0.0)
+
+
+def straight_line(cfg):
+    """The path with every velocity change zero."""
+    return make_path(cfg, interior_from_velocity_changes(np.zeros(cfg.n - 1), cfg))
 
 
 def mollified_m(p, z, s, gamma, width=1e-3):
@@ -329,8 +334,8 @@ class TestPathWeight:
     def test_free_straight_line_closed_form(self):
         cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.4)
         p = BandLimitedPotential.zero()
-        ev = path_weight(p, straight_line_path(cfg), cfg)
-        z_int = straight_line_path(cfg).z[1:-1]
+        ev = path_weight(p, straight_line(cfg), cfg)
+        z_int = straight_line(cfg).z[1:-1]
         expected = cfg.n * np.prod(
             (1 / (TWO_PI * cfg.eps)) * np.exp(-0.1 * np.abs(z_int)) * (2 / 0.1)
         )
@@ -361,7 +366,7 @@ class TestPathWeight:
 
     def test_exponential_form_runs(self):
         cfg = LatticeConfig(0.0, 0.04, 4, 0.1, 0.0, 0.02)
-        ev = path_weight(COSINE, straight_line_path(cfg), cfg, form="exponential")
+        ev = path_weight(COSINE, straight_line(cfg), cfg, form="exponential")
         assert ev.sign == 1
 
     def test_batch_matches_single(self):
@@ -394,7 +399,7 @@ class TestPathWeight:
 
     def test_report_schema(self):
         cfg = LatticeConfig(0.0, 1.0, 3, 0.1, 0.0, 0.4)
-        rep = weight_report(path_weight(COSINE, straight_line_path(cfg), cfg))
+        rep = weight_report(path_weight(COSINE, straight_line(cfg), cfg))
         assert set(rep) == {
             "W",
             "sign",
