@@ -17,12 +17,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .lattice import LatticeConfig, interior_from_velocity_changes
+from .lattice import LatticeConfig
 from .montecarlo import (
     SamplerConfig,
-    _draw_velocity_changes,
     _map_batches,
     estimate_transition_mc,
+    sample_bridge_paths,
 )
 from .potentials import BandLimitedPotential, potential_to_dict
 from .quadrature import (
@@ -89,7 +89,8 @@ def classical_concentration_scan(
 
     As the regularization is removed the path measure concentrates on the
     uniform-velocity (classical) path, so the fraction carrying large velocity
-    changes should shrink with gamma.  Paths are drawn in the
+    changes should shrink with gamma.  Paths are drawn by
+    :func:`~pathprob.montecarlo.sample_bridge_paths` in the
     ``(seed, batch)``-keyed batches of the Monte Carlo estimator, on
     ``sampler.threads`` workers, and judged by the drawn velocity changes.
     """
@@ -98,9 +99,8 @@ def classical_concentration_scan(
         cfg_g = replace(cfg, gamma=g)
 
         def weigh(size, batch):
-            s = _draw_velocity_changes(cfg_g, sampler, size, batch)
-            interiors = interior_from_velocity_changes(s, cfg_g)
-            # free-particle importance ratio under the matched Cauchy proposal
+            interiors, s = sample_bridge_paths(cfg_g, sampler, size, batch)
+            # the Monte Carlo importance ratio with M = 0
             w = np.exp(-g * np.sum(np.abs(interiors), axis=1))
             return w, np.max(np.abs(s), axis=1) > delta
 
@@ -133,7 +133,7 @@ def convergence_sweep(
     """
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    gamma_list = sorted(gamma_list)
+    gamma_list = sorted(set(gamma_list))
     rows = []
     extrapolated = {}
     for n in n_list:

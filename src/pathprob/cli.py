@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     sp.add_argument("--gammas", type=_positive, nargs="+", default=[0.5, 0.2, 0.1, 0.05])
-    sp.add_argument("--delta", type=float, default=1.0)
+    sp.add_argument("--delta", type=_positive, default=1.0)
     sp.add_argument(
         "--n-list", type=_checked(int, lambda v: v >= 2, "an integer >= 2"), nargs="+",
         default=[2, 3, 4],

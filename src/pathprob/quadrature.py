@@ -481,17 +481,19 @@ def extrapolate_gamma(gammas, values):
     which the linear fit's own residual undercovers the extrapolation error
     by several times.  The reported uncertainty is therefore the larger of
     the fit residual and the spread of the intercepts obtained from the
-    alternative quadratic and ``gamma log gamma`` models.
+    alternative quadratic and ``gamma log gamma`` models, fitted from three
+    distinct gammas on; fewer than two distinct gammas raise ``ValueError``.
     """
     gammas = np.asarray(gammas, dtype=float)
     values = np.asarray(values, dtype=float)
-    if gammas.size < 2:
-        raise ValueError("need at least two gamma values to extrapolate")
+    distinct = np.unique(gammas).size
+    if distinct < 2:
+        raise ValueError("need at least two distinct gamma values to extrapolate")
     coeffs = np.polyfit(gammas, values, 1)
     p_lin = float(coeffs[1])
     residual = float(np.max(np.abs(np.polyval(coeffs, gammas) - values)))
     spread = residual
-    if gammas.size >= 3:
+    if distinct >= 3:
         p_quad = float(np.polyfit(gammas, values, 2)[-1])
         design = np.column_stack([np.ones_like(gammas), gammas, gammas * np.log(gammas)])
         coef, *_ = np.linalg.lstsq(design, values, rcond=None)

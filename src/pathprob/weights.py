@@ -13,20 +13,22 @@ with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
 For a grid-represented spectrum, M is the quadrature
 ``pi^-1 \\int_0^R Im[Vt(q) exp(-izq)] D(s, q) dq``.
 
-This module holds the one definition of the linearized ``Q`` (``_m_and_q``,
-which returns ``M`` with it) and the one reduction of a product of step
-factors to a sign and ``log|n prod Q|`` (``_sign_log_abs``); the single-step,
-batch and single-path routes all go through them.  The tensor-grid
-quadrature is the exception: after ``s = gamma tan theta`` it integrates
-``exp(-gamma sum|z|) prod (1 - eps M)``, which is ``prod Q`` divided by the
-Lorentzian factors ``(2 pi eps)^-1 2 gamma / (s^2 + gamma^2)`` that the
-substitution absorbs into the measure.  Routing it through ``Q`` would
-multiply each integrand point by those factors and divide them out again,
-at a cost and with a change in the last digits.  For line potentials it
-does not call ``step_m`` either: on its grid each ``z`` is affine in the
-node indices, so ``sin(q z + phi)`` is the imaginary part of a product of
-per-axis phase tables, and ``1 - eps M`` costs a matrix product per block
-instead of a ``sin`` per point, which was most of the quadrature's time.
+``_m_and_f`` is the one evaluation of ``M`` and of ``f = exp(-gamma |z|)
+(1 - eps M)``; the linearized step factor is ``Q = f rho(s) / eps``
+(``_m_and_q``), with ``rho(s) = gamma / (pi (s^2 + gamma^2))`` the Cauchy
+law of a velocity change.  ``_sign_log_abs`` is the one reduction of a
+product of factors to a sign and a log magnitude.  Paths whose ``n - 1``
+velocity changes are drawn from ``rho`` have density ``(n / eps^(n-1))
+prod rho(s_j)`` in interior-point space, so the weight ``W = n prod Q_j``
+over that density is ``prod f_j``: the Lorentzian factors cancel, and the
+Monte Carlo estimator reduces ``prod f`` on the drawn ``s`` without forming
+``Q`` or the density.  The tensor-grid quadrature integrates the same
+``prod f`` after ``s = gamma tan theta``, which puts ``rho`` into the
+measure.  For line potentials it does not call ``step_m``: on its grid
+each ``z`` is affine in the node indices, so ``sin(q z + phi)`` is the
+imaginary part of a product of per-axis phase tables, and ``1 - eps M``
+costs a matrix product per block instead of a ``sin`` per point, which was
+most of the quadrature's time.
 ``step_m`` stays the pointwise definition of ``M``: the quadrature's tests
 compare the table form against it, and grid potentials use it directly.
 
@@ -261,22 +263,21 @@ def positivity_threshold(p: BandLimitedPotential, gamma: float) -> ThresholdPair
     return ThresholdPair(float(lam_paper), float(lam_strict))
 
 
+def _m_and_f(p: BandLimitedPotential, z, s, eps: float, gamma: float):
+    """``(M, exp(-gamma |z|) (1 - eps M))`` at broadcast ``z, s``."""
+    m = step_m(p, z, s, gamma)
+    return m, np.exp(-gamma * np.abs(z)) * (1.0 - eps * m)
+
+
 def _m_and_q(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     """``(M, Q)`` at broadcast ``z, s``: the one evaluation of the linearized Q."""
-    z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
-    m = step_m(p, z, s, gamma)
-    q = (
-        (1.0 / (TWO_PI * eps))
-        * np.exp(-gamma * np.abs(z))
-        * (2.0 * gamma / (s * s + gamma * gamma))
-        * (1.0 - eps * m)
-    )
-    return m, q
+    m, f = _m_and_f(p, z, s, eps, gamma)
+    return m, f * (2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma)))
 
 
 def _sign_log_abs(q, n: int):
-    """Sign and ``log|n prod Q|`` of the step-factor product along the last axis.
+    """Sign and ``log|n prod q|`` of the product of factors along the last axis.
 
     A zero factor makes the sign 0 and the log ``-inf``.
     """

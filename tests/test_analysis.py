@@ -90,6 +90,12 @@ class TestConvergenceSweep:
         assert res.rows[0]["value"] == est.value
         assert res.provenance["n_samples"] == 4096 and res.provenance["seed"] == 5
 
+    def test_duplicate_gamma_is_dropped(self):
+        # a repeated gamma adds no point to the extrapolation line
+        a = convergence_sweep(FREE, CFG, [2], [0.2, 0.1, 0.2], points_per_dim=16)
+        b = convergence_sweep(FREE, CFG, [2], [0.2, 0.1], points_per_dim=16)
+        assert a.rows == b.rows and a.summary == b.summary
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             convergence_sweep(FREE, CFG, [2], [0.1], method="vegas")

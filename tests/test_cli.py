@@ -320,6 +320,9 @@ class TestUsageErrors:
             ["scan", "--kind", "linearization", "--points", "0.3"],
             ["scan", "--kind", "linearization", "--points", "a,b"],
             ["transition", "--points-per-dim", "0"],
+            ["scan", "--kind", "classical", "--delta", "nan"],
+            ["scan", "--kind", "classical", "--delta", "inf"],
+            ["scan", "--kind", "classical", "--delta", "-1"],
         ],
     )
     def test_out_of_range_flag(self, free_json, capsys, argv):

@@ -9,6 +9,7 @@ from scipy import stats
 
 from pathprob.lattice import LatticeConfig
 from pathprob.montecarlo import (
+    _BATCH,
     SamplerConfig,
     effective_sample_size,
     estimate_transition_mc,
@@ -16,7 +17,7 @@ from pathprob.montecarlo import (
 )
 from pathprob.potentials import BandLimitedPotential, SpectralLine, band_limit
 from pathprob.quadrature import transition_probability_quadrature
-from pathprob.weights import NonConvergenceError
+from pathprob.weights import NonConvergenceError, batch_log_weights
 
 FREE = BandLimitedPotential.zero()
 WEAK = BandLimitedPotential.single_line(a=0.1, q=1.0, phi=0.0)
@@ -64,16 +65,40 @@ class TestBridgeSampling:
         assert interiors.shape == (64, 7)
         assert np.all(np.isfinite(interiors))
 
-    def test_cauchy_n2_density_is_midpoint_lorentzian(self):
-        # at n = 2 the one interior point is z_1 = mid - eps s / 2 with
-        # s ~ Cauchy(0, gamma), so it is Cauchy about the midpoint with
-        # scale gamma eps / 2
-        cfg = LatticeConfig(0.0, 1.0, 2, 0.1, -0.4, 0.8)
-        interiors, log_density = sample_bridge_paths(cfg, SamplerConfig(seed=9), 200)
-        expected = stats.cauchy.logpdf(
-            interiors[:, 0], loc=0.5 * (cfg.z_a + cfg.z_b), scale=0.5 * cfg.gamma * cfg.eps
-        )
-        assert np.allclose(log_density, expected, atol=1e-10)
+    @pytest.mark.parametrize("case", ["line-n2", "weak-n16", "grid-n6"])
+    def test_ratio_is_weight_over_cauchy_density(self, case):
+        # the estimator never forms the proposal density; its value is the
+        # mean path weight over the density of Cauchy(0, gamma) velocity
+        # changes mapped to interior points (Jacobian n / eps^(n-1)), rebuilt
+        # here from the same draws
+        if case == "line-n2":
+            p = BandLimitedPotential.from_lines(
+                [SpectralLine(0.7, 0.3, 0.4), SpectralLine(1.3, -0.2, 2.0)]
+            )
+            cfg = LatticeConfig(0.0, 1.0, 2, 0.2, -0.4, 0.8)
+        elif case == "weak-n16":
+            p, cfg = WEAK, LatticeConfig(0.0, 1.0, 16, 0.1, 0.0, 0.3)
+        else:
+            x = np.linspace(-20.0, 20.0, 201)
+            v = 0.04 * np.cos(0.6 * x + 0.3) + 0.03 * np.cos(1.1 * x + 1.0)
+            p, _ = band_limit(x, v, R=1.5)
+            cfg = LatticeConfig(0.0, 1.0, 6, 0.5, 0.0, 0.2)
+        # two batches, the second a partial one
+        sizes = (_BATCH, 904)
+        sc = SamplerConfig(n_samples=sum(sizes), seed=17)
+        est = estimate_transition_mc(p, cfg, sc)
+        ratios = []
+        for batch, size in enumerate(sizes):
+            interiors, s = sample_bridge_paths(cfg, sc, size, batch)
+            signs, log_w, _ = batch_log_weights(p, interiors, cfg)
+            log_q = (
+                np.sum(stats.cauchy.logpdf(s, scale=cfg.gamma), axis=1)
+                + np.log(cfg.n)
+                - (cfg.n - 1) * np.log(cfg.eps)
+            )
+            ratios.append(signs * np.exp(log_w - log_q))
+        ref = np.mean(np.concatenate(ratios)) / (2.0 * np.pi * cfg.duration)
+        assert est.value == pytest.approx(ref, rel=1e-12)
 
     def test_cauchy_ratio_bounded_for_free_particle(self):
         # with the matched Cauchy proposal the free importance ratio reduces

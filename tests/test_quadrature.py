@@ -52,6 +52,18 @@ class TestFreeParticle:
             p0, unc = extrapolate_gamma(gammas, vals)
             assert abs(p0 - 1.0 / TWO_PI) <= unc
 
+    def test_gamma_extrapolation_needs_two_distinct_gammas(self):
+        # one distinct gamma leaves the line undetermined
+        with pytest.raises(ValueError, match="two distinct"):
+            extrapolate_gamma([0.2, 0.2], [0.15, 0.15])
+
+    def test_gamma_extrapolation_ignores_repeated_gamma(self):
+        # a repeat on the line fits the same intercept, and two distinct
+        # gammas fit no quadratic or gamma log gamma alternative
+        two = extrapolate_gamma([0.2, 0.1], [0.15, 0.155])
+        repeated = extrapolate_gamma([0.2, 0.2, 0.1], [0.15, 0.15, 0.155])
+        assert repeated == pytest.approx(two, rel=1e-12, abs=1e-15)
+
     def test_n_independence_as_gamma_shrinks(self):
         # at fixed gamma the extra interior regularizer factors shift the
         # value by O(gamma); the n-dependence must vanish with gamma
