@@ -11,7 +11,10 @@ with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
     D(s, q) = (s^2 + g^2) / ((s - q)^2 + g^2) - (s^2 + g^2) / ((s + q)^2 + g^2).
 
 For a grid-represented spectrum, M is the quadrature
-``pi^-1 \\int_0^R Im[Vt(q) exp(-izq)] D(s, q) dq``.
+``pi^-1 \\int_0^R Im[Vt(q) exp(-izq)] D(s, q) dq``, a Gauss-Kronrod pair on
+equal panels; ``exp(-izq)`` is the product of a per-panel and a per-node
+phase table, so a block of (pair, node) elements costs complex products and
+one matrix product instead of a ``cos`` and a ``sin`` per element.
 
 ``_m_and_f`` is the one evaluation of ``M`` and of ``f = exp(-gamma |z|)
 (1 - eps M)``; the linearized step factor is ``Q = f rho(s) / eps``
@@ -30,7 +33,8 @@ imaginary part of a product of per-axis phase tables, and ``1 - eps M``
 costs a matrix product per block instead of a ``sin`` per point, which was
 most of the quadrature's time.
 ``step_m`` stays the pointwise definition of ``M``: the quadrature's tests
-compare the table form against it, and grid potentials use it directly.
+compare the table form against it, and grid potentials use it directly
+(their tests keep the ``cos``/``sin`` block form as a reference).
 
 The weight of a path is ``W = n * prod_j Q_j``; it is nonnegative for every
 path once ``eps`` is at or below a threshold.  Two thresholds are exposed:
@@ -154,6 +158,13 @@ def _step_m_grid(p: BandLimitedPotential, z, s, gamma, chunk: int = 2**16):
     # the difference and the scale it is held to are weighted by the decay:
     # a far pair whose phase the panels cannot follow, but whose decay has
     # put it below every near pair, does not fail the batch.
+    #
+    # The panels have one half-width (to rounding), so each node is
+    # q = mid_p + half x_j and exp(-izq) is the product of a per-panel and a
+    # per-node phase table: no block-sized cos or sin.  With X = exp(-izq),
+    # Im[Vt X] D = D (Re X Im Vt + Im X Re Vt), so Vt and both rules' weights
+    # fold into one (2 nodes, 2) real matrix, and the Kronrod and Gauss sums
+    # are one matrix product on the block X D viewed as (re, im) pairs.
     qg = p.grid.q
     pos = qg >= 0
     qp, vtp = qg[pos], p.grid.vt[pos]
@@ -161,23 +172,25 @@ def _step_m_grid(p: BandLimitedPotential, z, s, gamma, chunk: int = 2**16):
     edges = np.linspace(qp[0], qp[-1], (qp.size - 1) * k + 1)
     qx, wx = _gauss_panels(edges, _GK_X, _GK_W)
     wx = wx / np.pi
-    vt_re = np.interp(qx, qp, vtp.real)
-    vt_im = np.interp(qx, qp, vtp.imag)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+    rule = np.empty((qx.size, 2, 2))
+    rule[:, 0] = np.interp(qx, qp, vtp.imag)[:, None] * wx
+    rule[:, 1] = np.interp(qx, qp, vtp.real)[:, None] * wx
+    rule = rule.reshape(-1, 2)
 
     zb, sb = np.broadcast_arrays(np.asarray(z, float), np.asarray(s, float))
     zf, sf = zb.ravel(), sb.ravel()
-    # Im[Vt(q) exp(-izq)] D(s, q) on (pairs x nodes) blocks of <= chunk
-    # elements; a block holds several such temporaries at once, so the cap
-    # bounds the kernel's peak memory
+    # X D on (pairs x nodes) blocks of <= chunk elements; a block holds a few
+    # such temporaries at once, so the cap bounds the kernel's peak memory
     both = np.empty((zf.size, 2))
     rows = max(1, chunk // qx.size)
     for st in range(0, zf.size, rows):
         sl = slice(st, st + rows)
-        phase = np.multiply.outer(zf[sl], qx)
-        vals = (vt_im * np.cos(phase) - vt_re * np.sin(phase)) * lorentzian_pair(
-            sf[sl, None], qx, gamma
-        )
-        both[sl] = vals @ wx
+        zr = zf[sl, None]
+        x = np.exp(-1j * zr * mid)[:, :, None] * np.exp(-1j * zr * (half * _GK_X))[:, None, :]
+        x = x.reshape(zr.size, -1)
+        x *= lorentzian_pair(sf[sl, None], qx, gamma)
+        both[sl] = x.view(float) @ rule
     kronrod, gauss = both[:, 0], both[:, 1]
     decay = np.exp(-gamma * np.abs(zf))
     err = float(np.max(decay * np.abs(kronrod - gauss), initial=0.0))

@@ -8,11 +8,14 @@ from scipy.integrate import quad
 
 from pathprob import weights
 from pathprob.lattice import LatticeConfig, interior_from_velocity_changes, make_path
+from pathprob.montecarlo import SamplerConfig, estimate_transition_mc
 from pathprob.potentials import BandLimitedPotential, band_limit
+from pathprob.quadrature import transition_probability_quadrature
 from pathprob.weights import (
     _GK_W,
     _GK_X,
     NonConvergenceError,
+    _gauss_panels,
     _step_m_grid,
     batch_log_weights,
     lorentzian_pair,
@@ -60,6 +63,71 @@ def mollified_m(p, z, s, gamma, width=1e-3):
     hi = max(ln.q for ln in p.lines) + 8 * width
     val, _ = quad(integrand, 0.0, hi, epsabs=1e-10, epsrel=1e-10, limit=400)
     return val / math.pi
+
+
+def grid_rule(p, gamma):
+    """Nodes, Kronrod and Gauss weights over pi, and Re, Im of the
+    interpolated spectrum: the panels of the grid-spectrum M integral."""
+    qg = p.grid.q
+    pos = qg >= 0
+    qp, vtp = qg[pos], p.grid.vt[pos]
+    k = max(1, min(16, math.ceil(p.grid.dq / (0.5 * gamma))))
+    edges = np.linspace(qp[0], qp[-1], (qp.size - 1) * k + 1)
+    qx, wx = _gauss_panels(edges, _GK_X, _GK_W)
+    return qx, wx / np.pi, np.interp(qx, qp, vtp.real), np.interp(qx, qp, vtp.imag)
+
+
+def grid_m_reference(p, z, s, gamma, chunk=2**16):
+    """Grid-spectrum M with a ``cos`` and a ``sin`` at every (pair x node)
+    element: the reference for ``_step_m_grid``'s phase tables.
+
+    The same panels, Gauss-Kronrod pair and decay-weighted refinement check,
+    written out directly on each block.
+    """
+    qx, wx, vt_re, vt_im = grid_rule(p, gamma)
+    zb, sb = np.broadcast_arrays(np.asarray(z, float), np.asarray(s, float))
+    zf, sf = zb.ravel(), sb.ravel()
+    both = np.empty((zf.size, 2))
+    rows = max(1, chunk // qx.size)
+    for start in range(0, zf.size, rows):
+        sl = slice(start, start + rows)
+        phase = np.multiply.outer(zf[sl], qx)
+        vals = (vt_im * np.cos(phase) - vt_re * np.sin(phase)) * lorentzian_pair(
+            sf[sl, None], qx, gamma
+        )
+        both[sl] = vals @ wx
+    kronrod, gauss = both[:, 0], both[:, 1]
+    decay = np.exp(-gamma * np.abs(zf))
+    err = float(np.max(decay * np.abs(kronrod - gauss), initial=0.0))
+    if err > 1e-8 * max(1.0, float(np.max(decay * np.abs(kronrod), initial=0.0))):
+        raise NonConvergenceError(f"grid M quadrature refinement delta {err:.3g}")
+    out = kronrod.reshape(zb.shape)
+    return out if out.ndim else float(out)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the exception class if it raised NonConvergenceError."""
+    try:
+        return f(*args)
+    except NonConvergenceError:
+        return NonConvergenceError
+
+
+@st.composite
+def grid_spectra(draw):
+    """1-3 cosines below R = 1.5, sampled on a window of half-width 10-40 and
+    put through ``band_limit``."""
+    lines = draw(
+        st.lists(
+            st.tuples(st.floats(0.01, 0.2), st.floats(0.1, 1.4), st.floats(0.0, TWO_PI)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    half_width = draw(st.sampled_from([10.0, 20.0, 40.0]))
+    x = np.linspace(-half_width, half_width, int(10 * half_width) + 1)
+    v = sum(a * np.cos(q * x + phi) for a, q, phi in lines)
+    return band_limit(x, v, R=1.5)[0]
 
 
 class TestStepM:
@@ -149,6 +217,53 @@ class TestStepM:
             assert batch[i, j] == pytest.approx(
                 step_m(p_grid, z[i, 0], s[0, j], 0.5), rel=1e-13, abs=1e-15
             )
+
+    def test_grid_reference_raises_alike(self):
+        # the cos/sin reference fails and passes on the same inputs as the
+        # table form on test_grid_unresolved_phase_raises's spectrum
+        x = np.linspace(-30, 30, 601)
+        p_grid, _ = band_limit(x, np.cos(x), R=2.0, n_q=9)
+        for z, fails in ((300.0, False), (1000.0, True)):
+            new = outcome(step_m, p_grid, z, 5.0, 0.002)
+            ref = outcome(grid_m_reference, p_grid, z, 5.0, 0.002)
+            if fails:
+                assert new is ref is NonConvergenceError
+            else:
+                assert new == pytest.approx(ref, rel=1e-13)
+
+    @given(
+        grid_spectra(),
+        st.floats(0.05, 1.0),
+        st.one_of(
+            st.tuples(st.floats(-60, 60), st.floats(-20, 20)),
+            st.tuples(st.sampled_from([1, 2]), st.sampled_from([-1, 0, 1]), st.integers(0, 2**32)),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grid_tables_match_reference(self, p_grid, gamma, inputs):
+        # scalar (z, s), or a pair count one below, at or one above one or
+        # two full blocks of the chunk cap
+        if len(inputs) == 2:
+            z, s = inputs
+        else:
+            blocks, offset, seed = inputs
+            nodes = grid_rule(p_grid, gamma)[0].size
+            rng = np.random.default_rng(seed)
+            size = blocks * (2**16 // nodes) + offset
+            z, s = rng.uniform(-60, 60, size), rng.uniform(-20, 20, size)
+        ref = outcome(grid_m_reference, p_grid, z, s, gamma)
+        new = outcome(step_m, p_grid, z, s, gamma)
+        if ref is NonConvergenceError or new is NonConvergenceError:
+            assert new is ref
+            return
+        assert np.shape(new) == np.shape(ref)
+        scale = float(np.max(np.abs(ref)))
+        if np.ndim(ref) == 0:
+            # one value has no scale of its own where the node sum cancels:
+            # take the Kronrod sum of the terms' magnitudes
+            qx, wx, vt_re, vt_im = grid_rule(p_grid, gamma)
+            scale = np.hypot(vt_re, vt_im) * np.abs(lorentzian_pair(s, qx, gamma)) @ wx[:, 0]
+        assert np.max(np.abs(np.asarray(new) - ref)) <= 1e-13 * scale
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=60, deadline=None)
@@ -411,3 +526,41 @@ class TestPathWeight:
         }
         assert len(rep["per_step"]) == cfg.n - 1
         assert set(rep["per_step"][0]) == {"j", "s", "M", "Q"}
+
+
+class TestGridPins:
+    """Values of the grid-spectrum route, pinned at the cos/sin block form
+    that ``grid_m_reference`` keeps."""
+
+    X = np.linspace(-20.0, 20.0, 201)
+    V = 0.04 * np.cos(0.6 * X + 0.3) + 0.03 * np.cos(1.1 * X + 1.0)
+    CFG = LatticeConfig(0.0, 1.0, 6, 0.5, 0.0, 0.2)
+
+    def grid(self):
+        return band_limit(self.X, self.V, R=1.5)[0]
+
+    def test_path_steps(self):
+        path = make_path(self.CFG, np.random.default_rng(11).normal(0.0, 0.3, size=5))
+        ev = path_weight(self.grid(), path, self.CFG)
+        pinned = [
+            -0.0830554203317016,
+            0.08626076592213218,
+            0.07475200255854117,
+            -0.03887489610065585,
+            -0.16666993917159373,
+        ]
+        assert ev.steps.M == pytest.approx(pinned, rel=1e-13)
+        assert ev.W == pytest.approx(0.00032187619662653685, rel=1e-13)
+
+    def test_mc_transition(self):
+        est = estimate_transition_mc(self.grid(), self.CFG, SamplerConfig(n_samples=512, seed=5))
+        assert est.value == pytest.approx(0.06716541332841597, rel=1e-13)
+        assert est.std_error == pytest.approx(0.002098395883782477, rel=1e-13)
+
+    def test_tensor_quadrature_n3(self):
+        cfg = LatticeConfig(0.0, 1.0, 3, 0.5, 0.0, 0.2)
+        est = transition_probability_quadrature(self.grid(), cfg, points_per_dim=8)
+        assert est.value == pytest.approx(0.11591389364703214, rel=1e-13)
+        assert est.refinement == pytest.approx(
+            (0.0005099820034506763, -5.646193418057388e-06), rel=1e-13
+        )
