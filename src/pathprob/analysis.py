@@ -188,8 +188,6 @@ def linearization_order_scan(
     prefactor itself carries one inverse power of eps, so the absolute
     difference scales one order lower).
     """
-    if p.grid is not None:
-        raise ValueError("linearization scan needs a line potential")
     eps_list = sorted(eps_list, reverse=True)
     rows = []
     slopes = {}

@@ -2,15 +2,13 @@
 
 A potential enters the positivity machinery only through its Fourier
 transform ``Vt(q) = \\int V(x) exp(ixq) dx``, which must vanish for
-``|q| > R`` and satisfy ``\\int |Vt| dq <= K``.  Two representations are
-supported:
-
-* spectral lines: a finite cosine sum ``V(x) = sum_k a_k cos(q_k x + phi_k)``,
-  whose transform is a finite set of weighted delta pairs at ``+-q_k``.
-  This is the primary representation; the per-step kernel is closed form.
-* a uniformly sampled complex spectrum on ``[-R, R]`` with Hermitian
-  symmetry, used when projecting tabulated potentials into the admissible
-  class (:func:`band_limit`).
+``|q| > R`` and satisfy ``\\int |Vt| dq <= K``.  Every potential is a
+finite cosine sum ``V(x) = sum_k a_k cos(q_k x + phi_k)``, whose transform
+is a finite set of weighted delta pairs at ``+-q_k``, so the per-step kernel
+is closed form.  A tabulated potential is projected onto ``|q| <= R``
+(:func:`band_limit`) and a sampled spectrum becomes one line per positive
+node (:meth:`BandLimitedPotential.from_grid`): its trapezoid node sum is the
+potential.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ TWO_PI = 2.0 * np.pi
 
 __all__ = [
     "SpectralLine",
-    "SpectralGrid",
     "BandLimitedPotential",
     "BandLimitReport",
     "band_limit",
@@ -44,62 +41,23 @@ class SpectralLine:
 
 
 @dataclass(frozen=True)
-class SpectralGrid:
-    """Uniformly sampled spectrum ``Vt(q)`` on a symmetric grid over [-qmax, qmax]."""
-
-    q: np.ndarray
-    vt: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        vt = np.asarray(self.vt, dtype=complex)
-        if q.ndim != 1 or q.size < 3 or q.size % 2 == 0:
-            raise ValueError("spectral grid needs an odd number (>=3) of q samples")
-        dq = np.diff(q)
-        if not np.allclose(dq, dq[0], rtol=1e-10, atol=1e-12):
-            raise ValueError("spectral grid must be uniform")
-        if abs(q[0] + q[-1]) > 1e-12 * max(1.0, abs(q[-1])):
-            raise ValueError("spectral grid must be symmetric about q = 0")
-        if vt.shape != q.shape:
-            raise ValueError("q and vt shapes differ")
-        # V real <=> Vt(-q) = conj(Vt(q))
-        herm = np.max(np.abs(vt - np.conj(vt[::-1])))
-        scale = max(np.max(np.abs(vt)), 1e-300)
-        if herm > 1e-9 * scale:
-            raise ValueError("spectrum violates Hermitian symmetry")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "vt", vt)
-
-    @property
-    def dq(self) -> float:
-        return float(self.q[1] - self.q[0])
-
-    def abs_integral(self) -> float:
-        """Trapezoid estimate of ``\\int |Vt(q)| dq`` over the grid."""
-        return float(np.trapezoid(np.abs(self.vt), self.q))
-
-
-@dataclass(frozen=True)
 class BandLimitedPotential:
     """Potential whose Fourier transform is supported on ``[-R, R]``.
 
-    ``K`` is an upper bound on ``\\int |Vt|``; for the line representation it
-    equals ``2*pi*sum|a_k|`` exactly.  ``K`` is stored, not recomputed, and is
+    ``K`` is an upper bound on ``\\int |Vt|``; for lines it equals
+    ``2*pi*sum|a_k|`` exactly.  ``K`` is stored, not recomputed, and is
     validated against the representation on construction.
     """
 
     R: float
     K: float
     lines: tuple[SpectralLine, ...] = ()
-    grid: SpectralGrid | None = None
 
     def __post_init__(self):
         if self.R < 0:
             raise ValueError("support radius R must be >= 0")
         if self.K < 0:
             raise ValueError("K must be >= 0")
-        if self.lines and self.grid is not None:
-            raise ValueError("use either the line or the grid representation, not both")
         if self.lines:
             if any(ln.q > self.R * (1 + 1e-12) for ln in self.lines):
                 raise ValueError("all line wavenumbers must lie in (0, R]")
@@ -107,14 +65,6 @@ class BandLimitedPotential:
             if not np.isclose(self.K, exact, rtol=1e-10, atol=1e-10):
                 raise ValueError(
                     f"line representation requires K = 2*pi*sum|a_k| = {exact}, got {self.K}"
-                )
-        elif self.grid is not None:
-            if self.grid.q[-1] > self.R * (1 + 1e-12):
-                raise ValueError("grid extends beyond the declared support radius R")
-            integral = self.grid.abs_integral()
-            if self.K < integral - 1e-10 * max(1.0, integral):
-                raise ValueError(
-                    f"K={self.K} below the computed spectral integral {integral}"
                 )
 
     # -- constructors -------------------------------------------------
@@ -140,31 +90,59 @@ class BandLimitedPotential:
 
     @classmethod
     def from_grid(cls, q, vt) -> "BandLimitedPotential":
-        grid = SpectralGrid(q=np.asarray(q, float), vt=np.asarray(vt, complex))
-        return cls(R=float(grid.q[-1]), K=grid.abs_integral(), grid=grid)
+        """The trapezoid node sum of a spectrum sampled on a symmetric grid.
+
+        ``V(x) = (2 pi)^-1 sum_j w_j Vt(q_j) exp(-ixq_j)`` with trapezoid
+        weights ``w_j`` is a cosine sum: each positive node whose ``b_j =
+        (Vt(q_j) + conj Vt(-q_j)) / 2`` is nonzero gives the line ``a_j =
+        w_j |b_j| / pi``, ``phi_j = -arg b_j``.  ``q`` must be uniform, odd in
+        length (>= 3) and symmetric about 0, and ``vt`` Hermitian (``V``
+        real) and zero at q = 0, which would be a constant offset; otherwise
+        ValueError.
+        """
+        q = np.asarray(q, dtype=float)
+        vt = np.asarray(vt, dtype=complex)
+        if q.ndim != 1 or q.size < 3 or q.size % 2 == 0:
+            raise ValueError("spectral grid needs an odd number (>=3) of q samples")
+        dq = np.diff(q)
+        if not np.allclose(dq, dq[0], rtol=1e-10, atol=1e-12):
+            raise ValueError("spectral grid must be uniform")
+        if abs(q[0] + q[-1]) > 1e-12 * max(1.0, abs(q[-1])):
+            raise ValueError("spectral grid must be symmetric about q = 0")
+        if vt.shape != q.shape:
+            raise ValueError("q and vt shapes differ")
+        # V real <=> Vt(-q) = conj(Vt(q))
+        herm = np.max(np.abs(vt - np.conj(vt[::-1])))
+        scale = max(np.max(np.abs(vt)), 1e-300)
+        if herm > 1e-9 * scale:
+            raise ValueError("spectrum violates Hermitian symmetry")
+        mid = q.size // 2
+        if vt[mid] != 0:
+            raise ValueError("a nonzero spectrum at q = 0 is a constant offset")
+        w = np.append(0.5 * (dq[mid:-1] + dq[mid + 1 :]), 0.5 * dq[-1])
+        b = 0.5 * (vt[mid + 1 :] + np.conj(vt[mid - 1 :: -1]))
+        a = w * np.abs(b) / np.pi
+        return cls.from_lines(
+            SpectralLine(float(qj), float(aj), float(-np.angle(bj)))
+            for qj, aj, bj in zip(q[mid + 1 :], a, b)
+            if aj != 0
+        )
 
     # -- queries ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.lines and self.grid is None
+        return not self.lines
 
     def evaluate(self, x):
-        """Evaluate ``V(x) = (1/2pi) \\int Vt(q) exp(-ixq) dq`` (real).
+        """Evaluate ``V(x) = sum_k a_k cos(q_k x + phi_k)``.
 
         Accepts scalars or arrays.
         """
         x = np.asarray(x, dtype=float)
-        if self.lines:
-            v = np.zeros_like(x)
-            for ln in self.lines:
-                v = v + ln.a * np.cos(ln.q * x + ln.phi)
-        elif self.grid is not None:
-            phase = np.exp(-1j * np.multiply.outer(x, self.grid.q))
-            v_c = np.trapezoid(self.grid.vt * phase, self.grid.q, axis=-1) / TWO_PI
-            v = np.real(v_c)
-        else:
-            v = np.zeros_like(x)
+        v = np.zeros_like(x)
+        for ln in self.lines:
+            v = v + ln.a * np.cos(ln.q * x + ln.phi)
         return v if v.ndim else float(v)
 
     def force_bound(self) -> float:
@@ -186,8 +164,9 @@ def band_limit(x_samples, v_samples, R: float, n_q: int | None = None):
 
     The sampled potential (mean-subtracted, fixing the zero of energy) is
     transformed with a trapezoid approximation of the Fourier integral,
-    truncated to ``|q| <= R``, and returned in grid representation together
-    with a reconstruction-error report.
+    truncated to ``|q| <= R``, and returned as the lines of
+    :meth:`BandLimitedPotential.from_grid` together with a reconstruction-error
+    report.
 
     Raises ValueError when ``R`` exceeds the sample grid's Nyquist wavenumber.
     """
@@ -239,33 +218,23 @@ def band_limit(x_samples, v_samples, R: float, n_q: int | None = None):
 # -- JSON interchange -------------------------------------------------
 
 def potential_to_dict(p: BandLimitedPotential) -> dict:
-    if p.lines:
-        return {
-            "lines": [{"q": ln.q, "a": ln.a, "phi": ln.phi} for ln in p.lines],
-            "R": p.R,
-            "K": p.K,
-        }
-    if p.grid is not None:
-        return {
-            "grid": {
-                "qmax": float(p.grid.q[-1]),
-                "values": [[float(c.real), float(c.imag)] for c in p.grid.vt],
-            },
-            "R": p.R,
-            "K": p.K,
-        }
-    return {"lines": [], "R": 0.0, "K": 0.0}
+    return {
+        "lines": [{"q": ln.q, "a": ln.a, "phi": ln.phi} for ln in p.lines],
+        "R": p.R,
+        "K": p.K,
+    }
 
 
 def potential_from_dict(d: dict) -> BandLimitedPotential:
     """Potential from its JSON form (see :func:`potential_to_dict`).
 
-    ``R`` and ``K`` are computed from the representation: the largest line
-    wavenumber or grid node, and ``2 pi sum|a_k|`` for lines or the trapezoid
-    ``\\int |Vt| dq`` over the grid nodes (which bounds the integral of the
-    interpolated spectrum).  A declared ``R`` or ``K`` may be looser than
-    these but not tighter: a line or grid node beyond ``R``, or a ``K`` below
-    the computed value, raises ValueError.  A looser declaration is checked
+    The form is ``lines``, or a ``grid`` of ``[re, im]`` spectrum samples on
+    ``[-qmax, qmax]`` that :meth:`BandLimitedPotential.from_grid` turns into
+    lines.  ``R`` and ``K`` are computed from the lines: the largest line
+    wavenumber (for a grid, the largest nonzero node) and ``2 pi sum|a_k|``
+    (for a grid, the trapezoid ``\\int |Vt| dq`` over the nodes).  A declared
+    ``R`` or ``K`` may be looser than these but not tighter: a line beyond
+    ``R``, or a ``K`` below the computed value, raises ValueError.  A looser declaration is checked
     and then dropped, so it never changes the positivity thresholds.
     """
     if "grid" in d:

@@ -8,7 +8,9 @@ Three routes are provided:
   constant Jacobian ``eps^(n-1) / n``) with the Lorentzian factors absorbed
   by the tangent substitution ``s = gamma tan(theta)``; a direct tensor grid
   over positions cannot resolve the oblique Lorentzian ridges at small
-  gamma at any sane point count.
+  gamma at any sane point count.  Every potential is a cosine sum (a
+  tabulated one included), so ``1 - eps M`` comes from per-axis phase
+  tables of its lines, not from a ``sin`` per point.
 * :func:`amplitude_discrete` evaluates the discretized complex amplitude by
   nested oscillatory quadrature, for cross-checks of ``|A|^2``.
 * :func:`probability_product_form` evaluates the squared amplitude written
@@ -29,7 +31,7 @@ from scipy.special import jv
 
 from .lattice import LatticeConfig, interior_from_velocity_changes, second_difference_matrix
 from .potentials import TWO_PI, BandLimitedPotential
-from .weights import NonConvergenceError, _gauss_panels, lorentzian_pair, step_m
+from .weights import NonConvergenceError, _gauss_panels, lorentzian_pair
 
 __all__ = [
     "TransitionEstimate",
@@ -156,14 +158,13 @@ def _tensor_sum(
     Lorentzian pairs) is evaluated on the 1-D node table and broadcast, and
     what depends on the trailing axes alone is built once for all blocks.
 
-    For line (and zero) potentials, ``1 - eps M`` comes from the phase tables
-    of :func:`_line_tables` instead of ``step_m``: on a block it is
-    ``1 + sum_lines Im(tab * last)``, with ``tab`` the product over the
-    trailing axes and ``last`` over the others, which is one matrix product
-    of a per-row and a per-column table.  Evaluating ``sin`` at every point
-    was most of the quadrature's time.  ``step_m`` stays the definition of
-    ``M`` that this form is tested against, and grid potentials go through
-    it.
+    ``1 - eps M`` comes from the phase tables of :func:`_line_tables`
+    instead of ``step_m``: on a block it is ``1 + sum_lines Im(tab * last)``,
+    with ``tab`` the product over the trailing axes and ``last`` over the
+    others, which is one matrix product of a per-row and a per-column table.
+    Evaluating ``sin`` at every point was most of the quadrature's time.
+    ``step_m`` stays the definition of ``M`` that this form is tested
+    against.
     """
     d = cfg.n - 1
     eps, gamma = cfg.eps, cfg.gamma
@@ -186,8 +187,8 @@ def _tensor_sum(
         return table.reshape((-1,) + (1,) * (d - 1 - j))
 
     # per interior point, the sums and products over the trailing axes, the
-    # smallest tables first: z_i, and for the table route the rows Re tab,
-    # Im tab per line and a row of ones
+    # smallest tables first: z_i, and the rows Re tab, Im tab per line and a
+    # row of ones
     z_trail, ph_trail = [], []
     for i in range(d):
         zi, tabs = line[i], [base[i] for base, _ in tables]
@@ -214,23 +215,16 @@ def _tensor_sum(
                 z_lead = sum(shift[i, j, k] for j, k in enumerate(idx))
                 np.add(z_trail[i], z_lead + on_axis(shift[i, lead, part], lead), out=z)
                 out = prod if i == 0 else fac
-                if p.grid is not None:
-                    if i < lead:
-                        si = s[idx[i]]
-                    else:
-                        si = on_axis(s[part] if i == lead else s, i)
-                    np.subtract(1.0, eps * step_m(p, z, si, gamma), out=out)
-                else:
-                    # the columns Im last, Re last per line and a column of
-                    # ones, against ph_trail's rows
-                    cols = []
-                    for _, ph in tables:
-                        last = math.prod(
-                            (ph[i, j, k] for j, k in enumerate(idx)), start=ph[i, lead, part]
-                        )
-                        cols += [last.imag, last.real]
-                    cols.append(np.ones(rows))
-                    np.matmul(np.stack(cols, axis=1), ph_trail[i], out=out.reshape(rows, -1))
+                # the columns Im last, Re last per line and a column of ones,
+                # against ph_trail's rows
+                cols = []
+                for _, ph in tables:
+                    last = math.prod(
+                        (ph[i, j, k] for j, k in enumerate(idx)), start=ph[i, lead, part]
+                    )
+                    cols += [last.imag, last.real]
+                cols.append(np.ones(rows))
+                np.matmul(np.stack(cols, axis=1), ph_trail[i], out=out.reshape(rows, -1))
                 if i:
                     prod *= fac
                 np.abs(z, out=z)
@@ -438,7 +432,7 @@ def probability_product_form(
     Single-line potentials only (the separation integral is closed form
     there); n <= 3.
     """
-    if len(p.lines) > 1 or p.grid is not None:
+    if len(p.lines) > 1:
         raise ValueError("product form needs a single-line or zero potential")
     if cfg.n > 3:
         raise ValueError("product form is implemented for n <= 3")

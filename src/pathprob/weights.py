@@ -10,12 +10,6 @@ with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
     M(z, s) = - sum_k a_k sin(q_k z + phi_k) * D(s, q_k),
     D(s, q) = (s^2 + g^2) / ((s - q)^2 + g^2) - (s^2 + g^2) / ((s + q)^2 + g^2).
 
-For a grid-represented spectrum, M is the quadrature
-``pi^-1 \\int_0^R Im[Vt(q) exp(-izq)] D(s, q) dq``, a Gauss-Kronrod pair on
-equal panels; ``exp(-izq)`` is the product of a per-panel and a per-node
-phase table, so a block of (pair, node) elements costs complex products and
-one matrix product instead of a ``cos`` and a ``sin`` per element.
-
 ``_m_and_f`` is the one evaluation of ``M`` and of ``f = exp(-gamma |z|)
 (1 - eps M)``; the linearized step factor is ``Q = f rho(s) / eps``
 (``_m_and_q``), with ``rho(s) = gamma / (pi (s^2 + gamma^2))`` the Cauchy
@@ -27,22 +21,23 @@ over that density is ``prod f_j``: the Lorentzian factors cancel, and the
 Monte Carlo estimator reduces ``prod f`` on the drawn ``s`` without forming
 ``Q`` or the density.  The tensor-grid quadrature integrates the same
 ``prod f`` after ``s = gamma tan theta``, which puts ``rho`` into the
-measure.  For line potentials it does not call ``step_m``: on its grid
+measure.  It does not call ``step_m``: on its grid
 each ``z`` is affine in the node indices, so ``sin(q z + phi)`` is the
 imaginary part of a product of per-axis phase tables, and ``1 - eps M``
 costs a matrix product per block instead of a ``sin`` per point, which was
 most of the quadrature's time.
 ``step_m`` stays the pointwise definition of ``M``: the quadrature's tests
-compare the table form against it, and grid potentials use it directly
-(their tests keep the ``cos``/``sin`` block form as a reference).
+compare the table form against it.
 
 The weight of a path is ``W = n * prod_j Q_j``; it is nonnegative for every
 path once ``eps`` is at or below a threshold.  Two thresholds are exposed:
 the closed-form leading-order one, ``2 pi gamma^2 / (R^2 K)``, and a strict
-one, ``1 / sup_{z,s} |M|``, with the supremum certified numerically.  The
+one, ``1 / sup_{z,s} |M|``, with the supremum certified in closed form.  The
 strict threshold is the one the zero-tolerance positivity guarantees are
 stated against: the leading-order formula undercounts the true supremum of
-``D`` by an O((gamma/q)^2) relative margin.
+``D`` by an O((gamma/q)^2) relative margin.  A tabulated potential is a
+cosine sum too (:meth:`BandLimitedPotential.from_grid`), so every threshold
+is certified.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .lattice import LatticeConfig, Path, StepQuantities, second_differences, velocity_changes
 from .potentials import TWO_PI, BandLimitedPotential
@@ -80,10 +74,15 @@ class NonConvergenceError(RuntimeError):
 
 
 def lorentzian_pair(s, q, gamma):
-    """``D(s, q)``: difference of shifted Lorentzians scaled by s^2 + gamma^2."""
+    """``D(s, q)``: difference of shifted Lorentzians scaled by s^2 + gamma^2.
+
+    Over one denominator, ``4 q s (s^2 + g^2) / (((s - q)^2 + g^2)((s + q)^2
+    + g^2))``: the difference of the two reciprocals would cancel at small
+    ``|s|``.
+    """
     s = np.asarray(s, dtype=float)
     g2 = gamma * gamma
-    return (s * s + g2) * (1.0 / ((s - q) ** 2 + g2) - 1.0 / ((s + q) ** 2 + g2))
+    return 4.0 * q * s * (s * s + g2) / (((s - q) ** 2 + g2) * ((s + q) ** 2 + g2))
 
 
 def step_m(p: BandLimitedPotential, z, s, gamma: float):
@@ -92,112 +91,18 @@ def step_m(p: BandLimitedPotential, z, s, gamma: float):
         raise ValueError("gamma must be positive")
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
-    if p.lines:
-        out = np.zeros(np.broadcast(z, s).shape)
-        for ln in p.lines:
-            out = out - ln.a * np.sin(ln.q * z + ln.phi) * lorentzian_pair(s, ln.q, gamma)
-        return out if out.ndim else float(out)
-    if p.grid is not None:
-        return _step_m_grid(p, z, s, gamma)
     out = np.zeros(np.broadcast(z, s).shape)
-    return out if out.ndim else 0.0
-
-
-# QUADPACK qk21: the 21-point Kronrod rule on [-1, 1] and its embedded
-# 10-point Gauss rule.  Nodes x >= 0 in decreasing order; every second node,
-# from the second on, is a Gauss node, and the last is 0.
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.000000000000000000000000000000000,
-])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208980223607, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-# both rules over the 21 nodes -x..., 0, ...x: column 0 Kronrod, column 1 Gauss
-_GK_X = np.concatenate([-_XGK, _XGK[-2::-1]])
-_GK_W = np.zeros((21, 2))
-_GK_W[:, 0] = np.concatenate([_WGK, _WGK[-2::-1]])
-_GK_W[1:10:2, 1] = _WG
-_GK_W[19:10:-2, 1] = _WG
+    for ln in p.lines:
+        out = out - ln.a * np.sin(ln.q * z + ln.phi) * lorentzian_pair(s, ln.q, gamma)
+    return out if out.ndim else float(out)
 
 
 def _gauss_panels(edges, x, w):
-    """A rule with nodes ``x`` on [-1, 1] repeated on each panel between ``edges``.
-
-    ``w`` holds one weight per node, or one column of weights per rule on the
-    same nodes; the panel weights keep that shape with the panels stacked.
-    """
+    """A rule with nodes ``x`` and weights ``w`` on [-1, 1] repeated on each
+    panel between ``edges``."""
     lo, hi = edges[:-1], edges[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half.reshape((-1,) + (1,) * w.ndim) * w).reshape((-1,) + w.shape[1:])
-    return nodes, weights
-
-
-def _step_m_grid(p: BandLimitedPotential, z, s, gamma, chunk: int = 2**16):
-    # The interpolated spectrum is smooth between its grid nodes, so each grid
-    # interval is split into panels no wider than gamma / 2 (at most 16), on
-    # which the Lorentzian pair is smooth too.  Every panel carries a
-    # Gauss-Kronrod 10/21 pair: the 21-point value is returned and its
-    # difference from the embedded 10-point value is the refinement check.
-    # M reaches the step factor only as exp(-gamma|z|) (1 - eps M), so both
-    # the difference and the scale it is held to are weighted by the decay:
-    # a far pair whose phase the panels cannot follow, but whose decay has
-    # put it below every near pair, does not fail the batch.
-    #
-    # The panels have one half-width (to rounding), so each node is
-    # q = mid_p + half x_j and exp(-izq) is the product of a per-panel and a
-    # per-node phase table: no block-sized cos or sin.  With X = exp(-izq),
-    # Im[Vt X] D = D (Re X Im Vt + Im X Re Vt), so Vt and both rules' weights
-    # fold into one (2 nodes, 2) real matrix, and the Kronrod and Gauss sums
-    # are one matrix product on the block X D viewed as (re, im) pairs.
-    qg = p.grid.q
-    pos = qg >= 0
-    qp, vtp = qg[pos], p.grid.vt[pos]
-    k = max(1, min(16, math.ceil(p.grid.dq / (0.5 * gamma))))
-    edges = np.linspace(qp[0], qp[-1], (qp.size - 1) * k + 1)
-    qx, wx = _gauss_panels(edges, _GK_X, _GK_W)
-    wx = wx / np.pi
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
-    rule = np.empty((qx.size, 2, 2))
-    rule[:, 0] = np.interp(qx, qp, vtp.imag)[:, None] * wx
-    rule[:, 1] = np.interp(qx, qp, vtp.real)[:, None] * wx
-    rule = rule.reshape(-1, 2)
-
-    zb, sb = np.broadcast_arrays(np.asarray(z, float), np.asarray(s, float))
-    zf, sf = zb.ravel(), sb.ravel()
-    # X D on (pairs x nodes) blocks of <= chunk elements; a block holds a few
-    # such temporaries at once, so the cap bounds the kernel's peak memory
-    both = np.empty((zf.size, 2))
-    rows = max(1, chunk // qx.size)
-    for st in range(0, zf.size, rows):
-        sl = slice(st, st + rows)
-        zr = zf[sl, None]
-        x = np.exp(-1j * zr * mid)[:, :, None] * np.exp(-1j * zr * (half * _GK_X))[:, None, :]
-        x = x.reshape(zr.size, -1)
-        x *= lorentzian_pair(sf[sl, None], qx, gamma)
-        both[sl] = x.view(float) @ rule
-    kronrod, gauss = both[:, 0], both[:, 1]
-    decay = np.exp(-gamma * np.abs(zf))
-    err = float(np.max(decay * np.abs(kronrod - gauss), initial=0.0))
-    if err > 1e-8 * max(1.0, float(np.max(decay * np.abs(kronrod), initial=0.0))):
-        raise NonConvergenceError(f"grid M quadrature refinement delta {err:.3g}")
-    out = kronrod.reshape(zb.shape)
-    return out if out.ndim else float(out)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def m_bound(p: BandLimitedPotential, gamma: float) -> float:
@@ -217,41 +122,42 @@ class CertifiedSup(NamedTuple):
     certified: bool
 
 
-def _sup_lorentzian_pair(q: float, gamma: float) -> float:
-    """sup over s of D(s, q) at fixed q, gamma (D is odd in s, peak at s > 0)."""
-    hi = q + 10.0 * gamma
-    grid = np.linspace(0.0, hi, 4001)
-    vals = lorentzian_pair(grid, q, gamma)
-    i = int(np.argmax(vals))
-    lo_b = grid[max(i - 1, 0)]
-    hi_b = grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(
-        lambda sv: -lorentzian_pair(sv, q, gamma),
-        bounds=(lo_b, hi_b),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(max(-res.fun, vals[i]))
+def _sup_lorentzian_pair(q, gamma: float):
+    """``(sup_s D(s, q), s*)`` at each of an array of ``q > 0``.
+
+    D is odd in s and peaks at ``s* = gamma sqrt(v)``, where ``v`` is the one
+    positive root of ``v^3 + (1 + 2r^2) v^2 - (3(1 + r^2)^2 - 2(1 - r^2)) v -
+    (1 + r^2)^2``, ``r = q / gamma``: the condition ``dD/ds = 0`` in ``u =
+    s^2 = gamma^2 v``.  Its other two roots are negative and all three are
+    real, so ``v`` is the largest, from the trigonometric form of the roots.
+    """
+    r2 = (np.asarray(q, dtype=float) / gamma) ** 2
+    a = 1.0 + 2.0 * r2
+    b = 2.0 * (1.0 - r2) - 3.0 * (1.0 + r2) ** 2
+    c = -((1.0 + r2) ** 2)
+    # v = t - a / 3 leaves t^3 + pt + h = 0 with p < 0
+    p = b - a * a / 3.0
+    h = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+    m = np.sqrt(-p / 3.0)
+    theta = np.arccos(np.clip(1.5 * h / (p * m), -1.0, 1.0))
+    s = gamma * np.sqrt(2.0 * m * np.cos(theta / 3.0) - a / 3.0)
+    return lorentzian_pair(s, q, gamma), s
 
 
 def m_sup_certified(p: BandLimitedPotential, gamma: float) -> CertifiedSup:
-    """Numerically certified ``sup_{z,s} |M|``.
+    """Certified ``sup_{z,s} |M|``.
 
-    Line representation only: per line ``|sin| <= 1`` and the s-maximum of
-    ``D(s, q_k)`` is located by bracketed 1D maximization, so the per-line
-    suprema sum to a rigorous bound that is also attained (z can align every
-    line's phase arbitrarily closely in the single-line case and bounds the
-    multi-line case).  Grid representations fall back to the closed-form
-    bound, flagged as uncertified.
+    Per line ``|sin| <= 1`` and ``|D(s, q_k)| <= D(s*_k, q_k)`` at the closed
+    form maximizer of :func:`_sup_lorentzian_pair`, so the per-line suprema
+    sum to a rigorous bound, attained for a single line (and approached
+    wherever z aligns every line's phase).  The sum carries a 1e-12 relative
+    margin for the rounding of ``s*`` and ``D``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if p.K == 0.0 or p.R == 0.0:
-        return CertifiedSup(0.0, True)
-    if not p.lines:
-        return CertifiedSup(m_bound(p, gamma), False)
-    total = sum(abs(ln.a) * _sup_lorentzian_pair(ln.q, gamma) for ln in p.lines)
-    return CertifiedSup(float(total), True)
+    a = np.array([abs(ln.a) for ln in p.lines])
+    d_max, _ = _sup_lorentzian_pair(np.array([ln.q for ln in p.lines]), gamma)
+    return CertifiedSup(float(a @ d_max) * (1.0 + 1e-12), True)
 
 
 class ThresholdPair(NamedTuple):
@@ -326,14 +232,13 @@ def step_q_exponential(
 
     Evaluated by truncated fine-grid quadrature of the u-integral; the
     truncation point and sampling density are set from ``tol`` and the
-    oscillation content ``|s| + sum_k q_k + gamma``.  Raises
+    oscillation content ``|s| + max(R, 1) + gamma``.  Raises
     NonConvergenceError when a refinement check fails.
     """
     if eps <= 0 or gamma <= 0:
         raise ValueError("eps and gamma must be positive")
     u_max = -math.log(tol) / gamma
-    q_sum = sum(ln.q for ln in p.lines) if p.lines else max(p.R, 1.0)
-    freq = abs(s) + q_sum + gamma
+    freq = abs(s) + max(p.R, 1.0) + gamma
 
     def evaluate(h: float) -> complex:
         # composite Gauss-Legendre panels, mirrored so a panel edge sits on
@@ -436,26 +341,23 @@ def negative_step_witness(p: BandLimitedPotential, gamma: float):
     """A point (z, s) with M(z, s) close to its certified supremum.
 
     Used to construct paths whose weight turns negative once eps exceeds the
-    strict threshold.  Line representation only.
+    strict threshold.  Line k's term ``-a_k sin(q_k z + phi_k) D(s, q_k)``
+    reaches ``+|a_k| D(s*_k, q_k)`` at its maximizer ``s*_k`` and at ``z*_k``
+    with ``sin(q_k z*_k + phi_k) = -sign a_k``.  Of these points the one with
+    the largest M is refined on a 41 x 41 grid around it.
     """
     if not p.lines:
-        raise ValueError("witness construction needs the line representation")
-    zs = np.linspace(-np.pi / min(ln.q for ln in p.lines), np.pi / min(ln.q for ln in p.lines), 2001)
-    best = (0.0, 0.0, -np.inf)
-    for ln in p.lines:
-        s_star_grid = np.linspace(0.0, ln.q + 10 * gamma, 2001)
-        for z0 in zs[:: 40]:
-            m_vals = step_m(p, z0, s_star_grid, gamma)
-            i = int(np.argmax(m_vals))
-            if m_vals[i] > best[2]:
-                best = (float(z0), float(s_star_grid[i]), float(m_vals[i]))
-    # local refinement around the best grid point
-    z0, s0, _ = best
-    zg = np.linspace(z0 - 0.1, z0 + 0.1, 401)
-    sg = np.linspace(max(s0 - 0.2, 0.0), s0 + 0.2, 401)
-    mm = step_m(p, zg[:, None], sg[None, :], gamma)
+        raise ValueError("witness construction needs a nonzero potential")
+    a, q, phi = (np.array(col) for col in zip(*((ln.a, ln.q, ln.phi) for ln in p.lines)))
+    _, s_star = _sup_lorentzian_pair(q, gamma)
+    z_star = (-np.copysign(0.5 * np.pi, a) - phi) / q
+    k = int(np.argmax(step_m(p, z_star, s_star, gamma)))
+    offsets = np.linspace(-1.0, 1.0, 41)
+    zg = z_star[k] + offsets[:, None] * (0.5 * np.pi / p.R)
+    sg = s_star[k] + offsets[None, :] * gamma
+    mm = step_m(p, zg, sg, gamma)
     i, j = np.unravel_index(np.argmax(mm), mm.shape)
-    return float(zg[i]), float(sg[j]), float(mm[i, j])
+    return float(zg[i, 0]), float(sg[0, j]), float(mm[i, j])
 
 
 def weight_report(ev: WeightEvaluation) -> dict:

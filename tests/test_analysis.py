@@ -123,13 +123,16 @@ class TestLinearizationOrder:
         ratio = r2.rows[0]["rel_difference"] / r1.rows[0]["rel_difference"]
         assert ratio == pytest.approx(4.0, rel=0.05)
 
-    def test_grid_potential_rejected(self):
+    def test_grid_potential_slope(self):
+        # a tabulated potential is a cosine sum, so it scans like one
         x = np.linspace(-40, 40, 3001)
         from pathprob.potentials import band_limit
 
         p_grid, _ = band_limit(x, np.cos(x), R=2.0)
-        with pytest.raises(ValueError):
-            linearization_order_scan(p_grid, [(0.0, 0.5)], 0.1, [0.01])
+        res = linearization_order_scan(
+            p_grid, [(0.3, 0.7)], gamma=0.1, eps_list=[0.04, 0.02, 0.01, 0.005]
+        )
+        assert res.summary["slopes"][0]["slope"] == pytest.approx(2.0, abs=0.2)
 
 
 class TestOutputs:

@@ -78,6 +78,19 @@ class TestPositivity:
         assert payload["witness"]["q_at_threshold"] >= 0
         assert payload["witness"]["q_above_threshold"] < 0
 
+    def test_grid_potential_certified(self, tmp_path):
+        # a sampled spectrum is read as lines, so its threshold is certified
+        vt = np.zeros((41, 2))
+        vt[[0, -1], 0], vt[[1, -2], 0] = 1.0, 0.5
+        f = tmp_path / "grid.json"
+        f.write_text(json.dumps({"potential": {"grid": {"qmax": 1.0, "values": vt.tolist()}}}))
+        code, payload = run_json(["positivity", "-c", str(f), "--gamma", "0.4"], tmp_path)
+        assert code == 0
+        assert payload["m_sup_certified"] is True
+        assert payload["lambda_strict"] < payload["lambda_paper"]
+        assert payload["witness"]["q_at_threshold"] >= 0
+        assert payload["witness"]["q_above_threshold"] < 0
+
     def test_gamma_required(self, tmp_path):
         f = tmp_path / "pot.json"
         f.write_text(json.dumps({"potential": COSINE_CONFIG["potential"]}))
@@ -301,6 +314,10 @@ class TestUsageErrors:
             (["transition", "--gamma", "nan"], FREE_CONFIG),
             (["positivity", "--gamma", "inf"], FREE_CONFIG),
             (["oracle"], {"lattice": dict(FREE_CONFIG["lattice"], zb=math.inf)}),
+            (
+                ["positivity", "--gamma", "0.1"],
+                {"potential": {"grid": {"qmax": 1.0, "values": [[0.5, 0], [1, 0], [0.5, 0]]}}},
+            ),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, argv, config):
@@ -488,6 +505,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "quadrature"
+
+    def test_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize is most of an import's time and memory, and nothing
+        # in the package needs it
+        command, env = module_command()
+        code = "import sys, pathprob.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [command[0], "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_exit_codes(self, free_json):
         command, env = module_command()

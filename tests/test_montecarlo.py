@@ -164,11 +164,10 @@ class TestEstimator:
         assert 0.0 <= est.negative_mass_fraction < 1.0
 
     def test_grid_potential_far_cauchy_tail(self):
-        # a tabulated potential in grid form under the default Cauchy
-        # proposal: seed 7 draws interior points beyond |z| = 2000, where the
-        # grid M panels cannot follow the phase but exp(-gamma |z|) has
+        # a tabulated potential under the default Cauchy proposal: seed 7
+        # draws interior points beyond |z| = 2000, where exp(-gamma |z|) has
         # removed the pair from the weight; the estimate must come back and
-        # agree with the same potential written as lines
+        # agree with the potential's two cosines
         lines = [(0.04, 0.6, 0.3), (0.03, 1.1, 1.0)]
         x = np.linspace(-20.0, 20.0, 201)
         v = sum(a * np.cos(q * x + phi) for a, q, phi in lines)

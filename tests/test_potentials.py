@@ -78,7 +78,7 @@ class TestBandLimit:
     def test_cosine_recovers_single_line(self):
         x = np.linspace(-60, 60, 4001)
         pot, report = band_limit(x, np.cos(x), R=2.0)
-        assert pot.grid is not None
+        assert pot.lines and pot.R == pytest.approx(2.0)
         assert report.peaks, "expected a dominant spectral peak"
         q_peak, amp = max(report.peaks, key=lambda t: t[1])
         assert q_peak == pytest.approx(1.0, abs=0.05)
@@ -110,14 +110,19 @@ class TestBandLimit:
             band_limit(x, np.cos(x), R=100.0)
 
     def test_reconstruction_is_real(self):
+        # the lines are the trapezoid node sum of the sampled spectrum, which
+        # Hermitian symmetry makes real
         x = np.linspace(-30, 30, 2001)
-        pot, _ = band_limit(x, np.cos(x) + 0.3 * np.sin(2 * x), R=3.0)
-        # Hermitian grid symmetry makes the reconstructed potential real;
-        # evaluate() already takes the real part, so check the raw integral
-        phase = np.exp(-1j * np.multiply.outer(x[:50], pot.grid.q))
-        v_c = np.trapezoid(pot.grid.vt * phase, pot.grid.q, axis=-1) / TWO_PI
+        v = np.cos(x) + 0.3 * np.sin(2 * x)
+        pot, _ = band_limit(x, v, R=3.0, n_q=301)
+        q = np.linspace(-3.0, 3.0, 301)
+        vt = (x[1] - x[0]) * np.exp(1j * np.multiply.outer(q, x)) @ (v - v.mean())
+        vt[150] = 0.0
+        v_c = np.trapezoid(vt * np.exp(-1j * np.multiply.outer(x, q)), q, axis=-1) / TWO_PI
         scale = np.max(np.abs(v_c))
         assert np.max(np.abs(v_c.imag)) <= 1e-12 * scale
+        assert np.max(np.abs(pot.evaluate(x) - v_c.real)) <= 1e-14 * scale
+        assert pot.K == pytest.approx(np.trapezoid(np.abs(vt), q), rel=1e-12)
 
 
 class TestInterchange:

@@ -149,7 +149,7 @@ def flat_tensor_sum(p, cfg, window, nodes, weights):
 
 
 def cosine_grid(a):
-    """``a cos x`` in the grid representation."""
+    """``a cos x`` through ``band_limit``: a tabulated potential's lines."""
     x = np.linspace(-30.0, 30.0, 2001)
     return band_limit(x, a * np.cos(x), R=2.0)[0]
 
@@ -186,7 +186,7 @@ class TestTensorSum:
 
     @pytest.mark.parametrize("d,m,lead", [(1, 5, 0), (2, 3, 0), (2, 5, 0), (2, 5, 1)])
     def test_grid_potential_matches_flat_sum(self, d, m, lead):
-        # grid potentials take the step_m route, in the same blocks
+        # a tabulated potential's many lines through the same phase tables
         p = cosine_grid(0.2)
         cfg = LatticeConfig(0.0, 1.0, d + 1, 0.3, 0.1, -0.2)
         x, w = np.polynomial.legendre.leggauss(m)
@@ -199,22 +199,18 @@ class TestTensorSum:
         assert got[1] == pytest.approx(out_mass, rel=1e-12)
         assert got[2] == pytest.approx(tot_mass, rel=1e-12)
 
-    def test_route_per_potential_kind(self, monkeypatch):
-        # line and zero potentials never call step_m; grid potentials do
-        def no_step_m(*args, **kwargs):
-            raise AssertionError("step_m called")
-
-        monkeypatch.setattr(quadrature, "step_m", no_step_m)
+    def test_route_per_potential_kind(self):
+        # line, tabulated and zero potentials all take the phase tables:
+        # the module has no step_m to call
+        assert not hasattr(quadrature, "step_m")
         cfg = LatticeConfig(0.0, 1.0, 4, 0.2, 0.0, 0.3)
         x, w = np.polynomial.legendre.leggauss(5)
         nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
-        for p in (BandLimitedPotential.single_line(a=0.1, q=1.0, phi=0.4), FREE):
+        for p in (BandLimitedPotential.single_line(a=0.1, q=1.0, phi=0.4), cosine_grid(0.1), FREE):
             got = _tensor_sum(p, cfg, 10.0, nodes, weights, cap=25)
             acc, _, tot_mass, scale = flat_tensor_sum(p, cfg, 10.0, nodes, weights)
             assert got[0] == pytest.approx(acc, rel=1e-12, abs=1e-12 * scale)
             assert got[2] == pytest.approx(tot_mass, rel=1e-12)
-        with pytest.raises(AssertionError, match="step_m called"):
-            _tensor_sum(cosine_grid(0.1), cfg, 10.0, nodes, weights)
 
 
 class TestAmplitude:

@@ -1,22 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from pathprob import weights
 from pathprob.lattice import LatticeConfig, interior_from_velocity_changes, make_path
 from pathprob.montecarlo import SamplerConfig, estimate_transition_mc
-from pathprob.potentials import BandLimitedPotential, band_limit
+from pathprob.potentials import BandLimitedPotential, band_limit, potential_from_dict
 from pathprob.quadrature import transition_probability_quadrature
 from pathprob.weights import (
-    _GK_W,
-    _GK_X,
-    NonConvergenceError,
-    _gauss_panels,
-    _step_m_grid,
+    _sup_lorentzian_pair,
     batch_log_weights,
     lorentzian_pair,
     m_bound,
@@ -65,52 +63,48 @@ def mollified_m(p, z, s, gamma, width=1e-3):
     return val / math.pi
 
 
-def grid_rule(p, gamma):
-    """Nodes, Kronrod and Gauss weights over pi, and Re, Im of the
-    interpolated spectrum: the panels of the grid-spectrum M integral."""
-    qg = p.grid.q
-    pos = qg >= 0
-    qp, vtp = qg[pos], p.grid.vt[pos]
-    k = max(1, min(16, math.ceil(p.grid.dq / (0.5 * gamma))))
-    edges = np.linspace(qp[0], qp[-1], (qp.size - 1) * k + 1)
-    qx, wx = _gauss_panels(edges, _GK_X, _GK_W)
-    return qx, wx / np.pi, np.interp(qx, qp, vtp.real), np.interp(qx, qp, vtp.imag)
+def bracketed_sup(q, gamma):
+    """``sup_s D(s, q)`` by bracketed 1D maximization: a dense scan on
+    ``[0, q + 10 gamma]``, then ``minimize_scalar`` between the scan points
+    beside its best one.  The reference for the closed-form maximizer."""
+    grid = np.linspace(0.0, q + 10.0 * gamma, 4001)
+    vals = lorentzian_pair(grid, q, gamma)
+    i = int(np.argmax(vals))
+    res = minimize_scalar(
+        lambda sv: -lorentzian_pair(sv, q, gamma),
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return float(max(-res.fun, vals[i]))
 
 
-def grid_m_reference(p, z, s, gamma, chunk=2**16):
-    """Grid-spectrum M with a ``cos`` and a ``sin`` at every (pair x node)
-    element: the reference for ``_step_m_grid``'s phase tables.
-
-    The same panels, Gauss-Kronrod pair and decay-weighted refinement check,
-    written out directly on each block.
-    """
-    qx, wx, vt_re, vt_im = grid_rule(p, gamma)
-    zb, sb = np.broadcast_arrays(np.asarray(z, float), np.asarray(s, float))
-    zf, sf = zb.ravel(), sb.ravel()
-    both = np.empty((zf.size, 2))
-    rows = max(1, chunk // qx.size)
-    for start in range(0, zf.size, rows):
-        sl = slice(start, start + rows)
-        phase = np.multiply.outer(zf[sl], qx)
-        vals = (vt_im * np.cos(phase) - vt_re * np.sin(phase)) * lorentzian_pair(
-            sf[sl, None], qx, gamma
-        )
-        both[sl] = vals @ wx
-    kronrod, gauss = both[:, 0], both[:, 1]
-    decay = np.exp(-gamma * np.abs(zf))
-    err = float(np.max(decay * np.abs(kronrod - gauss), initial=0.0))
-    if err > 1e-8 * max(1.0, float(np.max(decay * np.abs(kronrod), initial=0.0))):
-        raise NonConvergenceError(f"grid M quadrature refinement delta {err:.3g}")
-    out = kronrod.reshape(zb.shape)
-    return out if out.ndim else float(out)
+def exponential_reference(p, z, s, eps, gamma, freq, tol=1e-12):
+    """The exponential step factor on the refined panels ``step_q_exponential``
+    takes for the oscillation content ``freq``, without its refinement check."""
+    u_max = -math.log(tol) / gamma
+    h = 0.5 * min(np.pi / (2.0 * freq), u_max / 8.0)
+    nodes, wts = np.polynomial.legendre.leggauss(10)
+    edges = np.arange(0.0, u_max + h, h)
+    edges[-1] = u_max
+    u_pos, w_pos = weights._gauss_panels(edges, nodes, wts)
+    u = np.concatenate([-u_pos, u_pos])
+    w = np.concatenate([w_pos, w_pos])
+    dv = p.evaluate(z - u) - p.evaluate(z + u)
+    val = complex(np.sum(w * np.exp(-gamma * np.abs(u) - 1j * u * s + 1j * eps * dv)))
+    return (1.0 / (TWO_PI * eps)) * math.exp(-gamma * abs(z)) * val.real
 
 
-def outcome(f, *args):
-    """``f(*args)``, or the exception class if it raised NonConvergenceError."""
-    try:
-        return f(*args)
-    except NonConvergenceError:
-        return NonConvergenceError
+@st.composite
+def hermitian_grids(draw):
+    """A potential's JSON ``grid`` form: 3-41 nodes on [-qmax, qmax] with
+    Hermitian values, zero at q = 0."""
+    half = draw(st.integers(1, 20))
+    qmax = draw(st.floats(0.2, 3.0))
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    pos = [complex(draw(parts), draw(parts)) for _ in range(half)]
+    vt = np.array([c.conjugate() for c in pos[::-1]] + [0.0] + pos)
+    return {"grid": {"qmax": qmax, "values": [[c.real, c.imag] for c in vt]}}
 
 
 @st.composite
@@ -144,6 +138,13 @@ class TestStepM:
         assert val == pytest.approx(-(1.01 / 0.01 - 1.01 / 4.01), rel=1e-12)
         assert val == pytest.approx(-100.74812967581046, rel=1e-12)
 
+    def test_lorentzian_pair_small_s(self):
+        # as a difference of two reciprocals D would cancel here, to about
+        # 6e-10 relative
+        s, one = Fraction(1.5e-8), Fraction(1)
+        exact = 4 * s * (s * s + one) / (((s - one) ** 2 + one) * ((s + one) ** 2 + one))
+        assert lorentzian_pair(1.5e-8, 1.0, 1.0) == pytest.approx(float(exact), rel=1e-15)
+
     def test_gamma_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             step_m(COSINE, 0.0, 0.0, 0.0)
@@ -169,34 +170,10 @@ class TestStepM:
                 step_m(COSINE, z, s, 0.1), rel=0.02
             )
 
-    def test_grid_gauss_kronrod_pair(self):
-        # the refinement check compares two different rules on shared nodes:
-        # the 10-point Gauss rule is exact to degree 19, the 21-point Kronrod
-        # rule to degree 31, and they disagree on x^20
-        assert np.count_nonzero(_GK_W[:, 1]) == 10
-        for deg in range(0, 32, 2):
-            exact = 2.0 / (deg + 1)
-            assert _GK_W[:, 0] @ _GK_X**deg == pytest.approx(exact, rel=1e-14)
-            if deg < 20:
-                assert _GK_W[:, 1] @ _GK_X**deg == pytest.approx(exact, rel=1e-14)
-        assert _GK_W[:, 1] @ _GK_X**20 < (1.0 - 1e-6) * (2.0 / 21.0)
-
-    def test_grid_unresolved_phase_raises(self):
-        # 9 spectral nodes on [-2, 2]: intervals of 0.5, 16 panels of 0.031
-        # each at gamma = 0.002.  s = 5 keeps the Lorentzian pair smooth on
-        # the band, so only exp(-izq) can outrun the panels: at z = 1000 it
-        # turns by 31 rad across one, while exp(-gamma z) = 0.14 still
-        # carries the error into the step factor
-        x = np.linspace(-30, 30, 601)
-        p_grid, _ = band_limit(x, np.cos(x), R=2.0, n_q=9)
-        assert math.isfinite(step_m(p_grid, 300.0, 5.0, 0.002))
-        with pytest.raises(NonConvergenceError, match="grid M"):
-            step_m(p_grid, 1000.0, 5.0, 0.002)
-
     def test_grid_far_pair_below_decay_passes(self):
-        # panels of 0.023 at gamma = 0.5 cannot follow exp(-izq) at z = 2e4,
-        # but there exp(-gamma z) has underflowed, so that pair cannot move
-        # the step factor and must not fail the batch
+        # far out, where exp(-gamma z) has underflowed, a tabulated
+        # potential's line sum stays finite, and a batch's near pair equals
+        # its scalar value
         x = np.linspace(-20, 20, 201)
         p_grid, _ = band_limit(x, 0.05 * np.cos(0.6 * x + 0.4), R=1.5)
         z = np.array([0.3, 224.0, 2000.0, 2.0e4])
@@ -209,61 +186,39 @@ class TestStepM:
         p_grid, _ = band_limit(x, 0.05 * np.cos(0.6 * x + 0.4), R=1.5)
         z = np.linspace(-30.0, 30.0, 7)[:, None]
         s = np.linspace(-2.0, 2.0, 5)[None, :]
-        # 64 spectral intervals x 21 nodes: two pairs per block, the last
-        # block holds one
-        batch = _step_m_grid(p_grid, z, s, 0.5, chunk=3000)
+        batch = step_m(p_grid, z, s, 0.5)
         assert batch.shape == (7, 5)
         for i, j in [(0, 0), (3, 2), (6, 4), (2, 1)]:
             assert batch[i, j] == pytest.approx(
                 step_m(p_grid, z[i, 0], s[0, j], 0.5), rel=1e-13, abs=1e-15
             )
 
-    def test_grid_reference_raises_alike(self):
-        # the cos/sin reference fails and passes on the same inputs as the
-        # table form on test_grid_unresolved_phase_raises's spectrum
-        x = np.linspace(-30, 30, 601)
-        p_grid, _ = band_limit(x, np.cos(x), R=2.0, n_q=9)
-        for z, fails in ((300.0, False), (1000.0, True)):
-            new = outcome(step_m, p_grid, z, 5.0, 0.002)
-            ref = outcome(grid_m_reference, p_grid, z, 5.0, 0.002)
-            if fails:
-                assert new is ref is NonConvergenceError
-            else:
-                assert new == pytest.approx(ref, rel=1e-13)
-
     @given(
-        grid_spectra(),
+        hermitian_grids(),
         st.floats(0.05, 1.0),
-        st.one_of(
-            st.tuples(st.floats(-60, 60), st.floats(-20, 20)),
-            st.tuples(st.sampled_from([1, 2]), st.sampled_from([-1, 0, 1]), st.integers(0, 2**32)),
-        ),
+        st.floats(-60, 60, allow_subnormal=False),
+        st.floats(-20, 20, allow_subnormal=False),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_grid_tables_match_reference(self, p_grid, gamma, inputs):
-        # scalar (z, s), or a pair count one below, at or one above one or
-        # two full blocks of the chunk cap
-        if len(inputs) == 2:
-            z, s = inputs
-        else:
-            blocks, offset, seed = inputs
-            nodes = grid_rule(p_grid, gamma)[0].size
-            rng = np.random.default_rng(seed)
-            size = blocks * (2**16 // nodes) + offset
-            z, s = rng.uniform(-60, 60, size), rng.uniform(-20, 20, size)
-        ref = outcome(grid_m_reference, p_grid, z, s, gamma)
-        new = outcome(step_m, p_grid, z, s, gamma)
-        if ref is NonConvergenceError or new is NonConvergenceError:
-            assert new is ref
-            return
-        assert np.shape(new) == np.shape(ref)
-        scale = float(np.max(np.abs(ref)))
-        if np.ndim(ref) == 0:
-            # one value has no scale of its own where the node sum cancels:
-            # take the Kronrod sum of the terms' magnitudes
-            qx, wx, vt_re, vt_im = grid_rule(p_grid, gamma)
-            scale = np.hypot(vt_re, vt_im) * np.abs(lorentzian_pair(s, qx, gamma)) @ wx[:, 0]
-        assert np.max(np.abs(np.asarray(new) - ref)) <= 1e-13 * scale
+    @settings(max_examples=60, deadline=None)
+    def test_grid_node_sum_matches_reference(self, d, gamma, z, s):
+        # a sampled spectrum is its trapezoid node sum: V, the integral of
+        # |Vt| and M equal the node sums of their defining integrals
+        p = potential_from_dict(d)
+        vals = np.asarray(d["grid"]["values"])
+        vt = vals[:, 0] + 1j * vals[:, 1]
+        q = np.linspace(-d["grid"]["qmax"], d["grid"]["qmax"], vt.size)
+        x = np.linspace(-10.0, 10.0, 201)
+        v_ref = np.real(np.trapezoid(vt * np.exp(-1j * np.multiply.outer(x, q)), q, axis=-1))
+        v_ref /= TWO_PI
+        # the lines' magnitudes set the scale where V cancels
+        assert np.max(np.abs(p.evaluate(x) - v_ref)) <= 1e-14 * p.K / TWO_PI
+        assert p.K == pytest.approx(np.trapezoid(np.abs(vt), q), rel=1e-12)
+        # M's defining integral (2 pi)^-1 \int Im[Vt(q) exp(-izq)] D(s, q) dq
+        # over the band; the terms' magnitudes set the scale where it cancels
+        d_pair = lorentzian_pair(s, q, gamma)
+        m_ref = np.trapezoid(np.imag(vt * np.exp(-1j * z * q)) * d_pair, q) / TWO_PI
+        scale = np.trapezoid(np.abs(vt * d_pair), q) / TWO_PI
+        assert abs(step_m(p, z, s, gamma) - m_ref) <= 1e-13 * scale
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=60, deadline=None)
@@ -310,12 +265,46 @@ class TestBounds:
         s2 = m_sup_certified(BandLimitedPotential.single_line(1.0, 0.5), 0.1).value
         assert sup == pytest.approx(s1 + s2, rel=1e-12)
 
-    def test_grid_falls_back_uncertified(self):
-        x = np.linspace(-60, 60, 4001)
-        p_grid, _ = band_limit(x, np.cos(x), R=2.0)
-        sup = m_sup_certified(p_grid, 0.1)
-        assert not sup.certified
-        assert sup.value == pytest.approx(m_bound(p_grid, 0.1))
+    @pytest.mark.parametrize("gamma", [0.01, 0.4, 3.0])
+    def test_sup_closed_form_matches_bracketed_max(self, gamma):
+        q = gamma * np.geomspace(1e-3, 100.0, 60)
+        d_max, s_star = _sup_lorentzian_pair(q, gamma)
+        for qk, dk, sk in zip(q, d_max, s_star):
+            assert dk == pytest.approx(bracketed_sup(qk, gamma), rel=1e-11)
+            assert lorentzian_pair(sk, qk, gamma) == dk
+
+    def test_grid_threshold_certified(self):
+        # Vt = 1 at q = +-1 and 0.5 at q = +-0.95 on 41 nodes: read as the
+        # linear interpolant of its nodes, this spectrum's M exceeded the
+        # leading-order bound by 18% and Q < 0 at a threshold taken from
+        # that bound; as its node sum the supremum is certified and holds
+        q = np.linspace(-1.0, 1.0, 41)
+        vt = np.zeros(41, complex)
+        vt[[0, -1]], vt[[1, -2]] = 1.0, 0.5
+        p = BandLimitedPotential.from_grid(q, vt)
+        gamma = 0.4
+        sup = m_sup_certified(p, gamma)
+        assert sup.certified
+        eps = positivity_threshold(p, gamma).lambda_strict
+        assert eps == 1.0 / sup.value
+        z = np.linspace(-40.0, 40.0, 1601)[:, None]
+        s = np.linspace(-4.0, 4.0, 801)[None, :]
+        assert np.all(step_q_linear(p, z, s, eps, gamma) >= 0)
+        assert (1.0 - 1e-2) * sup.value < np.max(step_m(p, z, s, gamma)) <= sup.value
+
+    @given(grid_spectra(), st.floats(0.05, 1.0), st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_grid_sup_bounds_sampled_m(self, p_grid, gamma, seed):
+        # no sampled |M| above the certified supremum, and so no Q < 0 at
+        # eps = lambda_strict, at random points and at the witness
+        sup = m_sup_certified(p_grid, gamma).value
+        eps = positivity_threshold(p_grid, gamma).lambda_strict
+        rng = np.random.default_rng(seed)
+        z_w, s_w, _ = negative_step_witness(p_grid, gamma)
+        z = np.append(rng.uniform(-60.0, 60.0, 20000), z_w)
+        s = np.append(rng.uniform(-1.0, 1.0, 20000) * (p_grid.R + 10.0 * gamma), s_w)
+        assert np.max(np.abs(step_m(p_grid, z, s, gamma))) <= sup
+        assert np.all(step_q_linear(p_grid, z, s, eps, gamma) >= 0)
 
     @given(st.floats(-8, 8), st.floats(-8, 8))
     @settings(max_examples=100, deadline=None)
@@ -413,7 +402,7 @@ class TestStepQ:
             for c in (-peak, peak):
                 edges += [c, *(c - grading), *(c + grading)]
         edges = np.unique(np.clip(edges, -np.pi / 2, np.pi / 2))
-        theta, w = weights._gauss_panels(edges, _GK_X, _GK_W[:, 0])
+        theta, w = weights._gauss_panels(edges, *np.polynomial.legendre.leggauss(21))
         s = gamma * np.tan(theta)
         f = w * step_q_linear(p, z, s, eps, gamma) * (s * s + gamma**2) / gamma
         scale = math.exp(-gamma * abs(z)) / eps
@@ -428,6 +417,20 @@ class TestStepQ:
             got = step_q_exponential(p, z, s, 0.01, 0.1)
             want = step_q_linear(p, z, s, 0.01, 0.1)
             assert got == pytest.approx(want, rel=1e-9)
+
+    def test_exponential_panels_from_band_radius(self):
+        # the panel width follows max(R, 1), not the sum of the line
+        # wavenumbers, which grows with the line count; on the finer panels
+        # of that sum the values agree, and for one line they are the same
+        x = np.linspace(-20.0, 20.0, 201)
+        tabulated = band_limit(x, 0.04 * np.cos(0.6 * x + 0.3) + 0.03 * np.cos(x), R=1.5)[0]
+        two_lines = BandLimitedPotential.from_lines([(1.0, 0.8, 0.4), (0.7, -0.3, 1.1)])
+        for p, eps, gamma, rel in ((COSINE, 0.01, 0.1, 0.0), (two_lines, 0.01, 0.1, 1e-14),
+                                   (tabulated, 0.1, 0.5, 1e-14)):
+            for z, s in ((0.3, 0.7), (-0.4, 0.9), (1.0, -0.5)):
+                freq = abs(s) + sum(ln.q for ln in p.lines) + gamma
+                ref = exponential_reference(p, z, s, eps, gamma, freq)
+                assert step_q_exponential(p, z, s, eps, gamma) == pytest.approx(ref, rel=rel)
 
     def test_exponential_imaginary_part_small(self):
         re, im = step_q_exponential(COSINE, 0.3, 0.7, 0.01, 0.1, return_imag=True)
@@ -529,8 +532,8 @@ class TestPathWeight:
 
 
 class TestGridPins:
-    """Values of the grid-spectrum route, pinned at the cos/sin block form
-    that ``grid_m_reference`` keeps."""
+    """Values of a tabulated potential's route (its ``band_limit`` lines),
+    pinned at the trapezoid node-sum form."""
 
     X = np.linspace(-20.0, 20.0, 201)
     V = 0.04 * np.cos(0.6 * X + 0.3) + 0.03 * np.cos(1.1 * X + 1.0)
@@ -543,24 +546,31 @@ class TestGridPins:
         path = make_path(self.CFG, np.random.default_rng(11).normal(0.0, 0.3, size=5))
         ev = path_weight(self.grid(), path, self.CFG)
         pinned = [
-            -0.0830554203317016,
-            0.08626076592213218,
-            0.07475200255854117,
-            -0.03887489610065585,
-            -0.16666993917159373,
+            -0.08305961918126353,
+            0.08625605544185187,
+            0.07474888571157765,
+            -0.03887827355432857,
+            -0.1666645464011595,
         ]
         assert ev.steps.M == pytest.approx(pinned, rel=1e-13)
-        assert ev.W == pytest.approx(0.00032187619662653685, rel=1e-13)
+        assert ev.W == pytest.approx(0.00032187674304218813, rel=1e-13)
 
     def test_mc_transition(self):
         est = estimate_transition_mc(self.grid(), self.CFG, SamplerConfig(n_samples=512, seed=5))
-        assert est.value == pytest.approx(0.06716541332841597, rel=1e-13)
-        assert est.std_error == pytest.approx(0.002098395883782477, rel=1e-13)
+        assert est.value == pytest.approx(0.06716546435070295, rel=1e-13)
+        assert est.std_error == pytest.approx(0.002098395197830973, rel=1e-13)
 
     def test_tensor_quadrature_n3(self):
         cfg = LatticeConfig(0.0, 1.0, 3, 0.5, 0.0, 0.2)
         est = transition_probability_quadrature(self.grid(), cfg, points_per_dim=8)
-        assert est.value == pytest.approx(0.11591389364703214, rel=1e-13)
+        assert est.value == pytest.approx(0.11591401410731533, rel=1e-13)
         assert est.refinement == pytest.approx(
-            (0.0005099820034506763, -5.646193418057388e-06), rel=1e-13
+            (0.0005098878936262013, -5.613803926718397e-06), rel=1e-13
         )
+
+    def test_tensor_quadrature_n5(self):
+        # within its refinement delta of the value the linearly interpolated
+        # spectrum gave, 0.08167054459993657 (delta 1.4e-3)
+        cfg = LatticeConfig(0.0, 1.0, 5, 0.5, 0.0, 0.2)
+        est = transition_probability_quadrature(self.grid(), cfg, points_per_dim=4)
+        assert abs(est.value - 0.08167054459993657) <= est.std_error
