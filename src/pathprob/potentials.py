@@ -145,10 +145,6 @@ class BandLimitedPotential:
             v = v + ln.a * np.cos(ln.q * x + ln.phi)
         return v if v.ndim else float(v)
 
-    def force_bound(self) -> float:
-        """Upper bound ``R*K/(2*pi)`` on ``sup_x |dV/dx|``."""
-        return self.R * self.K / TWO_PI
-
 
 @dataclass(frozen=True)
 class BandLimitReport:

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pathprob.potentials import (
     BandLimitedPotential,
@@ -43,35 +41,12 @@ class TestConstruction:
         p = BandLimitedPotential.zero()
         assert p.is_zero
         assert p.evaluate(1.3) == 0.0
-        assert p.force_bound() == 0.0
 
     def test_evaluate_cosine(self):
         p = BandLimitedPotential.single_line(a=0.5, q=2.0, phi=0.3)
         x = np.linspace(-3, 3, 11)
         assert np.allclose(p.evaluate(x), 0.5 * np.cos(2.0 * x + 0.3))
         assert isinstance(p.evaluate(0.7), float)
-
-
-class TestForceBound:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.1, 3.0),
-                st.floats(-2.0, 2.0),
-                st.floats(0.0, 6.28),
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_bound_dominates_numerical_derivative(self, specs):
-        lines = [SpectralLine(q=q, a=a, phi=phi) for q, a, phi in specs]
-        p = BandLimitedPotential.from_lines(lines)
-        x = np.linspace(-20, 20, 4001)
-        h = 1e-4
-        deriv = (p.evaluate(x + h) - p.evaluate(x - h)) / (2 * h)
-        assert np.max(np.abs(deriv)) <= p.force_bound() * (1 + 1e-6) + 1e-9
 
 
 class TestBandLimit:
