@@ -137,6 +137,11 @@ def estimate_transition_mc(
 
     # log-domain reduction: shift by the max so exp never overflows
     shift = float(np.max(log_ratio))
+    if shift == -math.inf:
+        raise NonConvergenceError(
+            "no drawn path carries weight: every importance ratio underflows to 0; "
+            "bring the endpoints nearer z = 0 or lower gamma"
+        )
     r = signs * np.exp(log_ratio - shift)
     mean_r = float(np.mean(r))
     batch_means = np.array([np.mean(b) for b in np.array_split(r, _N_BATCHES)])
@@ -144,7 +149,7 @@ def estimate_transition_mc(
     scale = math.exp(shift) / (TWO_PI * cfg.duration)
 
     ess = effective_sample_size(r)
-    if ess < 10.0:
+    if not ess >= 10.0:  # NaN-safe
         raise NonConvergenceError(
             f"effective sample size {ess:.2f} < 10: the importance weights are "
             "too concentrated; lower gamma, eps or n, or draw more samples"

@@ -44,45 +44,29 @@ class SpectralLine:
 class BandLimitedPotential:
     """Potential whose Fourier transform is supported on ``[-R, R]``.
 
-    ``K`` is an upper bound on ``\\int |Vt|``; for lines it equals
-    ``2*pi*sum|a_k|`` exactly.  ``K`` is stored, not recomputed, and is
-    validated against the representation on construction.
+    ``R`` (the largest line wavenumber) and ``K = 2*pi*sum|a_k|``, which is
+    ``\\int |Vt|`` exactly, are derived from the lines; both are 0 with none.
     """
 
-    R: float
-    K: float
     lines: tuple[SpectralLine, ...] = ()
+    R: float = field(init=False)
+    K: float = field(init=False)
 
     def __post_init__(self):
-        if self.R < 0:
-            raise ValueError("support radius R must be >= 0")
-        if self.K < 0:
-            raise ValueError("K must be >= 0")
-        if self.lines:
-            if any(ln.q > self.R * (1 + 1e-12) for ln in self.lines):
-                raise ValueError("all line wavenumbers must lie in (0, R]")
-            exact = TWO_PI * sum(abs(ln.a) for ln in self.lines)
-            if not np.isclose(self.K, exact, rtol=1e-10, atol=1e-10):
-                raise ValueError(
-                    f"line representation requires K = 2*pi*sum|a_k| = {exact}, got {self.K}"
-                )
+        object.__setattr__(self, "R", max((ln.q for ln in self.lines), default=0.0))
+        object.__setattr__(self, "K", TWO_PI * sum(abs(ln.a) for ln in self.lines))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "BandLimitedPotential":
-        return cls(R=0.0, K=0.0)
+        return cls()
 
     @classmethod
     def from_lines(cls, lines) -> "BandLimitedPotential":
-        lines = tuple(
-            ln if isinstance(ln, SpectralLine) else SpectralLine(*ln) for ln in lines
+        return cls(
+            tuple(ln if isinstance(ln, SpectralLine) else SpectralLine(*ln) for ln in lines)
         )
-        if not lines:
-            return cls.zero()
-        R = max(ln.q for ln in lines)
-        K = TWO_PI * sum(abs(ln.a) for ln in lines)
-        return cls(R=R, K=K, lines=lines)
 
     @classmethod
     def single_line(cls, a: float, q: float, phi: float = 0.0) -> "BandLimitedPotential":

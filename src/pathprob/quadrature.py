@@ -8,9 +8,12 @@ Three routes are provided:
   constant Jacobian ``eps^(n-1) / n``) with the Lorentzian factors absorbed
   by the tangent substitution ``s = gamma tan(theta)``; a direct tensor grid
   over positions cannot resolve the oblique Lorentzian ridges at small
-  gamma at any sane point count.  Every potential is a cosine sum (a
-  tabulated one included), so ``1 - eps M`` comes from per-axis phase
-  tables of its lines, not from a ``sin`` per point.
+  gamma at any sane point count.  The grid is split into rows (its leading
+  axes) and columns (the others), and a point's weight, positions and line
+  phases are a row share combined with a column share.  Every potential is
+  a cosine sum (a tabulated one included), so on a block of rows against
+  all columns ``1 - eps M`` is one matrix product of row and column phase
+  tables, not a ``sin`` per point.
 * :func:`amplitude_discrete` evaluates the discretized complex amplitude by
   nested oscillatory quadrature, for cross-checks of ``|A|^2``.
 * :func:`probability_product_form` evaluates the squared amplitude written
@@ -22,9 +25,9 @@ Three routes are provided:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 from scipy.special import jv
@@ -151,96 +154,66 @@ def _tensor_sum(
     unweighted ``|integrand|`` summed over the points with some ``|z_i|``
     beyond ``window`` and over all points.
 
-    The grid is evaluated in blocks of at most ``cap`` points.  The leading
-    axes are enumerated one node at a time, as few as the cap needs; the next
-    axis is taken in slices and the trailing axes whole, so every quantity
-    that depends on one axis's node (``s = gamma tan theta``, its weight, the
-    Lorentzian pairs) is evaluated on the 1-D node table and broadcast, and
-    what depends on the trailing axes alone is built once for all blocks.
-
-    ``1 - eps M`` comes from the phase tables of :func:`_line_tables`
-    instead of ``step_m``: on a block it is ``1 + sum_lines Im(tab * last)``,
-    with ``tab`` the product over the trailing axes and ``last`` over the
-    others, which is one matrix product of a per-row and a per-column table.
-    Evaluating ``sin`` at every point was most of the quadrature's time.
-    ``step_m`` stays the definition of ``M`` that this form is tested
-    against.
+    A grid point is a row (its nodes on the first ``r`` axes, ``r >= 1`` the
+    fewest that leave at most ``cap`` columns) and a column (the others).
+    Its weight, ``z_i`` and line phases ``exp(i(q z_i + phi))`` are a row
+    share times, plus or times a column share.  So a block of rows against
+    all columns takes ``1 - eps M = 1 + sum_lines Im(row * col)`` as one
+    matrix product per interior point, instead of a ``sin`` per point.
     """
     d = cfg.n - 1
-    eps, gamma = cfg.eps, cfg.gamma
     Tinv = np.linalg.inv(second_difference_matrix(cfg.n))
     line = interior_from_velocity_changes(np.zeros(d), cfg)  # the straight path
-    m = nodes.size
-    s = gamma * np.tan(nodes)
+    s = cfg.gamma * np.tan(nodes)
     # shift[i, j, k]: the change of z_i from node k on axis j
-    shift = eps * Tinv[:, :, None] * s[None, None, :]
+    shift = cfg.eps * Tinv[:, :, None] * s[None, None, :]
     tables = _line_tables(p, cfg, line, shift, s)
 
-    lead = 0
-    while m ** (d - 1 - lead) > cap:
-        lead += 1
-    step = max(1, cap // m ** (d - 1 - lead))
-    trail = (m,) * (d - 1 - lead)
+    def part(axes, z0, lines):
+        """Outer-product tables over the nodes of ``axes``, flattened: the
+        weight and, per interior point ``i``, the share of ``z_i`` from ``z0[i]``
+        and the Re rows, Im rows and a row of ones of the lines' phase shares."""
+        w = np.ravel(reduce(np.multiply.outer, [weights] * len(axes), [1.0]))
+        z, tab = [], []
+        for i in range(d):
+            z.append(np.ravel(reduce(np.add.outer, shift[i, axes], [z0[i]])))
+            ph = [np.ravel(reduce(np.multiply.outer, t[i, axes], [b[i]])) for b, t in lines]
+            tab.append(np.stack([x.real for x in ph] + [x.imag for x in ph] + [np.ones_like(w)]))
+        return w, z, tab
 
-    def on_axis(table, j):
-        """A 1-D table along block axis ``j`` (``j >= lead``)."""
-        return table.reshape((-1,) + (1,) * (d - 1 - j))
+    r = next(k for k in range(1, d + 1) if nodes.size ** (d - k) <= cap)
+    w_row, z_row, row_tab = part(list(range(r)), np.zeros(d), [(np.ones(d), t) for _, t in tables])
+    w_col, z_col, col_tab = part(list(range(r, d)), line, tables)
+    # rows Im, Re, 1 against columns Re, Im, 1 give 1 + sum_lines Im(row * col);
+    # a row-major copy, since matmul takes BLAS only on contiguous blocks
+    swap = np.r_[len(tables) : 2 * len(tables), : len(tables), 2 * len(tables)]
+    row_tab = [t[swap].T.copy() for t in row_tab]
 
-    # per interior point, the sums and products over the trailing axes, the
-    # smallest tables first: z_i, and the rows Re tab, Im tab per line and a
-    # row of ones
-    z_trail, ph_trail = [], []
-    for i in range(d):
-        zi, tabs = line[i], [base[i] for base, _ in tables]
-        for j in range(d - 1, lead, -1):
-            zi = zi + on_axis(shift[i, j], j)
-            tabs = [tab * on_axis(ph[i, j], j) for tab, (_, ph) in zip(tabs, tables)]
-        z_trail.append(zi)
-        parts = [r for tab in tabs for r in (tab.real, tab.imag)] + [1.0]
-        ph_trail.append(np.stack([np.broadcast_to(r, trail).ravel() for r in parts]))
-
+    step = max(1, cap // w_col.size)
     # the block-sized work reuses these buffers: fresh block-sized
     # temporaries cost page faults and raise the peak memory
-    bufs = np.empty((5, min(step, m)) + trail)
+    bufs = np.empty((5, min(step, w_row.size), w_col.size))
     acc = out_mass = tot_mass = 0.0
-    for idx in itertools.product(range(m), repeat=lead):
-        w_lead = float(np.prod(weights[list(idx)]))
-        for start in range(0, m, step):
-            part = slice(start, start + step)
-            rows = min(step, m - start)
-            z, fac, prod, abs_sum, zmax = bufs[:, :rows]
-            abs_sum.fill(0.0)
-            zmax.fill(0.0)
-            for i in range(d):
-                z_lead = sum(shift[i, j, k] for j, k in enumerate(idx))
-                np.add(z_trail[i], z_lead + on_axis(shift[i, lead, part], lead), out=z)
-                out = prod if i == 0 else fac
-                # the columns Im last, Re last per line and a column of ones,
-                # against ph_trail's rows
-                cols = []
-                for _, ph in tables:
-                    last = math.prod(
-                        (ph[i, j, k] for j, k in enumerate(idx)), start=ph[i, lead, part]
-                    )
-                    cols += [last.imag, last.real]
-                cols.append(np.ones(rows))
-                np.matmul(np.stack(cols, axis=1), ph_trail[i], out=out.reshape(rows, -1))
-                if i:
-                    prod *= fac
-                np.abs(z, out=z)
-                abs_sum += z
-                np.maximum(zmax, z, out=zmax)
-            np.multiply(abs_sum, -gamma, out=abs_sum)
-            vals = np.exp(abs_sum, out=abs_sum)
-            vals *= prod
-            # contract the weights axis by axis, last axis first
-            wsum = vals.ravel()
-            for _ in range(d - 1 - lead):
-                wsum = wsum.reshape(-1, m) @ weights
-            acc += w_lead * float(wsum @ weights[part])
-            mass = np.abs(vals, out=z)
-            tot_mass += float(np.sum(mass))
-            out_mass += float(np.sum(mass[zmax > window]))
+    for start in range(0, w_row.size, step):
+        blk = slice(start, start + step)
+        z, fac, prod, abs_sum, zmax = bufs[:, : min(step, w_row.size - start)]
+        abs_sum.fill(0.0)
+        zmax.fill(0.0)
+        for i in range(d):
+            np.add(z_row[i][blk, None], z_col[i], out=z)
+            np.matmul(row_tab[i][blk], col_tab[i], out=prod if i == 0 else fac)
+            if i:
+                prod *= fac
+            np.abs(z, out=z)
+            abs_sum += z
+            np.maximum(zmax, z, out=zmax)
+        np.multiply(abs_sum, -cfg.gamma, out=abs_sum)
+        vals = np.exp(abs_sum, out=abs_sum)
+        vals *= prod
+        acc += float(w_row[blk] @ (vals @ w_col))
+        mass = np.abs(vals, out=z)
+        tot_mass += float(np.sum(mass))
+        out_mass += float(np.sum(mass[zmax > window]))
     return acc, out_mass, tot_mass
 
 
@@ -384,10 +357,9 @@ def _bessel_terms(beta_max: float) -> int:
 
     For ``m > beta_max``, ``|J_m(beta)|`` grows with ``|beta|`` up to
     ``beta_max`` and falls off faster than geometrically in ``m``, so the
-    omitted orders ``|m| > M`` sum to about ``2 |J_{M+1}(beta_max)|``.  At
-    least 12 orders are kept.
+    omitted orders ``|m| > M`` sum to about ``2 |J_{M+1}(beta_max)|``.
     """
-    m = max(12, math.ceil(beta_max))
+    m = math.ceil(beta_max)
     while abs(jv(m + 1, beta_max)) > 1e-17:
         m += 1
     return m

@@ -131,6 +131,16 @@ class TestTransition:
         assert run(["transition", "-c", free_json, "-n", "9"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_mc_without_weight_exit_code(self, tmp_path, capsys):
+        # every drawn path's importance ratio underflows to 0: no nan value
+        f = tmp_path / "far.json"
+        f.write_text(json.dumps({
+            "lattice": {"ta": 0.0, "tb": 1.0, "n": 4, "gamma": 1.0, "za": 20000.0, "zb": 20000.0},
+            "sampler": {"n_samples": 4096, "seed": 1},
+        }))
+        assert run(["transition", "-c", str(f), "--method", "mc"]) == 2
+        assert "no drawn path carries weight" in capsys.readouterr().err
+
 
 class TestWeight:
     def test_straight_line_free_path(self, tmp_path, free_json):

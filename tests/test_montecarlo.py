@@ -221,6 +221,12 @@ class TestEstimator:
         with pytest.raises(NonConvergenceError, match="effective sample size 1.03 < 10"):
             estimate_transition_mc(FREE, cfg, SamplerConfig(n_samples=10_000, seed=5))
 
+    def test_all_ratios_underflow_raise(self):
+        # far endpoints: exp(-gamma sum|z_j|) underflows to 0 on every path
+        cfg = LatticeConfig(0.0, 1.0, 4, 1.0, 20000.0, 20000.0)
+        with pytest.raises(NonConvergenceError, match="no drawn path carries weight"):
+            estimate_transition_mc(FREE, cfg, SamplerConfig(n_samples=4096, seed=1))
+
     def test_warns_above_strict_threshold(self):
         strong = BandLimitedPotential.single_line(a=1.0, q=1.0)
         cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.0)  # eps = 0.25 >> lambda

@@ -77,7 +77,7 @@ class TestPropagation:
                 return super().evaluate(x) + c
 
         p = BandLimitedPotential.single_line(a=0.3, q=1.0)
-        ps = Shifted(R=p.R, K=p.K, lines=p.lines)
+        ps = Shifted(p.lines)
         x = default_grid()
         w = gaussian_packet(x, 0.0, 1.0)
         T = 1.0
@@ -109,7 +109,7 @@ class TestPropagation:
                 return super().evaluate(x)
 
         base = BandLimitedPotential.single_line(a=0.3, q=1.0)
-        p = Counting(R=base.R, K=base.K, lines=base.lines)
+        p = Counting(base.lines)
         x = make_grid(8.0, 128)
         propagate(gaussian_packet(x, 0.0, 1.0), p, 0.1)
         assert calls == [x.size]

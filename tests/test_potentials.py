@@ -27,15 +27,11 @@ class TestConstruction:
         assert p.R == 1.0
         assert p.K == pytest.approx(TWO_PI * 0.7)
 
-    def test_wrong_k_rejected(self):
-        with pytest.raises(ValueError):
-            BandLimitedPotential(R=1.0, K=1.0, lines=(SpectralLine(q=1.0, a=1.0),))
-
-    def test_line_beyond_r_rejected(self):
-        with pytest.raises(ValueError):
-            BandLimitedPotential(
-                R=0.5, K=TWO_PI, lines=(SpectralLine(q=1.0, a=1.0),)
-            )
+    def test_r_and_k_are_not_arguments(self):
+        # derived from the lines, so a lineless potential cannot claim a band
+        with pytest.raises(TypeError):
+            BandLimitedPotential(R=1.0, K=1.0)
+        assert (BandLimitedPotential().R, BandLimitedPotential().K) == (0.0, 0.0)
 
     def test_zero_potential(self):
         p = BandLimitedPotential.zero()

@@ -195,29 +195,31 @@ class TestTensorSum:
     # grid points at |z_i| = window up to rounding
     @example([], 1.0, 1.0, 1.0, 3, 5, 0, 1.0)
     @settings(max_examples=60, deadline=None)
-    def test_blocked_matches_flat_sum(self, specs, gamma, za, zb, d, m, lead, window):
+    def test_blocked_matches_flat_sum(self, specs, gamma, za, zb, d, m, extra, window):
         p = BandLimitedPotential.from_lines([SpectralLine(q, a, phi) for q, a, phi in specs])
         cfg = LatticeConfig(0.0, 1.0, d + 1, gamma, za, zb)
         x, w = np.polynomial.legendre.leggauss(m)
         nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
-        # enumerate `lead` axes and take the next in slices of 2 nodes: with
-        # m odd the last slice is partial
-        lead = min(lead, d - 1)
-        cap = 2 * m ** (d - 1 - lead)
+        # this cap makes the first 1 + extra axes the rows, in blocks of 2
+        # rows: with m odd, blocks straddle a node of the first row axis and
+        # the last block is partial
+        extra = min(extra, d - 1)
+        cap = 2 * m ** (d - 1 - extra)
         got = _tensor_sum(p, cfg, window, nodes, weights, cap=cap)
         acc, out_mass, tot_mass, scale = flat_tensor_sum(p, cfg, window, nodes, weights)
         assert got[0] == pytest.approx(acc, rel=1e-12, abs=1e-12 * scale)
         assert_out_mass(got[1], out_mass, slack=1e-12 * tot_mass)
         assert got[2] == pytest.approx(tot_mass, rel=1e-12)
 
-    @pytest.mark.parametrize("d,m,lead", [(1, 5, 0), (2, 3, 0), (2, 5, 0), (2, 5, 1)])
-    def test_grid_potential_matches_flat_sum(self, d, m, lead):
-        # a tabulated potential's many lines through the same phase tables
+    @pytest.mark.parametrize("d,m,extra", [(1, 5, 0), (2, 3, 0), (2, 5, 0), (2, 5, 1)])
+    def test_grid_potential_matches_flat_sum(self, d, m, extra):
+        # a tabulated potential's many lines through the same phase tables,
+        # with 1 + extra row axes in blocks of 2 rows as above
         p = cosine_grid(0.2)
         cfg = LatticeConfig(0.0, 1.0, d + 1, 0.3, 0.1, -0.2)
         x, w = np.polynomial.legendre.leggauss(m)
         nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
-        cap = 2 * m ** (d - 1 - lead)
+        cap = 2 * m ** (d - 1 - extra)
         got = _tensor_sum(p, cfg, 0.25, nodes, weights, cap=cap)
         acc, out_mass, tot_mass, scale = flat_tensor_sum(p, cfg, 0.25, nodes, weights)
         assert out_mass[0] > 0.0

@@ -230,7 +230,7 @@ class TestStepM:
 
 class TestBounds:
     def test_m_bound_values(self):
-        p = BandLimitedPotential(R=1.0, K=1.0)
+        p = BandLimitedPotential.single_line(a=1.0 / TWO_PI, q=1.0)  # R = K = 1
         assert m_bound(p, 0.1) == pytest.approx(1.0 / (TWO_PI * 0.01), rel=1e-12)
         assert m_bound(COSINE, 0.1) == pytest.approx(100.0, rel=1e-12)
         assert m_bound(BandLimitedPotential.zero(), 0.1) == 0.0
@@ -315,7 +315,7 @@ class TestBounds:
 
 class TestThresholds:
     def test_closed_form_example(self):
-        p = BandLimitedPotential(R=1.0, K=1.0)
+        p = BandLimitedPotential.single_line(a=1.0 / TWO_PI, q=1.0)  # R = K = 1
         thr = positivity_threshold(p, 0.1)
         assert thr.lambda_paper == pytest.approx(TWO_PI * 0.01, rel=1e-12)
 
