@@ -14,7 +14,6 @@ import platform
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .lattice import LatticeConfig
@@ -70,6 +69,8 @@ class ScanResult(_Result):
 
 
 def _provenance(**extra) -> dict:
+    import scipy  # only for its version: importing the package leaves scipy out
+
     return {
         "package_version": __version__,
         "numpy_version": np.__version__,

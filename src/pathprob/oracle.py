@@ -10,12 +10,15 @@ against these numbers.
 ``propagate`` is exact in time: for ``V = 0`` it applies one kinetic factor
 ``exp(-i T k^2/2)``, otherwise the Chebyshev expansion of ``exp(-iHT)``
 (Tal-Ezer and Kosloff 1984), whose dropped terms are bounded by
-``CHEB_TOL`` of the norm.  There is no time step to choose.  The grid ``H``
-is real, so the recurrence runs on the real and imaginary parts as real
-rows, and its terms enter the sums a block of ``CHEB_BLOCK`` at a time, as
-one matrix product.  One recurrence serves several durations: ``ck_check``
-reads both legs, the direct amplitude or the direct kernel's sources from
-one pass.
+``CHEB_TOL`` of the norm; its Bessel coefficients come from Miller's
+backward recurrence (Gautschi 1967).  There is no time step to choose.
+The grid ``H`` is real, so the recurrence runs on the real and imaginary
+parts as real rows, and its terms enter the sums a block of ``CHEB_BLOCK``
+at a time, as one matrix product.  One recurrence serves several
+durations: ``ck_check`` reads both legs, the direct amplitude or the
+direct kernel's sources from one pass.  Default grids have an 11-smooth
+length, which numpy's FFT factors into its fastest radices.  Nothing here
+imports scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.special import jv
 
 from .potentials import TWO_PI, BandLimitedPotential
 from .quadrature import KernelEstimate, _Result
@@ -99,6 +100,29 @@ def gaussian_packet(
 CHEB_TOL = 1e-13  # bound on the dropped Chebyshev terms, relative to the norm
 
 
+def _bessel_j(a: float, top: int) -> np.ndarray:
+    """``J_0(a) .. J_top(a)`` for ``0 < a < top`` by Miller's backward recurrence.
+
+    ``J_{k-1} = (2k/a) J_k - J_{k+1}``, run down from ``0`` at ``top + 1``
+    and ``1`` at ``top``, gives ``c (J_k - e Y_k)`` with
+    ``e = J_{top+1}(a) / Y_{top+1}(a)``, since ``Y`` is the recurrence's other
+    solution (Gautschi 1967).  By Nicholson's formula ``J_k^2 + Y_k^2`` grows
+    with the order, so ``|e Y_k| <= sqrt(2) |J_{top+1}(a)|`` for ``k <= top``.
+    The sum ``J_0 + 2 sum_k J_{2k} = 1`` fixes ``c``; with ``e`` it is off by
+    about ``top |J_{top+1}(a)|`` relative at most.  The values are rescaled by
+    1e-250 whenever one exceeds 1e250, which small ``a`` needs.
+    """
+    hi, lo = 1.0, 0.0  # J_k and J_{k+1} up to a common factor, from k = top down
+    j = [hi] * (top + 1)  # J_top .. J_0
+    for i, f in enumerate((2.0 * np.arange(top, 0, -1) / a).tolist(), 1):
+        hi, lo = f * hi - lo, hi
+        if not -1e250 <= hi <= 1e250:
+            j, hi, lo = [v * 1e-250 for v in j], hi * 1e-250, lo * 1e-250
+        j[i] = hi
+    out = np.array(j[::-1])
+    return out / (out[0] + 2.0 * np.sum(out[2::2]))
+
+
 def _chebyshev_coefficients(a: float) -> np.ndarray:
     """Coefficients ``(2 - delta_k0) (-i)^k J_k(a)`` of ``exp(-i a y)`` in ``T_k(y)``.
 
@@ -116,6 +140,10 @@ def _chebyshev_coefficients(a: float) -> np.ndarray:
     factor ``rho = exp(-arccosh(M/a)) < 1`` or more per order, and the orders
     ``k >= M`` add at most ``exp(-g(M)) / (1 - rho)``.  ``M`` is chosen to
     hold that below ``CHEB_TOL / 4``.
+
+    The ``J_k`` come from ``_bessel_j``, started at the first order ``top``
+    past ``M`` where the same bound is below ``CHEB_TOL^2``: the recurrence's
+    error, at most about ``top |J_{top+1}(a)|``, is then far below rounding.
     """
 
     def rest(m):  # bound on sum_{k>=m} |J_k(a)|, for m > a
@@ -125,8 +153,11 @@ def _chebyshev_coefficients(a: float) -> np.ndarray:
     m = int(a) + 1
     while rest(m) > CHEB_TOL / 4.0:
         m += 8
+    top = m
+    while rest(top) > CHEB_TOL**2:
+        top += 8
+    j = _bessel_j(a, top)[:m]
     orders = np.arange(m)
-    j = jv(orders, a)
     # tail[K] bounds 2 sum_{k>=K} |J_k(a)|; tail[m] <= CHEB_TOL / 2 by the choice of m
     tail = 2.0 * (np.append(np.cumsum(np.abs(j[::-1]))[::-1], 0.0) + rest(m))
     n_terms = max(2, int(np.argmax(tail <= CHEB_TOL)))
@@ -250,16 +281,23 @@ def _smeared_free_kernel(x, z_a: float, duration: float, sigma):
     return (TWO_PI * var) ** -0.5 * np.exp(-((x - z_a) ** 2) / (2.0 * var))
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest ``2^a 3^b 5^c 7^d 11^e >= n``: the FFT lengths pocketfft runs fastest."""
+    while pow(2310, n.bit_length(), n):  # 11-smooth iff it divides 2310^(log2 n)
+        n += 1
+    return n
+
+
 def _grid(half_width: float, n_points: int | None):
     """Grid ``x`` and its ``dx``.
 
-    ``n_points`` defaults to the smallest FFT-friendly size (``next_fast_len``)
+    ``n_points`` defaults to the smallest 11-smooth size (``_next_fast_len``)
     >= 1024 with dx <= 0.04.  A power of two would waste up to twice the
     points and, since the Chebyshev term count grows as ``dx^-2``, up to
     eight times the work on wide grids.
     """
     if n_points is None:
-        n_points = next_fast_len(max(1024, int(math.ceil(half_width / 0.02))))
+        n_points = _next_fast_len(max(1024, int(math.ceil(half_width / 0.02))))
     x = make_grid(half_width, n_points)
     return x, x[1] - x[0]
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
-from scipy.special import jv
 
 from .lattice import LatticeConfig, interior_from_velocity_changes, second_difference_matrix
 from .potentials import TWO_PI, BandLimitedPotential
@@ -154,8 +153,10 @@ def _tensor_sum(
     unweighted ``|integrand|`` summed over the points with some ``|z_i|``
     beyond ``window`` and over all points.
 
-    A grid point is a row (its nodes on the first ``r`` axes, ``r >= 1`` the
-    fewest that leave at most ``cap`` columns) and a column (the others).
+    A grid point is a row (its nodes on the first ``r`` axes) and a column
+    (the others).  ``r >= 1`` is the fewest that leave at most
+    ``cap / (2L + 1)`` columns for ``L`` lines, so the column phase tables
+    hold at most ``cap`` doubles per interior point (``r = d`` if none does).
     Its weight, ``z_i`` and line phases ``exp(i(q z_i + phi))`` are a row
     share times, plus or times a column share.  So a block of rows against
     all columns takes ``1 - eps M = 1 + sum_lines Im(row * col)`` as one
@@ -181,13 +182,16 @@ def _tensor_sum(
             tab.append(np.stack([x.real for x in ph] + [x.imag for x in ph] + [np.ones_like(w)]))
         return w, z, tab
 
-    r = next(k for k in range(1, d + 1) if nodes.size ** (d - k) <= cap)
+    width = 2 * len(tables) + 1  # a column's table entries per interior point
+    r = next((k for k in range(1, d) if width * nodes.size ** (d - k) <= cap), d)
     w_row, z_row, row_tab = part(list(range(r)), np.zeros(d), [(np.ones(d), t) for _, t in tables])
     w_col, z_col, col_tab = part(list(range(r, d)), line, tables)
     # rows Im, Re, 1 against columns Re, Im, 1 give 1 + sum_lines Im(row * col);
-    # a row-major copy, since matmul takes BLAS only on contiguous blocks
+    # np.take makes a row-major copy, since matmul takes BLAS only on contiguous
+    # blocks, and one table at a time, so the tables are never all held twice
     swap = np.r_[len(tables) : 2 * len(tables), : len(tables), 2 * len(tables)]
-    row_tab = [t[swap].T.copy() for t in row_tab]
+    for i, t in enumerate(row_tab):
+        row_tab[i] = np.take(t.T, swap, axis=1)
 
     step = max(1, cap // w_col.size)
     # the block-sized work reuses these buffers: fresh block-sized
@@ -359,6 +363,8 @@ def _bessel_terms(beta_max: float) -> int:
     ``beta_max`` and falls off faster than geometrically in ``m``, so the
     omitted orders ``|m| > M`` sum to about ``2 |J_{M+1}(beta_max)|``.
     """
+    from scipy.special import jv  # here, so that importing the package leaves scipy out
+
     m = math.ceil(beta_max)
     while abs(jv(m + 1, beta_max)) > 1e-17:
         m += 1
@@ -373,6 +379,8 @@ def _pair_integral_line(z, s, a, q, phi, eps, gamma):
     summed over the orders that ``beta = 2 a eps sin(qz + phi)`` needs.
     Vectorized over matching-shape arrays z, s.
     """
+    from scipy.special import jv
+
     beta = 2.0 * a * eps * np.sin(q * z + phi)
     m_terms = _bessel_terms(float(np.max(np.abs(beta), initial=0.0)))
     out = np.zeros_like(np.asarray(z, dtype=float))

@@ -24,6 +24,8 @@ from pathprob.lattice import (
     make_path,
     write_path_csv,
 )
+from pathprob.potentials import BandLimitedPotential
+from pathprob.quadrature import probability_product_form
 
 COSINE_CONFIG = {
     "potential": {
@@ -91,10 +93,11 @@ class TestPositivity:
         assert payload["witness"]["q_at_threshold"] >= 0
         assert payload["witness"]["q_above_threshold"] < 0
 
-    def test_gamma_required(self, tmp_path):
+    def test_gamma_required(self, tmp_path, capsys):
         f = tmp_path / "pot.json"
         f.write_text(json.dumps({"potential": COSINE_CONFIG["potential"]}))
         assert run(["positivity", "-c", str(f)]) == 1
+        assert "positivity needs a positive finite --gamma" in capsys.readouterr().err
 
 
 class TestTransition:
@@ -194,7 +197,7 @@ class TestOtherCommands:
         assert code == 0
         assert payload["window"] == 10.0
 
-    def test_scan_writes_table_and_provenance(self, free_json, tmp_path):
+    def test_scan_writes_table_and_provenance(self, free_json, tmp_path, capsys):
         prefix = tmp_path / "scan"
         code = run(
             [
@@ -203,16 +206,19 @@ class TestOtherCommands:
             ]
         )
         assert code == 0
+        # the written files' paths, one a line
+        assert capsys.readouterr().out.split() == [f"{prefix}.csv", f"{prefix}.provenance.json"]
         assert (tmp_path / "scan.csv").exists()
         prov = json.load(open(tmp_path / "scan.provenance.json"))
         assert prov["provenance"]["seed"] == 3
 
-    def test_scan_reads_sampler_config(self, tmp_path):
+    def test_scan_reads_sampler_config(self, tmp_path, capsys):
         f = tmp_path / "sampled.json"
         f.write_text(json.dumps(dict(FREE_CONFIG, sampler={"n_samples": 2000, "seed": 4})))
         prefix = tmp_path / "scan"
         code = run(["scan", "-c", str(f), "--kind", "classical", "--out", str(prefix)])
         assert code == 0
+        assert capsys.readouterr().out.split() == [f"{prefix}.csv", f"{prefix}.provenance.json"]
         prov = json.load(open(tmp_path / "scan.provenance.json"))["provenance"]
         assert prov["n_samples"] == 2000 and prov["seed"] == 4
 
@@ -231,6 +237,7 @@ class TestOtherCommands:
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(["bogus"]) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_unknown_flag(self, tmp_path, free_json, capsys):
         # a subcommand rejects the flags it does not read
@@ -238,15 +245,16 @@ class TestUsageErrors:
         path_file = tmp_path / "p.csv"
         write_path_csv(straight_line(cfg), cfg, path_file)
         weight = ["weight", "-c", free_json, "--path", str(path_file)]
-        for argv in (
-            ["positivity", "--frobnicate"],
-            ["oracle", "-c", free_json, "--seed", "1"],
-            weight + ["--threads", "2"],
-            ["positivity", "-c", free_json, "-n", "4"],
-            ["ck", "-c", free_json, "--gamma", "0.1"],
-            weight + ["--format", "json"],
+        for argv, extra in (
+            (["positivity"], ["--frobnicate"]),
+            (["oracle", "-c", free_json], ["--seed", "1"]),
+            (weight, ["--threads", "2"]),
+            (["positivity", "-c", free_json], ["-n", "4"]),
+            (["ck", "-c", free_json], ["--gamma", "0.1"]),
+            (weight, ["--format", "json"]),
         ):
-            assert run(argv) == 1, argv
+            assert run(argv + extra) == 1, extra
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
     def test_unknown_oracle_field(self, tmp_path, capsys):
         f = tmp_path / "typo.json"
@@ -383,11 +391,14 @@ class TestUsageErrors:
 
     def test_missing_config_file(self, capsys):
         assert run(["positivity", "-c", "/nonexistent.json", "--gamma", "0.1"]) == 1
+        assert "No such file or directory: '/nonexistent.json'" in capsys.readouterr().err
 
     def test_missing_lattice_fields(self, tmp_path, capsys):
         f = tmp_path / "partial.json"
         f.write_text(json.dumps({"lattice": {"ta": 0.0}}))
         assert run(["transition", "-c", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert "lattice section missing fields: ['tb', 'n', 'gamma', 'za', 'zb']" in err
 
     @pytest.mark.parametrize("declared", [{"R": 0.5}, {"K": 1.0}])
     def test_violated_potential_declaration(self, tmp_path, capsys, declared):
@@ -516,16 +527,37 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "quadrature"
 
-    def test_import_leaves_out_scipy_optimize(self):
-        # scipy.optimize is most of an import's time and memory, and nothing
-        # in the package needs it
+    def test_import_leaves_out_scipy(self):
+        # scipy's subpackages are most of an import's time and memory; only
+        # the product form and scan provenance use scipy, and import it there
         command, env = module_command()
-        code = "import sys, pathprob.cli; print('scipy.optimize' in sys.modules)"
+        code = (
+            "import sys, pathprob.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
         proc = subprocess.run(
             [command[0], "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    def test_product_form_as_first_call(self):
+        # the product form imports scipy's jv on its first call
+        command, env = module_command()
+        p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
+        cfg = LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2)
+        code = (
+            "from pathprob.lattice import LatticeConfig\n"
+            "from pathprob.potentials import BandLimitedPotential\n"
+            "from pathprob.quadrature import probability_product_form\n"
+            "p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)\n"
+            "print(repr(probability_product_form(p, LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2))))"
+        )
+        proc = subprocess.run(
+            [command[0], "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == probability_product_form(p, cfg)
 
     def test_module_exit_codes(self, free_json):
         command, env = module_command()

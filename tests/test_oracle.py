@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 from scipy.special import jv
 
@@ -240,6 +241,28 @@ class TestExactPropagation:
         )
         assert np.max(np.abs(out.psi - exact)) <= 1e-12
 
+    # J_k(a) to 40 digits (mpmath), at oscillatory orders and at the last
+    # order each series keeps
+    BESSEL_J = {
+        0.3: {
+            0: 0.97762624653829608921641584783788283635,
+            9: 1.0570147217965365539988720297557e-13,
+        },
+        7.0: {
+            3: -0.1675555879953342360315111126342017767335,
+            26: 2.195221914399326007384944977458e-13,
+        },
+        150.0: {
+            75: 0.06663262333091886174288756854314030441535,
+            201: 3.603500861579524694188573360522e-14,
+        },
+        1003.5: {
+            500: 0.01678614145142673800554820620389697569108,
+            1003: 0.04672932165073070201137859886918846275708,
+            1099: 1.852323267533290594259909472609e-14,
+        },
+    }
+
     @pytest.mark.parametrize("a", [0.3, 7.0, 150.0, 1003.5])
     def test_chebyshev_terms_fewest_within_tolerance(self, a):
         coeff = oracle._chebyshev_coefficients(a)
@@ -249,7 +272,30 @@ class TestExactPropagation:
         assert dropped <= oracle.CHEB_TOL
         assert dropped + 2.0 * abs(jv(n - 1, a)) > oracle.CHEB_TOL
         k = np.arange(n)
-        assert np.array_equal(coeff, np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, a))
+        j = coeff / (np.where(k == 0, 1.0, 2.0) * (-1j) ** k)
+        for order, value in self.BESSEL_J[a].items():
+            assert abs(j[order] - value) <= 1e-15
+        # jv's own error reaches about 1e-14 at a = 1003.5
+        assert np.max(np.abs(j - jv(k, a))) <= 5e-14
+
+    def test_next_fast_len_matches_scipy(self):
+        sizes = range(1, 2**17 + 1)
+        assert [oracle._next_fast_len(n) for n in sizes] == [next_fast_len(n) for n in sizes]
+
+
+class TestAccuracy:
+    """Round-off of the exact route on the inputs of criteria 8 and 6."""
+
+    def test_norm_drift_criterion_8(self):
+        x = make_grid(20.0, 2048)
+        p = BandLimitedPotential.single_line(a=0.5, q=1.0)
+        w = gaussian_packet(x, 0.0, 1.0, momentum=1.0)
+        assert abs(propagate(w, p, 1.0).norm() - w.norm()) <= 5e-13 * w.norm()
+
+    def test_amplitude_composition_criterion_6(self):
+        p = BandLimitedPotential.single_line(a=0.5, q=1.0)
+        res = ck_check(p, -0.2, 0.0, 0.6, 0.4, 1.0, mode="amplitude")
+        assert res.residual <= 1e-13
 
 
 class TestFreeKernel:

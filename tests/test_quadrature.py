@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,11 +201,11 @@ class TestTensorSum:
         cfg = LatticeConfig(0.0, 1.0, d + 1, gamma, za, zb)
         x, w = np.polynomial.legendre.leggauss(m)
         nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
-        # this cap makes the first 1 + extra axes the rows, in blocks of 2
-        # rows: with m odd, blocks straddle a node of the first row axis and
-        # the last block is partial
+        # this cap makes the first 1 + extra axes the rows, in blocks of
+        # 2 (2L + 1) rows for L lines: with m odd, blocks straddle a node of
+        # the first row axis and the last block is partial
         extra = min(extra, d - 1)
-        cap = 2 * m ** (d - 1 - extra)
+        cap = 2 * (2 * len(specs) + 1) * m ** (d - 1 - extra)
         got = _tensor_sum(p, cfg, window, nodes, weights, cap=cap)
         acc, out_mass, tot_mass, scale = flat_tensor_sum(p, cfg, window, nodes, weights)
         assert got[0] == pytest.approx(acc, rel=1e-12, abs=1e-12 * scale)
@@ -214,15 +215,40 @@ class TestTensorSum:
     @pytest.mark.parametrize("d,m,extra", [(1, 5, 0), (2, 3, 0), (2, 5, 0), (2, 5, 1)])
     def test_grid_potential_matches_flat_sum(self, d, m, extra):
         # a tabulated potential's many lines through the same phase tables,
-        # with 1 + extra row axes in blocks of 2 rows as above
+        # with 1 + extra row axes in blocks of 2 (2L + 1) rows as above
         p = cosine_grid(0.2)
         cfg = LatticeConfig(0.0, 1.0, d + 1, 0.3, 0.1, -0.2)
         x, w = np.polynomial.legendre.leggauss(m)
         nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
-        cap = 2 * m ** (d - 1 - extra)
+        cap = 2 * (2 * len(p.lines) + 1) * m ** (d - 1 - extra)
         got = _tensor_sum(p, cfg, 0.25, nodes, weights, cap=cap)
         acc, out_mass, tot_mass, scale = flat_tensor_sum(p, cfg, 0.25, nodes, weights)
         assert out_mass[0] > 0.0
+        assert got[0] == pytest.approx(acc, rel=1e-12, abs=1e-12 * scale)
+        assert_out_mass(got[1], out_mass)
+        assert got[2] == pytest.approx(tot_mass, rel=1e-12)
+
+    def test_many_lines_split_keeps_column_tables_in_cap(self):
+        # 76 lines: each column holds 153 table entries per interior point, so
+        # this cap leaves 16^2 columns against 16^2 rows in blocks of 153;
+        # at the 16^3 columns that the cap alone allows, the column tables
+        # took over 80 cap doubles
+        p = cosine_grid(0.2)
+        d, m = 4, 16
+        cfg = LatticeConfig(0.0, 1.0, d + 1, 0.3, 0.1, -0.2)
+        x, w = np.polynomial.legendre.leggauss(m)
+        nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
+        cap = (2 * len(p.lines) + 1) * m**2
+        tracemalloc.start()
+        try:
+            got = _tensor_sum(p, cfg, 0.25, nodes, weights, cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # row and column tables take d cap doubles each and the block buffers
+        # 5 cap; as much again is left for temporaries
+        assert peak <= 2 * (2 * d + 5) * cap * 8
+        acc, out_mass, tot_mass, scale = flat_tensor_sum(p, cfg, 0.25, nodes, weights)
         assert got[0] == pytest.approx(acc, rel=1e-12, abs=1e-12 * scale)
         assert_out_mass(got[1], out_mass)
         assert got[2] == pytest.approx(tot_mass, rel=1e-12)
