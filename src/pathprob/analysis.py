@@ -69,12 +69,9 @@ class ScanResult(_Result):
 
 
 def _provenance(**extra) -> dict:
-    import scipy  # only for its version: importing the package leaves scipy out
-
     return {
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "python_version": platform.python_version(),
         **extra,
     }

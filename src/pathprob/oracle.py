@@ -17,8 +17,8 @@ parts as real rows, and its terms enter the sums a block of ``CHEB_BLOCK``
 at a time, as one matrix product.  One recurrence serves several
 durations: ``ck_check`` reads both legs, the direct amplitude or the
 direct kernel's sources from one pass.  Default grids have an 11-smooth
-length, which numpy's FFT factors into its fastest radices.  Nothing here
-imports scipy.
+length, which numpy's FFT factors into its fastest radices.  The product
+form takes its ``J_m`` from ``_bessel_j`` too: the library needs no scipy.
 """
 
 from __future__ import annotations
@@ -123,6 +123,20 @@ def _bessel_j(a: float, top: int) -> np.ndarray:
     return out / (out[0] + 2.0 * np.sum(out[2::2]))
 
 
+def _kapteyn_tail(a: float, m: int) -> float:
+    """Bound on ``sum_{k>=m} |J_k(a)|`` for ``m > a`` (``_chebyshev_coefficients`` derives it)."""
+    g = m * math.acosh(m / a) - math.sqrt(m * m - a * a)
+    return math.exp(-g) / (1.0 - math.exp(-math.acosh(m / a)))
+
+
+def _miller_top(a: float, m: int) -> int:
+    """``_bessel_j``'s start ``top`` for orders up to ``m``: the first ``m + 8 i`` with
+    ``_kapteyn_tail`` below ``CHEB_TOL^2``, where its error is far below rounding."""
+    while _kapteyn_tail(a, m) > CHEB_TOL**2:
+        m += 8
+    return m
+
+
 def _chebyshev_coefficients(a: float) -> np.ndarray:
     """Coefficients ``(2 - delta_k0) (-i)^k J_k(a)`` of ``exp(-i a y)`` in ``T_k(y)``.
 
@@ -141,25 +155,16 @@ def _chebyshev_coefficients(a: float) -> np.ndarray:
     ``k >= M`` add at most ``exp(-g(M)) / (1 - rho)``.  ``M`` is chosen to
     hold that below ``CHEB_TOL / 4``.
 
-    The ``J_k`` come from ``_bessel_j``, started at the first order ``top``
-    past ``M`` where the same bound is below ``CHEB_TOL^2``: the recurrence's
-    error, at most about ``top |J_{top+1}(a)|``, is then far below rounding.
+    The ``J_k`` come from ``_bessel_j``, started at ``_miller_top(a, M)``.
+    ``M`` starts at 2 or more, so a tiny ``a`` keeps two terms.
     """
-
-    def rest(m):  # bound on sum_{k>=m} |J_k(a)|, for m > a
-        g = m * math.acosh(m / a) - math.sqrt(m * m - a * a)
-        return math.exp(-g) / (1.0 - math.exp(-math.acosh(m / a)))
-
-    m = int(a) + 1
-    while rest(m) > CHEB_TOL / 4.0:
+    m = max(2, int(a) + 1)
+    while _kapteyn_tail(a, m) > CHEB_TOL / 4.0:
         m += 8
-    top = m
-    while rest(top) > CHEB_TOL**2:
-        top += 8
-    j = _bessel_j(a, top)[:m]
+    j = _bessel_j(a, _miller_top(a, m))[:m]
     orders = np.arange(m)
     # tail[K] bounds 2 sum_{k>=K} |J_k(a)|; tail[m] <= CHEB_TOL / 2 by the choice of m
-    tail = 2.0 * (np.append(np.cumsum(np.abs(j[::-1]))[::-1], 0.0) + rest(m))
+    tail = 2.0 * (np.append(np.cumsum(np.abs(j[::-1]))[::-1], 0.0) + _kapteyn_tail(a, m))
     n_terms = max(2, int(np.argmax(tail <= CHEB_TOL)))
     coeff = (-1j) ** orders[:n_terms] * j[:n_terms]
     coeff[1:] *= 2.0

@@ -356,33 +356,28 @@ def amplitude_discrete(
 
 # -- squared amplitude in product form --------------------------------
 
-def _bessel_terms(beta_max: float) -> int:
-    """Order ``M`` past which ``|J_m(beta)| <= 1e-17`` for all ``|beta| <= beta_max``.
-
-    For ``m > beta_max``, ``|J_m(beta)|`` grows with ``|beta|`` up to
-    ``beta_max`` and falls off faster than geometrically in ``m``, so the
-    omitted orders ``|m| > M`` sum to about ``2 |J_{M+1}(beta_max)|``.
-    """
-    from scipy.special import jv  # here, so that importing the package leaves scipy out
-
-    m = math.ceil(beta_max)
-    while abs(jv(m + 1, beta_max)) > 1e-17:
-        m += 1
-    return m
-
-
 def _pair_integral_line(z, s, a, q, phi, eps, gamma):
     """Closed-form pair-separation integral for a single-line potential.
 
     ``int du exp(-2 gamma max(|z|, |u|/2)) exp(-ius) exp(i eps [V(z - u/2)
-    - V(z + u/2)])`` via the Bessel expansion of the oscillating phase,
-    summed over the orders that ``beta = 2 a eps sin(qz + phi)`` needs.
-    Vectorized over matching-shape arrays z, s.
+    - V(z + u/2)])`` via the Bessel expansion of the oscillating phase in
+    ``beta = 2 a eps sin(qz + phi)``, over the orders ``|m| <= M``: ``M >=
+    ceil(max |beta|)`` is the first with ``|J_{M+1}(max |beta|)| <= 1e-17``;
+    the omitted orders add about twice that.  ``J_m(|beta|)`` is the Miller
+    recurrence ``oracle._bessel_j`` at ``|beta|`` floored to 1e-50 (a change
+    of 1e-50 at most).  Vectorized over arrays z, s that broadcast.
     """
-    from scipy.special import jv
+    from .oracle import _bessel_j, _miller_top  # here, since oracle imports this module
 
     beta = 2.0 * a * eps * np.sin(q * z + phi)
-    m_terms = _bessel_terms(float(np.max(np.abs(beta), initial=0.0)))
+    mag = np.maximum(np.abs(beta), 1e-50)
+    m_terms = math.ceil(float(np.max(np.abs(beta))))
+    top = _miller_top(float(np.max(mag)), m_terms + 1)
+    j = np.array([_bessel_j(b, top) for b in mag.ravel().tolist()])
+    while abs(j[np.argmax(mag), m_terms + 1]) > 1e-17:
+        m_terms += 1
+    j = j.reshape(beta.shape + (top + 1,))
+    sign = np.where(beta < 0, -1.0, 1.0)
     out = np.zeros_like(np.asarray(z, dtype=float))
     az2 = 2.0 * np.abs(z)
     decay = np.exp(-gamma * az2)
@@ -394,7 +389,8 @@ def _pair_integral_line(z, s, a, q, phi, eps, gamma):
             gamma**2 * az2 * np.sinc(az2 * omega / np.pi) / denom
             + gamma * np.cos(az2 * omega) / denom
         )
-        out = out + jv(m, beta) * g_val
+        # J_m(beta) = J_|m|(beta sgn m) = sgn(m beta)^|m| J_|m|(|beta|)
+        out = out + (sign if m >= 0 else -sign) ** abs(m) * j[..., abs(m)] * g_val
     return out
 
 

@@ -219,25 +219,27 @@ def _pair_difference(p: BandLimitedPotential, z: float, u):
     return p.evaluate(z - u) - p.evaluate(z + u)
 
 
+EXPONENTIAL_TAIL = 1e-12  # step_q_exponential's cut-off of the regularizer exp(-gamma |u|)
+
+
 def step_q_exponential(
     p: BandLimitedPotential,
     z: float,
     s: float,
     eps: float,
     gamma: float,
-    tol: float = 1e-12,
     return_imag: bool = False,
 ):
     """Step factor with the full exponential of the potential difference.
 
     Evaluated by truncated fine-grid quadrature of the u-integral; the
-    truncation point and sampling density are set from ``tol`` and the
-    oscillation content ``|s| + max(R, 1) + gamma``.  Raises
-    NonConvergenceError when a refinement check fails.
+    truncation point is set from ``EXPONENTIAL_TAIL`` and the sampling
+    density from the oscillation content ``|s| + max(R, 1) + gamma``.
+    Raises NonConvergenceError when a refinement check fails.
     """
     if eps <= 0 or gamma <= 0:
         raise ValueError("eps and gamma must be positive")
-    u_max = -math.log(tol) / gamma
+    u_max = -math.log(EXPONENTIAL_TAIL) / gamma
     freq = abs(s) + max(p.R, 1.0) + gamma
 
     def evaluate(h: float) -> complex:

@@ -527,37 +527,38 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "quadrature"
 
-    def test_import_leaves_out_scipy(self):
-        # scipy's subpackages are most of an import's time and memory; only
-        # the product form and scan provenance use scipy, and import it there
-        command, env = module_command()
-        code = (
-            "import sys, pathprob.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-        )
-        proc = subprocess.run(
-            [command[0], "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
-
-    def test_product_form_as_first_call(self):
-        # the product form imports scipy's jv on its first call
+    def test_runs_without_scipy(self, cosine_json, free_json):
+        # the library runs on numpy alone: with scipy blocked, a fresh
+        # interpreter imports the CLI, evaluates the product form (its Bessel
+        # values) and runs a scan (its provenance) and a transition
         command, env = module_command()
         p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
         cfg = LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2)
+        scan = [
+            "scan", "-c", cosine_json, "--kind", "linearization",
+            "--points", "0.3,0.7", "--eps-list", "0.02", "0.01",
+        ]
         code = (
+            "import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import pathprob.cli\n"
             "from pathprob.lattice import LatticeConfig\n"
             "from pathprob.potentials import BandLimitedPotential\n"
             "from pathprob.quadrature import probability_product_form\n"
             "p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)\n"
-            "print(repr(probability_product_form(p, LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2))))"
+            "value = probability_product_form(p, LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [pathprob.cli.run({scan!r}),"
+            f" pathprob.cli.run(['transition', '-c', {free_json!r}])]\n"
+            "print(repr(value), codes)\n"
         )
         proc = subprocess.run(
             [command[0], "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) == probability_product_form(p, cfg)
+        value, codes = proc.stdout.split(" ", 1)
+        assert float(value) == probability_product_form(p, cfg)
+        assert codes.strip() == "[0, 0]"
 
     def test_module_exit_codes(self, free_json):
         command, env = module_command()

@@ -60,6 +60,14 @@ class TestPropagation:
         out = propagate(w, FREE, 0.0)
         assert np.array_equal(out.psi, w.psi)
 
+    def test_tiny_duration_is_identity_to_rounding(self):
+        # a = rT is about 2e-15 here; the Chebyshev series must still keep
+        # the two terms that the recurrence starts from
+        x = make_grid(20.0, 1024)
+        w = gaussian_packet(x, 0.0, 1.0)
+        out = propagate(w, BandLimitedPotential.single_line(a=0.5, q=1.0), 1e-18)
+        assert np.max(np.abs(out.psi - w.psi)) <= 1e-15 * np.max(np.abs(w.psi))
+
     def test_free_dispersion_law(self):
         x = default_grid()
         sigma0, T = 0.7, 1.5

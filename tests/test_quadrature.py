@@ -287,6 +287,27 @@ class TestAmplitude:
             amplitude_discrete(FREE, free_cfg(2, 0.1), regularizer="cosine")
 
 
+def assert_pair_integral_matches_series(a, phi, eps, q=1.0, gamma=0.5):
+    """Check ``_pair_integral_line`` on a (z, s) grid against a 100-order
+    reference of the same Bessel expansion with scipy's ``jv``; returns beta."""
+    z = np.linspace(-3.0, 3.0, 41)[:, None]
+    s = np.linspace(-4.0, 4.0, 33)[None, :]
+    beta = 2.0 * a * eps * np.sin(q * z + phi)
+    az2 = 2.0 * np.abs(z)
+    ref = 0.0
+    for m in range(-100, 101):
+        omega = s - 0.5 * m * q
+        denom = gamma**2 + omega**2
+        g_val = 2.0 * np.exp(-gamma * az2) * (
+            gamma**2 * az2 * np.sinc(az2 * omega / np.pi) / denom
+            + gamma * np.cos(az2 * omega) / denom
+        )
+        ref = ref + jv(m, beta) * g_val
+    got = _pair_integral_line(z, s, a, q, phi, eps, gamma)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    return beta
+
+
 class TestProductForm:
     def test_identity_n2_weak_line(self):
         p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
@@ -302,25 +323,25 @@ class TestProductForm:
         assert rhs == pytest.approx(lhs, rel=1e-5)
 
     def test_bessel_series_sized_from_beta(self):
-        # beta = 2 a eps sin(qz + phi) reaches 12 here; the sum must match a
-        # 100-order reference of the same expansion
-        a, q, phi, eps, gamma = 10.0, 1.0, 0.3, 0.6, 0.5
-        z = np.linspace(-3.0, 3.0, 41)[:, None]
-        s = np.linspace(-4.0, 4.0, 33)[None, :]
-        beta = 2.0 * a * eps * np.sin(q * z + phi)
-        assert np.max(np.abs(beta)) > 10.0
-        az2 = 2.0 * np.abs(z)
-        ref = 0.0
-        for m in range(-100, 101):
-            omega = s - 0.5 * m * q
-            denom = gamma**2 + omega**2
-            g_val = 2.0 * np.exp(-gamma * az2) * (
-                gamma**2 * az2 * np.sinc(az2 * omega / np.pi) / denom
-                + gamma * np.cos(az2 * omega) / denom
-            )
-            ref = ref + jv(m, beta) * g_val
-        got = _pair_integral_line(z, s, a, q, phi, eps, gamma)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # beta = 2 a eps sin(qz + phi) reaches 12 here, with both signs
+        beta = assert_pair_integral_matches_series(10.0, 0.3, 0.6)
+        assert np.max(np.abs(beta)) > 10.0 and np.min(beta) < 0.0
+
+    @pytest.mark.parametrize(
+        "a, phi, eps, where",
+        [
+            (0.2, 0.0, 1.0, "zero"),  # beta = 0 exactly at z = 0
+            (-3.0, 0.3, 0.6, "negative"),  # a < 0: beta < 0 wherever sin(qz + phi) > 0
+            (0.0, 0.0, 1.0, "all zero"),  # the zero potential
+        ],
+    )
+    def test_bessel_series_at_zero_and_negative_beta(self, a, phi, eps, where):
+        beta = assert_pair_integral_matches_series(a, phi, eps)
+        assert {
+            "zero": np.any(beta == 0.0),
+            "negative": np.min(beta) < -1.0,
+            "all zero": np.all(beta == 0.0),
+        }[where]
 
     def test_multi_line_rejected(self):
         p = BandLimitedPotential.from_lines([(1.0, 0.1, 0.0), (0.5, 0.1, 0.0)])

@@ -79,10 +79,10 @@ def bracketed_sup(q, gamma):
     return float(max(-res.fun, vals[i]))
 
 
-def exponential_reference(p, z, s, eps, gamma, freq, tol=1e-12):
+def exponential_reference(p, z, s, eps, gamma, freq):
     """The exponential step factor on the refined panels ``step_q_exponential``
     takes for the oscillation content ``freq``, without its refinement check."""
-    u_max = -math.log(tol) / gamma
+    u_max = -math.log(weights.EXPONENTIAL_TAIL) / gamma
     h = 0.5 * min(np.pi / (2.0 * freq), u_max / 8.0)
     nodes, wts = np.polynomial.legendre.leggauss(10)
     edges = np.arange(0.0, u_max + h, h)
