@@ -506,6 +506,17 @@ def declared_console_script():
     return importlib.metadata.EntryPoint("pathprob", target, "console_scripts").load()
 
 
+def run_without_scipy(code):
+    """Run ``code`` in a fresh interpreter in which ``import scipy`` fails."""
+    command, env = module_command()
+    return subprocess.run(
+        [command[0], "-c", "import sys\nsys.modules['scipy'] = None\n" + code],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestEntryPoint:
     def test_console_script(self, free_json):
         if shutil.which("pathprob"):
@@ -527,38 +538,38 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "quadrature"
 
-    def test_runs_without_scipy(self, cosine_json, free_json):
-        # the library runs on numpy alone: with scipy blocked, a fresh
-        # interpreter imports the CLI, evaluates the product form (its Bessel
-        # values) and runs a scan (its provenance) and a transition
-        command, env = module_command()
-        p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
-        cfg = LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2)
+    def test_import_leaves_out_scipy(self, cosine_json, free_json):
+        # the CLI runs on numpy alone: with scipy blocked, a fresh interpreter
+        # imports it and runs a scan (its provenance) and a transition
         scan = [
             "scan", "-c", cosine_json, "--kind", "linearization",
             "--points", "0.3,0.7", "--eps-list", "0.02", "0.01",
         ]
-        code = (
-            "import contextlib, io, sys\n"
-            "sys.modules['scipy'] = None\n"
+        proc = run_without_scipy(
+            "import contextlib, io\n"
             "import pathprob.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [pathprob.cli.run({scan!r}),"
+            f" pathprob.cli.run(['transition', '-c', {free_json!r}])]\n"
+            "print(codes)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0]"
+
+    def test_product_form_as_first_call(self):
+        # the product form's Bessel values need no scipy: with scipy blocked,
+        # its first call in a fresh interpreter matches the in-process value
+        p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
+        cfg = LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2)
+        proc = run_without_scipy(
             "from pathprob.lattice import LatticeConfig\n"
             "from pathprob.potentials import BandLimitedPotential\n"
             "from pathprob.quadrature import probability_product_form\n"
             "p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)\n"
-            "value = probability_product_form(p, LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2))\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [pathprob.cli.run({scan!r}),"
-            f" pathprob.cli.run(['transition', '-c', {free_json!r}])]\n"
-            "print(repr(value), codes)\n"
-        )
-        proc = subprocess.run(
-            [command[0], "-c", code], capture_output=True, text=True, env=env
+            "print(repr(probability_product_form(p, LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2))))\n"
         )
         assert proc.returncode == 0, proc.stderr
-        value, codes = proc.stdout.split(" ", 1)
-        assert float(value) == probability_product_form(p, cfg)
-        assert codes.strip() == "[0, 0]"
+        assert float(proc.stdout) == probability_product_form(p, cfg)
 
     def test_module_exit_codes(self, free_json):
         command, env = module_command()
