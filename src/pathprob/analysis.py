@@ -29,7 +29,7 @@ from .quadrature import (
     extrapolate_gamma,
     transition_probability_quadrature,
 )
-from .weights import step_q_exponential, step_q_linear
+from .weights import _sign_log_ratio, step_q_exponential, step_q_linear
 
 __all__ = [
     "ScanResult",
@@ -92,17 +92,19 @@ def classical_concentration_scan(
     ``(seed, batch)``-keyed batches of the Monte Carlo estimator, on
     ``sampler.threads`` workers, and judged by the drawn velocity changes.
     """
+    free = BandLimitedPotential.zero()
     rows = []
     for g in gammas:
         cfg_g = replace(cfg, gamma=g)
 
         def weigh(size, batch):
             interiors, s = sample_bridge_paths(cfg_g, sampler, size, batch)
-            # the Monte Carlo importance ratio with M = 0
-            w = np.exp(-g * np.sum(np.abs(interiors), axis=1))
-            return w, np.max(np.abs(s), axis=1) > delta
+            # the Monte Carlo importance ratio with M = 0, positive on every path
+            _, log_w = _sign_log_ratio(free, interiors, s, cfg_g.eps, g)
+            return log_w, np.max(np.abs(s), axis=1) > delta
 
-        w, exceed = _map_batches(sampler, weigh)
+        log_w, exceed = _map_batches(sampler, weigh)
+        w = np.exp(log_w - np.max(log_w))
         fraction = float(np.sum(w[exceed]) / np.sum(w))
         rows.append({"gamma": g, "delta": delta, "fraction": fraction})
     prov = _provenance(

@@ -10,18 +10,24 @@ with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
     M(z, s) = - sum_k a_k sin(q_k z + phi_k) * D(s, q_k),
     D(s, q) = (s^2 + g^2) / ((s - q)^2 + g^2) - (s^2 + g^2) / ((s + q)^2 + g^2).
 
-``_m_and_f`` is the one evaluation of ``M`` and of ``f = exp(-gamma |z|)
-(1 - eps M)``; the linearized step factor is ``Q = f rho(s) / eps``
+``_add_m`` is the one evaluation of ``M``: it adds the line terms to an
+array in place, so ``step_m`` sums them into zeros and the Monte Carlo's
+``1 - eps M`` into ones.  ``_m_and_f`` gives ``M`` and ``f = exp(-gamma
+|z|) (1 - eps M)``; the linearized step factor is ``Q = f rho(s) / eps``
 (``_m_and_q``), with ``rho(s) = gamma / (pi (s^2 + gamma^2))`` the Cauchy
-law of a velocity change.  ``_sign_log_abs`` is the one reduction of a
-product of factors to a sign and a log magnitude.  Paths whose ``n - 1``
-velocity changes are drawn from ``rho`` have density ``(n / eps^(n-1))
-prod rho(s_j)`` in interior-point space, so the weight ``W = n prod Q_j``
-over that density is ``prod f_j``: the Lorentzian factors cancel, and the
-Monte Carlo estimator reduces ``prod f`` on the drawn ``s`` without forming
-``Q`` or the density.  The tensor-grid quadrature integrates the same
-``prod f`` after ``s = gamma tan theta``, which puts ``rho`` into the
-measure.  It does not call ``step_m``: on its grid
+law of a velocity change.  ``_sign_log_abs`` reduces a product of factors
+to a sign and a log magnitude step by step; ``path_weight`` and
+``batch_log_weights`` reduce ``Q`` with it, since ``Q`` has no bound.
+Paths whose ``n - 1`` velocity changes are drawn from ``rho`` have density
+``(n / eps^(n-1)) prod rho(s_j)`` in interior-point space, so the weight
+``W = n prod Q_j`` over that density is ``prod f_j``: the Lorentzian
+factors cancel, and the Monte Carlo estimator reduces ``prod f`` on the
+drawn ``s`` without forming ``Q`` or the density.  ``_sign_log_ratio``
+does that with one ``log`` per path: the factors ``1 - eps M`` are bounded
+by ``1 + eps sup|M|``, so their product is taken directly, and ``gamma
+sum |z|`` is subtracted in the log domain.  The tensor-grid quadrature
+integrates the same ``prod f`` after ``s = gamma tan theta``, which puts
+``rho`` into the measure.  It does not call ``step_m``: on its grid
 each ``z`` is affine in the node indices, so ``sin(q z + phi)`` is the
 imaginary part of a product of per-axis phase tables, and ``1 - eps M``
 costs a matrix product per block instead of a ``sin`` per point, which was
@@ -85,15 +91,51 @@ def lorentzian_pair(s, q, gamma):
     return 4.0 * q * s * (s * s + g2) / (((s - q) ** 2 + g2) * ((s + q) ** 2 + g2))
 
 
+def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: float = 1.0):
+    """Add ``scale * M(z, s)`` to ``out`` in place, line by line.
+
+    ``out`` has the broadcast shape of ``z`` and ``s``.  Each line's ``D(s,
+    q)`` is formed in ``s``'s shape and its ``a sin(q z + phi)`` in ``z``'s,
+    so a grid of ``z`` against ``s`` costs one of each per row or column.
+    The scratch arrays are allocated once whatever the number of lines, and
+    for ``z`` and ``s`` of one shape they are two, plus ``s^2 + gamma^2``.
+    ``D`` is computed as :func:`lorentzian_pair` computes it, operation for
+    operation, so at ``scale = 1`` the sum is bit for bit the sum of those
+    terms.
+    """
+    g2 = gamma * gamma
+    s2g = s * s
+    s2g += g2
+    d, u = np.empty(s.shape), np.empty(s.shape)
+    w = u if z.shape == s.shape else np.empty(z.shape)
+    t = w if w.shape == out.shape else np.empty(out.shape)
+    for ln in p.lines:
+        np.add(s, ln.q, out=d)
+        np.square(d, out=d)
+        d += g2
+        np.subtract(s, ln.q, out=u)
+        np.square(u, out=u)
+        u += g2
+        u *= d
+        np.multiply(s, 4.0 * ln.q, out=d)
+        d *= s2g
+        d /= u
+        np.multiply(z, ln.q, out=w)
+        w += ln.phi
+        np.sin(w, out=w)
+        w *= scale * ln.a
+        np.multiply(w, d, out=t)
+        out -= t
+    return out
+
+
 def step_m(p: BandLimitedPotential, z, s, gamma: float):
     """Nonlocal kernel M(z, s).  Accepts scalar or array z, s (broadcast)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
-    out = np.zeros(np.broadcast(z, s).shape)
-    for ln in p.lines:
-        out = out - ln.a * np.sin(ln.q * z + ln.phi) * lorentzian_pair(s, ln.q, gamma)
+    out = _add_m(p, z, s, gamma, np.zeros(np.broadcast(z, s).shape))
     return out if out.ndim else float(out)
 
 
@@ -203,6 +245,38 @@ def _sign_log_abs(q, n: int):
     sign = np.prod(np.sign(q), axis=-1)
     with np.errstate(divide="ignore"):
         log_abs = np.sum(np.log(np.abs(q)), axis=-1) + math.log(n)
+    return sign, log_abs
+
+
+def _sign_log_ratio(p: BandLimitedPotential, z, s, eps: float, gamma: float):
+    """Sign and ``log|prod_j f_j|`` of ``f = exp(-gamma |z|) (1 - eps M)`` along each row.
+
+    The reduction ``_sign_log_abs(_m_and_f(p, z, s, eps, gamma)[1], 1)``
+    without forming ``f``: ``log|prod f| = log|prod (1 - eps M)| - gamma sum
+    |z|``, with one ``log`` per row and no ``exp``, so a far path keeps a
+    finite log where ``exp(-gamma |z|)`` underflows.  ``|1 - eps M| <= 1 +
+    eps sup|M|``, so a row's product leaves the normal range of a double only
+    through a zero factor or through many factors far from 1 (``eps`` far
+    above the positivity threshold, or near it); such rows are reduced step
+    by step.  ``z`` and ``s`` have shape (N, n-1).
+    """
+    fac = np.ones(z.shape)
+    if p.lines:
+        _add_m(p, z, s, gamma, fac, scale=-eps)
+        with np.errstate(over="ignore", divide="ignore"):
+            # column by column: numpy reduces along a short last axis row
+            # by row, at about three times the cost
+            prod = fac[:, 0].copy()
+            for col in fac.T[1:]:
+                prod *= col
+            sign, mag = np.sign(prod), np.abs(prod)
+            log_abs = np.log(mag)
+        lost = ~((mag >= np.finfo(float).tiny) & (mag < math.inf))
+        if lost.any():
+            sign[lost], log_abs[lost] = _sign_log_abs(fac[lost], 1)
+    else:  # every factor 1 - eps M is 1
+        sign, log_abs = np.ones(len(z)), np.zeros(len(z))
+    log_abs -= gamma * (np.abs(z, out=fac) @ np.ones(z.shape[1]))
     return sign, log_abs
 
 

@@ -287,7 +287,15 @@ class TestExactPropagation:
         assert np.max(np.abs(j - jv(k, a))) <= 5e-14
 
     def test_next_fast_len_matches_scipy(self):
-        sizes = range(1, 2**17 + 1)
+        # every size up to 4096, then each 11-smooth size up to 2^17 and the
+        # size after it, from which the walk runs to the next smooth size
+        smooth = {1}
+        for prime in (2, 3, 5, 7, 11):
+            for k in sorted(smooth):
+                while k * prime <= 2**17:
+                    k *= prime
+                    smooth.add(k)
+        sizes = sorted(set(range(1, 4097)) | smooth | {k + 1 for k in smooth})
         assert [oracle._next_fast_len(n) for n in sizes] == [next_fast_len(n) for n in sizes]
 
 

@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from pathprob import weights
 from pathprob.lattice import LatticeConfig, interior_from_velocity_changes, make_path
-from pathprob.montecarlo import SamplerConfig, estimate_transition_mc
+from pathprob.montecarlo import SamplerConfig, estimate_transition_mc, sample_bridge_paths
 from pathprob.potentials import BandLimitedPotential, band_limit, potential_from_dict
 from pathprob.quadrature import transition_probability_quadrature
 from pathprob.weights import (
@@ -148,6 +148,19 @@ class TestStepM:
     def test_gamma_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             step_m(COSINE, 0.0, 0.0, 0.0)
+
+    def test_in_place_sum_equals_lorentzian_pair_terms(self):
+        # the line sum is accumulated in place, term by term as written with
+        # lorentzian_pair, to the last bit and under broadcasting
+        x = np.linspace(-20.0, 20.0, 201)
+        p, _ = band_limit(x, 0.04 * np.cos(0.6 * x + 0.3) + 0.03 * np.cos(1.1 * x + 1.0), R=1.5)
+        rng = np.random.default_rng(2)
+        z = rng.normal(0.0, 5.0, size=(40, 1))
+        s = rng.standard_cauchy(size=(1, 30))
+        ref = np.zeros((40, 30))
+        for ln in p.lines:
+            ref = ref - ln.a * np.sin(ln.q * z + ln.phi) * lorentzian_pair(s, ln.q, 0.3)
+        assert np.array_equal(step_m(p, z, s, 0.3), ref)
 
     @pytest.mark.parametrize(
         "z,s", [(0.3, 0.7), (-1.2, 1.5), (math.pi / 2, 1.0), (2.0, -0.4)]
@@ -529,6 +542,71 @@ class TestPathWeight:
         }
         assert len(rep["per_step"]) == cfg.n - 1
         assert set(rep["per_step"][0]) == {"j", "s", "M", "Q"}
+
+
+class TestSignLogRatio:
+    """The Monte Carlo's importance ratio: ``log|prod(1 - eps M)| - gamma
+    sum|z|`` with one log per path, against the per-step reduction of ``f``."""
+
+    X = np.linspace(-20.0, 20.0, 201)
+    V = 0.04 * np.cos(0.6 * X + 0.3) + 0.03 * np.cos(1.1 * X + 1.0)
+
+    @pytest.mark.parametrize("case", ["zero", "band-limit-64", "strong-above-strict"])
+    def test_matches_per_step_logs(self, case):
+        if case == "zero":
+            p, cfg = BandLimitedPotential.zero(), LatticeConfig(0.0, 1.0, 16, 0.1, 0.0, 0.3)
+        elif case == "band-limit-64":
+            p, cfg = band_limit(self.X, self.V, R=1.5)[0], LatticeConfig(0.0, 1.0, 6, 0.5, 0.0, 0.2)
+            assert len(p.lines) == 64
+        else:
+            p, cfg = COSINE, LatticeConfig(0.0, 1.0, 8, 0.1, 0.0, 0.0)
+            assert cfg.eps > positivity_threshold(p, cfg.gamma).lambda_strict
+        z, s = sample_bridge_paths(cfg, SamplerConfig(seed=4), 2000)
+        sign, log_abs = weights._sign_log_ratio(p, z, s, cfg.eps, cfg.gamma)
+        ref_sign, ref_log = weights._sign_log_abs(weights._m_and_f(p, z, s, cfg.eps, cfg.gamma)[1], 1)
+        assert np.array_equal(sign, ref_sign)
+        assert np.all(np.abs(log_abs - ref_log) <= 1e-12 * np.abs(ref_log))
+        if case == "strong-above-strict":
+            assert np.any(sign < 0) and np.any(sign > 0)
+
+    def test_zero_factor(self):
+        # sin = -1 and a D = 1 exactly: the first step's factor 1 - eps M is 0
+        p = BandLimitedPotential.single_line(a=0.625, q=1.0)
+        z, s = np.array([[-math.pi / 2, 0.3]]), np.array([[1.0, 0.2]])
+        assert step_m(p, z, s, 1.0)[0, 0] == 1.0
+        sign, log_abs = weights._sign_log_ratio(p, z, s, 1.0, 1.0)
+        assert sign[0] == 0 and log_abs[0] == -math.inf
+
+    def test_far_paths_keep_finite_logs(self):
+        # at |z| near 2e4, exp(-gamma |z|) underflows and the per-step
+        # reduction loses every path; the one-log form keeps them
+        cfg = LatticeConfig(0.0, 1.0, 4, 1.0, 20000.0, 20000.0)
+        p = BandLimitedPotential.single_line(a=0.1, q=1.0)
+        z, s = sample_bridge_paths(cfg, SamplerConfig(seed=1), 500)
+        assert np.all(weights._sign_log_abs(weights._m_and_f(p, z, s, cfg.eps, cfg.gamma)[1], 1)[0] == 0)
+        sign, log_abs = weights._sign_log_ratio(p, z, s, cfg.eps, cfg.gamma)
+        fac = 1.0 - cfg.eps * step_m(p, z, s, cfg.gamma)
+        ref = np.sum(np.log(np.abs(fac)), axis=1) - cfg.gamma * np.sum(np.abs(z), axis=1)
+        assert np.all(np.isfinite(log_abs))
+        assert np.array_equal(sign, np.prod(np.sign(fac), axis=1))
+        assert np.all(np.abs(log_abs - ref) <= 1e-12 * np.abs(ref))
+
+    def test_product_out_of_range(self):
+        # 400 factors near -9 overflow a double and 400 near 0.1 underflow
+        # it; those rows are reduced step by step
+        gamma = 0.1
+        z_w, s_w, m_w = negative_step_witness(COSINE, gamma)
+        eps = 10.0 / m_w
+        z = np.array([[z_w] * 400, [math.asin(-0.09)] * 400])
+        s = np.full(z.shape, s_w)
+        fac = 1.0 - eps * step_m(COSINE, z, s, gamma)
+        with np.errstate(over="ignore", under="ignore"):
+            prod = np.prod(fac, axis=1)
+        assert np.isinf(prod[0]) and prod[1] == 0.0
+        sign, log_abs = weights._sign_log_ratio(COSINE, z, s, eps, gamma)
+        ref_sign, ref_log = weights._sign_log_abs(weights._m_and_f(COSINE, z, s, eps, gamma)[1], 1)
+        assert np.array_equal(sign, ref_sign)
+        assert np.all(np.abs(log_abs - ref_log) <= 1e-12 * np.abs(ref_log))
 
 
 class TestGridPins:
