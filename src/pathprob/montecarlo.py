@@ -138,13 +138,15 @@ def estimate_transition_mc(
     signs, log_ratio = _map_batches(sampler, ratios)
 
     # log-domain reduction: shift by the max so exp never overflows; the
-    # largest ratio itself underflows when the endpoints lie far from z = 0
+    # largest ratio itself underflows when the endpoints lie far from z = 0,
+    # and then so does the estimate's scale exp(shift)
     shift = float(np.max(log_ratio))
     peak = math.exp(shift)
     if peak == 0.0:
         raise NonConvergenceError(
-            "no drawn path carries weight: every importance ratio underflows to 0; "
-            "bring the endpoints nearer z = 0 or lower gamma"
+            "no drawn path carries weight in double precision: the largest "
+            f"importance ratio, exp({shift:.4g}), underflows to 0 and so does "
+            "the estimate; bring the endpoints nearer z = 0 or lower gamma"
         )
     r = signs * np.exp(log_ratio - shift)
     mean_r = float(np.mean(r))

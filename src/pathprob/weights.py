@@ -260,22 +260,18 @@ def _sign_log_ratio(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     above the positivity threshold, or near it); such rows are reduced step
     by step.  ``z`` and ``s`` have shape (N, n-1).
     """
-    fac = np.ones(z.shape)
-    if p.lines:
-        _add_m(p, z, s, gamma, fac, scale=-eps)
-        with np.errstate(over="ignore", divide="ignore"):
-            # column by column: numpy reduces along a short last axis row
-            # by row, at about three times the cost
-            prod = fac[:, 0].copy()
-            for col in fac.T[1:]:
-                prod *= col
-            sign, mag = np.sign(prod), np.abs(prod)
-            log_abs = np.log(mag)
-        lost = ~((mag >= np.finfo(float).tiny) & (mag < math.inf))
-        if lost.any():
-            sign[lost], log_abs[lost] = _sign_log_abs(fac[lost], 1)
-    else:  # every factor 1 - eps M is 1
-        sign, log_abs = np.ones(len(z)), np.zeros(len(z))
+    fac = _add_m(p, z, s, gamma, np.ones(z.shape), scale=-eps)
+    with np.errstate(over="ignore", divide="ignore"):
+        # column by column: numpy reduces along a short last axis row by
+        # row, at about three times the cost
+        prod = fac[:, 0].copy()
+        for col in fac.T[1:]:
+            prod *= col
+        sign, mag = np.sign(prod), np.abs(prod)
+        log_abs = np.log(mag)
+    lost = ~((mag >= np.finfo(float).tiny) & (mag < math.inf))
+    if lost.any():
+        sign[lost], log_abs[lost] = _sign_log_abs(fac[lost], 1)
     log_abs -= gamma * (np.abs(z, out=fac) @ np.ones(z.shape[1]))
     return sign, log_abs
 
