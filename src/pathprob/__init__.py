@@ -15,11 +15,8 @@ from .weights import (  # noqa: I001
     step_q_exponential,
     step_q_linear,
 )
-from .quadrature import (
-    TransitionEstimate,
-    extrapolate_gamma,
-    transition_probability_quadrature,
-)
+from .results import TransitionEstimate
+from .quadrature import extrapolate_gamma, transition_probability_quadrature
 from .montecarlo import SamplerConfig, estimate_transition_mc
 from .oracle import free_kernel_exact, kernel_estimate, propagate
 

@@ -7,11 +7,9 @@ written out as a CSV table plus a JSON sidecar.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import platform
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,11 +22,8 @@ from .montecarlo import (
     sample_bridge_paths,
 )
 from .potentials import BandLimitedPotential, potential_to_dict
-from .quadrature import (
-    _Result,
-    extrapolate_gamma,
-    transition_probability_quadrature,
-)
+from .quadrature import extrapolate_gamma, transition_probability_quadrature
+from .results import ScanResult
 from .weights import _sign_log_ratio, step_q_exponential, step_q_linear
 
 __all__ = [
@@ -37,35 +32,6 @@ __all__ = [
     "convergence_sweep",
     "linearization_order_scan",
 ]
-
-
-@dataclass(frozen=True)
-class ScanResult(_Result):
-    """Rows of a scan plus everything needed to reproduce them."""
-
-    name: str
-    rows: list
-    provenance: dict
-    summary: dict = field(default_factory=dict)
-
-    @property
-    def columns(self):
-        return list(self.rows[0].keys()) if self.rows else []
-
-    def write(self, out_prefix: str) -> tuple:
-        """Write ``<prefix>.csv`` and ``<prefix>.provenance.json``."""
-        csv_path = f"{out_prefix}.csv"
-        json_path = f"{out_prefix}.provenance.json"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self.columns)
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row)
-        sidecar = self.to_dict()
-        sidecar.pop("rows", None)
-        with open(json_path, "w") as fh:
-            json.dump(sidecar, fh, indent=2)
-        return csv_path, json_path
 
 
 def _provenance(**extra) -> dict:

@@ -18,7 +18,8 @@ from . import analysis, oracle
 from .lattice import LatticeConfig, read_path_csv, validate_path
 from .montecarlo import SamplerConfig, estimate_transition_mc
 from .potentials import BandLimitedPotential, potential_from_dict
-from .quadrature import _jsonable, transition_probability_quadrature
+from .quadrature import transition_probability_quadrature
+from .results import _jsonable, _write_csv
 from .weights import (
     NonConvergenceError,
     m_sup_certified,
@@ -42,13 +43,9 @@ def _emit(payload: dict, args, csv_rows=None) -> None:
     fmt = getattr(args, "format", "json") or "json"
     out = getattr(args, "out", None)
     if fmt == "csv":
-        import csv as _csv
-
         fh = open(out, "w", newline="") if out else sys.stdout
         try:
-            writer = _csv.DictWriter(fh, fieldnames=list(csv_rows[0]))
-            writer.writeheader()
-            writer.writerows(_jsonable(csv_rows))
+            _write_csv(fh, csv_rows)
         finally:
             if out:
                 fh.close()

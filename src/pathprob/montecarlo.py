@@ -36,7 +36,7 @@ import numpy as np
 
 from .lattice import LatticeConfig, interior_from_velocity_changes
 from .potentials import TWO_PI, BandLimitedPotential
-from .quadrature import TransitionEstimate
+from .results import TransitionEstimate
 from .weights import NonConvergenceError, _sign_log_ratio, positivity_threshold
 
 __all__ = [

@@ -19,6 +19,8 @@ durations: ``ck_check`` reads both legs, the direct amplitude or the
 direct kernel's sources from one pass.  Default grids have an 11-smooth
 length, which numpy's FFT factors into its fastest radices.  The product
 form takes its ``J_m`` from ``_bessel_j`` too: the library needs no scipy.
+From the package this module imports only ``potentials`` and ``results``,
+where its result types live, so no path-weight route reaches it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import TWO_PI, BandLimitedPotential
-from .quadrature import KernelEstimate, _Result
+from .results import CKResult, KernelEstimate
 
 __all__ = [
     "WavefunctionGrid",
@@ -432,18 +434,6 @@ def kernel_estimate(
     _check_resolvable(half_width, x)
     out = propagate(WavefunctionGrid(x=x, psi=_kernel_sources(x, z_a)), p, duration).psi
     return _kernel_from_rows(out, x, z_a, z_b, duration)
-
-
-@dataclass(frozen=True)
-class CKResult(_Result):
-    """Both sides of a composition identity plus its relative residual."""
-
-    lhs: complex
-    rhs: complex
-    residual: float
-    mode: str
-    converged: bool
-    window: float
 
 
 def ck_check(

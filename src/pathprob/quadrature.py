@@ -20,19 +20,23 @@ Three routes are provided:
   as a product of one-dimensional pair-separation integrals, with the
   integrand kept literally identical to the squared amplitude's (same
   regularizer, half-separation potential difference) so that the two agree
-  to quadrature accuracy at any finite n.
+  to quadrature accuracy at any finite n.  Its Bessel values come from the
+  oracle's Miller recurrence.
+
+The result types live in :mod:`pathprob.results`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
 
 from .lattice import LatticeConfig, interior_from_velocity_changes, second_difference_matrix
+from .oracle import _bessel_j, _miller_top
 from .potentials import TWO_PI, BandLimitedPotential
+from .results import KernelEstimate, TransitionEstimate
 from .weights import NonConvergenceError, _gauss_panels, lorentzian_pair
 
 __all__ = [
@@ -50,74 +54,6 @@ AMPLITUDE_TAIL = 1e-10  # amplitude_discrete's regularizer cut-off
 AMPLITUDE_DENSITY = 6.0  # its nodes per local period, checked against 1.6 times as many
 AMPLITUDE_TOL = 1e-6  # the relative gap it allows between the two
 PRODUCT_POINTS = 1200  # Gauss-Legendre nodes per position in probability_product_form
-
-
-def _jsonable(obj):
-    """Make a structure JSON-safe: inf/nan become strings, tuples lists."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
-    if hasattr(obj, "item"):
-        return _jsonable(obj.item())
-    return obj
-
-
-@dataclass(frozen=True)
-class _Result:
-    """Base of the result types: their one JSON-ready form."""
-
-    def to_dict(self) -> dict:
-        """The fields in order, without ``None`` and ``()``; a field annotated
-        ``complex`` becomes ``<name>_re`` and ``<name>_im`` whatever its value's type."""
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None or (isinstance(v, tuple) and not v):
-                continue
-            if f.type in ("complex", complex):
-                d[f"{f.name}_re"], d[f"{f.name}_im"] = v.real, v.imag
-            else:
-                d[f.name] = v
-        return _jsonable(d)
-
-
-@dataclass(frozen=True)
-class TransitionEstimate(_Result):
-    """Relative transition probability (per squared length) with uncertainty."""
-
-    value: float
-    std_error: float
-    method: str
-    n: int
-    eps: float
-    gamma: float
-    refinement: tuple = field(default=())
-    ess: float | None = None
-    negative_mass_fraction: float | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.std_error < 0:
-            raise ValueError("std_error must be >= 0")
-
-
-@dataclass(frozen=True)
-class KernelEstimate(_Result):
-    """Complex transition amplitude and its squared modulus."""
-
-    amplitude: complex
-    extrapolation_residual: float | None = None
-
-    @property
-    def modulus_squared(self) -> float:
-        return float(abs(self.amplitude) ** 2)
 
 
 def _line_tables(p: BandLimitedPotential, cfg: LatticeConfig, line, shift, s):
@@ -367,8 +303,6 @@ def _pair_integral_line(z, s, a, q, phi, eps, gamma):
     recurrence ``oracle._bessel_j`` at ``|beta|`` floored to 1e-50 (a change
     of 1e-50 at most).  Vectorized over arrays z, s that broadcast.
     """
-    from .oracle import _bessel_j, _miller_top  # here, since oracle imports this module
-
     beta = 2.0 * a * eps * np.sin(q * z + phi)
     mag = np.maximum(np.abs(beta), 1e-50)
     m_terms = math.ceil(float(np.max(np.abs(beta))))

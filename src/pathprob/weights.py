@@ -12,12 +12,15 @@ with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
 
 ``_add_m`` is the one evaluation of ``M``: it adds the line terms to an
 array in place, so ``step_m`` sums them into zeros and the Monte Carlo's
-``1 - eps M`` into ones.  ``_m_and_f`` gives ``M`` and ``f = exp(-gamma
-|z|) (1 - eps M)``; the linearized step factor is ``Q = f rho(s) / eps``
-(``_m_and_q``), with ``rho(s) = gamma / (pi (s^2 + gamma^2))`` the Cauchy
-law of a velocity change.  ``_sign_log_abs`` reduces a product of factors
-to a sign and a log magnitude step by step; ``path_weight`` and
-``batch_log_weights`` reduce ``Q`` with it, since ``Q`` has no bound.
+``1 - eps M`` into ones.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
+linearized step factor is ``Q = f rho(s) / eps`` (``_m_and_q``), with
+``rho(s) = gamma / (pi (s^2 + gamma^2))`` the Cauchy law of a velocity
+change.  ``_sign_log_abs`` reduces a product of factors to a sign and a log
+magnitude step by step, since ``Q`` has no bound.  ``path_weight`` and
+``batch_log_weights`` share ``_linear_weight``, which reduces the factors
+of ``Q`` rather than ``Q``: the sign of ``1 - eps M``, and ``log|1 - eps M|
+- gamma |z| + log(rho(s) / eps)`` per step, so a far path keeps its sign
+and a finite log where ``exp(-gamma |z|)`` and so ``Q`` underflow to 0.
 Paths whose ``n - 1`` velocity changes are drawn from ``rho`` have density
 ``(n / eps^(n-1)) prod rho(s_j)`` in interior-point space, so the weight
 ``W = n prod Q_j`` over that density is ``prod f_j``: the Lorentzian
@@ -224,16 +227,11 @@ def positivity_threshold(p: BandLimitedPotential, gamma: float) -> ThresholdPair
     return ThresholdPair(float(lam_paper), float(lam_strict))
 
 
-def _m_and_f(p: BandLimitedPotential, z, s, eps: float, gamma: float):
-    """``(M, exp(-gamma |z|) (1 - eps M))`` at broadcast ``z, s``."""
-    m = step_m(p, z, s, gamma)
-    return m, np.exp(-gamma * np.abs(z)) * (1.0 - eps * m)
-
-
 def _m_and_q(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     """``(M, Q)`` at broadcast ``z, s``: the one evaluation of the linearized Q."""
     s = np.asarray(s, dtype=float)
-    m, f = _m_and_f(p, z, s, eps, gamma)
+    m = step_m(p, z, s, gamma)
+    f = np.exp(-gamma * np.abs(z)) * (1.0 - eps * m)
     return m, f * (2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma)))
 
 
@@ -246,6 +244,23 @@ def _sign_log_abs(q, n: int):
     with np.errstate(divide="ignore"):
         log_abs = np.sum(np.log(np.abs(q)), axis=-1) + math.log(n)
     return sign, log_abs
+
+
+def _linear_weight(p: BandLimitedPotential, z, s, eps: float, gamma: float, n: int):
+    """``(M, Q, sign, log|n prod Q|)`` of the linearized step factors along the last axis.
+
+    The sign and the log come from the factors of ``Q``, not from ``Q``:
+    ``log|n prod Q| = sum log|1 - eps M| - gamma sum |z| + sum log(2 gamma /
+    (2 pi eps (s^2 + gamma^2))) + log n``, step by step.  So a far path keeps
+    its sign and a finite log where ``Q`` underflows to 0, once ``gamma |z|``
+    passes about 745.
+    """
+    s = np.asarray(s, dtype=float)
+    m, q = _m_and_q(p, z, s, eps, gamma)
+    sign, log_abs = _sign_log_abs(1.0 - eps * m, n)
+    with np.errstate(divide="ignore"):
+        log_rest = np.log(2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))) - gamma * np.abs(z)
+    return m, q, sign, log_abs + np.sum(log_rest, axis=-1)
 
 
 def _sign_log_ratio(p: BandLimitedPotential, z, s, eps: float, gamma: float):
@@ -362,8 +377,7 @@ def batch_log_weights(p: BandLimitedPotential, interiors: np.ndarray, cfg: Latti
     """
     interiors = np.atleast_2d(np.asarray(interiors, dtype=float))
     s = velocity_changes(interiors, cfg)
-    _, q = _m_and_q(p, interiors, s, cfg.eps, cfg.gamma)
-    signs, log_abs = _sign_log_abs(q, cfg.n)
+    _, q, signs, log_abs = _linear_weight(p, interiors, s, cfg.eps, cfg.gamma, cfg.n)
     return signs.astype(int), log_abs, np.sign(q).astype(int)
 
 
@@ -382,16 +396,16 @@ def path_weight(
     s = second_differences(path, cfg)
     z = path.z[1:-1]
     if form == "linear":
-        m, q = _m_and_q(p, z, s, cfg.eps, cfg.gamma)
+        m, q, sign, log_abs = _linear_weight(p, z, s, cfg.eps, cfg.gamma, cfg.n)
     elif form == "exponential":
         m = step_m(p, z, s, cfg.gamma)
         q = np.array(
             [step_q_exponential(p, zj, sj, cfg.eps, cfg.gamma) for zj, sj in zip(z, s)]
         )
+        sign, log_abs = _sign_log_abs(q, cfg.n)
     else:
         raise ValueError(f"unknown step-factor form {form!r}")
     steps = StepQuantities(s=s, M=m, Q=q)
-    sign, log_abs = _sign_log_abs(q, cfg.n)
     sign, log_abs = int(sign), float(log_abs)
     if sign == 0:
         w = 0.0

@@ -176,6 +176,26 @@ class TestWeight:
         assert code == 3
         assert payload["sign"] == -1
 
+    def test_far_path_keeps_sign(self, tmp_path):
+        # gamma |z| = 800 at every interior point: each Q_j underflows to 0,
+        # but the weight's sign and log come from the factors of Q
+        config = tmp_path / "far.json"
+        config.write_text(json.dumps({
+            "potential": {"lines": [{"q": 1.0, "a": 0.1, "phi": 0.0}]},
+            "lattice": {"ta": 0.0, "tb": 1.0, "n": 4, "gamma": 0.5, "za": 0.0, "zb": 0.2},
+        }))
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.5, 0.0, 0.2)
+        path_file = tmp_path / "far.csv"
+        write_path_csv(make_path(cfg, np.full(3, 1600.0)), cfg, path_file)
+        code, payload = run_json(
+            ["weight", "-c", str(config), "--path", str(path_file), "--expect-positive"],
+            tmp_path,
+        )
+        assert code == 0
+        assert payload["sign"] == 1 and payload["W"] == 0.0
+        assert all(step["Q"] == 0.0 for step in payload["per_step"])
+        assert math.isfinite(payload["logabsW"])
+
 
 class TestOtherCommands:
     def test_oracle_free(self, free_json, tmp_path):

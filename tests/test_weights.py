@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -212,6 +212,14 @@ class TestStepM:
         st.floats(-60, 60, allow_subnormal=False),
         st.floats(-20, 20, allow_subnormal=False),
     )
+    # M is subnormal here and one smallest subnormal from the reference
+    @example(
+        {"grid": {"qmax": 1.125, "values": [[0.0, -1.4472359006182051e-28], [0.0, 0.0],
+                                            [0.0, 1.4472359006182051e-28]]}},
+        0.5,
+        1.0,
+        5.982186751335038e-292,
+    )
     @settings(max_examples=60, deadline=None)
     def test_grid_node_sum_matches_reference(self, d, gamma, z, s):
         # a sampled spectrum is its trapezoid node sum: V, the integral of
@@ -223,15 +231,18 @@ class TestStepM:
         x = np.linspace(-10.0, 10.0, 201)
         v_ref = np.real(np.trapezoid(vt * np.exp(-1j * np.multiply.outer(x, q)), q, axis=-1))
         v_ref /= TWO_PI
+        # below the smallest normal double the spacing is the smallest
+        # subnormal, which no relative bound allows
+        floor = 4 * np.finfo(float).smallest_subnormal
         # the lines' magnitudes set the scale where V cancels
-        assert np.max(np.abs(p.evaluate(x) - v_ref)) <= 1e-14 * p.K / TWO_PI
+        assert np.max(np.abs(p.evaluate(x) - v_ref)) <= 1e-14 * p.K / TWO_PI + floor
         assert p.K == pytest.approx(np.trapezoid(np.abs(vt), q), rel=1e-12)
         # M's defining integral (2 pi)^-1 \int Im[Vt(q) exp(-izq)] D(s, q) dq
         # over the band; the terms' magnitudes set the scale where it cancels
         d_pair = lorentzian_pair(s, q, gamma)
         m_ref = np.trapezoid(np.imag(vt * np.exp(-1j * z * q)) * d_pair, q) / TWO_PI
         scale = np.trapezoid(np.abs(vt * d_pair), q) / TWO_PI
-        assert abs(step_m(p, z, s, gamma) - m_ref) <= 1e-13 * scale
+        assert abs(step_m(p, z, s, gamma) - m_ref) <= 1e-13 * scale + floor
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=60, deadline=None)
@@ -516,6 +527,31 @@ class TestPathWeight:
                 assert log_abs[i] == ev.log_abs_w
                 assert np.array_equal(q_signs[i], np.sign(ev.steps.Q))
 
+    def test_far_path_keeps_sign(self):
+        # at |z| = 1600, gamma |z| = 800 and every Q_j underflows to 0; the
+        # sign and log come from the factors of Q, step by step
+        p = BandLimitedPotential.single_line(a=0.1, q=1.0)
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.5, 0.0, 0.2)
+        interior = np.full(3, 1600.0)
+        path = make_path(cfg, interior)
+        s = (path.z[2:] - 2 * path.z[1:-1] + path.z[:-2]) / cfg.eps
+        m = step_m(p, interior, s, cfg.gamma)
+        rho = 2 * cfg.gamma / (TWO_PI * cfg.eps * (s * s + cfg.gamma**2))
+        ref = (
+            np.sum(np.log(np.abs(1 - cfg.eps * m)))
+            - cfg.gamma * np.sum(np.abs(interior))
+            + np.sum(np.log(rho))
+            + math.log(cfg.n)
+        )
+        assert np.all(1 - cfg.eps * m > 0)
+        ev = path_weight(p, path, cfg)
+        assert np.all(ev.steps.Q == 0.0)
+        assert ev.sign == 1 and ev.positive
+        assert ev.log_abs_w == pytest.approx(ref, rel=1e-12)
+        signs, log_abs, _ = batch_log_weights(p, interior[None, :], cfg)
+        assert signs[0] == 1
+        assert log_abs[0] == pytest.approx(ref, rel=1e-12)
+
     def test_step_m_once_per_path(self, monkeypatch):
         calls = []
 
@@ -563,7 +599,8 @@ class TestSignLogRatio:
             assert cfg.eps > positivity_threshold(p, cfg.gamma).lambda_strict
         z, s = sample_bridge_paths(cfg, SamplerConfig(seed=4), 2000)
         sign, log_abs = weights._sign_log_ratio(p, z, s, cfg.eps, cfg.gamma)
-        ref_sign, ref_log = weights._sign_log_abs(weights._m_and_f(p, z, s, cfg.eps, cfg.gamma)[1], 1)
+        f = np.exp(-cfg.gamma * np.abs(z)) * (1 - cfg.eps * step_m(p, z, s, cfg.gamma))
+        ref_sign, ref_log = weights._sign_log_abs(f, 1)
         assert np.array_equal(sign, ref_sign)
         assert np.all(np.abs(log_abs - ref_log) <= 1e-12 * np.abs(ref_log))
         if case == "strong-above-strict":
@@ -583,7 +620,8 @@ class TestSignLogRatio:
         cfg = LatticeConfig(0.0, 1.0, 4, 1.0, 20000.0, 20000.0)
         p = BandLimitedPotential.single_line(a=0.1, q=1.0)
         z, s = sample_bridge_paths(cfg, SamplerConfig(seed=1), 500)
-        assert np.all(weights._sign_log_abs(weights._m_and_f(p, z, s, cfg.eps, cfg.gamma)[1], 1)[0] == 0)
+        f = np.exp(-cfg.gamma * np.abs(z)) * (1 - cfg.eps * step_m(p, z, s, cfg.gamma))
+        assert np.all(weights._sign_log_abs(f, 1)[0] == 0)
         sign, log_abs = weights._sign_log_ratio(p, z, s, cfg.eps, cfg.gamma)
         fac = 1.0 - cfg.eps * step_m(p, z, s, cfg.gamma)
         ref = np.sum(np.log(np.abs(fac)), axis=1) - cfg.gamma * np.sum(np.abs(z), axis=1)
@@ -604,7 +642,8 @@ class TestSignLogRatio:
             prod = np.prod(fac, axis=1)
         assert np.isinf(prod[0]) and prod[1] == 0.0
         sign, log_abs = weights._sign_log_ratio(COSINE, z, s, eps, gamma)
-        ref_sign, ref_log = weights._sign_log_abs(weights._m_and_f(COSINE, z, s, eps, gamma)[1], 1)
+        f = np.exp(-gamma * np.abs(z)) * (1 - eps * step_m(COSINE, z, s, gamma))
+        ref_sign, ref_log = weights._sign_log_abs(f, 1)
         assert np.array_equal(sign, ref_sign)
         assert np.all(np.abs(log_abs - ref_log) <= 1e-12 * np.abs(ref_log))
 
