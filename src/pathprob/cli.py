@@ -87,6 +87,21 @@ def _int(v) -> int:
     return int(v)
 
 
+def _checked(cast, ok, what):
+    """An argparse ``type`` or config cast: ``cast(text)``, a usage error unless ``ok`` holds."""
+
+    def parse(text):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
 # config section -> {key: (keyword, cast)}
 _SECTIONS = {
     "lattice": {
@@ -96,7 +111,10 @@ _SECTIONS = {
     "sampler": {
         "n_samples": ("n_samples", _int), "seed": ("seed", _int), "threads": ("threads", _int),
     },
-    "oracle": {"X": ("half_width", float), "L": ("n_points", _int)},
+    "oracle": {
+        "X": ("half_width", _checked(float, math.isfinite, "a finite number")),
+        "L": ("n_points", _checked(_int, lambda v: v >= 2, "a whole number >= 2")),
+    },
 }
 # flag -> (section, key) it overrides
 _FLAGS = {
@@ -132,7 +150,7 @@ def _section(config: dict, args, name: str, build=dict, required: bool = False):
             table[k][0]: table[k][1](v) for k, v in values.items() if v is not None
         }
         return build(**keywords)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
         raise SystemExit(f"bad {name} config: {exc}") from exc
 
 
@@ -280,21 +298,6 @@ def _cmd_scan(args) -> int:
     else:
         _emit(res.to_dict(), args, csv_rows=res.rows)
     return EXIT_OK
-
-
-def _checked(cast, ok, what):
-    """An argparse ``type``: ``cast(text)``, a usage error unless ``ok`` holds for it."""
-
-    def parse(text):
-        try:
-            value = cast(text)
-            if ok(value):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
-
-    return parse
 
 
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a positive number")

@@ -295,16 +295,28 @@ def _next_fast_len(n: int) -> int:
     return n
 
 
+MAX_GRID_POINTS = 2**24  # _grid's largest size: 16 M points, 256 MB per complex row
+
+
 def _grid(half_width: float, n_points: int | None):
     """Grid ``x`` and its ``dx``.
 
     ``n_points`` defaults to the smallest 11-smooth size (``_next_fast_len``)
     >= 1024 with dx <= 0.04.  A power of two would waste up to twice the
     points and, since the Chebyshev term count grows as ``dx^-2``, up to
-    eight times the work on wide grids.
+    eight times the work on wide grids.  A grid below 2 points or above
+    ``MAX_GRID_POINTS`` is rejected before its size is searched.
     """
+    size = half_width / 0.02 if n_points is None else n_points
+    if not size <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"oracle grid too large: X = {half_width:.4g} asks for {size:.4g} points "
+            f"(at most {MAX_GRID_POINTS}); reduce X or L"
+        )
     if n_points is None:
-        n_points = _next_fast_len(max(1024, int(math.ceil(half_width / 0.02))))
+        n_points = _next_fast_len(max(1024, int(math.ceil(size))))
+    elif n_points < 2:
+        raise ValueError(f"an oracle grid needs L >= 2 points, got L = {n_points}")
     x = make_grid(half_width, n_points)
     return x, x[1] - x[0]
 

@@ -13,6 +13,7 @@ potential.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ class SpectralLine:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.q, self.a, self.phi))):
+            raise ValueError(f"line fields must be finite, got {self}")
         if not self.q > 0:
             raise ValueError(f"line wavenumber must be positive, got q={self.q}")
 

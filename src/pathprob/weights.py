@@ -1,26 +1,29 @@
 """Per-step factors, nonlocal kernel, path weights, and positivity thresholds.
 
-The step factor in its linearized form is
+Each step factor is written ``Q(z, s) = exp(-gamma |z|) * g * h``, with ``g``
+carrying the sign and ``h > 0``.  The linearized form has
 
-    Q(z, s) = (2 pi eps)^-1 * exp(-gamma |z|) * 2 gamma / (s^2 + gamma^2)
-              * (1 - eps * M(z, s))
+    g = 1 - eps * M(z, s),    h = 2 gamma / (2 pi eps (s^2 + gamma^2)),
 
 with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
 
     M(z, s) = - sum_k a_k sin(q_k z + phi_k) * D(s, q_k),
-    D(s, q) = (s^2 + g^2) / ((s - q)^2 + g^2) - (s^2 + g^2) / ((s + q)^2 + g^2).
+    D(s, q) = (s^2 + gamma^2) / ((s - q)^2 + gamma^2) - (s^2 + gamma^2) / ((s + q)^2 + gamma^2).
+
+The full exponential form has ``h = 1 / (2 pi eps)`` and ``g`` the real part
+of ``int exp(-gamma |u| - i u s + i eps (V(z - u) - V(z + u))) du``, a checked
+quadrature (``_u_integral``).  ``_split_q`` returns ``(M, g, h)`` for either
+form, and every step factor and path weight goes through it.  ``W = n prod_j
+Q_j`` has no bound, so ``_path_sign_log`` reduces the split rather than ``Q``:
+the sign of ``prod g`` and ``sum log|g| + log n + sum (log h - gamma |z|)``,
+step by step (``_sign_log_abs``).  A far path keeps its sign and a finite log
+in both forms where ``exp(-gamma |z|)`` and so ``Q`` underflow to 0.
 
 ``_add_m`` is the one evaluation of ``M``: it adds the line terms to an
 array in place, so ``step_m`` sums them into zeros and the Monte Carlo's
 ``1 - eps M`` into ones.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
-linearized step factor is ``Q = f rho(s) / eps`` (``_m_and_q``), with
-``rho(s) = gamma / (pi (s^2 + gamma^2))`` the Cauchy law of a velocity
-change.  ``_sign_log_abs`` reduces a product of factors to a sign and a log
-magnitude step by step, since ``Q`` has no bound.  ``path_weight`` and
-``batch_log_weights`` share ``_linear_weight``, which reduces the factors
-of ``Q`` rather than ``Q``: the sign of ``1 - eps M``, and ``log|1 - eps M|
-- gamma |z| + log(rho(s) / eps)`` per step, so a far path keeps its sign
-and a finite log where ``exp(-gamma |z|)`` and so ``Q`` underflow to 0.
+linearized step factor is ``Q = f rho(s) / eps``, with ``rho(s) = gamma /
+(pi (s^2 + gamma^2))`` the Cauchy law of a velocity change.
 Paths whose ``n - 1`` velocity changes are drawn from ``rho`` have density
 ``(n / eps^(n-1)) prod rho(s_j)`` in interior-point space, so the weight
 ``W = n prod Q_j`` over that density is ``prod f_j``: the Lorentzian
@@ -38,8 +41,8 @@ most of the quadrature's time.
 ``step_m`` stays the pointwise definition of ``M``: the quadrature's tests
 compare the table form against it.
 
-The weight of a path is ``W = n * prod_j Q_j``; it is nonnegative for every
-path once ``eps`` is at or below a threshold.  Two thresholds are exposed:
+A path's weight is nonnegative for every path once ``eps`` is at or below a
+threshold.  Two thresholds are exposed:
 the closed-form leading-order one, ``2 pi gamma^2 / (R^2 K)``, and a strict
 one, ``1 / sup_{z,s} |M|``, with the supremum certified in closed form.  The
 strict threshold is the one the zero-tolerance positivity guarantees are
@@ -227,14 +230,6 @@ def positivity_threshold(p: BandLimitedPotential, gamma: float) -> ThresholdPair
     return ThresholdPair(float(lam_paper), float(lam_strict))
 
 
-def _m_and_q(p: BandLimitedPotential, z, s, eps: float, gamma: float):
-    """``(M, Q)`` at broadcast ``z, s``: the one evaluation of the linearized Q."""
-    s = np.asarray(s, dtype=float)
-    m = step_m(p, z, s, gamma)
-    f = np.exp(-gamma * np.abs(z)) * (1.0 - eps * m)
-    return m, f * (2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma)))
-
-
 def _sign_log_abs(q, n: int):
     """Sign and ``log|n prod q|`` of the product of factors along the last axis.
 
@@ -246,34 +241,82 @@ def _sign_log_abs(q, n: int):
     return sign, log_abs
 
 
-def _linear_weight(p: BandLimitedPotential, z, s, eps: float, gamma: float, n: int):
-    """``(M, Q, sign, log|n prod Q|)`` of the linearized step factors along the last axis.
+EXPONENTIAL_TAIL = 1e-12  # _u_integral's cut-off of the regularizer exp(-gamma |u|)
 
-    The sign and the log come from the factors of ``Q``, not from ``Q``:
-    ``log|n prod Q| = sum log|1 - eps M| - gamma sum |z| + sum log(2 gamma /
-    (2 pi eps (s^2 + gamma^2))) + log n``, step by step.  So a far path keeps
-    its sign and a finite log where ``Q`` underflows to 0, once ``gamma |z|``
-    passes about 745.
+
+def _u_integral(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: float) -> complex:
+    """``int exp(-gamma |u| - i u s + i eps (V(z - u) - V(z + u))) du``.
+
+    Evaluated by truncated fine-grid quadrature; the truncation point is set
+    from ``EXPONENTIAL_TAIL`` and the sampling density from the oscillation
+    content ``|s| + max(R, 1) + gamma``.  Raises NonConvergenceError when a
+    refinement check fails.
     """
+    u_max = -math.log(EXPONENTIAL_TAIL) / gamma
+    freq = abs(s) + max(p.R, 1.0) + gamma
+
+    def evaluate(h: float) -> complex:
+        # composite Gauss-Legendre panels, mirrored so a panel edge sits on
+        # the |u| kink at u = 0
+        nodes, wts = np.polynomial.legendre.leggauss(10)
+        edges = np.arange(0.0, u_max + h, h)
+        edges[-1] = u_max
+        u_pos, w_pos = _gauss_panels(edges, nodes, wts)
+        u = np.concatenate([-u_pos, u_pos])
+        w = np.concatenate([w_pos, w_pos])
+        integrand = np.exp(
+            -gamma * np.abs(u) - 1j * u * s + 1j * eps * (p.evaluate(z - u) - p.evaluate(z + u))
+        )
+        return complex(np.sum(w * integrand))
+
+    h0 = min(np.pi / (2.0 * freq), u_max / 8.0)
+    val = evaluate(h0)
+    ref = evaluate(0.5 * h0)
+    scale = max(abs(ref), 1e-300)
+    if abs(val - ref) > 1e-9 * scale + 1e-13:
+        raise NonConvergenceError(
+            f"u-quadrature not converged: |delta|={abs(val - ref):.3g} "
+            f"with panel width {h0:.3g} (u_max={u_max:.3g}, freq={freq:.3g})"
+        )
+    return ref
+
+
+def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str = "linear"):
+    """``(M, g, h)`` at broadcast ``z, s``, with ``Q = exp(-gamma |z|) g h``, ``g``
+    carrying the sign and ``h > 0``: both forms' one definition (module docstring)."""
+    if eps <= 0 or gamma <= 0:
+        raise ValueError("eps and gamma must be positive")
     s = np.asarray(s, dtype=float)
-    m, q = _m_and_q(p, z, s, eps, gamma)
-    sign, log_abs = _sign_log_abs(1.0 - eps * m, n)
+    m = step_m(p, z, s, gamma)
+    if form == "linear":
+        return m, 1.0 - eps * m, 2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))
+    if form == "exponential":
+        zs = np.broadcast(z, s)
+        g = [_u_integral(p, zj, sj, eps, gamma).real for zj, sj in zs]
+        return m, np.reshape(g, zs.shape), 1.0 / (TWO_PI * eps)
+    raise ValueError(f"unknown step-factor form {form!r}")
+
+
+def _path_sign_log(z, g, h, gamma: float, n: int):
+    """Sign and ``log|n prod Q|`` along the last axis, from the split of ``Q``:
+    ``sum log|g| + log n + sum (log h - gamma |z|)``, finite where ``Q``
+    underflows to 0 (``gamma |z|`` past about 745)."""
+    sign, log_abs = _sign_log_abs(g, n)
     with np.errstate(divide="ignore"):
-        log_rest = np.log(2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))) - gamma * np.abs(z)
-    return m, q, sign, log_abs + np.sum(log_rest, axis=-1)
+        return sign, log_abs + np.sum(np.log(h) - gamma * np.abs(z), axis=-1)
 
 
 def _sign_log_ratio(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     """Sign and ``log|prod_j f_j|`` of ``f = exp(-gamma |z|) (1 - eps M)`` along each row.
 
-    The reduction ``_sign_log_abs(_m_and_f(p, z, s, eps, gamma)[1], 1)``
-    without forming ``f``: ``log|prod f| = log|prod (1 - eps M)| - gamma sum
-    |z|``, with one ``log`` per row and no ``exp``, so a far path keeps a
-    finite log where ``exp(-gamma |z|)`` underflows.  ``|1 - eps M| <= 1 +
-    eps sup|M|``, so a row's product leaves the normal range of a double only
-    through a zero factor or through many factors far from 1 (``eps`` far
-    above the positivity threshold, or near it); such rows are reduced step
-    by step.  ``z`` and ``s`` have shape (N, n-1).
+    The reduction ``_sign_log_abs(f, 1)`` without forming ``f``: ``log|prod
+    f| = log|prod (1 - eps M)| - gamma sum |z|``, with one ``log`` per row and
+    no ``exp``, so a far path keeps a finite log where ``exp(-gamma |z|)``
+    underflows.  ``|1 - eps M| <= 1 + eps sup|M|``, so a row's product leaves
+    the normal range of a double only through a zero factor or through many
+    factors far from 1 (``eps`` far above the positivity threshold, or near
+    it); such rows are reduced step by step.  ``z`` and ``s`` have shape (N,
+    n-1).
     """
     fac = _add_m(p, z, s, gamma, np.ones(z.shape), scale=-eps)
     with np.errstate(over="ignore", divide="ignore"):
@@ -291,69 +334,25 @@ def _sign_log_ratio(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     return sign, log_abs
 
 
-def step_q_linear(p: BandLimitedPotential, z, s, eps: float, gamma: float):
-    """Linearized step factor; the form certified nonnegative for eps below threshold."""
-    if eps <= 0 or gamma <= 0:
-        raise ValueError("eps and gamma must be positive")
-    _, q = _m_and_q(p, z, s, eps, gamma)
+def _step_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str):
+    """``Q = exp(-gamma |z|) g h`` from :func:`_split_q`; a float at scalar ``z, s``."""
+    _, g, h = _split_q(p, z, s, eps, gamma, form)
+    q = np.exp(-gamma * np.abs(z)) * g * h
     return q if np.ndim(q) else float(q)
 
 
-def _pair_difference(p: BandLimitedPotential, z: float, u):
-    """Potential difference across the symmetric pair of displaced points."""
-    return p.evaluate(z - u) - p.evaluate(z + u)
+def step_q_linear(p: BandLimitedPotential, z, s, eps: float, gamma: float):
+    """Linearized step factor; the form certified nonnegative for eps below threshold."""
+    return _step_q(p, z, s, eps, gamma, "linear")
 
 
-EXPONENTIAL_TAIL = 1e-12  # step_q_exponential's cut-off of the regularizer exp(-gamma |u|)
-
-
-def step_q_exponential(
-    p: BandLimitedPotential,
-    z: float,
-    s: float,
-    eps: float,
-    gamma: float,
-    return_imag: bool = False,
-):
+def step_q_exponential(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     """Step factor with the full exponential of the potential difference.
 
-    Evaluated by truncated fine-grid quadrature of the u-integral; the
-    truncation point is set from ``EXPONENTIAL_TAIL`` and the sampling
-    density from the oscillation content ``|s| + max(R, 1) + gamma``.
-    Raises NonConvergenceError when a refinement check fails.
+    ``g`` is the real part of :func:`_u_integral`, which raises
+    NonConvergenceError when its refinement check fails.
     """
-    if eps <= 0 or gamma <= 0:
-        raise ValueError("eps and gamma must be positive")
-    u_max = -math.log(EXPONENTIAL_TAIL) / gamma
-    freq = abs(s) + max(p.R, 1.0) + gamma
-
-    def evaluate(h: float) -> complex:
-        # composite Gauss-Legendre panels, mirrored so a panel edge sits on
-        # the |u| kink at u = 0
-        nodes, wts = np.polynomial.legendre.leggauss(10)
-        edges = np.arange(0.0, u_max + h, h)
-        edges[-1] = u_max
-        u_pos, w_pos = _gauss_panels(edges, nodes, wts)
-        u = np.concatenate([-u_pos, u_pos])
-        w = np.concatenate([w_pos, w_pos])
-        integrand = np.exp(
-            -gamma * np.abs(u) - 1j * u * s + 1j * eps * _pair_difference(p, z, u)
-        )
-        return complex(np.sum(w * integrand))
-
-    h0 = min(np.pi / (2.0 * freq), u_max / 8.0)
-    val = evaluate(h0)
-    ref = evaluate(0.5 * h0)
-    scale = max(abs(ref), 1e-300)
-    if abs(val - ref) > 1e-9 * scale + 1e-13:
-        raise NonConvergenceError(
-            f"u-quadrature not converged: |delta|={abs(val - ref):.3g} "
-            f"with panel width {h0:.3g} (u_max={u_max:.3g}, freq={freq:.3g})"
-        )
-    pref = (1.0 / (TWO_PI * eps)) * math.exp(-gamma * abs(z))
-    if return_imag:
-        return pref * ref.real, pref * ref.imag
-    return pref * ref.real
+    return _step_q(p, z, s, eps, gamma, "exponential")
 
 
 @dataclass(frozen=True)
@@ -373,12 +372,13 @@ def batch_log_weights(p: BandLimitedPotential, interiors: np.ndarray, cfg: Latti
     """Log-domain weights for a batch of paths given by interior points.
 
     ``interiors`` has shape (N, n-1).  Returns ``(signs, log_abs, q_signs)``
-    where ``q_signs`` is the per-step sign matrix (N, n-1).
+    where ``q_signs`` is the per-step sign matrix (N, n-1), the sign of ``g``.
     """
     interiors = np.atleast_2d(np.asarray(interiors, dtype=float))
     s = velocity_changes(interiors, cfg)
-    _, q, signs, log_abs = _linear_weight(p, interiors, s, cfg.eps, cfg.gamma, cfg.n)
-    return signs.astype(int), log_abs, np.sign(q).astype(int)
+    _, g, h = _split_q(p, interiors, s, cfg.eps, cfg.gamma)
+    signs, log_abs = _path_sign_log(interiors, g, h, cfg.gamma, cfg.n)
+    return signs.astype(int), log_abs, np.sign(g).astype(int)
 
 
 def path_weight(
@@ -391,26 +391,19 @@ def path_weight(
 
     ``form`` selects the linearized ("linear", default: the form the
     positivity theorem certifies) or the full exponential ("exponential")
-    step factor.
+    step factor.  ``W`` is ``sign * exp(log|W|)``, infinite only where that
+    overflows a double.
     """
     s = second_differences(path, cfg)
     z = path.z[1:-1]
-    if form == "linear":
-        m, q, sign, log_abs = _linear_weight(p, z, s, cfg.eps, cfg.gamma, cfg.n)
-    elif form == "exponential":
-        m = step_m(p, z, s, cfg.gamma)
-        q = np.array(
-            [step_q_exponential(p, zj, sj, cfg.eps, cfg.gamma) for zj, sj in zip(z, s)]
-        )
-        sign, log_abs = _sign_log_abs(q, cfg.n)
-    else:
-        raise ValueError(f"unknown step-factor form {form!r}")
-    steps = StepQuantities(s=s, M=m, Q=q)
+    m, g, h = _split_q(p, z, s, cfg.eps, cfg.gamma, form)
+    sign, log_abs = _path_sign_log(z, g, h, cfg.gamma, cfg.n)
+    steps = StepQuantities(s=s, M=m, Q=np.exp(-cfg.gamma * np.abs(z)) * g * h)
     sign, log_abs = int(sign), float(log_abs)
-    if sign == 0:
-        w = 0.0
-    else:
-        w = sign * (math.exp(log_abs) if log_abs < 700 else math.inf)
+    try:
+        w = sign * math.exp(log_abs) if sign else 0.0
+    except OverflowError:
+        w = sign * math.inf
     lam_paper, lam_strict = positivity_threshold(p, cfg.gamma)
     return WeightEvaluation(
         W=w,

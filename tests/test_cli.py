@@ -176,7 +176,8 @@ class TestWeight:
         assert code == 3
         assert payload["sign"] == -1
 
-    def test_far_path_keeps_sign(self, tmp_path):
+    @pytest.mark.parametrize("form", ["linear", "exponential"])
+    def test_far_path_keeps_sign(self, tmp_path, form):
         # gamma |z| = 800 at every interior point: each Q_j underflows to 0,
         # but the weight's sign and log come from the factors of Q
         config = tmp_path / "far.json"
@@ -188,7 +189,8 @@ class TestWeight:
         path_file = tmp_path / "far.csv"
         write_path_csv(make_path(cfg, np.full(3, 1600.0)), cfg, path_file)
         code, payload = run_json(
-            ["weight", "-c", str(config), "--path", str(path_file), "--expect-positive"],
+            ["weight", "-c", str(config), "--path", str(path_file), "--form", form,
+             "--expect-positive"],
             tmp_path,
         )
         assert code == 0
@@ -356,6 +358,17 @@ class TestUsageErrors:
                 ["positivity", "--gamma", "0.1"],
                 {"potential": {"grid": {"qmax": 1.0, "values": [[0.5, 0], [1, 0], [0.5, 0]]}}},
             ),
+            (["positivity", "--gamma", "0.1"], {"potential": {"lines": [{"q": 1, "a": math.nan}]}}),
+            (["positivity", "--gamma", "0.1"], {"potential": {"lines": [{"q": math.inf, "a": 1}]}}),
+            (
+                ["positivity", "--gamma", "0.1"],
+                {"potential": {"lines": [{"q": 1, "a": 1, "phi": math.inf}]}},
+            ),
+            (["oracle"], dict(FREE_CONFIG, oracle={"L": 1})),
+            (["oracle"], dict(FREE_CONFIG, oracle={"L": 0})),
+            (["ck"], dict(FREE_CONFIG, oracle={"L": -5})),
+            (["oracle"], dict(FREE_CONFIG, oracle={"X": math.inf})),
+            (["ck"], dict(FREE_CONFIG, oracle={"X": math.nan})),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, argv, config):
@@ -408,6 +421,15 @@ class TestUsageErrors:
         assert run(["ck", "-c", str(f)]) == 2
         err = capsys.readouterr().err
         assert "X = 3 does not hold the endpoints" in err and "Traceback" not in err
+
+    def test_grid_too_large(self, tmp_path, capsys):
+        # the default L for X = 1e300 would be searched from about 5e301
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps(dict(FREE_CONFIG, oracle={"X": 1e300})))
+        for command in ("oracle", "ck"):
+            assert run([command, "-c", str(f)]) == 2
+            err = capsys.readouterr().err
+            assert "oracle grid too large" in err and "Traceback" not in err
 
     def test_missing_config_file(self, capsys):
         assert run(["positivity", "-c", "/nonexistent.json", "--gamma", "0.1"]) == 1

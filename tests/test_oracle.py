@@ -429,6 +429,17 @@ class TestKernelEstimate:
             x, dx = oracle._grid(half_width, None)
             assert x.size == n and dx <= 0.04
 
+    def test_grid_size_out_of_range_rejected(self, monkeypatch):
+        # checked before _next_fast_len, which would search from about 5e301
+        calls = counting(monkeypatch, "_next_fast_len")
+        for half_width, n_points in ((1e300, None), (math.inf, None), (20.0, 2**24 + 1)):
+            with pytest.raises(ValueError, match="oracle grid too large"):
+                oracle._grid(half_width, n_points)
+        assert calls == []
+        for n_points in (1, 0, -5):
+            with pytest.raises(ValueError, match="needs L >= 2"):
+                oracle._grid(20.0, n_points)
+
     def test_one_stacked_propagation(self, monkeypatch):
         calls = counting(monkeypatch)
         kernel_estimate(FREE, -0.3, 0.5, 0.2, half_width=12.7, n_points=512)

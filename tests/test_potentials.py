@@ -16,11 +16,15 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestConstruction:
-    def test_line_requires_positive_q(self):
+    @pytest.mark.parametrize(
+        "q, a, phi",
+        [(0.0, 1.0, 0.0), (-1.0, 1.0, 0.0), (1.0, math.nan, 0.0), (math.inf, 1.0, 0.0),
+         (1.0, 1.0, math.inf), (math.nan, 1.0, 0.0)],
+    )
+    def test_line_rejects_bad_field(self, q, a, phi):
+        # a positive q, and finite q, a and phi
         with pytest.raises(ValueError):
-            SpectralLine(q=0.0, a=1.0)
-        with pytest.raises(ValueError):
-            SpectralLine(q=-1.0, a=1.0)
+            SpectralLine(q=q, a=a, phi=phi)
 
     def test_from_lines_sets_r_and_k(self):
         p = BandLimitedPotential.from_lines([(1.0, 0.5, 0.0), (0.3, -0.2, 1.0)])

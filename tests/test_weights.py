@@ -457,8 +457,8 @@ class TestStepQ:
                 assert step_q_exponential(p, z, s, eps, gamma) == pytest.approx(ref, rel=rel)
 
     def test_exponential_imaginary_part_small(self):
-        re, im = step_q_exponential(COSINE, 0.3, 0.7, 0.01, 0.1, return_imag=True)
-        assert abs(im) <= 1e-9 * abs(re)
+        val = weights._u_integral(COSINE, 0.3, 0.7, 0.01, 0.1)
+        assert abs(val.imag) <= 1e-9 * abs(val.real)
 
     def test_ratio_tends_to_one(self):
         ratios = []
@@ -527,30 +527,50 @@ class TestPathWeight:
                 assert log_abs[i] == ev.log_abs_w
                 assert np.array_equal(q_signs[i], np.sign(ev.steps.Q))
 
-    def test_far_path_keeps_sign(self):
+    @pytest.mark.parametrize("form", ["linear", "exponential"])
+    def test_far_path_keeps_sign(self, form):
         # at |z| = 1600, gamma |z| = 800 and every Q_j underflows to 0; the
-        # sign and log come from the factors of Q, step by step
+        # sign and log come from the split Q = exp(-gamma |z|) g h, step by step
         p = BandLimitedPotential.single_line(a=0.1, q=1.0)
         cfg = LatticeConfig(0.0, 1.0, 4, 0.5, 0.0, 0.2)
         interior = np.full(3, 1600.0)
         path = make_path(cfg, interior)
         s = (path.z[2:] - 2 * path.z[1:-1] + path.z[:-2]) / cfg.eps
-        m = step_m(p, interior, s, cfg.gamma)
-        rho = 2 * cfg.gamma / (TWO_PI * cfg.eps * (s * s + cfg.gamma**2))
+        if form == "linear":
+            g = 1 - cfg.eps * step_m(p, interior, s, cfg.gamma)
+            h = 2 * cfg.gamma / (TWO_PI * cfg.eps * (s * s + cfg.gamma**2))
+        else:
+            g = np.array([weights._u_integral(p, zj, sj, cfg.eps, cfg.gamma).real
+                          for zj, sj in zip(interior, s)])
+            h = np.full(3, 1 / (TWO_PI * cfg.eps))
         ref = (
-            np.sum(np.log(np.abs(1 - cfg.eps * m)))
+            np.sum(np.log(np.abs(g)))
             - cfg.gamma * np.sum(np.abs(interior))
-            + np.sum(np.log(rho))
+            + np.sum(np.log(h))
             + math.log(cfg.n)
         )
-        assert np.all(1 - cfg.eps * m > 0)
-        ev = path_weight(p, path, cfg)
+        assert np.all(g > 0)
+        ev = path_weight(p, path, cfg, form=form)
         assert np.all(ev.steps.Q == 0.0)
         assert ev.sign == 1 and ev.positive
         assert ev.log_abs_w == pytest.approx(ref, rel=1e-12)
-        signs, log_abs, _ = batch_log_weights(p, interior[None, :], cfg)
-        assert signs[0] == 1
-        assert log_abs[0] == pytest.approx(ref, rel=1e-12)
+        if form == "linear":
+            # the per-step signs are those of g, not of the underflowed Q
+            signs, log_abs, q_signs = batch_log_weights(p, interior[None, :], cfg)
+            assert signs[0] == 1
+            assert log_abs[0] == pytest.approx(ref, rel=1e-12)
+            assert q_signs.tolist() == [[1, 1, 1]]
+
+    def test_w_finite_up_to_double_overflow(self):
+        # a free straight path has log|W| = log n + (n - 1) log(1 / (pi eps
+        # gamma)); W is exp(log|W|) up to log(DBL_MAX) ~ 709.78, inf past it
+        n = 100
+        for target, w in ((705.0, math.exp(705.0)), (712.0, math.inf)):
+            gamma = math.exp(-(target - math.log(n)) / (n - 1)) * n / math.pi
+            cfg = LatticeConfig(0.0, 1.0, n, gamma, 0.0, 0.0)
+            ev = path_weight(BandLimitedPotential.zero(), straight_line(cfg), cfg)
+            assert ev.log_abs_w == pytest.approx(target, rel=1e-12)
+            assert ev.W == pytest.approx(w, rel=1e-12) and ev.sign == 1
 
     def test_step_m_once_per_path(self, monkeypatch):
         calls = []
