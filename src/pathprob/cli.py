@@ -154,9 +154,7 @@ def _section(config: dict, args, name: str, build=dict, required: bool = False):
         raise SystemExit(f"bad {name} config: {exc}") from exc
 
 
-def _cmd_weight(args) -> int:
-    config = _load_config(args)
-    p = _potential(config)
+def _cmd_weight(args, config: dict, p: BandLimitedPotential) -> int:
     cfg = _section(config, args, "lattice", LatticeConfig, required=True)
     try:
         path = read_path_csv(args.path)
@@ -170,9 +168,7 @@ def _cmd_weight(args) -> int:
     return EXIT_OK
 
 
-def _cmd_positivity(args) -> int:
-    config = _load_config(args)
-    p = _potential(config)
+def _cmd_positivity(args, config: dict, p: BandLimitedPotential) -> int:
     gamma = _section(config, args, "lattice").get("gamma")
     if gamma is None or not 0 < gamma < math.inf:
         raise SystemExit(
@@ -207,9 +203,7 @@ def _cmd_positivity(args) -> int:
     return code
 
 
-def _cmd_transition(args) -> int:
-    config = _load_config(args)
-    p = _potential(config)
+def _cmd_transition(args, config: dict, p: BandLimitedPotential) -> int:
     cfg = _section(config, args, "lattice", LatticeConfig, required=True)
     if args.method == "quadrature":
         est = transition_probability_quadrature(
@@ -232,9 +226,7 @@ def _cmd_transition(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    config = _load_config(args)
-    p = _potential(config)
+def _cmd_oracle(args, config: dict, p: BandLimitedPotential) -> int:
     cfg = _section(config, args, "lattice", LatticeConfig, required=True)
     kwargs = _section(config, args, "oracle")
     est = oracle.kernel_estimate(p, cfg.z_a, cfg.z_b, cfg.duration, **kwargs)
@@ -251,9 +243,7 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ck(args) -> int:
-    config = _load_config(args)
-    p = _potential(config)
+def _cmd_ck(args, config: dict, p: BandLimitedPotential) -> int:
     cfg = _section(config, args, "lattice", LatticeConfig, required=True)
     kwargs = _section(config, args, "oracle")
     t_c = args.tc if args.tc is not None else 0.5 * (cfg.t_a + cfg.t_b)
@@ -270,9 +260,7 @@ def _cmd_ck(args) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args) -> int:
-    config = _load_config(args)
-    p = _potential(config)
+def _cmd_scan(args, config: dict, p: BandLimitedPotential) -> int:
     cfg = _section(config, args, "lattice", LatticeConfig, required=True)
     sampler = _section(config, args, "sampler", SamplerConfig)
     if args.kind == "classical":
@@ -397,7 +385,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        config = _load_config(args)
+        return args.func(args, config, _potential(config))
     except SystemExit as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -149,6 +149,20 @@ def second_difference_matrix(n: int) -> np.ndarray:
 _ONE_THREAD_GEMM = 2**18
 
 
+def _bridge_solve(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(line, Tinv)``: every interior path is ``line + eps Tinv s``.
+
+    ``line`` is the interior of the straight path (every ``s_j`` zero) and
+    ``Tinv`` the inverse of :func:`second_difference_matrix`.
+    """
+    d = cfg.n - 1
+    b = np.zeros(d)
+    b[0] += cfg.z_a
+    b[-1] += cfg.z_b  # the same entry when n = 2
+    Tinv = np.linalg.inv(second_difference_matrix(cfg.n))
+    return Tinv @ (-b), Tinv
+
+
 def interior_from_velocity_changes(s, cfg: LatticeConfig) -> np.ndarray:
     """Interior positions of the unique path with given velocity changes.
 
@@ -158,16 +172,10 @@ def interior_from_velocity_changes(s, cfg: LatticeConfig) -> np.ndarray:
     that OpenBLAS multiplies on the calling thread.
     """
     s = np.asarray(s, dtype=float)
-    n = cfg.n
-    d = n - 1
+    d = cfg.n - 1
     if s.shape[-1] != d:
         raise ValueError("velocity-change vector must have length n-1")
-    T = second_difference_matrix(n)
-    b = np.zeros(d)
-    b[0] += cfg.z_a
-    b[-1] += cfg.z_b  # the same entry when n = 2
-    Tinv = np.linalg.inv(T)
-    line = Tinv @ (-b)
+    line, Tinv = _bridge_solve(cfg)
     block = _ONE_THREAD_GEMM // (d * d)
     m = s.size // d
     # near-equal blocks of at most `block` rows hold two or more rows once

@@ -75,26 +75,10 @@ def make_grid(half_width: float, n_points: int) -> np.ndarray:
 
 
 def gaussian_packet(
-    x: np.ndarray,
-    center: float,
-    sigma: float,
-    momentum: float = 0.0,
-    amplitude_normalized: bool = False,
+    x: np.ndarray, center: float, sigma: float, momentum: float = 0.0
 ) -> WavefunctionGrid:
-    """Gaussian wave packet.
-
-    With ``amplitude_normalized`` the packet integrates to one (a delta
-    approximation); otherwise ``|psi|^2`` is a normalized density with
-    position spread ``sigma``.
-    """
-    if amplitude_normalized:
-        psi = np.exp(-((x - center) ** 2) / (2.0 * sigma**2)) / (
-            math.sqrt(TWO_PI) * sigma
-        )
-    else:
-        psi = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)) / (
-            (TWO_PI * sigma**2) ** 0.25
-        )
+    """Gaussian wave packet: ``|psi|^2`` is a normalized density with position spread ``sigma``."""
+    psi = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)) / ((TWO_PI * sigma**2) ** 0.25)
     psi = psi * np.exp(1j * momentum * x)
     return WavefunctionGrid(x=x, psi=psi)
 
@@ -269,21 +253,20 @@ def propagate(psi0: WavefunctionGrid, p: BandLimitedPotential, duration: float) 
     return WavefunctionGrid(x=psi0.x, psi=_propagate_rows(psi0, p, (duration,))[0])
 
 
-def free_kernel_amplitudes(x, z_a: float, duration: float):
-    """Closed-form free propagator ``(2 pi i T)^(-1/2) exp(i (x-za)^2 / 2T)`` at each ``x``."""
-    pref = (TWO_PI * duration) ** -0.5 * np.exp(-1j * np.pi / 4.0)
-    return pref * np.exp(0.5j * (np.asarray(x) - z_a) ** 2 / duration)
-
-
 def free_kernel_exact(z_a: float, z_b: float, duration: float) -> KernelEstimate:
     """Closed-form free propagator from ``z_a`` to ``z_b``."""
     if duration <= 0:
         raise ValueError("duration must be positive")
-    return KernelEstimate(amplitude=complex(free_kernel_amplitudes(z_b, z_a, duration)))
+    return KernelEstimate(amplitude=complex(_smeared_free_kernel(z_b, z_a, duration, 0.0)))
 
 
 def _smeared_free_kernel(x, z_a: float, duration: float, sigma):
-    """Free kernel from a unit-mass Gaussian source of width sigma (exact; broadcasts)."""
+    """Free evolution over ``duration`` of a unit-mass Gaussian source of width sigma at ``z_a``.
+
+    Exact, and broadcasts.  At ``sigma = 0`` it is the free propagator
+    ``(2 pi i T)^(-1/2) exp(i (x - z_a)^2 / 2T)``; at ``duration = 0`` it is
+    the source itself.
+    """
     var = 1j * duration + sigma**2
     return (TWO_PI * var) ** -0.5 * np.exp(-((x - z_a) ** 2) / (2.0 * var))
 
@@ -380,9 +363,9 @@ def _check_resolvable(half_width: float, x: np.ndarray) -> None:
         )
 
 
-def _kernel_sources(x: np.ndarray, z_a: float) -> list:
-    """Unit-mass Gaussians of the widths ``SOURCE_SIGMAS`` at ``z_a``."""
-    return [gaussian_packet(x, z_a, s, amplitude_normalized=True).psi for s in SOURCE_SIGMAS]
+def _kernel_sources(x: np.ndarray, z_a: float) -> np.ndarray:
+    """Unit-mass Gaussians of the widths ``SOURCE_SIGMAS`` at ``z_a``, one per row."""
+    return _smeared_free_kernel(x, z_a, 0.0, np.asarray(SOURCE_SIGMAS)[:, None])
 
 
 def _source_amplitudes(rows, x, z_a: float, z_b: float, duration: float) -> np.ndarray:
@@ -487,13 +470,11 @@ def ck_check(
 
     # forward leg from z_a and (time-symmetric kernel) leg from z_b; the
     # probability mode adds the direct kernel's sources from z_a
-    src_a, src_b = (
-        gaussian_packet(x, z, CK_SOURCE_SIGMA, amplitude_normalized=True).psi for z in (z_a, z_b)
-    )
+    src_a, src_b = (_smeared_free_kernel(x, z, 0.0, CK_SOURCE_SIGMA) for z in (z_a, z_b))
     rows = [src_a, src_b]
     if mode == "probability":
         _check_resolvable(half_width, x)
-        rows += _kernel_sources(x, z_a)
+        rows.extend(_kernel_sources(x, z_a))
     out = _propagate_rows(WavefunctionGrid(x=x, psi=rows), p, (t1, t2, t_b - t_a))
     leg_a, leg_b = out[0, 0], out[1, 1]
 
@@ -504,8 +485,10 @@ def ck_check(
         residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         return CKResult(lhs, rhs, residual, mode, True, window)
 
-    corr_a = free_kernel_amplitudes(x, z_a, t1) / _smeared_free_kernel(x, z_a, t1, CK_SOURCE_SIGMA)
-    corr_b = free_kernel_amplitudes(x, z_b, t2) / _smeared_free_kernel(x, z_b, t2, CK_SOURCE_SIGMA)
+    corr_a, corr_b = (
+        _smeared_free_kernel(x, z, t, 0.0) / _smeared_free_kernel(x, z, t, CK_SOURCE_SIGMA)
+        for z, t in ((z_a, t1), (z_b, t2))
+    )
     integrand = np.abs(leg_a * corr_a) ** 2 * np.abs(leg_b * corr_b) ** 2
     rhs = _kernel_from_rows(out[2, 2:], x, z_a, z_b, t_b - t_a).modulus_squared
 

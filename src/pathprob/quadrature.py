@@ -33,7 +33,7 @@ from functools import reduce
 
 import numpy as np
 
-from .lattice import LatticeConfig, interior_from_velocity_changes, second_difference_matrix
+from .lattice import LatticeConfig, _bridge_solve
 from .oracle import _bessel_j, _miller_top
 from .potentials import TWO_PI, BandLimitedPotential
 from .results import KernelEstimate, TransitionEstimate
@@ -63,16 +63,16 @@ def _line_tables(p: BandLimitedPotential, cfg: LatticeConfig, line, shift, s):
     Im exp(i(q z_i + phi))``.  With ``z_i = line_i + sum_j shift[i, j, k_j]``
     the exponential is ``base[i] * prod_j ph[i, j, k_j]``, and ``D(s_i, q)``
     depends on axis ``i``'s node alone, so ``eps a D`` is folded into
-    ``ph[i, i]``.  Returns one ``(base, ph)`` pair per line.
+    ``ph[i, i]``.  Returns ``base`` and ``ph`` stacked over the lines.
     """
     diag = np.arange(cfg.n - 1)
-    tables = []
-    for ln in p.lines:
-        base = np.exp(1j * (ln.q * line + ln.phi))
-        ph = np.exp(1j * ln.q * shift)
-        ph[diag, diag] *= cfg.eps * ln.a * lorentzian_pair(s, ln.q, cfg.gamma)
-        tables.append((base, ph))
-    return tables
+    base = np.empty((len(p.lines),) + line.shape, dtype=complex)
+    ph = np.empty((len(p.lines),) + shift.shape, dtype=complex)
+    for k, ln in enumerate(p.lines):
+        base[k] = np.exp(1j * (ln.q * line + ln.phi))
+        ph[k] = np.exp(1j * ln.q * shift)
+        ph[k, diag, diag] *= cfg.eps * ln.a * lorentzian_pair(s, ln.q, cfg.gamma)
+    return base, ph
 
 
 def _tensor_sum(
@@ -96,52 +96,61 @@ def _tensor_sum(
     Its weight, ``z_i`` and line phases ``exp(i(q z_i + phi))`` are a row
     share times, plus or times a column share.  So a block of rows against
     all columns takes ``1 - eps M = 1 + sum_lines Im(row * col)`` as one
-    matrix product per interior point, instead of a ``sin`` per point.
+    matrix product per interior point, instead of a ``sin`` per point.  The
+    column shares are outer products over the column axes.  A block's row
+    shares are gathered from the per-axis tables by node index, one interior
+    point at a time, so the rows take memory in proportion to the block.
     """
     d = cfg.n - 1
-    Tinv = np.linalg.inv(second_difference_matrix(cfg.n))
-    line = interior_from_velocity_changes(np.zeros(d), cfg)  # the straight path
+    line, Tinv = _bridge_solve(cfg)
     s = cfg.gamma * np.tan(nodes)
     # shift[i, j, k]: the change of z_i from node k on axis j
     shift = cfg.eps * Tinv[:, :, None] * s[None, None, :]
-    tables = _line_tables(p, cfg, line, shift, s)
-
-    def part(axes, z0, lines):
-        """Outer-product tables over the nodes of ``axes``, flattened: the
-        weight and, per interior point ``i``, the share of ``z_i`` from ``z0[i]``
-        and the Re rows, Im rows and a row of ones of the lines' phase shares."""
-        w = np.ravel(reduce(np.multiply.outer, [weights] * len(axes), [1.0]))
-        z, tab = [], []
-        for i in range(d):
-            z.append(np.ravel(reduce(np.add.outer, shift[i, axes], [z0[i]])))
-            ph = [np.ravel(reduce(np.multiply.outer, t[i, axes], [b[i]])) for b, t in lines]
-            tab.append(np.stack([x.real for x in ph] + [x.imag for x in ph] + [np.ones_like(w)]))
-        return w, z, tab
-
-    width = 2 * len(tables) + 1  # a column's table entries per interior point
+    base, ph = _line_tables(p, cfg, line, shift, s)
+    n_lines = len(p.lines)
+    width = 2 * n_lines + 1  # a column's table entries per interior point
     r = next((k for k in range(1, d) if width * nodes.size ** (d - k) <= cap), d)
-    w_row, z_row, row_tab = part(list(range(r)), np.zeros(d), [(np.ones(d), t) for _, t in tables])
-    w_col, z_col, col_tab = part(list(range(r, d)), line, tables)
-    # rows Im, Re, 1 against columns Re, Im, 1 give 1 + sum_lines Im(row * col);
-    # np.take makes a row-major copy, since matmul takes BLAS only on contiguous
-    # blocks, and one table at a time, so the tables are never all held twice
-    swap = np.r_[len(tables) : 2 * len(tables), : len(tables), 2 * len(tables)]
-    for i, t in enumerate(row_tab):
-        row_tab[i] = np.take(t.T, swap, axis=1)
 
+    # per interior point, a column's share of z_i and the Re rows, Im rows
+    # and a row of ones of its lines' phase shares
+    w_col = np.ravel(reduce(np.multiply.outer, [weights] * (d - r), [1.0]))
+    z_col, col_tab = [], []
+    for i in range(d):
+        z_col.append(np.ravel(reduce(np.add.outer, shift[i, r:], [line[i]])))
+        col = [np.ravel(reduce(np.multiply.outer, t[i, r:], [b[i]])) for b, t in zip(base, ph)]
+        col_tab.append(
+            np.stack([x.real for x in col] + [x.imag for x in col] + [np.ones_like(w_col)])
+        )
+
+    n_rows = nodes.size**r
     step = max(1, cap // w_col.size)
     # the block-sized work reuses these buffers: fresh block-sized
     # temporaries cost page faults and raise the peak memory
-    bufs = np.empty((5, min(step, w_row.size), w_col.size))
+    bufs = np.empty((5, min(step, n_rows), w_col.size))
+    # a block's row table: rows Im, Re, 1 against columns Re, Im, 1 give
+    # 1 + sum_lines Im(row * col); row-major, since matmul takes BLAS only on
+    # contiguous blocks
+    row_bufs = np.empty((min(step, n_rows), width))
+    row_bufs[:, -1] = 1.0
+
+    def gather(op, one, per_axis, idx):
+        """``one`` combined by ``op`` with row axis j's table at the nodes ``idx[j]``."""
+        return reduce(op, (t[..., k] for t, k in zip(per_axis, idx)), one)
+
     acc = out_mass = tot_mass = 0.0
-    for start in range(0, w_row.size, step):
-        blk = slice(start, start + step)
-        z, fac, prod, abs_sum, zmax = bufs[:, : min(step, w_row.size - start)]
+    for start in range(0, n_rows, step):
+        # the block's node index on each row axis, first axis slowest
+        idx = np.unravel_index(np.arange(start, min(start + step, n_rows)), (nodes.size,) * r)
+        z, fac, prod, abs_sum, zmax = bufs[:, : idx[0].size]
+        row_tab = row_bufs[: idx[0].size]
         abs_sum.fill(0.0)
         zmax.fill(0.0)
         for i in range(d):
-            np.add(z_row[i][blk, None], z_col[i], out=z)
-            np.matmul(row_tab[i][blk], col_tab[i], out=prod if i == 0 else fac)
+            np.add(gather(np.add, 0.0, shift[i], idx)[:, None], z_col[i], out=z)
+            row_ph = gather(np.multiply, 1.0, ph[:, i].swapaxes(0, 1), idx)
+            row_tab[:, :n_lines] = row_ph.imag.T
+            row_tab[:, n_lines:-1] = row_ph.real.T
+            np.matmul(row_tab, col_tab[i], out=prod if i == 0 else fac)
             if i:
                 prod *= fac
             np.abs(z, out=z)
@@ -150,7 +159,7 @@ def _tensor_sum(
         np.multiply(abs_sum, -cfg.gamma, out=abs_sum)
         vals = np.exp(abs_sum, out=abs_sum)
         vals *= prod
-        acc += float(w_row[blk] @ (vals @ w_col))
+        acc += float(gather(np.multiply, 1.0, [weights] * r, idx) @ (vals @ w_col))
         mass = np.abs(vals, out=z)
         tot_mass += float(np.sum(mass))
         out_mass += float(np.sum(mass[zmax > window]))
@@ -247,7 +256,7 @@ def _amplitude_value(p, cfg, regularizer, density):
             return np.exp(-gamma * x * x)
     else:
         raise ValueError(f"unknown regularizer {regularizer!r}")
-    extra = sum(abs(ln.a) * ln.q for ln in p.lines) * eps + gamma if p.lines else gamma
+    extra = sum(abs(ln.a) * ln.q for ln in p.lines) * eps + gamma
     x, w = _oscillatory_nodes(u_max, eps, extra, density)
     v = p.evaluate(x)
     layer = reg(x) * np.exp(-1j * eps * v)
@@ -361,19 +370,16 @@ def probability_product_form(
     wts = z_window * w
     pref = (TWO_PI * eps) ** (-n)
 
-    if d == 1:
-        s1 = (cfg.z_b - 2.0 * nodes + cfg.z_a) / eps
-        vals = _pair_integral_line(nodes, s1, a, q, phi, eps, gamma)
-        return float(pref * np.sum(wts * vals))
-
-    z1 = nodes[:, None]
-    z2 = nodes[None, :]
-    s1 = (z2 - 2.0 * z1 + cfg.z_a) / eps
-    s2 = (cfg.z_b - 2.0 * z2 + z1) / eps
-    vals = _pair_integral_line(z1, s1, a, q, phi, eps, gamma) * _pair_integral_line(
-        z2, s2, a, q, phi, eps, gamma
+    # z[j] for j = 1..d on axis j - 1 of the d node axes, the endpoints pinned
+    z = [cfg.z_a] + [nodes.reshape((-1,) + (1,) * (d - j)) for j in range(1, n)] + [cfg.z_b]
+    stencil = [(z[j + 1] - 2.0 * z[j] + z[j - 1]) / eps for j in range(1, n)]
+    vals = reduce(
+        np.multiply,
+        [_pair_integral_line(z[j], s, a, q, phi, eps, gamma) for j, s in enumerate(stencil, 1)],
     )
-    return float(pref * (wts @ vals @ wts))
+    for _ in range(d):
+        vals = wts @ vals
+    return float(pref * vals)
 
 
 def extrapolate_gamma(gammas, values):

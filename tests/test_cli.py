@@ -435,6 +435,28 @@ class TestUsageErrors:
         assert run(["positivity", "-c", "/nonexistent.json", "--gamma", "0.1"]) == 1
         assert "No such file or directory: '/nonexistent.json'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weight", "--path", "unread.csv"],
+            ["positivity"],
+            ["transition"],
+            ["oracle"],
+            ["ck"],
+            ["scan", "--kind", "classical"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_and_potential_read_first(self, tmp_path, capsys, argv):
+        # every subcommand reads the config and its potential before its own
+        # arguments, so both failures read the same whatever the subcommand
+        assert run(argv + ["-c", str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: bad input")
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(dict(COSINE_CONFIG, potential={"lines": [{"q": -1.0, "a": 0.1}]})))
+        assert run(argv + ["-c", str(f)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad potential")
+
     def test_missing_lattice_fields(self, tmp_path, capsys):
         f = tmp_path / "partial.json"
         f.write_text(json.dumps({"lattice": {"ta": 0.0}}))

@@ -253,6 +253,31 @@ class TestTensorSum:
         assert_out_mass(got[1], out_mass)
         assert got[2] == pytest.approx(tot_mass, rel=1e-12)
 
+    def test_row_tables_held_one_block_at_a_time(self):
+        # two cosines band-limited at R = 1.5 make 64 lines, so each row or
+        # column holds 129 table entries per interior point; at n = 6 with 16
+        # nodes per axis the default cap makes 16^3 rows against 16^2 columns
+        x = np.linspace(-20.0, 20.0, 201)
+        p = band_limit(x, 0.03 * np.cos(0.6 * x + 0.5) + 0.04 * np.cos(1.1 * x + 1.7), 1.5)[0]
+        assert len(p.lines) == 64
+        d, m, cap = 5, 16, 2**18
+        cfg = LatticeConfig(0.0, 1.0, d + 1, 0.5, 0.0, 0.2)
+        x, w = np.polynomial.legendre.leggauss(m)
+        tracemalloc.start()
+        try:
+            got = _tensor_sum(p, cfg, 30.0, 0.5 * np.pi * x, 0.5 * np.pi * w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below the block buffers (5 cap doubles) plus the whole grid's row
+        # tables (m^3 rows x 129 x d doubles, 21 MB), which a sum holding the
+        # row tables whole exceeds
+        assert peak <= (5 * cap + m**3 * 129 * d) * 8
+        # flat_tensor_sum's values on this input (12 s and 430 MB to rerun)
+        assert got[0] == pytest.approx(131.7596081310125, rel=1e-12)
+        assert got[1] == 0.0
+        assert got[2] == pytest.approx(202134.8244860763, rel=1e-12)
+
     def test_route_per_potential_kind(self):
         # line, tabulated and zero potentials all take the phase tables:
         # the module has no step_m to call
