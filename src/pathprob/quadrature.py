@@ -13,7 +13,9 @@ Three routes are provided:
   phases are a row share combined with a column share.  Every potential is
   a cosine sum (a tabulated one included), so on a block of rows against
   all columns ``1 - eps M`` is one matrix product of row and column phase
-  tables, not a ``sin`` per point.
+  tables, not a ``sin`` per point.  A block whose row and column shares of
+  each ``|z_i|`` add up to at most the window is certified inside it once,
+  and skips the per-point boundary-mass check (see :func:`_tensor_sum`).
 * :func:`amplitude_discrete` evaluates the discretized complex amplitude by
   nested oscillatory quadrature, for cross-checks of ``|A|^2``.
 * :func:`probability_product_form` evaluates the squared amplitude written
@@ -37,7 +39,7 @@ from .lattice import LatticeConfig, _bridge_solve
 from .oracle import _bessel_j, _miller_top
 from .potentials import TWO_PI, BandLimitedPotential
 from .results import KernelEstimate, TransitionEstimate
-from .weights import NonConvergenceError, _gauss_panels, lorentzian_pair
+from .weights import NonConvergenceError, _gauss_legendre, _gauss_panels, lorentzian_pair
 
 __all__ = [
     "TransitionEstimate",
@@ -100,6 +102,15 @@ def _tensor_sum(
     column shares are outer products over the column axes.  A block's row
     shares are gathered from the per-axis tables by node index, one interior
     point at a time, so the rows take memory in proportion to the block.
+
+    ``out_mass`` is the only output the window moves.  Each block is first
+    checked against it: if for every interior point ``i`` the largest
+    ``|row share of z_i|`` in the block plus the largest ``|column share|``
+    is at most ``window``, no point of the block lies outside, and the block
+    skips the per-point maximum of ``|z_i|`` and its mask.  The certificate
+    is exact in floating point, since rounding is monotone: ``|fl(r + c)| <=
+    fl(|r| + |c|) <= fl(row_max + col_max)``.  A block that fails it takes
+    the per-point maximum and adds up the mass of its points outside.
     """
     d = cfg.n - 1
     line, Tinv = _bridge_solve(cfg)
@@ -121,6 +132,7 @@ def _tensor_sum(
         col_tab.append(
             np.stack([x.real for x in col] + [x.imag for x in col] + [np.ones_like(w_col)])
         )
+    col_max = [float(np.max(np.abs(zc))) for zc in z_col]
 
     n_rows = nodes.size**r
     step = max(1, cap // w_col.size)
@@ -143,26 +155,35 @@ def _tensor_sum(
         idx = np.unravel_index(np.arange(start, min(start + step, n_rows)), (nodes.size,) * r)
         z, fac, prod, abs_sum, zmax = bufs[:, : idx[0].size]
         row_tab = row_bufs[: idx[0].size]
-        abs_sum.fill(0.0)
-        zmax.fill(0.0)
+        z_row = [gather(np.add, 0.0, shift[i], idx) for i in range(d)]
+        # the block certificate: no |z_i| in the block exceeds the window
+        inside = all(
+            float(np.max(np.abs(zr))) + cm <= window for zr, cm in zip(z_row, col_max)
+        )
+        if not inside:
+            zmax.fill(0.0)
         for i in range(d):
-            np.add(gather(np.add, 0.0, shift[i], idx)[:, None], z_col[i], out=z)
             row_ph = gather(np.multiply, 1.0, ph[:, i].swapaxes(0, 1), idx)
             row_tab[:, :n_lines] = row_ph.imag.T
             row_tab[:, n_lines:-1] = row_ph.real.T
             np.matmul(row_tab, col_tab[i], out=prod if i == 0 else fac)
+            # |z_0| goes straight into abs_sum, the later |z_i| through z
+            term = z if i else abs_sum
+            np.add(z_row[i][:, None], z_col[i], out=term)
+            np.abs(term, out=term)
             if i:
                 prod *= fac
-            np.abs(z, out=z)
-            abs_sum += z
-            np.maximum(zmax, z, out=zmax)
+                abs_sum += z
+            if not inside:
+                np.maximum(zmax, term, out=zmax)
         np.multiply(abs_sum, -cfg.gamma, out=abs_sum)
         vals = np.exp(abs_sum, out=abs_sum)
         vals *= prod
         acc += float(gather(np.multiply, 1.0, [weights] * r, idx) @ (vals @ w_col))
         mass = np.abs(vals, out=z)
         tot_mass += float(np.sum(mass))
-        out_mass += float(np.sum(mass[zmax > window]))
+        if not inside:
+            out_mass += float(np.sum(mass[zmax > window]))
     return acc, out_mass, tot_mass
 
 
@@ -176,9 +197,10 @@ def transition_probability_quadrature(
     """Tensor-grid integral of the path-weight product over interior points.
 
     ``window`` is the half-width in position within which the integrand mass
-    must live; the run aborts if more than 1e-4 of the sampled mass sits
-    outside.  The value is refined through ``doublings`` point doublings; the
-    successive changes are reported, and the size of the last is the error.
+    must live, positive and finite; the run aborts if more than 1e-4 of the
+    sampled mass sits outside.  The value is refined through ``doublings``
+    point doublings; the successive changes are reported, and the size of
+    the last is the error.
     """
     n = cfg.n
     if n > MAX_QUADRATURE_N:
@@ -188,6 +210,8 @@ def transition_probability_quadrature(
     gamma = cfg.gamma
     if window is None:
         window = max(abs(cfg.z_a), abs(cfg.z_b)) + 14.0 / gamma
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window must be positive and finite, got {window!r}")
 
     prefactor = 1.0 / (TWO_PI * cfg.duration * np.pi ** d)
 
@@ -198,7 +222,7 @@ def transition_probability_quadrature(
     results = []
     ppd = points_per_dim
     for _ in range(doublings + 1):
-        x, w = np.polynomial.legendre.leggauss(ppd)
+        x, w = _gauss_legendre(ppd)
         nodes = 0.5 * np.pi * x
         wts = 0.5 * np.pi * w
         acc, out_mass, tot_mass = _tensor_sum(p, cfg, window, nodes, wts)
@@ -229,7 +253,7 @@ def _oscillatory_nodes(u_max: float, eps: float, extra_freq: float, density: flo
     Panel widths shrink where the kernel phase ``(x - x')^2 / 2 eps``
     oscillates fast; ``density`` nodes per local period with 12-node panels.
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(12)
+    gl_x, gl_w = _gauss_legendre(12)
     edges = [0.0]
     while edges[-1] < u_max:
         x = edges[-1]
@@ -365,7 +389,7 @@ def probability_product_form(
         a, q, phi = 0.0, 1.0, 0.0
     z_window = max(abs(cfg.z_a), abs(cfg.z_b)) + math.log(1e14) / (2.0 * gamma)
 
-    x, w = np.polynomial.legendre.leggauss(PRODUCT_POINTS)
+    x, w = _gauss_legendre(PRODUCT_POINTS)
     nodes = z_window * x
     wts = z_window * w
     pref = (TWO_PI * eps) ** (-n)

@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -143,6 +144,15 @@ def step_m(p: BandLimitedPotential, z, s, gamma: float):
     s = np.asarray(s, dtype=float)
     out = _add_m(p, z, s, gamma, np.zeros(np.broadcast(z, s).shape))
     return out if out.ndim else float(out)
+
+
+@lru_cache
+def _gauss_legendre(n: int):
+    """``leggauss(n)``, computed once per ``n`` and shared by every caller,
+    so both arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _gauss_panels(edges, x, w):
@@ -258,7 +268,7 @@ def _u_integral(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: 
     def evaluate(h: float) -> complex:
         # composite Gauss-Legendre panels, mirrored so a panel edge sits on
         # the |u| kink at u = 0
-        nodes, wts = np.polynomial.legendre.leggauss(10)
+        nodes, wts = _gauss_legendre(10)
         edges = np.arange(0.0, u_max + h, h)
         edges[-1] = u_max
         u_pos, w_pos = _gauss_panels(edges, nodes, wts)

@@ -138,6 +138,15 @@ class TestGuards:
                 FREE, free_cfg(2, 0.05), window=2.0, points_per_dim=32
             )
 
+    @pytest.mark.parametrize("window", [math.nan, -1.0, 0.0])
+    def test_bad_window_rejected(self, window):
+        # a NaN window once switched the boundary-mass check off (this input
+        # returned 0.13987), and one <= 0 read as a boundary mass fraction of 1
+        weak = BandLimitedPotential.single_line(a=0.1, q=1.0)
+        cfg = LatticeConfig(0.0, 1.0, 3, 0.2, 0.0, 0.3)
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            transition_probability_quadrature(weak, cfg, window=window)
+
 
 def flat_tensor_sum(p, cfg, window, nodes, weights):
     """Reference for ``_tensor_sum``: every grid point as one row.
@@ -278,6 +287,28 @@ class TestTensorSum:
         assert got[1] == 0.0
         assert got[2] == pytest.approx(202134.8244860763, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["single line", "64 lines", "zero"])
+    def test_window_moves_only_out_mass(self, kind):
+        # at an infinite window every block is certified inside it and skips
+        # the boundary check; at 0 none is.  The window may move out_mass and
+        # nothing else.  This cap makes 13 blocks for each potential.
+        if kind == "64 lines":
+            x = np.linspace(-20.0, 20.0, 201)
+            v = 0.03 * np.cos(0.6 * x + 0.5) + 0.04 * np.cos(1.1 * x + 1.7)
+            p = band_limit(x, v, 1.5)[0]
+            assert len(p.lines) == 64
+        else:
+            p = BandLimitedPotential.single_line(a=0.1, q=1.0) if kind == "single line" else FREE
+        cfg = LatticeConfig(0.0, 1.0, 5, 0.2, 0.0, 0.3)
+        x, w = np.polynomial.legendre.leggauss(5)
+        nodes, weights = 0.5 * np.pi * x, 0.5 * np.pi * w
+        inside = _tensor_sum(p, cfg, math.inf, nodes, weights, cap=50)
+        outside = _tensor_sum(p, cfg, 0.0, nodes, weights, cap=50)
+        assert inside[0] == outside[0] and inside[2] == outside[2]
+        assert inside[1] == 0.0
+        # no z_i is exactly 0 here, so every point counts as outside
+        assert outside[1] == outside[2]
+
     def test_route_per_potential_kind(self):
         # line, tabulated and zero potentials all take the phase tables:
         # the module has no step_m to call
@@ -367,6 +398,12 @@ class TestProductForm:
             "negative": np.min(beta) < -1.0,
             "all zero": np.all(beta == 0.0),
         }[where]
+
+    def test_criterion_4_value_pinned(self):
+        # the shared Gauss-Legendre rule gives the value leggauss did
+        p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
+        cfg = LatticeConfig(0.0, 3.0, 3, 1.0, 0.1, -0.2)
+        assert repr(probability_product_form(p, cfg)) == "0.008006054713712966"
 
     def test_multi_line_rejected(self):
         p = BandLimitedPotential.from_lines([(1.0, 0.1, 0.0), (0.5, 0.1, 0.0)])

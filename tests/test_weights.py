@@ -124,6 +124,23 @@ def grid_spectra(draw):
     return band_limit(x, v, R=1.5)[0]
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [3, 10, 12, 1200])
+    def test_equals_leggauss(self, n):
+        x, w = weights._gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+    def test_shared_rule_is_read_only(self):
+        # every caller gets the same two arrays, so none may write into them
+        x, w = weights._gauss_legendre(12)
+        for arr in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        again = weights._gauss_legendre(12)
+        assert again[0] is x and again[1] is w
+
+
 class TestStepM:
     def test_zero_potential(self):
         p = BandLimitedPotential.zero()
