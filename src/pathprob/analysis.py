@@ -179,11 +179,7 @@ def linearization_order_scan(
         if len(eps_list) < 2 or p.is_zero or all(r == 0 or math.isnan(r) for r in rel):
             slopes[(z, s)] = None
             continue
-        log_e = np.log(np.asarray(eps_list))
-        log_r = np.log(np.asarray(rel))
-        le = log_e - log_e.mean()
-        slope = float(np.dot(le, log_r - log_r.mean()) / np.dot(le, le))
-        slopes[(z, s)] = slope
+        slopes[(z, s)] = float(np.polyfit(np.log(eps_list), np.log(rel), 1)[0])
     prov = _provenance(
         potential=potential_to_dict(p),
         points=[list(pt) for pt in points],

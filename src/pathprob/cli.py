@@ -289,7 +289,8 @@ def _cmd_scan(args, config: dict, p: BandLimitedPotential) -> int:
 
 
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
-_point = _checked(lambda t: tuple(map(float, t.split(","))), lambda v: len(v) == 2, "a z,s pair")
+_point = _checked(lambda t: tuple(map(float, t.split(","))),
+                  lambda v: len(v) == 2 and all(map(math.isfinite, v)), "a finite z,s pair")
 
 
 def _build_parser() -> argparse.ArgumentParser:

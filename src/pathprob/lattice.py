@@ -76,6 +76,8 @@ class Path:
         z = np.asarray(self.z, dtype=float)
         if z.ndim != 1 or z.size < 3:
             raise ValueError("a path needs at least 3 points")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("a path's positions must be finite")
         object.__setattr__(self, "z", z)
 
     @property

@@ -10,8 +10,8 @@ with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
     M(z, s) = - sum_k a_k sin(q_k z + phi_k) * D(s, q_k),
     D(s, q) = (s^2 + gamma^2) / ((s - q)^2 + gamma^2) - (s^2 + gamma^2) / ((s + q)^2 + gamma^2).
 
-The full exponential form has ``h = 1 / (2 pi eps)`` and ``g`` the real part
-of ``int exp(-gamma |u| - i u s + i eps (V(z - u) - V(z + u))) du``, a checked
+The full exponential form has ``h = 1 / (2 pi eps)`` and ``g = int exp(-gamma
+|u| - i u s + i eps (V(z - u) - V(z + u))) du``, which is real, by a checked
 quadrature (``_u_integral``).  ``_split_q`` returns ``(M, g, h)`` for either
 form, and every step factor and path weight goes through it.  ``W = n prod_j
 Q_j`` has no bound, so ``_path_sign_log`` reduces the split rather than ``Q``:
@@ -254,30 +254,31 @@ def _sign_log_abs(q, n: int):
 EXPONENTIAL_TAIL = 1e-12  # _u_integral's cut-off of the regularizer exp(-gamma |u|)
 
 
-def _u_integral(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: float) -> complex:
-    """``int exp(-gamma |u| - i u s + i eps (V(z - u) - V(z + u))) du``.
+def _u_integral(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: float) -> float:
+    """``int exp(-gamma |u| - i u s + i eps (V(z - u) - V(z + u))) du``, which is real.
 
-    Evaluated by truncated fine-grid quadrature; the truncation point is set
-    from ``EXPONENTIAL_TAIL`` and the sampling density from the oscillation
-    content ``|s| + max(R, 1) + gamma``.  Raises NonConvergenceError when a
-    refinement check fails.
+    ``V(z - u) - V(z + u) = sum_k b_k sin(q_k u)``, ``b_k = 2 a_k sin(q_k z + phi_k)``,
+    is odd in u, so this is ``2 int_0^u_max exp(-gamma u) cos(eps sum_k b_k sin(q_k u)
+    - s u) du``, with ``u_max`` set by ``EXPONENTIAL_TAIL`` and the panel width by ``|s|
+    + max(R, 1) + gamma``.  Raises ValueError for a non-finite ``z`` or ``s`` and
+    NonConvergenceError when the refinement check fails.
     """
+    if not (math.isfinite(z) and math.isfinite(s)):
+        raise ValueError(f"exponential step factor needs finite z and s, got z={z}, s={s}")
     u_max = -math.log(EXPONENTIAL_TAIL) / gamma
     freq = abs(s) + max(p.R, 1.0) + gamma
+    terms = [(ln.q, 2.0 * eps * ln.a * math.sin(ln.q * z + ln.phi)) for ln in p.lines]
 
-    def evaluate(h: float) -> complex:
-        # composite Gauss-Legendre panels, mirrored so a panel edge sits on
-        # the |u| kink at u = 0
-        nodes, wts = _gauss_legendre(10)
+    def evaluate(h: float) -> float:
+        # Gauss-Legendre panels on [0, u_max]; the small line terms first, then s u
         edges = np.arange(0.0, u_max + h, h)
         edges[-1] = u_max
-        u_pos, w_pos = _gauss_panels(edges, nodes, wts)
-        u = np.concatenate([-u_pos, u_pos])
-        w = np.concatenate([w_pos, w_pos])
-        integrand = np.exp(
-            -gamma * np.abs(u) - 1j * u * s + 1j * eps * (p.evaluate(z - u) - p.evaluate(z + u))
-        )
-        return complex(np.sum(w * integrand))
+        u, w = _gauss_panels(edges, *_gauss_legendre(10))
+        phase = np.zeros(u.shape)
+        for q, b in terms:
+            phase += b * np.sin(q * u)
+        phase -= s * u
+        return 2.0 * float((w * np.exp(-gamma * u)) @ np.cos(phase))
 
     h0 = min(np.pi / (2.0 * freq), u_max / 8.0)
     val = evaluate(h0)
@@ -297,14 +298,14 @@ def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str 
     if eps <= 0 or gamma <= 0:
         raise ValueError("eps and gamma must be positive")
     s = np.asarray(s, dtype=float)
-    m = step_m(p, z, s, gamma)
-    if form == "linear":
-        return m, 1.0 - eps * m, 2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))
-    if form == "exponential":
+    if form == "exponential":  # g first: it rejects an infinite z before M's sin(q z)
         zs = np.broadcast(z, s)
-        g = [_u_integral(p, zj, sj, eps, gamma).real for zj, sj in zs]
-        return m, np.reshape(g, zs.shape), 1.0 / (TWO_PI * eps)
-    raise ValueError(f"unknown step-factor form {form!r}")
+        g = np.reshape([_u_integral(p, zj, sj, eps, gamma) for zj, sj in zs], zs.shape)
+        return step_m(p, z, s, gamma), g, 1.0 / (TWO_PI * eps)
+    if form != "linear":
+        raise ValueError(f"unknown step-factor form {form!r}")
+    m = step_m(p, z, s, gamma)
+    return m, 1.0 - eps * m, 2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))
 
 
 def _path_sign_log(z, g, h, gamma: float, n: int):
@@ -359,8 +360,8 @@ def step_q_linear(p: BandLimitedPotential, z, s, eps: float, gamma: float):
 def step_q_exponential(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     """Step factor with the full exponential of the potential difference.
 
-    ``g`` is the real part of :func:`_u_integral`, which raises
-    NonConvergenceError when its refinement check fails.
+    ``g`` is the real integral :func:`_u_integral`, which raises ValueError at a
+    non-finite ``z`` or ``s``, NonConvergenceError when its check fails.
     """
     return _step_q(p, z, s, eps, gamma, "exponential")
 

@@ -109,6 +109,16 @@ class TestLinearizationOrder:
         slope = res.summary["slopes"][0]["slope"]
         assert slope == pytest.approx(2.0, abs=0.2)
 
+    def test_slope_is_polyfit_of_rows(self):
+        # the summary slope is the least-squares fit criterion 5 makes
+        points = [(0.3, 0.7), (-0.4, 0.9)]
+        res = linearization_order_scan(COSINE, points, 0.1, [0.04, 0.02, 0.01])
+        for (z, s), summary in zip(points, res.summary["slopes"]):
+            rows = [row for row in res.rows if (row["z"], row["s"]) == (z, s)]
+            log_e = np.log([row["eps"] for row in rows])
+            log_r = np.log([row["rel_difference"] for row in rows])
+            assert summary["slope"] == float(np.polyfit(log_e, log_r, 1)[0])
+
     def test_free_differences_vanish(self):
         res = linearization_order_scan(
             FREE, [(0.3, 0.7)], gamma=0.1, eps_list=[0.02, 0.01]

@@ -391,6 +391,9 @@ class TestUsageErrors:
             ["scan", "--kind", "classical", "--delta", "nan"],
             ["scan", "--kind", "classical", "--delta", "inf"],
             ["scan", "--kind", "classical", "--delta", "-1"],
+            ["scan", "--kind", "linearization", "--points", "nan,0.7"],
+            ["scan", "--kind", "linearization", "--points", "0.3,nan"],
+            ["scan", "--kind", "linearization", "--points", "0.3,inf"],
         ],
     )
     def test_out_of_range_flag(self, free_json, capsys, argv):
@@ -414,6 +417,18 @@ class TestUsageErrors:
         assert run(["weight", "-c", cosine_json, "--path", str(path_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad path file: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("form", ["linear", "exponential"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_path_position(self, tmp_path, capsys, cosine_json, value, form):
+        # rejected on reading, before either step factor sees it
+        path_file = tmp_path / "bad.csv"
+        rows = ["j,t,z", "0,0.0,0.0", f"1,0.25,{value}", "2,0.5,0.1", "3,0.75,0.1", "4,1.0,0.2"]
+        path_file.write_text("".join(row + "\n" for row in rows))
+        argv = ["weight", "-c", cosine_json, "--path", str(path_file), "--form", form]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad path file: a path's positions must be finite\n"
 
     def test_grid_without_endpoints(self, tmp_path, capsys):
         f = tmp_path / "narrow.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,16 @@ class TestIO:
         write_path_csv(path, cfg, f)
         back = read_path_csv(f)
         assert np.array_equal(back.z, path.z)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_rejected(self, tmp_path, value):
+        z = [0.0, value, 0.1, 0.1, 0.2]
+        with pytest.raises(ValueError, match="finite"):
+            Path(np.array(z))
+        f = tmp_path / "path.csv"
+        f.write_text("j,t,z\n" + "".join(f"{j},{j / 4},{zj}\n" for j, zj in enumerate(z)))
+        with pytest.raises(ValueError, match="finite"):
+            read_path_csv(f)
 
     def test_bad_header_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"

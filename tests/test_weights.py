@@ -80,8 +80,10 @@ def bracketed_sup(q, gamma):
 
 
 def exponential_reference(p, z, s, eps, gamma, freq):
-    """The exponential step factor on the refined panels ``step_q_exponential``
-    takes for the oscillation content ``freq``, without its refinement check."""
+    """The u-integral of the exponential step factor on the refined panels
+    ``_u_integral`` takes for the oscillation content ``freq``, without its
+    refinement check: the complex sum over mirrored nodes on [-u_max, u_max],
+    with ``V`` evaluated at ``z - u`` and ``z + u``."""
     u_max = -math.log(weights.EXPONENTIAL_TAIL) / gamma
     h = 0.5 * min(np.pi / (2.0 * freq), u_max / 8.0)
     nodes, wts = np.polynomial.legendre.leggauss(10)
@@ -91,8 +93,7 @@ def exponential_reference(p, z, s, eps, gamma, freq):
     u = np.concatenate([-u_pos, u_pos])
     w = np.concatenate([w_pos, w_pos])
     dv = p.evaluate(z - u) - p.evaluate(z + u)
-    val = complex(np.sum(w * np.exp(-gamma * np.abs(u) - 1j * u * s + 1j * eps * dv)))
-    return (1.0 / (TWO_PI * eps)) * math.exp(-gamma * abs(z)) * val.real
+    return complex(np.sum(w * np.exp(-gamma * np.abs(u) - 1j * u * s + 1j * eps * dv)))
 
 
 @st.composite
@@ -462,20 +463,48 @@ class TestStepQ:
     def test_exponential_panels_from_band_radius(self):
         # the panel width follows max(R, 1), not the sum of the line
         # wavenumbers, which grows with the line count; on the finer panels
-        # of that sum the values agree, and for one line they are the same
+        # of that sum the values agree
         x = np.linspace(-20.0, 20.0, 201)
         tabulated = band_limit(x, 0.04 * np.cos(0.6 * x + 0.3) + 0.03 * np.cos(x), R=1.5)[0]
         two_lines = BandLimitedPotential.from_lines([(1.0, 0.8, 0.4), (0.7, -0.3, 1.1)])
-        for p, eps, gamma, rel in ((COSINE, 0.01, 0.1, 0.0), (two_lines, 0.01, 0.1, 1e-14),
-                                   (tabulated, 0.1, 0.5, 1e-14)):
+        for p, eps, gamma in ((COSINE, 0.01, 0.1), (two_lines, 0.01, 0.1), (tabulated, 0.1, 0.5)):
             for z, s in ((0.3, 0.7), (-0.4, 0.9), (1.0, -0.5)):
                 freq = abs(s) + sum(ln.q for ln in p.lines) + gamma
-                ref = exponential_reference(p, z, s, eps, gamma, freq)
-                assert step_q_exponential(p, z, s, eps, gamma) == pytest.approx(ref, rel=rel)
+                g = exponential_reference(p, z, s, eps, gamma, freq).real
+                ref = math.exp(-gamma * abs(z)) * g / (TWO_PI * eps)
+                got = step_q_exponential(p, z, s, eps, gamma)
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_exponential_imaginary_part_small(self):
-        val = weights._u_integral(COSINE, 0.3, 0.7, 0.01, 0.1)
-        assert abs(val.imag) <= 1e-9 * abs(val.real)
+    @given(
+        st.one_of(
+            st.lists(
+                st.tuples(st.floats(0.2, 1.5), st.floats(-0.5, 0.5), st.floats(0.0, TWO_PI)),
+                min_size=1,
+                max_size=2,
+            ).map(BandLimitedPotential.from_lines),
+            grid_spectra(),
+        ),
+        st.floats(-3.0, 3.0),
+        st.floats(-5.0, 5.0),
+        st.sampled_from([0.01, 0.1, 0.25]),
+        st.sampled_from([0.1, 0.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_u_integral_is_the_mirrored_sum(self, p, z, s, eps, gamma):
+        # the odd potential difference makes the integrand at -u the
+        # conjugate of that at u: the mirrored complex sum is real, and
+        # the real integral over u >= 0 is that sum
+        ref = exponential_reference(p, z, s, eps, gamma, abs(s) + max(p.R, 1.0) + gamma)
+        got = weights._u_integral(p, z, s, eps, gamma)
+        assert isinstance(got, float)
+        assert abs(ref.imag) <= 1e-12 * abs(ref.real)
+        assert got == pytest.approx(ref.real, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("z, s", [(math.nan, 0.7), (0.3, math.nan), (math.inf, 0.7),
+                                      (0.3, -math.inf)])
+    def test_exponential_rejects_non_finite(self, z, s):
+        with pytest.raises(ValueError, match="finite"):
+            step_q_exponential(COSINE, z, s, 0.01, 0.1)
 
     def test_ratio_tends_to_one(self):
         ratios = []
@@ -557,7 +586,7 @@ class TestPathWeight:
             g = 1 - cfg.eps * step_m(p, interior, s, cfg.gamma)
             h = 2 * cfg.gamma / (TWO_PI * cfg.eps * (s * s + cfg.gamma**2))
         else:
-            g = np.array([weights._u_integral(p, zj, sj, cfg.eps, cfg.gamma).real
+            g = np.array([weights._u_integral(p, zj, sj, cfg.eps, cfg.gamma)
                           for zj, sj in zip(interior, s)])
             h = np.full(3, 1 / (TWO_PI * cfg.eps))
         ref = (
