@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,14 +156,22 @@ def _bridge_solve(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """``(line, Tinv)``: every interior path is ``line + eps Tinv s``.
 
     ``line`` is the interior of the straight path (every ``s_j`` zero) and
-    ``Tinv`` the inverse of :func:`second_difference_matrix`.
+    ``Tinv`` the inverse of :func:`second_difference_matrix`.  Both are
+    computed once per ``(n, z_a, z_b)`` and shared by every caller, so they
+    are read-only.
     """
-    d = cfg.n - 1
-    b = np.zeros(d)
-    b[0] += cfg.z_a
-    b[-1] += cfg.z_b  # the same entry when n = 2
-    Tinv = np.linalg.inv(second_difference_matrix(cfg.n))
-    return Tinv @ (-b), Tinv
+    return _bridge(cfg.n, cfg.z_a, cfg.z_b)
+
+
+@lru_cache
+def _bridge(n: int, z_a: float, z_b: float) -> tuple[np.ndarray, np.ndarray]:
+    b = np.zeros(n - 1)
+    b[0] += z_a
+    b[-1] += z_b  # the same entry when n = 2
+    Tinv = np.linalg.inv(second_difference_matrix(n))
+    line = Tinv @ (-b)
+    line.flags.writeable = Tinv.flags.writeable = False
+    return line, Tinv
 
 
 def interior_from_velocity_changes(s, cfg: LatticeConfig) -> np.ndarray:

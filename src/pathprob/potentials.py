@@ -49,15 +49,24 @@ class BandLimitedPotential:
 
     ``R`` (the largest line wavenumber) and ``K = 2*pi*sum|a_k|``, which is
     ``\\int |Vt|`` exactly, are derived from the lines; both are 0 with none.
+    ``line_arrays`` is ``(q, a, phi)`` of the lines as read-only arrays, built
+    once and left out of equality and hashing.
     """
 
     lines: tuple[SpectralLine, ...] = ()
     R: float = field(init=False)
     K: float = field(init=False)
+    line_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "R", max((ln.q for ln in self.lines), default=0.0))
         object.__setattr__(self, "K", TWO_PI * sum(abs(ln.a) for ln in self.lines))
+        cols = np.array([(ln.q, ln.a, ln.phi) for ln in self.lines], dtype=float).reshape(-1, 3)
+        cols = np.ascontiguousarray(cols.T)
+        cols.flags.writeable = False
+        object.__setattr__(self, "line_arrays", tuple(cols))
 
     # -- constructors -------------------------------------------------
 

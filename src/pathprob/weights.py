@@ -21,7 +21,10 @@ in both forms where ``exp(-gamma |z|)`` and so ``Q`` underflow to 0.
 
 ``_add_m`` is the one evaluation of ``M``: it adds the line terms to an
 array in place, so ``step_m`` sums them into zeros and the Monte Carlo's
-``1 - eps M`` into ones.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
+``1 - eps M`` into ones.  It takes the lines a group at a time, the group
+a leading array axis sized to the array, so a small array costs a few
+numpy calls per group rather than per line, and the sum stays bit for bit
+the per-line sum in line order.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
 linearized step factor is ``Q = f rho(s) / eps``, with ``rho(s) = gamma /
 (pi (s^2 + gamma^2))`` the Cauchy law of a velocity change.
 Paths whose ``n - 1`` velocity changes are drawn from ``rho`` have density
@@ -98,41 +101,75 @@ def lorentzian_pair(s, q, gamma):
     return 4.0 * q * s * (s * s + g2) / (((s - q) ** 2 + g2) * ((s + q) ** 2 + g2))
 
 
-def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: float = 1.0):
-    """Add ``scale * M(z, s)`` to ``out`` in place, line by line.
+# elements in a group's buffer of line terms in _add_m: a group of lines is
+# as many as fit, at least one
+_M_CAP = 2**13
 
-    ``out`` has the broadcast shape of ``z`` and ``s``.  Each line's ``D(s,
-    q)`` is formed in ``s``'s shape and its ``a sin(q z + phi)`` in ``z``'s,
-    so a grid of ``z`` against ``s`` costs one of each per row or column.
-    The scratch arrays are allocated once whatever the number of lines, and
-    for ``z`` and ``s`` of one shape they are two, plus ``s^2 + gamma^2``.
-    ``D`` is computed as :func:`lorentzian_pair` computes it, operation for
-    operation, so at ``scale = 1`` the sum is bit for bit the sum of those
-    terms.
+
+def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: float = 1.0):
+    """Add ``scale * M(z, s)`` to ``out`` in place, a group of lines at a time.
+
+    ``out`` has the broadcast shape of ``z`` and ``s``.  A group of ``G =
+    max(1, _M_CAP // out.size)`` lines is a leading axis: its ``D(s, q)`` is
+    formed in shape ``(G,) + s.shape`` and its ``a sin(q z + phi)`` in ``(G,)
+    + z.shape``, so a grid of ``z`` against ``s`` costs one of each per row or
+    column and line, and the numpy calls are per group, not per line.  The
+    group's terms are written below a copy of ``out`` in one buffer, and one
+    ``np.subtract.reduce`` along the group axis subtracts them in line order:
+    it is sequential at every shape, where ``np.add.reduce`` would sum a
+    one-dimensional axis pairwise.  A group of one line (a large ``out``) has
+    no leading axis and subtracts its term directly.  The scratch arrays
+    serve every group, and for ``z`` and ``s`` of ``out``'s shape they are
+    two, plus ``s^2 + gamma^2``.  ``D`` is computed as :func:`lorentzian_pair` computes it,
+    operation for operation, so at ``scale = 1`` the sum is bit for bit the
+    sum of those terms.
     """
+    q, a, phi = p.line_arrays
+    n_lines = q.size
+    size = max(1, min(n_lines, _M_CAP // max(out.size, 1)))
+    if size > 1:
+        # the group axis leads, so z and s take out's number of axes
+        z = z.reshape((1,) * (out.ndim - z.ndim) + z.shape)
+        s = s.reshape((1,) * (out.ndim - s.ndim) + s.shape)
+        q, a, phi = (v.reshape((-1,) + (1,) * out.ndim) for v in (q, a, phi))
+        q4, sa = 4.0 * q, scale * a
+    else:  # one line at a time, its parameters floats
+        q, a, phi = q.tolist(), a.tolist(), phi.tolist()
+        q4, sa = [4.0 * v for v in q], [scale * v for v in a]
+    lead = (size,) if size > 1 else ()
     g2 = gamma * gamma
     s2g = s * s
     s2g += g2
-    d, u = np.empty(s.shape), np.empty(s.shape)
-    w = u if z.shape == s.shape else np.empty(z.shape)
-    t = w if w.shape == out.shape else np.empty(out.shape)
-    for ln in p.lines:
-        np.add(s, ln.q, out=d)
+    d = np.empty(lead + s.shape)
+    acc = np.empty((size + 1,) + out.shape) if size > 1 else None
+    t = np.empty(out.shape) if acc is None else acc[1:]
+    w = t if z.shape == out.shape else np.empty(lead + z.shape)
+    u = w if z.shape == s.shape else np.empty(lead + s.shape)
+    for lo in range(0, n_lines, size):
+        k = lo if acc is None else slice(lo, lo + size)
+        if acc is not None and lo + size > n_lines:  # a short last group
+            n = n_lines - lo
+            d, u, w, t, acc = d[:n], u[:n], w[:n], t[:n], acc[: n + 1]
+        np.add(s, q[k], out=d)
         np.square(d, out=d)
         d += g2
-        np.subtract(s, ln.q, out=u)
+        np.subtract(s, q[k], out=u)
         np.square(u, out=u)
         u += g2
         u *= d
-        np.multiply(s, 4.0 * ln.q, out=d)
+        np.multiply(s, q4[k], out=d)
         d *= s2g
         d /= u
-        np.multiply(z, ln.q, out=w)
-        w += ln.phi
+        np.multiply(z, q[k], out=w)
+        w += phi[k]
         np.sin(w, out=w)
-        w *= scale * ln.a
+        w *= sa[k]
         np.multiply(w, d, out=t)
-        out -= t
+        if acc is None:
+            out -= t
+        else:
+            acc[0] = out
+            np.subtract.reduce(acc, axis=0, out=out)
     return out
 
 
@@ -213,9 +250,9 @@ def m_sup_certified(p: BandLimitedPotential, gamma: float) -> CertifiedSup:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    a = np.array([abs(ln.a) for ln in p.lines])
-    d_max, _ = _sup_lorentzian_pair(np.array([ln.q for ln in p.lines]), gamma)
-    return CertifiedSup(float(a @ d_max) * (1.0 + 1e-12), True)
+    q, a, _ = p.line_arrays
+    d_max, _ = _sup_lorentzian_pair(q, gamma)
+    return CertifiedSup(float(np.abs(a) @ d_max) * (1.0 + 1e-12), True)
 
 
 class ThresholdPair(NamedTuple):
@@ -260,11 +297,9 @@ def _u_integral(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: 
     ``V(z - u) - V(z + u) = sum_k b_k sin(q_k u)``, ``b_k = 2 a_k sin(q_k z + phi_k)``,
     is odd in u, so this is ``2 int_0^u_max exp(-gamma u) cos(eps sum_k b_k sin(q_k u)
     - s u) du``, with ``u_max`` set by ``EXPONENTIAL_TAIL`` and the panel width by ``|s|
-    + max(R, 1) + gamma``.  Raises ValueError for a non-finite ``z`` or ``s`` and
-    NonConvergenceError when the refinement check fails.
+    + max(R, 1) + gamma``.  ``z`` and ``s`` are finite (:func:`_split_q` checks).
+    Raises NonConvergenceError when the refinement check fails.
     """
-    if not (math.isfinite(z) and math.isfinite(s)):
-        raise ValueError(f"exponential step factor needs finite z and s, got z={z}, s={s}")
     u_max = -math.log(EXPONENTIAL_TAIL) / gamma
     freq = abs(s) + max(p.R, 1.0) + gamma
     terms = [(ln.q, 2.0 * eps * ln.a * math.sin(ln.q * z + ln.phi)) for ln in p.lines]
@@ -294,11 +329,15 @@ def _u_integral(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: 
 
 def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str = "linear"):
     """``(M, g, h)`` at broadcast ``z, s``, with ``Q = exp(-gamma |z|) g h``, ``g``
-    carrying the sign and ``h > 0``: both forms' one definition (module docstring)."""
+    carrying the sign and ``h > 0``: both forms' one definition (module docstring).
+    A non-finite ``z`` or ``s`` raises ValueError."""
     if eps <= 0 or gamma <= 0:
         raise ValueError("eps and gamma must be positive")
+    z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
-    if form == "exponential":  # g first: it rejects an infinite z before M's sin(q z)
+    if not (np.isfinite(z).all() and np.isfinite(s).all()):
+        raise ValueError("step factors need finite z and s")
+    if form == "exponential":
         zs = np.broadcast(z, s)
         g = np.reshape([_u_integral(p, zj, sj, eps, gamma) for zj, sj in zs], zs.shape)
         return step_m(p, z, s, gamma), g, 1.0 / (TWO_PI * eps)
@@ -353,15 +392,19 @@ def _step_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str):
 
 
 def step_q_linear(p: BandLimitedPotential, z, s, eps: float, gamma: float):
-    """Linearized step factor; the form certified nonnegative for eps below threshold."""
+    """Linearized step factor; the form certified nonnegative for eps below threshold.
+
+    A non-finite ``z`` or ``s`` raises ValueError.
+    """
     return _step_q(p, z, s, eps, gamma, "linear")
 
 
 def step_q_exponential(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     """Step factor with the full exponential of the potential difference.
 
-    ``g`` is the real integral :func:`_u_integral`, which raises ValueError at a
-    non-finite ``z`` or ``s``, NonConvergenceError when its check fails.
+    ``g`` is the real integral :func:`_u_integral`, which raises
+    NonConvergenceError when its check fails; a non-finite ``z`` or ``s``
+    raises ValueError.
     """
     return _step_q(p, z, s, eps, gamma, "exponential")
 
@@ -384,6 +427,7 @@ def batch_log_weights(p: BandLimitedPotential, interiors: np.ndarray, cfg: Latti
 
     ``interiors`` has shape (N, n-1).  Returns ``(signs, log_abs, q_signs)``
     where ``q_signs`` is the per-step sign matrix (N, n-1), the sign of ``g``.
+    A non-finite interior point raises ValueError.
     """
     interiors = np.atleast_2d(np.asarray(interiors, dtype=float))
     s = velocity_changes(interiors, cfg)
@@ -438,7 +482,7 @@ def negative_step_witness(p: BandLimitedPotential, gamma: float):
     """
     if not p.lines:
         raise ValueError("witness construction needs a nonzero potential")
-    a, q, phi = (np.array(col) for col in zip(*((ln.a, ln.q, ln.phi) for ln in p.lines)))
+    q, a, phi = p.line_arrays
     _, s_star = _sup_lorentzian_pair(q, gamma)
     z_star = (-np.copysign(0.5 * np.pi, a) - phi) / q
     k = int(np.argmax(step_m(p, z_star, s_star, gamma)))

@@ -139,6 +139,18 @@ class TestBridgeSolve:
         assert z.shape == s.shape
         assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_bridge_solve_cached_read_only(self):
+        # one (line, Tinv) per (n, z_a, z_b), whatever the times and gamma
+        cfg = LatticeConfig(0.0, 1.0, 7, 0.1, 0.7, -1.3)
+        line, Tinv = lattice._bridge_solve(cfg)
+        again = lattice._bridge_solve(LatticeConfig(2.0, 5.0, 7, 0.3, 0.7, -1.3))
+        assert again[0] is line and again[1] is Tinv
+        assert not line.flags.writeable and not Tinv.flags.writeable
+        b = np.zeros(6)
+        b[0], b[-1] = cfg.z_a, cfg.z_b
+        fresh = np.linalg.inv(second_difference_matrix(7))
+        assert np.array_equal(Tinv, fresh) and np.array_equal(line, fresh @ (-b))
+
     def test_zero_velocity_changes_give_straight_line(self):
         cfg = LatticeConfig(0.0, 1.0, 5, 0.1, -1.0, 2.0)
         interior = interior_from_velocity_changes(np.zeros(4), cfg)

@@ -37,6 +37,16 @@ class TestConstruction:
             BandLimitedPotential(R=1.0, K=1.0)
         assert (BandLimitedPotential().R, BandLimitedPotential().K) == (0.0, 0.0)
 
+    def test_line_arrays(self):
+        # the lines as read-only arrays, left out of equality, hashing and repr
+        p = BandLimitedPotential.from_lines([(1.0, 0.5, 0.0), (0.3, -0.2, 1.0)])
+        q, a, phi = p.line_arrays
+        assert q.tolist() == [1.0, 0.3] and a.tolist() == [0.5, -0.2] and phi.tolist() == [0.0, 1.0]
+        assert not any(v.flags.writeable for v in p.line_arrays)
+        twin = BandLimitedPotential(p.lines)
+        assert twin == p and hash(twin) == hash(p) and "line_arrays" not in repr(p)
+        assert all(v.shape == (0,) for v in BandLimitedPotential().line_arrays)
+
     def test_zero_potential(self):
         p = BandLimitedPotential.zero()
         assert p.is_zero

@@ -167,18 +167,51 @@ class TestStepM:
         with pytest.raises(ValueError):
             step_m(COSINE, 0.0, 0.0, 0.0)
 
-    def test_in_place_sum_equals_lorentzian_pair_terms(self):
-        # the line sum is accumulated in place, term by term as written with
-        # lorentzian_pair, to the last bit and under broadcasting
-        x = np.linspace(-20.0, 20.0, 201)
-        p, _ = band_limit(x, 0.04 * np.cos(0.6 * x + 0.3) + 0.03 * np.cos(1.1 * x + 1.0), R=1.5)
+    # (z shape, s shape, scale): step_m's sums into zeros at scale 1, and the
+    # Monte Carlo's 1 - eps M into ones at scale -eps
+    SHAPES = {
+        "scalar": ((), (), 1.0),
+        "z-vector": ((4,), (), 1.0),
+        "s-vector": ((), (4,), 1.0),
+        "column-row": ((40, 1), (1, 30), 1.0),
+        "mc": ((300, 7), (300, 7), -0.05),
+        "mc-one-line-groups": ((4096, 3), (4096, 3), -0.05),
+    }
+
+    @pytest.mark.parametrize("lines", ["0", "1", "2", "64", "partial"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_in_place_sum_equals_lorentzian_pair_terms(self, shape, lines):
+        # the line sum is accumulated in place, a group of lines at a time,
+        # to the last bit of the terms as written with lorentzian_pair, in
+        # line order, under broadcasting; "partial" leaves the last group short
+        z_shape, s_shape, scale = self.SHAPES[shape]
         rng = np.random.default_rng(2)
-        z = rng.normal(0.0, 5.0, size=(40, 1))
-        s = rng.standard_cauchy(size=(1, 30))
-        ref = np.zeros((40, 30))
+        z = rng.normal(0.0, 5.0, size=z_shape)
+        s = rng.standard_cauchy(size=s_shape)
+        size = np.broadcast(z, s).size
+        if lines == "64":
+            x = np.linspace(-20.0, 20.0, 201)
+            v = 0.04 * np.cos(0.6 * x + 0.3) + 0.03 * np.cos(1.1 * x + 1.0)
+            p, _ = band_limit(x, v, R=1.5)
+            assert len(p.lines) == 64
+        else:
+            group = max(1, weights._M_CAP // size)
+            count = 2 * group + group // 2 + 1 if lines == "partial" else int(lines)
+            p = BandLimitedPotential.from_lines(
+                zip(rng.uniform(0.1, 2.0, count), rng.normal(0.0, 0.05, count),
+                    rng.uniform(-math.pi, math.pi, count))
+            )
+        start = 0.0 if scale == 1.0 else 1.0
+        ref = np.full(np.broadcast(z, s).shape, start)
         for ln in p.lines:
-            ref = ref - ln.a * np.sin(ln.q * z + ln.phi) * lorentzian_pair(s, ln.q, 0.3)
-        assert np.array_equal(step_m(p, z, s, 0.3), ref)
+            term = scale * ln.a * np.sin(ln.q * z + ln.phi) * lorentzian_pair(s, ln.q, 0.3)
+            ref = ref - term
+        if scale == 1.0:
+            got = step_m(p, z, s, 0.3)
+        else:
+            got = weights._add_m(p, z, s, 0.3, np.ones(ref.shape), scale=scale)
+        assert np.shape(got) == ref.shape
+        assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize(
         "z,s", [(0.3, 0.7), (-1.2, 1.5), (math.pi / 2, 1.0), (2.0, -0.4)]
@@ -505,6 +538,19 @@ class TestStepQ:
     def test_exponential_rejects_non_finite(self, z, s):
         with pytest.raises(ValueError, match="finite"):
             step_q_exponential(COSINE, z, s, 0.01, 0.1)
+
+    @pytest.mark.parametrize("z, s", [(math.nan, 0.7), (0.3, math.nan), (math.inf, 0.7),
+                                      (0.3, -math.inf)])
+    def test_linear_rejects_non_finite(self, z, s):
+        with pytest.raises(ValueError, match="finite"):
+            step_q_linear(COSINE, z, s, 0.01, 0.1)
+
+    def test_batch_rejects_non_finite_interior(self):
+        # a nan interior point makes two velocity changes nan; its sign was
+        # once the int cast of nan
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            batch_log_weights(COSINE, [[0.1, math.nan, 0.2]], cfg)
 
     def test_ratio_tends_to_one(self):
         ratios = []
