@@ -120,9 +120,9 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
     one-dimensional axis pairwise.  A group of one line (a large ``out``) has
     no leading axis and subtracts its term directly.  The scratch arrays
     serve every group, and for ``z`` and ``s`` of ``out``'s shape they are
-    two, plus ``s^2 + gamma^2``.  ``D`` is computed as :func:`lorentzian_pair` computes it,
-    operation for operation, so at ``scale = 1`` the sum is bit for bit the
-    sum of those terms.
+    two, plus ``s^2 + gamma^2``.  ``D`` is computed as
+    :func:`lorentzian_pair` computes it, operation for operation, so at
+    ``scale = 1`` the sum is bit for bit the sum of those terms.
     """
     q, a, phi = p.line_arrays
     n_lines = q.size
@@ -140,6 +140,8 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
     g2 = gamma * gamma
     s2g = s * s
     s2g += g2
+    # d before the term buffer: the other order took about 110 more minor
+    # page faults per call on a 4096 x 15 Monte Carlo batch, and 8% longer
     d = np.empty(lead + s.shape)
     acc = np.empty((size + 1,) + out.shape) if size > 1 else None
     t = np.empty(out.shape) if acc is None else acc[1:]
