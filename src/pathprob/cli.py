@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import io
 import json
 import math
 import sys
@@ -39,21 +40,17 @@ EXIT_INVARIANT = 3
 
 
 def _emit(payload: dict, args, csv_rows=None) -> None:
-    """Write the result as JSON (default) or CSV to --out / stdout."""
-    fmt = getattr(args, "format", "json") or "json"
-    out = getattr(args, "out", None)
-    if fmt == "csv":
-        fh = open(out, "w", newline="") if out else sys.stdout
-        try:
-            _write_csv(fh, csv_rows)
-        finally:
-            if out:
-                fh.close()
-        return
-    payload = {**payload, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
+    """Render the result as JSON (default) or CSV, and write the text to --out or stdout."""
+    if getattr(args, "format", "json") == "csv":
+        buf = io.StringIO()
+        _write_csv(buf, csv_rows)
+        text = buf.getvalue()
+    else:
+        payload = payload | {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    if args.out:
+        # newline="": the CSV rows already end in the writer's "\r\n"
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -116,13 +113,16 @@ _SECTIONS = {
         "L": ("n_points", _checked(_int, lambda v: v >= 2, "a whole number >= 2")),
     },
 }
-# flag -> (section, key) it overrides
+# shared flag -> (option, argparse keywords, (section, key) it overrides or None)
 _FLAGS = {
-    "gamma": ("lattice", "gamma"),
-    "n": ("lattice", "n"),
-    "seed": ("sampler", "seed"),
-    "threads": ("sampler", "threads"),
-    "samples": ("sampler", "n_samples"),
+    "format": ("--format", dict(choices=["json", "csv"], default="json"), None),
+    "seed": ("--seed", dict(type=int), ("sampler", "seed")),
+    "threads": ("--threads", dict(type=int), ("sampler", "threads")),
+    "gamma": ("--gamma", dict(type=float, help="override lattice gamma"), ("lattice", "gamma")),
+    "n": ("-n", dict(type=int, help="override lattice step count"), ("lattice", "n")),
+    "samples": (
+        "--samples", dict(type=int, help="override sample count"), ("sampler", "n_samples")
+    ),
 }
 
 
@@ -135,9 +135,9 @@ def _section(config: dict, args, name: str, build=dict, required: bool = False):
     """
     table = _SECTIONS[name]
     values = dict(config.get(name) or {})
-    for flag, (section, key) in _FLAGS.items():
-        if section == name and getattr(args, flag, None) is not None:
-            values[key] = getattr(args, flag)
+    for flag, (_, _, target) in _FLAGS.items():
+        if target and target[0] == name and getattr(args, flag, None) is not None:
+            values[target[1]] = getattr(args, flag)
     unknown = set(values) - set(table)
     if unknown:
         raise SystemExit(f"unknown {name} fields: {sorted(unknown)}")
@@ -292,6 +292,47 @@ _positive = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
 _point = _checked(lambda t: tuple(map(float, t.split(","))),
                   lambda v: len(v) == 2 and all(map(math.isfinite, v)), "a finite z,s pair")
 
+# subcommand -> (handler, help line, the _FLAGS it takes, its own arguments);
+# every subcommand also takes -c/--config and --out, and a subcommand
+# rejects the shared flags it does not read
+_COMMANDS = {
+    "weight": (_cmd_weight, "evaluate the weight of a path file", ("gamma", "n"), [
+        ("--path", dict(required=True, help="path CSV (j,t,z)")),
+        ("--form", dict(choices=["linear", "exponential"], default="linear")),
+        ("--expect-positive", dict(
+            action="store_true", help="exit 3 if the weight is not positive"
+        )),
+    ]),
+    "positivity": (_cmd_positivity, "positivity thresholds for a potential", ("gamma",), []),
+    "transition": (_cmd_transition, "transition probability estimate", (
+        "format", "seed", "threads", "gamma", "n", "samples"
+    ), [
+        ("--method", dict(choices=["quadrature", "mc"], default="quadrature")),
+        ("--points-per-dim", dict(
+            type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=24
+        )),
+    ]),
+    "oracle": (_cmd_oracle, "wavefunction-propagation kernel estimate", (), []),
+    "ck": (_cmd_ck, "composition-law residual", (), [
+        ("--mode", dict(choices=["probability", "amplitude"], default="probability")),
+        ("--tc", dict(type=float, help="intermediate time (default midpoint)")),
+    ]),
+    "scan": (_cmd_scan, "analysis sweeps", ("format", "seed", "threads", "gamma", "n"), [
+        ("--kind", dict(choices=["classical", "convergence", "linearization"], required=True)),
+        ("--gammas", dict(type=_positive, nargs="+", default=[0.5, 0.2, 0.1, 0.05])),
+        ("--delta", dict(type=_positive, default=1.0)),
+        ("--n-list", dict(
+            type=_checked(int, lambda v: v >= 2, "an integer >= 2"), nargs="+", default=[2, 3, 4]
+        )),
+        ("--method", dict(choices=["quadrature", "mc"], default="quadrature")),
+        ("--points", dict(
+            type=_point, nargs="+", default=[(0.3, 0.7)],
+            help='linearization points as "z,s" pairs',
+        )),
+        ("--eps-list", dict(type=_positive, nargs="+", default=[0.04, 0.02, 0.01, 0.005])),
+    ]),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -300,82 +341,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "band-limited 1D potentials.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    # the optional flags; each subcommand takes only those it reads
-    flags = {
-        "format": ("--format", dict(choices=["json", "csv"], default="json")),
-        "seed": ("--seed", dict(type=int)),
-        "threads": ("--threads", dict(type=int)),
-        "gamma": ("--gamma", dict(type=float, help="override lattice gamma")),
-        "n": ("-n", dict(type=int, help="override lattice step count")),
-        "samples": ("--samples", dict(type=int, help="override sample count")),
-    }
-
-    def common(sp, *names):
+    for name, (func, help_line, shared, own) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("-c", "--config", help="JSON config file")
         sp.add_argument("--out", help="output file (default stdout)")
-        for name in names:
-            flag, kwargs = flags[name]
-            sp.add_argument(flag, **kwargs)
-
-    sp = sub.add_parser("weight", help="evaluate the weight of a path file")
-    common(sp, "gamma", "n")
-    sp.add_argument("--path", required=True, help="path CSV (j,t,z)")
-    sp.add_argument("--form", choices=["linear", "exponential"], default="linear")
-    sp.add_argument(
-        "--expect-positive",
-        action="store_true",
-        help="exit 3 if the weight is not positive",
-    )
-    sp.set_defaults(func=_cmd_weight)
-
-    sp = sub.add_parser("positivity", help="positivity thresholds for a potential")
-    common(sp, "gamma")
-    sp.set_defaults(func=_cmd_positivity)
-
-    sp = sub.add_parser("transition", help="transition probability estimate")
-    common(sp, "format", "seed", "threads", "gamma", "n", "samples")
-    sp.add_argument("--method", choices=["quadrature", "mc"], default="quadrature")
-    sp.add_argument(
-        "--points-per-dim", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=24
-    )
-    sp.set_defaults(func=_cmd_transition)
-
-    sp = sub.add_parser("oracle", help="wavefunction-propagation kernel estimate")
-    common(sp)
-    sp.set_defaults(func=_cmd_oracle)
-
-    sp = sub.add_parser("ck", help="composition-law residual")
-    common(sp)
-    sp.add_argument("--mode", choices=["probability", "amplitude"], default="probability")
-    sp.add_argument("--tc", type=float, help="intermediate time (default midpoint)")
-    sp.set_defaults(func=_cmd_ck)
-
-    sp = sub.add_parser("scan", help="analysis sweeps")
-    common(sp, "format", "seed", "threads", "gamma", "n")
-    sp.add_argument(
-        "--kind",
-        choices=["classical", "convergence", "linearization"],
-        required=True,
-    )
-    sp.add_argument("--gammas", type=_positive, nargs="+", default=[0.5, 0.2, 0.1, 0.05])
-    sp.add_argument("--delta", type=_positive, default=1.0)
-    sp.add_argument(
-        "--n-list", type=_checked(int, lambda v: v >= 2, "an integer >= 2"), nargs="+",
-        default=[2, 3, 4],
-    )
-    sp.add_argument("--method", choices=["quadrature", "mc"], default="quadrature")
-    sp.add_argument(
-        "--points",
-        type=_point,
-        nargs="+",
-        default=[(0.3, 0.7)],
-        help='linearization points as "z,s" pairs',
-    )
-    sp.add_argument(
-        "--eps-list", type=_positive, nargs="+", default=[0.04, 0.02, 0.01, 0.005]
-    )
-    sp.set_defaults(func=_cmd_scan)
+        for option, kwargs in [_FLAGS[flag][:2] for flag in shared] + own:
+            sp.add_argument(option, **kwargs)
+        sp.set_defaults(func=func)
     return ap
 
 

@@ -68,12 +68,11 @@ def _line_tables(p: BandLimitedPotential, cfg: LatticeConfig, line, shift, s):
     ``ph[i, i]``.  Returns ``base`` and ``ph`` stacked over the lines.
     """
     diag = np.arange(cfg.n - 1)
-    base = np.empty((len(p.lines),) + line.shape, dtype=complex)
-    ph = np.empty((len(p.lines),) + shift.shape, dtype=complex)
-    for k, ln in enumerate(p.lines):
-        base[k] = np.exp(1j * (ln.q * line + ln.phi))
-        ph[k] = np.exp(1j * ln.q * shift)
-        ph[k, diag, diag] *= cfg.eps * ln.a * lorentzian_pair(s, ln.q, cfg.gamma)
+    q, a, phi = (v[:, None] for v in p.line_arrays)
+    base = np.exp(1j * (q * line + phi))
+    ph = 1j * q[:, :, None, None] * shift
+    np.exp(ph, out=ph)
+    ph[:, diag, diag] *= (cfg.eps * a * lorentzian_pair(s, q, cfg.gamma))[:, None]
     return base, ph
 
 

@@ -176,11 +176,14 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
 
 
 def step_m(p: BandLimitedPotential, z, s, gamma: float):
-    """Nonlocal kernel M(z, s).  Accepts scalar or array z, s (broadcast)."""
+    """Nonlocal kernel M(z, s).  Accepts scalar or array z, s (broadcast); a
+    non-finite ``z`` or ``s`` raises ValueError."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
+    if not (np.isfinite(z).all() and np.isfinite(s).all()):
+        raise ValueError("step factors need finite z and s")
     out = _add_m(p, z, s, gamma, np.zeros(np.broadcast(z, s).shape))
     return out if out.ndim else float(out)
 
@@ -299,7 +302,8 @@ def _u_integral(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: 
     ``V(z - u) - V(z + u) = sum_k b_k sin(q_k u)``, ``b_k = 2 a_k sin(q_k z + phi_k)``,
     is odd in u, so this is ``2 int_0^u_max exp(-gamma u) cos(eps sum_k b_k sin(q_k u)
     - s u) du``, with ``u_max`` set by ``EXPONENTIAL_TAIL`` and the panel width by ``|s|
-    + max(R, 1) + gamma``.  ``z`` and ``s`` are finite (:func:`_split_q` checks).
+    + max(R, 1) + gamma``.  ``z`` and ``s`` are finite: :func:`_split_q` takes ``M``
+    first, and :func:`step_m` checks.
     Raises NonConvergenceError when the refinement check fails.
     """
     u_max = -math.log(EXPONENTIAL_TAIL) / gamma
@@ -332,20 +336,19 @@ def _u_integral(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: 
 def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str = "linear"):
     """``(M, g, h)`` at broadcast ``z, s``, with ``Q = exp(-gamma |z|) g h``, ``g``
     carrying the sign and ``h > 0``: both forms' one definition (module docstring).
-    A non-finite ``z`` or ``s`` raises ValueError."""
+    A non-finite ``z`` or ``s`` raises ValueError (:func:`step_m` checks, before
+    either form's ``g``)."""
     if eps <= 0 or gamma <= 0:
         raise ValueError("eps and gamma must be positive")
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
-    if not (np.isfinite(z).all() and np.isfinite(s).all()):
-        raise ValueError("step factors need finite z and s")
+    m = step_m(p, z, s, gamma)
     if form == "exponential":
         zs = np.broadcast(z, s)
         g = np.reshape([_u_integral(p, zj, sj, eps, gamma) for zj, sj in zs], zs.shape)
-        return step_m(p, z, s, gamma), g, 1.0 / (TWO_PI * eps)
+        return m, g, 1.0 / (TWO_PI * eps)
     if form != "linear":
         raise ValueError(f"unknown step-factor form {form!r}")
-    m = step_m(p, z, s, gamma)
     return m, 1.0 - eps * m, 2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))
 
 

@@ -17,7 +17,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
     import tomli as tomllib
 
 import pathprob
-from pathprob.cli import _SECTIONS, _build_parser, main, run
+from pathprob.cli import _COMMANDS, _FLAGS, _SECTIONS, _build_parser, main, run
 from pathprob.lattice import (
     LatticeConfig,
     interior_from_velocity_changes,
@@ -244,6 +244,32 @@ class TestOtherCommands:
         prov = json.load(open(tmp_path / "scan.provenance.json"))["provenance"]
         assert prov["n_samples"] == 2000 and prov["seed"] == 4
 
+    def test_scan_convergence(self, cosine_json, tmp_path, capsys):
+        argv = [
+            "scan", "-c", cosine_json, "--kind", "convergence",
+            "--n-list", "2", "3", "--gammas", "0.2", "0.1",
+        ]
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # one row per (n, gamma), the gammas in increasing order
+        assert [(r["n"], r["gamma"]) for r in payload["rows"]] == [
+            (2, 0.1), (2, 0.2), (3, 0.1), (3, 0.2),
+        ]
+        extrapolated = payload["summary"]["gamma_extrapolated"]
+        assert set(extrapolated) == {"2", "3"}
+        assert all(set(v) == {"value", "uncertainty"} for v in extrapolated.values())
+        # a row is the transition subcommand's estimate at its (n, gamma)
+        _, single = run_json(
+            ["transition", "-c", cosine_json, "-n", "3", "--gamma", "0.2"], tmp_path
+        )
+        assert payload["rows"][3]["value"] == single["value"]
+        assert run(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split(",") == ["n", "gamma", "value", "std_error", "method"]
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["2", "0.1"], ["2", "0.2"], ["3", "0.1"], ["3", "0.2"],
+        ]
+
     def test_scan_linearization(self, cosine_json, capsys):
         code = run(
             [
@@ -369,6 +395,10 @@ class TestUsageErrors:
             (["ck"], dict(FREE_CONFIG, oracle={"L": -5})),
             (["oracle"], dict(FREE_CONFIG, oracle={"X": math.inf})),
             (["ck"], dict(FREE_CONFIG, oracle={"X": math.nan})),
+            (
+                ["positivity", "--gamma", "0.1"],
+                {"potential": {"grid": {"qmax": 1.0, "values": [[0, 0], [1, 0], [1, 0], [0, 0]]}}},
+            ),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, argv, config):
@@ -553,6 +583,15 @@ class TestSchema:
         }
         common = {"-c", "--config", "--out", "-h", "--help"}
         assert accepted == {name: flags | common for name, flags in documented.items()}
+
+    def test_command_table_flags(self):
+        # every shared flag a subcommand takes is declared once, in _FLAGS,
+        # under its argparse dest, and overrides a field of a config section
+        named = {flag for _, _, shared, _ in _COMMANDS.values() for flag in shared}
+        assert named == set(_FLAGS)
+        for flag, (option, _, target) in _FLAGS.items():
+            assert option.lstrip("-").replace("-", "_") == flag
+            assert target is None or target[1] in _SECTIONS[target[0]]
 
     def test_readme_config_fields(self):
         # README names each config section's fields, in the reader's order

@@ -47,6 +47,22 @@ class TestConstruction:
         assert twin == p and hash(twin) == hash(p) and "line_arrays" not in repr(p)
         assert all(v.shape == (0,) for v in BandLimitedPotential().line_arrays)
 
+    @pytest.mark.parametrize(
+        "q, vt, match",
+        [
+            (np.linspace(-1, 1, 4), np.zeros(4), "odd number"),
+            (np.linspace(-1, 1, 1), np.zeros(1), "odd number"),
+            (np.linspace(-1, 1, 5) ** 3, np.zeros(5), "uniform"),
+            (np.linspace(-1, 2, 5), np.zeros(5), "symmetric"),
+            (np.linspace(-1, 1, 5), np.zeros(3), "shapes differ"),
+            (np.linspace(-1, 1, 5), np.array([0, 0, 0, 1, 0], dtype=complex), "Hermitian"),
+            (np.linspace(-1, 1, 5), np.array([0, 1, 1, 1, 0], dtype=complex), "constant offset"),
+        ],
+    )
+    def test_from_grid_rejects_bad_spectrum(self, q, vt, match):
+        with pytest.raises(ValueError, match=match):
+            BandLimitedPotential.from_grid(q, vt)
+
     def test_zero_potential(self):
         p = BandLimitedPotential.zero()
         assert p.is_zero
@@ -93,6 +109,28 @@ class TestBandLimit:
         x = np.linspace(-5, 5, 101)
         with pytest.raises(ValueError, match="Nyquist"):
             band_limit(x, np.cos(x), R=100.0)
+
+    @pytest.mark.parametrize(
+        "x, v, R, match",
+        [
+            (np.linspace(-5, 5, 101), np.zeros(100), 1.0, "matching"),
+            (np.linspace(-5, 5, 3), np.zeros(3), 0.5, "at least 4"),
+            (np.linspace(-5, 5, 101) ** 3, np.zeros(101), 1e-3, "uniform"),
+            (np.linspace(-5, 5, 101), np.zeros(101), 0.0, "positive"),
+            (np.linspace(-5, 5, 101), np.zeros(101), -1.0, "positive"),
+        ],
+    )
+    def test_rejects_bad_samples(self, x, v, R, match):
+        with pytest.raises(ValueError, match=match):
+            band_limit(x, v, R)
+
+    def test_even_n_q_rounds_up_to_odd(self):
+        # the spectral grid must be odd in length and symmetric about q = 0
+        x = np.linspace(-10, 10, 401)
+        v = np.cos(x) + 0.3 * np.sin(2 * x)
+        pot, _ = band_limit(x, v, R=3.0, n_q=40)
+        assert pot == band_limit(x, v, R=3.0, n_q=41)[0]
+        assert pot.R == pytest.approx(3.0)
 
     def test_reconstruction_is_real(self):
         # the lines are the trapezoid node sum of the sampled spectrum, which

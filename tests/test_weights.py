@@ -542,8 +542,10 @@ class TestStepQ:
     @pytest.mark.parametrize("z, s", [(math.nan, 0.7), (0.3, math.nan), (math.inf, 0.7),
                                       (0.3, -math.inf)])
     def test_linear_rejects_non_finite(self, z, s):
-        with pytest.raises(ValueError, match="finite"):
-            step_q_linear(COSINE, z, s, 0.01, 0.1)
+        # M itself checks, so the kernel rejects what the linear form does
+        for f, args in ((step_q_linear, (0.01, 0.1)), (step_m, (0.1,))):
+            with pytest.raises(ValueError, match="finite"):
+                f(COSINE, z, s, *args)
 
     def test_batch_rejects_non_finite_interior(self):
         # a nan interior point makes two velocity changes nan; its sign was
