@@ -2,8 +2,8 @@
 
 The propagator here never touches path weights: it evolves wavefunctions
 under ``H = -1/2 d^2/dx^2 + V`` on a periodic grid with a spectral (FFT)
-kinetic operator (units hbar = m = 1), and extracts transition amplitudes by
-propagating narrow Gaussians and extrapolating their width to zero.
+kinetic operator (units hbar = m = 1), and extracts transition amplitudes
+from narrow Gaussian sources, extrapolating their width to zero.
 Everything downstream (positivity, path-weight probabilities) is validated
 against these numbers.
 
@@ -14,9 +14,10 @@ against these numbers.
 backward recurrence (Gautschi 1967).  There is no time step to choose.
 The grid ``H`` is real, so the recurrence runs on the real and imaginary
 parts as real rows, and its terms enter the sums a block of ``CHEB_BLOCK``
-at a time, as one matrix product.  One recurrence serves several
-durations: ``ck_check`` reads both legs, the direct amplitude or the
-direct kernel's sources from one pass.  Default grids have an 11-smooth
+at a time, as one matrix product.  It is also symmetric, so a kernel
+propagates one row, the read-out at ``z_b``, for all its sources.  One
+recurrence serves several durations: ``ck_check`` reads both legs and the
+direct amplitude or kernel from one pass.  Default grids have an 11-smooth
 length, which numpy's FFT factors into its fastest radices.  The product
 form takes its ``J_m`` from ``_bessel_j`` too: the library needs no scipy.
 From the package this module imports only ``potentials`` and ``results``,
@@ -239,6 +240,15 @@ def _propagate_rows(psi0: WavefunctionGrid, p: BandLimitedPotential, durations) 
     return _chebyshev_propagate(psi0.psi, 0.5 * k**2, p.evaluate(x), durations)
 
 
+def _check_args(z_a: float, z_b: float, duration: float) -> None:
+    """Reject non-finite endpoints and a duration not finite and positive, by name."""
+    for name, z in (("z_a", z_a), ("z_b", z_b)):
+        if not math.isfinite(z):
+            raise ValueError(f"{name} must be finite, got {z}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration}")
+
+
 def propagate(psi0: WavefunctionGrid, p: BandLimitedPotential, duration: float) -> WavefunctionGrid:
     """Spectral evolution over ``duration`` (periodic boundary), exact in time, row by row.
 
@@ -246,8 +256,8 @@ def propagate(psi0: WavefunctionGrid, p: BandLimitedPotential, duration: float) 
     terms are bounded by ``CHEB_TOL`` of the norm.  The grid must resolve
     the potential band, ``dx R <= 0.5``.
     """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
+    if not 0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {duration}")
     if duration == 0.0:
         return psi0
     return WavefunctionGrid(x=psi0.x, psi=_propagate_rows(psi0, p, (duration,))[0])
@@ -255,8 +265,7 @@ def propagate(psi0: WavefunctionGrid, p: BandLimitedPotential, duration: float) 
 
 def free_kernel_exact(z_a: float, z_b: float, duration: float) -> KernelEstimate:
     """Closed-form free propagator from ``z_a`` to ``z_b``."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    _check_args(z_a, z_b, duration)
     return KernelEstimate(amplitude=complex(_smeared_free_kernel(z_b, z_a, duration, 0.0)))
 
 
@@ -314,20 +323,17 @@ def _check_half_width(half_width: float, z_a: float, z_b: float) -> None:
         )
 
 
-def _spectral_value(psi: np.ndarray, x: np.ndarray, z: float):
-    """Trigonometric interpolant of each row of ``psi`` at ``z``.
+def _readout(x: np.ndarray, z: float) -> np.ndarray:
+    """Real weights ``w`` with ``psi @ w`` the trigonometric interpolant of each row at ``z``.
 
     ``(1/N) sum_k psihat_k exp(i k (z - x_0))`` over the grid wavenumbers,
     with the Nyquist term (even ``N``) taken as its cosine, so the
     interpolant is real for real data; exact for the grid's band-limited
-    function.
+    function.  ``w`` is the ``irfft`` of the phases ``exp(-i k (z - x_0))``,
+    which takes the Nyquist phase's real part.
     """
-    n = x.size
-    k = TWO_PI * np.fft.fftfreq(n, d=x[1] - x[0])
-    phase = np.exp(1j * k * (z - x[0]))
-    if n % 2 == 0:
-        phase[n // 2] = np.cos(k[n // 2] * (z - x[0]))
-    return np.fft.fft(psi) @ phase / n
+    k = TWO_PI * np.fft.rfftfreq(x.size, d=x[1] - x[0])
+    return np.fft.irfft(np.exp(-1j * k * (z - x[0])), x.size)
 
 
 SOURCE_SIGMAS = (0.4, 0.3, 0.2)  # kernel_estimate's unit-mass sources, widest first
@@ -363,21 +369,18 @@ def _check_resolvable(half_width: float, x: np.ndarray) -> None:
         )
 
 
-def _kernel_sources(x: np.ndarray, z_a: float) -> np.ndarray:
-    """Unit-mass Gaussians of the widths ``SOURCE_SIGMAS`` at ``z_a``, one per row."""
-    return _smeared_free_kernel(x, z_a, 0.0, np.asarray(SOURCE_SIGMAS)[:, None])
+def _source_amplitudes(u, x, z_a: float, z_b: float, duration: float) -> np.ndarray:
+    """Unit-mass Gaussians of the widths ``SOURCE_SIGMAS`` at ``z_a``, evolved, read at ``z_b``.
 
-
-def _source_amplitudes(rows, x, z_a: float, z_b: float, duration: float) -> np.ndarray:
-    """Each ``_kernel_sources`` row, propagated over ``duration``, as a kernel value at ``z_b``.
-
-    Read by trigonometric interpolation and corrected by the exact
-    free-propagation smearing factor of its source width; what remains is
-    the potential-induced bias, smooth in ``sigma^2``.
+    ``u`` is ``_readout(x, z_b)`` propagated over ``duration``: ``H`` is real
+    symmetric, so is ``exp(-iHT)``, and a source ``g`` reads ``g @ u``.  Each
+    value is corrected by the exact free-propagation smearing factor of its
+    width; what remains is the potential-induced bias, smooth in ``sigma^2``.
     """
-    smeared = _smeared_free_kernel(z_b, z_a, duration, np.asarray(SOURCE_SIGMAS))
+    sigmas = np.asarray(SOURCE_SIGMAS)
+    smeared = _smeared_free_kernel(z_b, z_a, duration, sigmas)
     free = free_kernel_exact(z_a, z_b, duration).amplitude
-    return _spectral_value(rows, x, z_b) * free / smeared
+    return _smeared_free_kernel(x, z_a, 0.0, sigmas[:, None]) @ u * free / smeared
 
 
 def _sigma2_intercept(amps: np.ndarray, deg: int) -> complex:
@@ -386,8 +389,8 @@ def _sigma2_intercept(amps: np.ndarray, deg: int) -> complex:
     return complex(np.polyfit(s2, amps.real, deg)[-1], np.polyfit(s2, amps.imag, deg)[-1])
 
 
-def _kernel_from_rows(rows, x, z_a: float, z_b: float, duration: float) -> KernelEstimate:
-    """Kernel estimate from the ``_kernel_sources`` rows propagated over ``duration``.
+def _kernel_from_readout(u, x, z_a: float, z_b: float, duration: float) -> KernelEstimate:
+    """Kernel estimate from ``_readout(x, z_b)`` propagated over ``duration``.
 
     The ``_source_amplitudes`` are extrapolated to zero source width by the
     quadratic in ``sigma^2`` through all three.  Its distance from the
@@ -395,12 +398,9 @@ def _kernel_from_rows(rows, x, z_a: float, z_b: float, duration: float) -> Kerne
     ``extrapolation_residual``; against finer references (eight widths,
     dx = 0.02) it exceeded the quadratic's actual error 10-16 times.
     """
-    amps = _source_amplitudes(rows, x, z_a, z_b, duration)
-    quadratic = _sigma2_intercept(amps, 2)
-    return KernelEstimate(
-        amplitude=quadratic,
-        extrapolation_residual=abs(quadratic - _sigma2_intercept(amps, 1)),
-    )
+    amps = _source_amplitudes(u, x, z_a, z_b, duration)
+    quadratic, linear = _sigma2_intercept(amps, 2), _sigma2_intercept(amps, 1)
+    return KernelEstimate(amplitude=quadratic, extrapolation_residual=abs(quadratic - linear))
 
 
 def kernel_estimate(
@@ -413,22 +413,21 @@ def kernel_estimate(
 ) -> KernelEstimate:
     """Transition amplitude from narrow-source propagation.
 
-    Unit-mass Gaussians of the widths ``SOURCE_SIGMAS`` are propagated
-    together from ``z_a`` by ``propagate``, exact in time, and read out by
-    ``_kernel_from_rows``.  The default ``half_width`` keeps the sources'
-    periodic images at ``z_b`` below ``IMAGE_TOL``; it grows about as
-    ``18.6 T``, so at the default grid's ``dx`` near 0.04 the work grows
-    about as ``T^2``.  A given one must exceed ``max(|z_a|, |z_b|) + 4``.
+    One row, the read-out at ``z_b``, is propagated by ``propagate``, exact
+    in time, and ``_kernel_from_readout`` reads the sources from ``z_a`` off
+    it.  The default ``half_width`` keeps the sources' periodic images at
+    ``z_b`` below ``IMAGE_TOL``; it grows about as ``18.6 T``, so at the
+    default grid's ``dx`` near 0.04 the work grows about as ``T^2``.  A given
+    one must exceed ``max(|z_a|, |z_b|) + 4``.  Non-finite arguments raise.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    _check_args(z_a, z_b, duration)
     if half_width is None:
         half_width = _image_safe_half_width(z_a, z_b, duration)
     _check_half_width(half_width, z_a, z_b)
     x, _ = _grid(half_width, n_points)
     _check_resolvable(half_width, x)
-    out = propagate(WavefunctionGrid(x=x, psi=_kernel_sources(x, z_a)), p, duration).psi
-    return _kernel_from_rows(out, x, z_a, z_b, duration)
+    u = propagate(WavefunctionGrid(x=x, psi=[_readout(x, z_b)]), p, duration).psi[0]
+    return _kernel_from_readout(u, x, z_a, z_b, duration)
 
 
 def ck_check(
@@ -448,18 +447,20 @@ def ck_check(
     control case); ``mode="probability"`` composes squared moduli, the
     quantity that fails for this process.  Both legs start from sources of
     width ``CK_SOURCE_SIGMA``.  One pass, exact in time, propagates them (and
-    in probability mode the direct kernel's sources from ``z_a``) to
+    in probability mode ``kernel_estimate``'s read-out at ``z_b``) to
     ``t_c - t_a``, ``t_b - t_c`` and ``t_b - t_a``.  The intermediate
     integral runs over ``|z_c| <= half_width - 4`` (reported as ``window``);
     a widened window probes convergence, and a diverging probability
-    integral is reported with ``converged=False`` rather than raised.  A ``half_width`` at or
-    below ``max(|z_a|, |z_b|) + 4``, and in probability mode a grid that
-    cannot resolve ``SOURCE_SIGMAS``, are rejected before any propagation.
+    integral is reported with ``converged=False`` rather than raised.  Non-finite
+    endpoints or times, a ``half_width`` at or below ``max(|z_a|, |z_b|) + 4``,
+    and in probability mode a grid that cannot resolve ``SOURCE_SIGMAS``, are
+    rejected before any propagation.
     """
     if mode not in ("amplitude", "probability"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not (t_a < t_c < t_b):
-        raise ValueError("need t_a < t_c < t_b")
+    if not -math.inf < t_a < t_c < t_b < math.inf:
+        raise ValueError(f"need finite t_a < t_c < t_b, got {t_a}, {t_c}, {t_b}")
+    _check_args(z_a, z_b, t_b - t_a)
     t1 = t_c - t_a
     t2 = t_b - t_c
     if half_width is None:
@@ -469,19 +470,18 @@ def ck_check(
     window = half_width - 4.0
 
     # forward leg from z_a and (time-symmetric kernel) leg from z_b; the
-    # probability mode adds the direct kernel's sources from z_a
+    # probability mode adds the direct kernel's read-out at z_b
     src_a, src_b = (_smeared_free_kernel(x, z, 0.0, CK_SOURCE_SIGMA) for z in (z_a, z_b))
     rows = [src_a, src_b]
     if mode == "probability":
         _check_resolvable(half_width, x)
-        rows.extend(_kernel_sources(x, z_a))
+        rows.append(_readout(x, z_b))
     out = _propagate_rows(WavefunctionGrid(x=x, psi=rows), p, (t1, t2, t_b - t_a))
     leg_a, leg_b = out[0, 0], out[1, 1]
 
     if mode == "amplitude":
-        full = out[2, 0]
         lhs = complex(np.sum(leg_a * leg_b) * dx)
-        rhs = complex(np.sum(full * src_b) * dx)
+        rhs = complex(np.sum(out[2, 0] * src_b) * dx)
         residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         return CKResult(lhs, rhs, residual, mode, True, window)
 
@@ -490,7 +490,7 @@ def ck_check(
         for z, t in ((z_a, t1), (z_b, t2))
     )
     integrand = np.abs(leg_a * corr_a) ** 2 * np.abs(leg_b * corr_b) ** 2
-    rhs = _kernel_from_rows(out[2, 2:], x, z_a, z_b, t_b - t_a).modulus_squared
+    rhs = _kernel_from_readout(out[2, 2], x, z_a, z_b, t_b - t_a).modulus_squared
 
     def lhs_over(wdw):
         mask = np.abs(x) <= wdw

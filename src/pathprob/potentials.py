@@ -173,7 +173,7 @@ def band_limit(x_samples, v_samples, R: float, n_q: int | None = None):
     nyquist = np.pi / dx
     if R > nyquist:
         raise ValueError(f"R={R} exceeds the Nyquist wavenumber {nyquist:.6g}")
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
 
     v_centered = v - np.mean(v)  # drop the q=0 component

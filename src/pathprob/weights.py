@@ -178,7 +178,7 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
 def step_m(p: BandLimitedPotential, z, s, gamma: float):
     """Nonlocal kernel M(z, s).  Accepts scalar or array z, s (broadcast); a
     non-finite ``z`` or ``s`` raises ValueError."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -207,7 +207,7 @@ def _gauss_panels(edges, x, w):
 
 def m_bound(p: BandLimitedPotential, gamma: float) -> float:
     """Leading-order bound ``R^2 K / (2 pi gamma^2)`` on |M|."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     if p.R > 0 and gamma > 0.5 * p.R:
         warnings.warn(
@@ -253,7 +253,7 @@ def m_sup_certified(p: BandLimitedPotential, gamma: float) -> CertifiedSup:
     wherever z aligns every line's phase).  The sum carries a 1e-12 relative
     margin for the rounding of ``s*`` and ``D``.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     q, a, _ = p.line_arrays
     d_max, _ = _sup_lorentzian_pair(q, gamma)
@@ -272,7 +272,7 @@ def positivity_threshold(p: BandLimitedPotential, gamma: float) -> ThresholdPair
     ``lambda_strict`` is ``1 / m_sup_certified``.  Both are ``inf`` for the
     zero potential (every eps is admissible).
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     if p.K == 0.0 or p.R == 0.0:
         return ThresholdPair(math.inf, math.inf)
@@ -338,7 +338,7 @@ def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str 
     carrying the sign and ``h > 0``: both forms' one definition (module docstring).
     A non-finite ``z`` or ``s`` raises ValueError (:func:`step_m` checks, before
     either form's ``g``)."""
-    if eps <= 0 or gamma <= 0:
+    if not (eps > 0 and gamma > 0):
         raise ValueError("eps and gamma must be positive")
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)

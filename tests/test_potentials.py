@@ -124,6 +124,13 @@ class TestBandLimit:
         with pytest.raises(ValueError, match=match):
             band_limit(x, v, R)
 
+    @pytest.mark.parametrize("n_q", [None, 129])
+    def test_rejects_nan_band(self, n_q):
+        # checked before the default spectral grid's size int(8 R X / pi)
+        x = np.linspace(-5, 5, 101)
+        with pytest.raises(ValueError, match="R must be positive"):
+            band_limit(x, np.cos(x), math.nan, n_q=n_q)
+
     def test_even_n_q_rounds_up_to_odd(self):
         # the spectral grid must be odd in length and symmetric about q = 0
         x = np.linspace(-10, 10, 401)

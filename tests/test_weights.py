@@ -554,6 +554,27 @@ class TestStepQ:
         with pytest.raises(ValueError, match="finite"):
             batch_log_weights(COSINE, [[0.1, math.nan, 0.2]], cfg)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: step_m(COSINE, 0.1, 0.2, math.nan),
+            lambda: step_q_linear(COSINE, 0.1, 0.2, math.nan, 0.1),
+            lambda: step_q_linear(COSINE, 0.1, 0.2, 0.01, math.nan),
+            lambda: step_q_exponential(COSINE, 0.1, 0.2, math.nan, 0.1),
+            lambda: m_bound(COSINE, math.nan),
+            lambda: positivity_threshold(COSINE, math.nan),
+            lambda: m_sup_certified(COSINE, math.nan),
+        ],
+        ids=[
+            "step_m-gamma", "linear-eps", "linear-gamma", "exponential-eps",
+            "m_bound", "positivity_threshold", "m_sup_certified",
+        ],
+    )
+    def test_nan_parameter_rejected(self, call):
+        # the guards read ``not x > 0``, which a nan eps or gamma fails
+        with pytest.raises(ValueError, match="must be positive"):
+            call()
+
     def test_ratio_tends_to_one(self):
         ratios = []
         for eps in (0.04, 0.02, 0.01, 0.005):
