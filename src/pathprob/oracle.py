@@ -18,10 +18,10 @@ at a time, as one matrix product.  It is also symmetric, so a kernel
 propagates one row, the read-out at ``z_b``, for all its sources.  One
 recurrence serves several durations: ``ck_check`` reads both legs and the
 direct amplitude or kernel from one pass.  Default grids have an 11-smooth
-length, which numpy's FFT factors into its fastest radices.  The product
-form takes its ``J_m`` from ``_bessel_j`` too: the library needs no scipy.
-From the package this module imports only ``potentials`` and ``results``,
-where its result types live, so no path-weight route reaches it.
+length, which numpy's FFT factors into its fastest radices.  The Bessel helpers
+``_bessel_j``, ``_kapteyn_tail`` and ``_miller_top`` serve the product form and
+the exponential step factor too (no scipy).  From the package this module
+imports only ``potentials`` and ``results``, so no path-weight route reaches it.
 """
 
 from __future__ import annotations
@@ -297,8 +297,11 @@ def _grid(half_width: float, n_points: int | None):
     >= 1024 with dx <= 0.04.  A power of two would waste up to twice the
     points and, since the Chebyshev term count grows as ``dx^-2``, up to
     eight times the work on wide grids.  A grid below 2 points or above
-    ``MAX_GRID_POINTS`` is rejected before its size is searched.
+    ``MAX_GRID_POINTS`` is rejected before its size is searched, and so is a
+    given ``n_points`` that is not a finite whole number.
     """
+    if n_points is not None and not (math.isfinite(n_points) and n_points == int(n_points)):
+        raise ValueError(f"an oracle grid needs a whole number of points L, got L = {n_points}")
     size = half_width / 0.02 if n_points is None else n_points
     if not size <= MAX_GRID_POINTS:
         raise ValueError(
@@ -309,12 +312,15 @@ def _grid(half_width: float, n_points: int | None):
         n_points = _next_fast_len(max(1024, int(math.ceil(size))))
     elif n_points < 2:
         raise ValueError(f"an oracle grid needs L >= 2 points, got L = {n_points}")
-    x = make_grid(half_width, n_points)
+    x = make_grid(half_width, int(n_points))
     return x, x[1] - x[0]
 
 
 def _check_half_width(half_width: float, z_a: float, z_b: float) -> None:
-    """Reject a half-width at which ``ck_check``'s window ``half_width - 4`` misses an endpoint."""
+    """Reject a half-width that is not finite, or at which ``ck_check``'s window ``half_width -
+    4`` misses an endpoint."""
+    if not math.isfinite(half_width):
+        raise ValueError(f"grid half-width X must be finite, got X = {half_width}")
     reach = max(abs(z_a), abs(z_b)) + 4.0
     if not half_width > reach:
         raise ValueError(

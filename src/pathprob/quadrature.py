@@ -31,7 +31,7 @@ The result types live in :mod:`pathprob.results`.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .lattice import LatticeConfig, _bridge_solve
 from .oracle import _bessel_j, _miller_top
 from .potentials import TWO_PI, BandLimitedPotential
 from .results import KernelEstimate, TransitionEstimate
-from .weights import NonConvergenceError, _gauss_legendre, _gauss_panels, lorentzian_pair
+from .weights import NonConvergenceError, lorentzian_pair
 
 __all__ = [
     "TransitionEstimate",
@@ -56,6 +56,23 @@ AMPLITUDE_TAIL = 1e-10  # amplitude_discrete's regularizer cut-off
 AMPLITUDE_DENSITY = 6.0  # its nodes per local period, checked against 1.6 times as many
 AMPLITUDE_TOL = 1e-6  # the relative gap it allows between the two
 PRODUCT_POINTS = 1200  # Gauss-Legendre nodes per position in probability_product_form
+
+
+@lru_cache
+def _gauss_legendre(n: int):
+    """``leggauss(n)``, computed once per ``n`` and shared by every caller,
+    so both arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_panels(edges, n: int):
+    """The ``n``-node Gauss-Legendre rule repeated on each panel between ``edges``."""
+    x, w = _gauss_legendre(n)
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def _line_tables(p: BandLimitedPotential, cfg: LatticeConfig, line, shift, s):
@@ -252,14 +269,13 @@ def _oscillatory_nodes(u_max: float, eps: float, extra_freq: float, density: flo
     Panel widths shrink where the kernel phase ``(x - x')^2 / 2 eps``
     oscillates fast; ``density`` nodes per local period with 12-node panels.
     """
-    gl_x, gl_w = _gauss_legendre(12)
     edges = [0.0]
     while edges[-1] < u_max:
         x = edges[-1]
         freq = (x + u_max) / eps + extra_freq  # worst-case local frequency
         h = min(TWO_PI / freq * 12.0 / density, u_max / 8.0)
         edges.append(min(x + h, u_max))
-    xs, ws = _gauss_panels(np.asarray(edges), gl_x, gl_w)
+    xs, ws = _gauss_panels(np.asarray(edges), 12)
     return np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])
 
 

@@ -11,38 +11,30 @@ with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
     D(s, q) = (s^2 + gamma^2) / ((s - q)^2 + gamma^2) - (s^2 + gamma^2) / ((s + q)^2 + gamma^2).
 
 The full exponential form has ``h = 1 / (2 pi eps)`` and ``g = int exp(-gamma
-|u| - i u s + i eps (V(z - u) - V(z + u))) du``, which is real, by a checked
-quadrature (``_u_integral``).  ``_split_q`` returns ``(M, g, h)`` for either
-form, and every step factor and path weight goes through it.  ``W = n prod_j
-Q_j`` has no bound, so ``_path_sign_log`` reduces the split rather than ``Q``:
-the sign of ``prod g`` and ``sum log|g| + log n + sum (log h - gamma |z|)``,
-step by step (``_sign_log_abs``).  A far path keeps its sign and a finite log
-in both forms where ``exp(-gamma |z|)`` and so ``Q`` underflow to 0.
+|u| - i u s + i eps (V(z - u) - V(z + u))) du``, which is real.  With ``x_k =
+2 eps a_k sin(q_k z + phi_k)`` and ``exp(i x sin(q u)) = sum_m J_m(x) exp(i m q
+u)`` (Jacobi-Anger) it is ``sum_nu c_nu L(s - nu)``, ``L(w) = 2 gamma / (w^2 +
+gamma^2)``, over sums ``nu`` of ``m_k q_k`` (``_u_series``); cut at ``|m| <= 1``
+with ``J_0 -> 1`` and ``J_{+-1}(x) -> +-x / 2``, the linearized ``2 pi eps g h``.
+``_split_q`` returns ``(M, g, h)`` for either form, and every step factor and
+path weight goes through it.  ``W = n prod_j Q_j`` has no bound, so
+``_path_sign_log`` reduces the split rather than ``Q``: the sign of ``prod g``
+and ``sum log|g| + log n + sum (log h - gamma |z|)``, step by step
+(``_sign_log_abs``).  A far path keeps its sign and a finite log in both forms
+where ``exp(-gamma |z|)`` and so ``Q`` underflow to 0.
 
 ``_add_m`` is the one evaluation of ``M``: it adds the line terms to an
 array in place, so ``step_m`` sums them into zeros and the Monte Carlo's
-``1 - eps M`` into ones.  It takes the lines a group at a time, the group
-a leading array axis sized to the array, so a small array costs a few
-numpy calls per group rather than per line, and the sum stays bit for bit
-the per-line sum in line order.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
+``1 - eps M`` into ones.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
 linearized step factor is ``Q = f rho(s) / eps``, with ``rho(s) = gamma /
 (pi (s^2 + gamma^2))`` the Cauchy law of a velocity change.
 Paths whose ``n - 1`` velocity changes are drawn from ``rho`` have density
 ``(n / eps^(n-1)) prod rho(s_j)`` in interior-point space, so the weight
 ``W = n prod Q_j`` over that density is ``prod f_j``: the Lorentzian
 factors cancel, and the Monte Carlo estimator reduces ``prod f`` on the
-drawn ``s`` without forming ``Q`` or the density.  ``_sign_log_ratio``
-does that with one ``log`` per path: the factors ``1 - eps M`` are bounded
-by ``1 + eps sup|M|``, so their product is taken directly, and ``gamma
-sum |z|`` is subtracted in the log domain.  The tensor-grid quadrature
-integrates the same ``prod f`` after ``s = gamma tan theta``, which puts
-``rho`` into the measure.  It does not call ``step_m``: on its grid
-each ``z`` is affine in the node indices, so ``sin(q z + phi)`` is the
-imaginary part of a product of per-axis phase tables, and ``1 - eps M``
-costs a matrix product per block instead of a ``sin`` per point, which was
-most of the quadrature's time.
-``step_m`` stays the pointwise definition of ``M``: the quadrature's tests
-compare the table form against it.
+drawn ``s`` without forming ``Q`` or the density (``_sign_log_ratio``).  The
+tensor-grid quadrature integrates the same ``prod f`` from phase tables of its
+own; its tests compare them with ``step_m``, the pointwise definition of ``M``.
 
 A path's weight is nonnegative for every path once ``eps`` is at or below a
 threshold.  Two thresholds are exposed:
@@ -60,12 +52,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import LatticeConfig, Path, StepQuantities, second_differences, velocity_changes
+from .oracle import _bessel_j, _kapteyn_tail, _miller_top
 from .potentials import TWO_PI, BandLimitedPotential
 
 __all__ = [
@@ -188,23 +180,6 @@ def step_m(p: BandLimitedPotential, z, s, gamma: float):
     return out if out.ndim else float(out)
 
 
-@lru_cache
-def _gauss_legendre(n: int):
-    """``leggauss(n)``, computed once per ``n`` and shared by every caller,
-    so both arrays are read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _gauss_panels(edges, x, w):
-    """A rule with nodes ``x`` and weights ``w`` on [-1, 1] repeated on each
-    panel between ``edges``."""
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-
-
 def m_bound(p: BandLimitedPotential, gamma: float) -> float:
     """Leading-order bound ``R^2 K / (2 pi gamma^2)`` on |M|."""
     if not gamma > 0:
@@ -293,44 +268,53 @@ def _sign_log_abs(q, n: int):
     return sign, log_abs
 
 
-EXPONENTIAL_TAIL = 1e-12  # _u_integral's cut-off of the regularizer exp(-gamma |u|)
+SERIES_TOL = 1e-19  # coefficient mass _u_series drops per line by truncation, and by pruning
 
 
-def _u_integral(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: float) -> float:
-    """``int exp(-gamma |u| - i u s + i eps (V(z - u) - V(z + u))) du``, which is real.
+def _jacobi_anger(x: float):
+    """``J_m(x)``, ``m = -M .. M``, and a bound on ``sum_{|m| > M} |J_m(x)|``: ``M + 1 > |x|``
+    is the lowest order from which ``oracle._kapteyn_tail`` leaves ``SERIES_TOL / 2`` a side."""
+    a, m = abs(x), int(abs(x)) + 1  # m: the first order dropped
+    while a and _kapteyn_tail(a, m) > 0.5 * SERIES_TOL:
+        m += 1
+    j = _bessel_j(a, _miller_top(a, m))[:m] if m > 1 else np.ones(1)  # J_0(a) = 1 at m = 1
+    c = np.concatenate([j[:0:-1] * (-1.0) ** np.arange(m - 1, 0, -1), j])  # J_-m = (-1)^m J_m
+    return (c if x >= 0 else c[::-1]), (2.0 * _kapteyn_tail(a, m) if a else 0.0)  # J_m(-x)=J_-m(x)
 
-    ``V(z - u) - V(z + u) = sum_k b_k sin(q_k u)``, ``b_k = 2 a_k sin(q_k z + phi_k)``,
-    is odd in u, so this is ``2 int_0^u_max exp(-gamma u) cos(eps sum_k b_k sin(q_k u)
-    - s u) du``, with ``u_max`` set by ``EXPONENTIAL_TAIL`` and the panel width by ``|s|
-    + max(R, 1) + gamma``.  ``z`` and ``s`` are finite: :func:`_split_q` takes ``M``
-    first, and :func:`step_m` checks.
-    Raises NonConvergenceError when the refinement check fails.
-    """
-    u_max = -math.log(EXPONENTIAL_TAIL) / gamma
-    freq = abs(s) + max(p.R, 1.0) + gamma
-    terms = [(ln.q, 2.0 * eps * ln.a * math.sin(ln.q * z + ln.phi)) for ln in p.lines]
 
-    def evaluate(h: float) -> float:
-        # Gauss-Legendre panels on [0, u_max]; the small line terms first, then s u
-        edges = np.arange(0.0, u_max + h, h)
-        edges[-1] = u_max
-        u, w = _gauss_panels(edges, *_gauss_legendre(10))
-        phase = np.zeros(u.shape)
-        for q, b in terms:
-            phase += b * np.sin(q * u)
-        phase -= s * u
-        return 2.0 * float((w * np.exp(-gamma * u)) @ np.cos(phase))
-
-    h0 = min(np.pi / (2.0 * freq), u_max / 8.0)
-    val = evaluate(h0)
-    ref = evaluate(0.5 * h0)
-    scale = max(abs(ref), 1e-300)
-    if abs(val - ref) > 1e-9 * scale + 1e-13:
-        raise NonConvergenceError(
-            f"u-quadrature not converged: |delta|={abs(val - ref):.3g} "
-            f"with panel width {h0:.3g} (u_max={u_max:.3g}, freq={freq:.3g})"
-        )
-    return ref
+def _u_series(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: float) -> float:
+    """``g`` of the exponential form (module docstring), the lines multiplied out one at a
+    time: products below ``SERIES_TOL`` over their count and ``grow`` are pruned, and
+    frequencies within rounding of each other (as on a lattice) merge at the lowest.  The bound
+    counts a dropped mass ``d`` as ``d max L = 2 d / gamma``, its moved mass ``w`` at ``max|L'| <
+    0.65 max L / gamma``, and a kept term's ``w`` at ``|L'(v)| = |v| L(v)^2 / gamma``, ``v = s -
+    nu``, plus ``4 / gamma^3`` per unit of the summed merge distances ``delta``; not rounding.
+    Raises NonConvergenceError where it exceeds ``1e-9 |g| + 1e-13``."""
+    q, a, phi = p.line_arrays
+    lines = [_jacobi_anger(x) for x in (2.0 * eps * a * np.sin(q * z + phi)).tolist()]
+    grow = math.prod(np.abs(c).sum() + r for c, r in lines)  # bounds any lines' product's l1
+    nu, c, w, lost, delta = np.zeros(1), np.ones(1), np.zeros(1), 0.0, 0.0
+    for qk, (ck, tail) in zip(q.tolist(), lines):
+        lost += (np.abs(c).sum() + 0.65 * w.sum() / gamma) * tail * grow
+        # 2M + 1 shifted copies of the sorted nu, which a stable sort merges as runs
+        nu = np.add.outer(qk * np.arange(-(ck.size // 2), ck.size // 2 + 1), nu).ravel()
+        c, w = np.multiply.outer(ck, c).ravel(), np.multiply.outer(np.abs(ck), w).ravel()
+        keep = np.abs(c) >= SERIES_TOL / (grow * c.size)
+        lost += (np.abs(c[~keep]).sum() + 0.65 * w[~keep].sum() / gamma) * grow
+        order = np.flatnonzero(keep)[np.argsort(nu[keep], kind="stable")]
+        nu, c, w = nu[order], c[order], w[order]
+        new = np.diff(nu, prepend=-math.inf) > 1e-12 * max(1.0, -nu[0], nu[-1])
+        starts = np.flatnonzero(new)
+        off = nu - nu[starts][np.cumsum(new) - 1]
+        delta += off.max()
+        w = np.add.reduceat(w + np.abs(c) * off, starts)
+        nu, c = nu[starts], np.add.reduceat(c, starts)
+    lor = 2.0 * gamma / ((s - nu) ** 2 + gamma * gamma)
+    g = float(lor @ c)
+    bound = 2.0 * lost / gamma + w @ (np.abs(s - nu) * lor * lor / gamma + 4.0 * delta / gamma**3)
+    if bound > 1e-9 * abs(g) + 1e-13:
+        raise NonConvergenceError(f"Jacobi-Anger series of g at z = {z:.6g}: bound {bound:.3g}")
+    return g
 
 
 def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str = "linear"):
@@ -345,7 +329,7 @@ def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str 
     m = step_m(p, z, s, gamma)
     if form == "exponential":
         zs = np.broadcast(z, s)
-        g = np.reshape([_u_integral(p, zj, sj, eps, gamma) for zj, sj in zs], zs.shape)
+        g = np.reshape([_u_series(p, zj, sj, eps, gamma) for zj, sj in zs], zs.shape)
         return m, g, 1.0 / (TWO_PI * eps)
     if form != "linear":
         raise ValueError(f"unknown step-factor form {form!r}")
@@ -407,9 +391,8 @@ def step_q_linear(p: BandLimitedPotential, z, s, eps: float, gamma: float):
 def step_q_exponential(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     """Step factor with the full exponential of the potential difference.
 
-    ``g`` is the real integral :func:`_u_integral`, which raises
-    NonConvergenceError when its check fails; a non-finite ``z`` or ``s``
-    raises ValueError.
+    ``g`` is the Jacobi-Anger series :func:`_u_series`, which raises NonConvergenceError
+    where its bound exceeds ``1e-9 |g| + 1e-13``; a non-finite ``z`` or ``s`` raises ValueError.
     """
     return _step_q(p, z, s, eps, gamma, "exponential")
 

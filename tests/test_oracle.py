@@ -605,6 +605,31 @@ class TestNonFiniteArguments:
             call()
         assert calls == []
 
+    @pytest.mark.parametrize("estimator", ["kernel_estimate", "ck_check"])
+    @pytest.mark.parametrize(
+        "half_width, n_points, match",
+        [
+            (math.inf, 512, "half-width X must be finite, got X = inf"),
+            (math.nan, 512, "half-width X must be finite, got X = nan"),
+            (20.0, math.nan, "whole number of points L, got L = nan"),
+            (20.0, math.inf, "whole number of points L, got L = inf"),
+            (20.0, 512.5, "whole number of points L, got L = 512.5"),
+        ],
+        ids=["X-inf", "X-nan", "L-nan", "L-inf", "L-fraction"],
+    )
+    def test_grid_arguments_rejected_by_name(self, monkeypatch, estimator, half_width, n_points,
+                                             match):
+        # an infinite X once built a nan grid, a nan L read as "too large", and
+        # L = 512.5 built 513 points spaced 40/512.5 apart, so not periodic
+        calls = counting(monkeypatch, "make_grid")
+        grid = dict(half_width=half_width, n_points=n_points)
+        with pytest.raises(ValueError, match=match):
+            if estimator == "kernel_estimate":
+                kernel_estimate(LINE, -0.2, 0.4, 1.0, **grid)
+            else:
+                ck_check(LINE, -0.2, 0.0, 0.6, 0.4, 1.0, mode="amplitude", **grid)
+        assert calls == []
+
 
 class TestIO:
     def test_grid_shape_validation(self):

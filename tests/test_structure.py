@@ -60,3 +60,11 @@ def test_result_types_come_from_results(path):
         if name in RESULT_NAMES and mod != "results"
     ]
     assert not wrong, f"{path.name} imports result types from elsewhere: {wrong}"
+
+
+@pytest.mark.parametrize("name", ["weights.py", "quadrature.py"])
+def test_path_weight_modules_take_only_bessel_helpers_from_oracle(name):
+    # the oracle validates the path-weight routes, so they share its Bessel
+    # helpers and nothing of its propagation
+    taken = {n for mod, n in package_imports(tree(SRC / name)) if mod == "oracle"}
+    assert taken <= {"_bessel_j", "_kapteyn_tail", "_miller_top"}, f"{name} takes {taken}"

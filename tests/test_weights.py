@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from pathprob import weights
+from pathprob import quadrature, weights
 from pathprob.lattice import LatticeConfig, interior_from_velocity_changes, make_path
 from pathprob.montecarlo import SamplerConfig, estimate_transition_mc, sample_bridge_paths
 from pathprob.potentials import BandLimitedPotential, band_limit, potential_from_dict
@@ -79,21 +79,64 @@ def bracketed_sup(q, gamma):
     return float(max(-res.fun, vals[i]))
 
 
-def exponential_reference(p, z, s, eps, gamma, freq):
-    """The u-integral of the exponential step factor on the refined panels
-    ``_u_integral`` takes for the oscillation content ``freq``, without its
-    refinement check: the complex sum over mirrored nodes on [-u_max, u_max],
-    with ``V`` evaluated at ``z - u`` and ``z + u``."""
-    u_max = -math.log(weights.EXPONENTIAL_TAIL) / gamma
-    h = 0.5 * min(np.pi / (2.0 * freq), u_max / 8.0)
-    nodes, wts = np.polynomial.legendre.leggauss(10)
-    edges = np.arange(0.0, u_max + h, h)
-    edges[-1] = u_max
-    u_pos, w_pos = weights._gauss_panels(edges, nodes, wts)
+REFERENCE_TAIL = 1e-12  # exponential_reference's cut-off of the regularizer exp(-gamma |u|)
+
+
+def exponential_reference(p, z, s, eps, gamma):
+    """The u-integral of the exponential step factor by brute-force quadrature:
+    the complex sum over mirrored nodes on [-u_max, u_max], ``u_max`` where
+    ``exp(-gamma u)`` falls to ``REFERENCE_TAIL``, with ``V`` evaluated at ``z -
+    u`` and ``z + u`` and 10 Gauss-Legendre nodes per period of ``|s| + max(R,
+    1) + gamma``.  The cut leaves it about 1e-10 from the integral."""
+    u_max = -math.log(REFERENCE_TAIL) / gamma
+    edges = np.append(np.arange(0.0, u_max, TWO_PI / (abs(s) + max(p.R, 1.0) + gamma)), u_max)
+    u_pos, w_pos = quadrature._gauss_panels(edges, 10)
     u = np.concatenate([-u_pos, u_pos])
     w = np.concatenate([w_pos, w_pos])
     dv = p.evaluate(z - u) - p.evaluate(z + u)
     return complex(np.sum(w * np.exp(-gamma * np.abs(u) - 1j * u * s + 1j * eps * dv)))
+
+
+X_GRID = np.linspace(-20.0, 20.0, 201)
+EXPONENTIAL_POTENTIALS = {
+    "weak": BandLimitedPotential.single_line(a=0.1, q=1.0),
+    "cosine": COSINE,
+    "strong": BandLimitedPotential.single_line(a=2.0, q=1.0, phi=0.3),
+    "two_lines": BandLimitedPotential.from_lines([(1.0, 0.8, 0.4), (0.7, -0.3, 1.1)]),
+    "pair": BandLimitedPotential.from_lines([(1.0, 0.5, 0.2), (math.sqrt(2.0), -0.4, 1.1)]),
+    "tabulated": band_limit(
+        X_GRID, 0.04 * np.cos(0.6 * X_GRID + 0.3) + 0.03 * np.cos(X_GRID), R=1.5
+    )[0],
+    "band64": band_limit(
+        X_GRID, 0.04 * np.cos(0.6 * X_GRID + 0.3) + 0.03 * np.cos(1.1 * X_GRID + 1.0), R=1.5
+    )[0],
+}
+# (potential, z, s, eps, gamma, g): g of the exponential step factor, its
+# Jacobi-Anger series summed in 50-digit arithmetic (mpmath) and rounded to a
+# double.  Away from the far step, a 25-digit quadrature of the u-integral
+# agrees to 1e-22 (to 18 digits for band64).  The first three are the far path's
+# steps (z = 1600, s from the path), where g ~ 2 gamma / s^2.
+EXPONENTIAL_PINS = [
+    ("weak", 1600.0, -6400.0, 0.25, 0.5, 2.441436799687121e-08),
+    ("weak", 1600.0, 0.0, 0.25, 0.5, 3.9984896523157007),
+    ("weak", 1600.0, -6399.200000000001, 0.25, 0.5, 2.4420472771667848e-08),
+    ("cosine", 0.3, 0.7, 0.01, 0.1, 0.4057037123453158),
+    ("cosine", -0.4, 0.9, 0.01, 0.1, 0.20517377078741877),
+    ("cosine", 1.0, -0.5, 0.01, 0.1, 0.7634525791925632),
+    ("two_lines", 0.3, 0.7, 0.01, 0.1, 0.3522836313494335),
+    ("two_lines", -0.4, 0.9, 0.01, 0.1, 0.2353001728526597),
+    ("two_lines", 1.0, -0.5, 0.01, 0.1, 0.775192829351846),
+    ("tabulated", 0.3, 0.7, 0.1, 0.5, 1.3598228894437001),
+    ("tabulated", -0.4, 0.9, 0.1, 0.5, 0.9397708739312819),
+    ("tabulated", 1.0, -0.5, 0.1, 0.5, 1.985984206719776),
+    ("strong", 0.4, 1.3, 0.25, 0.1, 0.7268817441536918),
+    ("strong", -1.1, -2.5, 0.25, 0.5, 0.38339860503137846),
+    ("pair", 0.6, 1.2, 0.25, 0.1, 0.164020571841924),
+    ("pair", -2.0, -0.4, 0.25, 0.5, 2.536508140195283),
+    ("band64", 0.7, 0.3, 0.25, 0.5, 2.9588207215219904),
+    ("band64", -2.5, 1.1, 0.25, 0.1, 0.03136283514453419),
+]
+FAR_STEP_G = {s: g for _, _, s, _, _, g in EXPONENTIAL_PINS[:3]}
 
 
 @st.composite
@@ -128,17 +171,17 @@ def grid_spectra(draw):
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [3, 10, 12, 1200])
     def test_equals_leggauss(self, n):
-        x, w = weights._gauss_legendre(n)
+        x, w = quadrature._gauss_legendre(n)
         ref_x, ref_w = np.polynomial.legendre.leggauss(n)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
     def test_shared_rule_is_read_only(self):
         # every caller gets the same two arrays, so none may write into them
-        x, w = weights._gauss_legendre(12)
+        x, w = quadrature._gauss_legendre(12)
         for arr in (x, w):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
-        again = weights._gauss_legendre(12)
+        again = quadrature._gauss_legendre(12)
         assert again[0] is x and again[1] is w
 
 
@@ -477,7 +520,7 @@ class TestStepQ:
             for c in (-peak, peak):
                 edges += [c, *(c - grading), *(c + grading)]
         edges = np.unique(np.clip(edges, -np.pi / 2, np.pi / 2))
-        theta, w = weights._gauss_panels(edges, *np.polynomial.legendre.leggauss(21))
+        theta, w = quadrature._gauss_panels(edges, 21)
         s = gamma * np.tan(theta)
         f = w * step_q_linear(p, z, s, eps, gamma) * (s * s + gamma**2) / gamma
         scale = math.exp(-gamma * abs(z)) / eps
@@ -493,20 +536,32 @@ class TestStepQ:
             want = step_q_linear(p, z, s, 0.01, 0.1)
             assert got == pytest.approx(want, rel=1e-9)
 
-    def test_exponential_panels_from_band_radius(self):
-        # the panel width follows max(R, 1), not the sum of the line
-        # wavenumbers, which grows with the line count; on the finer panels
-        # of that sum the values agree
-        x = np.linspace(-20.0, 20.0, 201)
-        tabulated = band_limit(x, 0.04 * np.cos(0.6 * x + 0.3) + 0.03 * np.cos(x), R=1.5)[0]
-        two_lines = BandLimitedPotential.from_lines([(1.0, 0.8, 0.4), (0.7, -0.3, 1.1)])
-        for p, eps, gamma in ((COSINE, 0.01, 0.1), (two_lines, 0.01, 0.1), (tabulated, 0.1, 0.5)):
-            for z, s in ((0.3, 0.7), (-0.4, 0.9), (1.0, -0.5)):
-                freq = abs(s) + sum(ln.q for ln in p.lines) + gamma
-                g = exponential_reference(p, z, s, eps, gamma, freq).real
-                ref = math.exp(-gamma * abs(z)) * g / (TWO_PI * eps)
-                got = step_q_exponential(p, z, s, eps, gamma)
-                assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    def test_exponential_pinned_values(self):
+        # g against its 50-digit value, from the far step to a 64-line
+        # tabulated potential, and Q = exp(-gamma |z|) g h from it
+        assert len(EXPONENTIAL_POTENTIALS["band64"].lines) == 64
+        for name, z, s, eps, gamma, g in EXPONENTIAL_PINS:
+            p = EXPONENTIAL_POTENTIALS[name]
+            _, got, h = weights._split_q(p, z, s, eps, gamma, "exponential")
+            assert float(got) == pytest.approx(g, rel=1e-12, abs=0.0)
+            q = math.exp(-gamma * abs(z)) * g * h
+            assert step_q_exponential(p, z, s, eps, gamma) == pytest.approx(q, rel=1e-12, abs=0.0)
+
+    def test_first_order_series_is_the_linear_form(self, monkeypatch):
+        # cut at |m| <= 1 with J_0 -> 1 and J_{+-1}(x) -> +-x / 2, the series
+        # of g is (1 - eps M) 2 gamma / (s^2 + gamma^2), the linearized 2 pi
+        # eps g h: both forms are one expansion, whose second order is
+        # criterion 5's eps^2 slope
+        p = BandLimitedPotential.single_line(a=0.5, q=1.3, phi=0.4)
+        z = np.linspace(-3.0, 3.0, 13)[:, None]
+        s = np.linspace(-5.0, 5.0, 21)[None, :]
+        linear = {(eps, gamma): step_q_linear(p, z, s, eps, gamma)
+                  for eps in (0.002, 0.01) for gamma in (0.1, 0.5)}
+        monkeypatch.setattr(weights, "_jacobi_anger",
+                            lambda x: (np.array([-0.5 * x, 1.0, 0.5 * x]), 0.0))
+        for (eps, gamma), want in linear.items():
+            got = step_q_exponential(p, z, s, eps, gamma)
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     @given(
         st.one_of(
@@ -525,13 +580,13 @@ class TestStepQ:
     @settings(max_examples=40, deadline=None)
     def test_u_integral_is_the_mirrored_sum(self, p, z, s, eps, gamma):
         # the odd potential difference makes the integrand at -u the
-        # conjugate of that at u: the mirrored complex sum is real, and
-        # the real integral over u >= 0 is that sum
-        ref = exponential_reference(p, z, s, eps, gamma, abs(s) + max(p.R, 1.0) + gamma)
-        got = weights._u_integral(p, z, s, eps, gamma)
+        # conjugate of that at u: the mirrored complex sum is real, and the
+        # Jacobi-Anger series matches it to the reference's own accuracy
+        ref = exponential_reference(p, z, s, eps, gamma)
+        got = weights._u_series(p, z, s, eps, gamma)
         assert isinstance(got, float)
         assert abs(ref.imag) <= 1e-12 * abs(ref.real)
-        assert got == pytest.approx(ref.real, rel=1e-12, abs=0.0)
+        assert got == pytest.approx(ref.real, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("z, s", [(math.nan, 0.7), (0.3, math.nan), (math.inf, 0.7),
                                       (0.3, -math.inf)])
@@ -655,8 +710,7 @@ class TestPathWeight:
             g = 1 - cfg.eps * step_m(p, interior, s, cfg.gamma)
             h = 2 * cfg.gamma / (TWO_PI * cfg.eps * (s * s + cfg.gamma**2))
         else:
-            g = np.array([weights._u_integral(p, zj, sj, cfg.eps, cfg.gamma)
-                          for zj, sj in zip(interior, s)])
+            g = np.array([FAR_STEP_G[sj] for sj in s])
             h = np.full(3, 1 / (TWO_PI * cfg.eps))
         ref = (
             np.sum(np.log(np.abs(g)))
