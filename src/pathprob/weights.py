@@ -25,16 +25,28 @@ where ``exp(-gamma |z|)`` and so ``Q`` underflow to 0.
 
 ``_add_m`` is the one evaluation of ``M``: it adds the line terms to an
 array in place, so ``step_m`` sums them into zeros and the Monte Carlo's
-``1 - eps M`` into ones.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
+``1 - eps M`` into ones.  It takes the lines a group at a time, the group
+a leading array axis sized to the array, so a small array costs a few
+numpy calls per group rather than per line, and the sum stays bit for bit
+the per-line sum in line order.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
 linearized step factor is ``Q = f rho(s) / eps``, with ``rho(s) = gamma /
 (pi (s^2 + gamma^2))`` the Cauchy law of a velocity change.
 Paths whose ``n - 1`` velocity changes are drawn from ``rho`` have density
 ``(n / eps^(n-1)) prod rho(s_j)`` in interior-point space, so the weight
 ``W = n prod Q_j`` over that density is ``prod f_j``: the Lorentzian
 factors cancel, and the Monte Carlo estimator reduces ``prod f`` on the
-drawn ``s`` without forming ``Q`` or the density (``_sign_log_ratio``).  The
-tensor-grid quadrature integrates the same ``prod f`` from phase tables of its
-own; its tests compare them with ``step_m``, the pointwise definition of ``M``.
+drawn ``s`` without forming ``Q`` or the density.  ``_sign_log_ratio``
+does that with one ``log`` per path: the factors ``1 - eps M`` are bounded
+by ``1 + eps sup|M|``, so their product is taken directly, and ``gamma
+sum |z|`` is subtracted in the log domain.  The tensor-grid quadrature
+integrates the same ``prod f`` after ``s = gamma tan theta``, which puts
+``rho`` into the measure.  It does not call ``step_m``: on its grid
+each ``z`` is affine in the node indices, so ``sin(q z + phi)`` is the
+imaginary part of a product of per-axis phase tables, and ``1 - eps M``
+costs a matrix product per block instead of a ``sin`` per point, which was
+most of the quadrature's time.
+``step_m`` stays the pointwise definition of ``M``: the quadrature's tests
+compare the table form against it.
 
 A path's weight is nonnegative for every path once ``eps`` is at or below a
 threshold.  Two thresholds are exposed:
@@ -269,6 +281,9 @@ def _sign_log_abs(q, n: int):
 
 
 SERIES_TOL = 1e-19  # coefficient mass _u_series drops per line by truncation, and by pruning
+# most products _u_series forms at one line (about 100 MB of scratch): incommensurate lines
+# multiply the count by 2M + 1 each, and past it the series raises NonConvergenceError
+SERIES_TERMS = 2**20
 
 
 def _jacobi_anger(x: float):
@@ -288,31 +303,45 @@ def _u_series(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: fl
     frequencies within rounding of each other (as on a lattice) merge at the lowest.  The bound
     counts a dropped mass ``d`` as ``d max L = 2 d / gamma``, its moved mass ``w`` at ``max|L'| <
     0.65 max L / gamma``, and a kept term's ``w`` at ``|L'(v)| = |v| L(v)^2 / gamma``, ``v = s -
-    nu``, plus ``4 / gamma^3`` per unit of the summed merge distances ``delta``; not rounding.
-    Raises NonConvergenceError where it exceeds ``1e-9 |g| + 1e-13``."""
+    nu``, plus ``4 / gamma^3`` per unit of the summed merge distances ``delta``.  Rounding is
+    estimated to first order: ``sum_nu b_nu L``, ``b`` the absolute mass of the products merged
+    at ``nu``, times machine epsilon per rounding a product meets (per line 2 for ``J_m``, 1 for
+    the product and ``2M + 1`` for the merge; 4 for ``L``, 1 for ``c L`` and 1 for the sum).
+    Raises NonConvergenceError where the bound exceeds ``1e-9 |g| + 1e-13`` or is not finite,
+    and before a line's products pass ``SERIES_TERMS``."""
     q, a, phi = p.line_arrays
     lines = [_jacobi_anger(x) for x in (2.0 * eps * a * np.sin(q * z + phi)).tolist()]
-    grow = math.prod(np.abs(c).sum() + r for c, r in lines)  # bounds any lines' product's l1
-    nu, c, w, lost, delta = np.zeros(1), np.ones(1), np.zeros(1), 0.0, 0.0
-    for qk, (ck, tail) in zip(q.tolist(), lines):
+    grow = math.prod(float(np.abs(c).sum()) + r for c, r in lines)  # bounds products' l1
+    if not grow < math.inf:
+        raise NonConvergenceError(f"Jacobi-Anger series of g at z = {z:.6g}: l1 not finite")
+    nu, c, b, w, lost, delta = np.zeros(1), np.ones(1), np.ones(1), np.zeros(1), 0.0, 0.0
+    for k, (qk, (ck, tail)) in enumerate(zip(q.tolist(), lines)):
+        if ck.size * c.size > SERIES_TERMS:
+            raise NonConvergenceError(
+                f"Jacobi-Anger series of g at z = {z:.6g}: line {k + 1} of {len(lines)} would "
+                f"make {ck.size * c.size} terms, more than SERIES_TERMS = {SERIES_TERMS}"
+            )
         lost += (np.abs(c).sum() + 0.65 * w.sum() / gamma) * tail * grow
         # 2M + 1 shifted copies of the sorted nu, which a stable sort merges as runs
         nu = np.add.outer(qk * np.arange(-(ck.size // 2), ck.size // 2 + 1), nu).ravel()
-        c, w = np.multiply.outer(ck, c).ravel(), np.multiply.outer(np.abs(ck), w).ravel()
+        c, b = np.multiply.outer(ck, c).ravel(), np.multiply.outer(np.abs(ck), b).ravel()
+        w = np.multiply.outer(np.abs(ck), w).ravel()
         keep = np.abs(c) >= SERIES_TOL / (grow * c.size)
         lost += (np.abs(c[~keep]).sum() + 0.65 * w[~keep].sum() / gamma) * grow
         order = np.flatnonzero(keep)[np.argsort(nu[keep], kind="stable")]
-        nu, c, w = nu[order], c[order], w[order]
+        nu, c, b, w = nu[order], c[order], b[order], w[order]
         new = np.diff(nu, prepend=-math.inf) > 1e-12 * max(1.0, -nu[0], nu[-1])
         starts = np.flatnonzero(new)
         off = nu - nu[starts][np.cumsum(new) - 1]
         delta += off.max()
         w = np.add.reduceat(w + np.abs(c) * off, starts)
-        nu, c = nu[starts], np.add.reduceat(c, starts)
+        nu, c, b = nu[starts], np.add.reduceat(c, starts), np.add.reduceat(b, starts)
     lor = 2.0 * gamma / ((s - nu) ** 2 + gamma * gamma)
-    g = float(lor @ c)
+    g = math.fsum((lor * c).tolist())  # correctly rounded, whatever the number of terms
     bound = 2.0 * lost / gamma + w @ (np.abs(s - nu) * lor * lor / gamma + 4.0 * delta / gamma**3)
-    if bound > 1e-9 * abs(g) + 1e-13:
+    roundings = sum(ck.size + 3 for ck, _ in lines) + 6
+    bound += roundings * np.finfo(float).eps * float(lor @ b)
+    if not bound <= 1e-9 * abs(g) + 1e-13:
         raise NonConvergenceError(f"Jacobi-Anger series of g at z = {z:.6g}: bound {bound:.3g}")
     return g
 
@@ -392,7 +421,9 @@ def step_q_exponential(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     """Step factor with the full exponential of the potential difference.
 
     ``g`` is the Jacobi-Anger series :func:`_u_series`, which raises NonConvergenceError
-    where its bound exceeds ``1e-9 |g| + 1e-13``; a non-finite ``z`` or ``s`` raises ValueError.
+    where its bound exceeds ``1e-9 |g| + 1e-13`` and where the lines' products would pass
+    ``SERIES_TERMS`` (five incommensurate lines at ``2 eps |a| ~ 1``, or seven at ``0.05``);
+    a non-finite ``z`` or ``s`` raises ValueError.
     """
     return _step_q(p, z, s, eps, gamma, "exponential")
 

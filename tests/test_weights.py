@@ -563,6 +563,34 @@ class TestStepQ:
             got = step_q_exponential(p, z, s, eps, gamma)
             assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
+    def test_series_stops_at_its_term_cap(self):
+        # incommensurate lines multiply the term count by 2M + 1 each: at
+        # 2 eps |a| ~ 1 four lines take about 5e5 terms, and a fifth would
+        # make 5.7e6, so the series raises before forming them.  The value
+        # is a 30-digit mpmath quadrature of the u-integral.
+        lines = [(math.sqrt(k), 2.0, 0.3 * i) for i, k in enumerate([1, 2, 3, 5, 7])]
+        four = BandLimitedPotential.from_lines(lines[:4])
+        g = weights._u_series(four, 0.7, 0.4, 0.25, 0.5)
+        assert g == pytest.approx(-0.6978920723861128, rel=1e-12, abs=0.0)
+        with pytest.raises(weights.NonConvergenceError, match="line 5 of 5 .* SERIES_TERMS"):
+            step_q_exponential(BandLimitedPotential.from_lines(lines), 0.7, 0.4, 0.25, 0.5)
+
+    def test_series_bound_overflow_raises(self, monkeypatch):
+        # coefficient l1 norms whose product overflows a double leave no bound
+        monkeypatch.setattr(weights, "_jacobi_anger",
+                            lambda x: (np.array([1e200, 1.0, 1e200]), 0.0))
+        with pytest.raises(weights.NonConvergenceError, match="not finite"):
+            weights._u_series(EXPONENTIAL_POTENTIALS["pair"], 0.6, 1.2, 0.25, 0.1)
+
+    def test_series_bound_counts_rounding(self, monkeypatch):
+        # terms of size 1e6 at nu = -1 and 1 cancel at s = 0 and leave g =
+        # 1e-8 L(0) = 4e-8: the rounding estimate, about 1e-9, is far above
+        # the acceptance 1e-9 |g| + 1e-13 though nothing was dropped
+        monkeypatch.setattr(weights, "_jacobi_anger",
+                            lambda x: (np.array([1e6, 1e-8, -1e6]), 0.0))
+        with pytest.raises(weights.NonConvergenceError, match="bound"):
+            weights._u_series(BandLimitedPotential.single_line(0.1, 1.0), 0.3, 0.0, 0.25, 0.5)
+
     @given(
         st.one_of(
             st.lists(
