@@ -18,10 +18,11 @@ at a time, as one matrix product.  It is also symmetric, so a kernel
 propagates one row, the read-out at ``z_b``, for all its sources.  One
 recurrence serves several durations: ``ck_check`` reads both legs and the
 direct amplitude or kernel from one pass.  Default grids have an 11-smooth
-length, which numpy's FFT factors into its fastest radices.  The Bessel helpers
-``_bessel_j``, ``_kapteyn_tail`` and ``_miller_top`` serve the product form and
-the exponential step factor too (no scipy).  From the package this module
-imports only ``potentials`` and ``results``, so no path-weight route reaches it.
+length, which numpy's FFT factors into its fastest radices.  ``_bessel_orders``
+is the library's one Bessel truncation rule (no scipy), for the Chebyshev
+coefficients and, through ``weights._jacobi_anger``, the exponential step factor
+and the product form.  From the package this module imports only
+``potentials`` and ``results``, so no path-weight route reaches it.
 """
 
 from __future__ import annotations
@@ -111,49 +112,50 @@ def _bessel_j(a: float, top: int) -> np.ndarray:
 
 
 def _kapteyn_tail(a: float, m: int) -> float:
-    """Bound on ``sum_{k>=m} |J_k(a)|`` for ``m > a`` (``_chebyshev_coefficients`` derives it)."""
+    """Bound on ``sum_{k>=m} |J_k(a)|`` for ``m > a`` (``_bessel_orders`` derives it)."""
     g = m * math.acosh(m / a) - math.sqrt(m * m - a * a)
     return math.exp(-g) / (1.0 - math.exp(-math.acosh(m / a)))
 
 
-def _miller_top(a: float, m: int) -> int:
-    """``_bessel_j``'s start ``top`` for orders up to ``m``: the first ``m + 8 i`` with
-    ``_kapteyn_tail`` below ``CHEB_TOL^2``, where its error is far below rounding."""
-    while _kapteyn_tail(a, m) > CHEB_TOL**2:
+def _bessel_orders(a: float, tol: float, least: int):
+    """``J_0(a) .. J_{K-1}(a)``, ``a >= 0``, and a bound ``<= tol`` on ``sum_{k>=K} |J_k(a)|``.
+
+    Kapteyn's inequality (Watson, *Bessel Functions*, 8.7) gives ``|J_k(a)| <= exp(-g(k))``,
+    ``g(k) = k arccosh(k/a) - sqrt(k^2 - a^2)``, for ``k > a``.  ``g'(k) = arccosh(k/a)`` grows
+    with ``k``, so the orders ``k >= M`` add at most ``exp(-g(M)) / (1 - exp(-arccosh(M/a)))``
+    (``_kapteyn_tail``).  ``M``, from ``max(least, floor(a) + 1)`` in steps of 8, is the first
+    with that below ``tol / 2``; ``_bessel_j`` gives the orders below it, started at the first
+    ``M + 8 i`` with it below ``CHEB_TOL^2``, where its error is far below rounding.  ``K >=
+    least`` is the fewest orders whose dropped ``|J_k|``, summed from the top, and the bound at
+    ``M`` add up to ``tol`` at most.  An ``a`` below 1e-50, where the recurrence would overflow,
+    is taken as 1e-50, which moves each ``J_k`` by 1e-50 at most (``|J_k'| <= 1``).
+    """
+    a = max(a, 1e-50)
+    m = max(least, int(a) + 1)
+    while _kapteyn_tail(a, m) > tol / 2.0:
         m += 8
-    return m
+    top = m
+    while _kapteyn_tail(a, top) > CHEB_TOL**2:
+        top += 8
+    j = _bessel_j(a, top)[:m]
+    kapteyn, dropped, k = _kapteyn_tail(a, m), 0.0, m
+    while k > least and dropped + abs(j[k - 1]) + kapteyn <= tol:
+        k -= 1
+        dropped += abs(j[k])
+    return j[:k], float(dropped + kapteyn)
 
 
 def _chebyshev_coefficients(a: float) -> np.ndarray:
     """Coefficients ``(2 - delta_k0) (-i)^k J_k(a)`` of ``exp(-i a y)`` in ``T_k(y)``.
 
-    By the Jacobi-Anger expansion ``exp(-i a y) = sum_k c_k T_k(y)`` on
-    ``[-1, 1]``, where ``|T_k| <= 1``.  Applied to a Hermitian operator with
-    its spectrum in ``[-1, 1]``, every ``T_k`` has operator norm at most 1, so
-    dropping the orders ``k >= K`` changes the result by at most
-    ``2 sum_{k>=K} |J_k(a)|`` times the norm.  The fewest ``K`` that holds this
-    below ``CHEB_TOL`` is kept.
-
-    The sum is taken over computed ``J_k`` up to an order ``M > a``.  Past
-    it, Kapteyn's inequality (Watson, *Bessel Functions*, 8.7) gives
-    ``|J_k(a)| <= exp(-g(k))`` with ``g(k) = k arccosh(k/a) - sqrt(k^2 - a^2)``;
-    since ``g'(k) = arccosh(k/a)`` grows with ``k``, the bound falls by a
-    factor ``rho = exp(-arccosh(M/a)) < 1`` or more per order, and the orders
-    ``k >= M`` add at most ``exp(-g(M)) / (1 - rho)``.  ``M`` is chosen to
-    hold that below ``CHEB_TOL / 4``.
-
-    The ``J_k`` come from ``_bessel_j``, started at ``_miller_top(a, M)``.
-    ``M`` starts at 2 or more, so a tiny ``a`` keeps two terms.
+    By the Jacobi-Anger expansion ``exp(-i a y) = sum_k c_k T_k(y)`` on ``[-1, 1]``, where
+    ``|T_k| <= 1``.  Applied to a Hermitian operator with its spectrum in ``[-1, 1]``, every
+    ``T_k`` has operator norm at most 1, so dropping the orders ``k >= K`` changes the result by
+    at most ``2 sum_{k>=K} |J_k(a)|`` times the norm.  ``_bessel_orders`` keeps the fewest ``K``
+    that holds this below ``CHEB_TOL``, and the two terms the recurrence starts from at least.
     """
-    m = max(2, int(a) + 1)
-    while _kapteyn_tail(a, m) > CHEB_TOL / 4.0:
-        m += 8
-    j = _bessel_j(a, _miller_top(a, m))[:m]
-    orders = np.arange(m)
-    # tail[K] bounds 2 sum_{k>=K} |J_k(a)|; tail[m] <= CHEB_TOL / 2 by the choice of m
-    tail = 2.0 * (np.append(np.cumsum(np.abs(j[::-1]))[::-1], 0.0) + _kapteyn_tail(a, m))
-    n_terms = max(2, int(np.argmax(tail <= CHEB_TOL)))
-    coeff = (-1j) ** orders[:n_terms] * j[:n_terms]
+    j, _ = _bessel_orders(a, CHEB_TOL / 2.0, 2)
+    coeff = (-1j) ** np.arange(j.size) * j
     coeff[1:] *= 2.0
     return coeff
 

@@ -22,8 +22,8 @@ Three routes are provided:
   as a product of one-dimensional pair-separation integrals, with the
   integrand kept literally identical to the squared amplitude's (same
   regularizer, half-separation potential difference) so that the two agree
-  to quadrature accuracy at any finite n.  Its Bessel values come from the
-  oracle's Miller recurrence.
+  to quadrature accuracy at any finite n.  Its Bessel coefficients are the
+  exponential step factor's, from ``weights._jacobi_anger``.
 
 The result types live in :mod:`pathprob.results`.
 """
@@ -36,10 +36,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .lattice import LatticeConfig, _bridge_solve
-from .oracle import _bessel_j, _miller_top
 from .potentials import TWO_PI, BandLimitedPotential
 from .results import KernelEstimate, TransitionEstimate
-from .weights import NonConvergenceError, lorentzian_pair
+from .weights import NonConvergenceError, _jacobi_anger, lorentzian_pair
 
 __all__ = [
     "TransitionEstimate",
@@ -345,21 +344,17 @@ def _pair_integral_line(z, s, a, q, phi, eps, gamma):
 
     ``int du exp(-2 gamma max(|z|, |u|/2)) exp(-ius) exp(i eps [V(z - u/2)
     - V(z + u/2)])`` via the Bessel expansion of the oscillating phase in
-    ``beta = 2 a eps sin(qz + phi)``, over the orders ``|m| <= M``: ``M >=
-    ceil(max |beta|)`` is the first with ``|J_{M+1}(max |beta|)| <= 1e-17``;
-    the omitted orders add about twice that.  ``J_m(|beta|)`` is the Miller
-    recurrence ``oracle._bessel_j`` at ``|beta|`` floored to 1e-50 (a change
-    of 1e-50 at most).  Vectorized over arrays z, s that broadcast.
+    ``beta = 2 a eps sin(qz + phi)``: each node's coefficients ``J_m(beta)``
+    come from ``weights._jacobi_anger``, whose dropped orders add at most 2e-17,
+    zero-padded to the longest.  Vectorized over arrays z, s that broadcast.
     """
     beta = 2.0 * a * eps * np.sin(q * z + phi)
-    mag = np.maximum(np.abs(beta), 1e-50)
-    m_terms = math.ceil(float(np.max(np.abs(beta))))
-    top = _miller_top(float(np.max(mag)), m_terms + 1)
-    j = np.array([_bessel_j(b, top) for b in mag.ravel().tolist()])
-    while abs(j[np.argmax(mag), m_terms + 1]) > 1e-17:
-        m_terms += 1
-    j = j.reshape(beta.shape + (top + 1,))
-    sign = np.where(beta < 0, -1.0, 1.0)
+    series = [_jacobi_anger(b, 1e-17)[0] for b in beta.ravel().tolist()]
+    m_terms = max(c.size for c in series) // 2
+    j = np.zeros((len(series), 2 * m_terms + 1))
+    for row, c in zip(j, series):  # J_-M .. J_M centred on order 0
+        row[m_terms - c.size // 2 :][: c.size] = c
+    j = j.reshape(beta.shape + (-1,))
     out = np.zeros_like(np.asarray(z, dtype=float))
     az2 = 2.0 * np.abs(z)
     decay = np.exp(-gamma * az2)
@@ -371,8 +366,7 @@ def _pair_integral_line(z, s, a, q, phi, eps, gamma):
             gamma**2 * az2 * np.sinc(az2 * omega / np.pi) / denom
             + gamma * np.cos(az2 * omega) / denom
         )
-        # J_m(beta) = J_|m|(beta sgn m) = sgn(m beta)^|m| J_|m|(|beta|)
-        out = out + (sign if m >= 0 else -sign) ** abs(m) * j[..., abs(m)] * g_val
+        out = out + j[..., m + m_terms] * g_val
     return out
 
 

@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import LatticeConfig, Path, StepQuantities, second_differences, velocity_changes
-from .oracle import _bessel_j, _kapteyn_tail, _miller_top
+from .oracle import _bessel_orders
 from .potentials import TWO_PI, BandLimitedPotential
 
 __all__ = [
@@ -286,15 +286,11 @@ SERIES_TOL = 1e-19  # coefficient mass _u_series drops per line by truncation, a
 SERIES_TERMS = 2**20
 
 
-def _jacobi_anger(x: float):
-    """``J_m(x)``, ``m = -M .. M``, and a bound on ``sum_{|m| > M} |J_m(x)|``: ``M + 1 > |x|``
-    is the lowest order from which ``oracle._kapteyn_tail`` leaves ``SERIES_TOL / 2`` a side."""
-    a, m = abs(x), int(abs(x)) + 1  # m: the first order dropped
-    while a and _kapteyn_tail(a, m) > 0.5 * SERIES_TOL:
-        m += 1
-    j = _bessel_j(a, _miller_top(a, m))[:m] if m > 1 else np.ones(1)  # J_0(a) = 1 at m = 1
-    c = np.concatenate([j[:0:-1] * (-1.0) ** np.arange(m - 1, 0, -1), j])  # J_-m = (-1)^m J_m
-    return (c if x >= 0 else c[::-1]), (2.0 * _kapteyn_tail(a, m) if a else 0.0)  # J_m(-x)=J_-m(x)
+def _jacobi_anger(x: float, tol: float = SERIES_TOL / 2):
+    """``J_m(x)``, ``m = -M .. M``, and a bound ``<= 2 tol`` on ``sum_{|m| > M} |J_m(x)|``."""
+    j, tail = _bessel_orders(abs(x), tol, 1)
+    c = np.concatenate([j[:0:-1] * (-1.0) ** np.arange(j.size - 1, 0, -1), j])  # J_-m = (-1)^m J_m
+    return (c if x >= 0 else c[::-1]), 2.0 * tail  # J_m(-x) = J_-m(x)
 
 
 def _u_series(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: float) -> float:
@@ -308,9 +304,16 @@ def _u_series(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: fl
     at ``nu``, times machine epsilon per rounding a product meets (per line 2 for ``J_m``, 1 for
     the product and ``2M + 1`` for the merge; 4 for ``L``, 1 for ``c L`` and 1 for the sum).
     Raises NonConvergenceError where the bound exceeds ``1e-9 |g| + 1e-13`` or is not finite,
-    and before a line's products pass ``SERIES_TERMS``."""
+    and before a line's products, or its own orders, pass ``SERIES_TERMS``."""
     q, a, phi = p.line_arrays
-    lines = [_jacobi_anger(x) for x in (2.0 * eps * a * np.sin(q * z + phi)).tolist()]
+    xs = (2.0 * eps * a * np.sin(q * z + phi)).tolist()
+    for k, x in enumerate(xs):
+        # a line keeps 2 floor|x| + 1 orders at least: J_n(|x|), n = floor|x|, lies before J_n's
+        # first zero and is of order n^(-1/3) (J_n(n) ~ 0.447 n^(-1/3)), far above SERIES_TOL
+        if not abs(x) < (SERIES_TERMS + 1) // 2:  # 2 floor|x| + 1 > SERIES_TERMS, or x not finite
+            raise NonConvergenceError(f"Jacobi-Anger series of g at z = {z:.6g}: line {k + 1} "
+                                      f"of {len(xs)} needs more than SERIES_TERMS = {SERIES_TERMS}")
+    lines = [_jacobi_anger(x) for x in xs]
     grow = math.prod(float(np.abs(c).sum()) + r for c, r in lines)  # bounds products' l1
     if not grow < math.inf:
         raise NonConvergenceError(f"Jacobi-Anger series of g at z = {z:.6g}: l1 not finite")

@@ -17,6 +17,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
     import tomli as tomllib
 
 import pathprob
+from pathprob import weights
 from pathprob.cli import _COMMANDS, _FLAGS, _SECTIONS, _build_parser, main, run
 from pathprob.lattice import (
     LatticeConfig,
@@ -280,6 +281,20 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["slopes"][0]["slope"] == pytest.approx(2.0, abs=0.3)
+
+    @pytest.mark.parametrize("a", [2e7, 1e17])
+    def test_scan_linearization_past_term_cap(self, tmp_path, capsys, monkeypatch, a):
+        # a line whose own Jacobi-Anger orders pass SERIES_TERMS exits 2
+        # before any Bessel value is computed
+        monkeypatch.setattr(weights, "_jacobi_anger", lambda *args: pytest.fail("Bessel work"))
+        f = tmp_path / "strong.json"
+        f.write_text(json.dumps({
+            "potential": {"lines": [{"q": 1.0, "a": a, "phi": 0.0}]},
+            "lattice": COSINE_CONFIG["lattice"],
+        }))
+        argv = ["scan", "-c", str(f), "--kind", "linearization", "--points", "0.3,0.7"]
+        assert run(argv + ["--eps-list", "0.25"]) == 2
+        assert "SERIES_TERMS" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -19,6 +19,7 @@ from pathprob.oracle import (
     propagate,
 )
 from pathprob.potentials import BandLimitedPotential, SpectralLine, band_limit
+from pathprob.weights import SERIES_TOL
 
 TWO_PI = 2.0 * math.pi
 FREE = BandLimitedPotential.zero()
@@ -299,6 +300,24 @@ class TestExactPropagation:
             assert abs(j[order] - value) <= 1e-15
         # jv's own error reaches about 1e-14 at a = 1003.5
         assert np.max(np.abs(j - jv(k, a))) <= 5e-14
+
+    # the callers' tolerances: the oracle's, the exponential step factor's
+    # and the product form's, each on the dropped orders of one side
+    @pytest.mark.parametrize("tol", [oracle.CHEB_TOL / 2.0, SERIES_TOL / 2.0, 1e-17])
+    @pytest.mark.parametrize("least", [1, 2])
+    @pytest.mark.parametrize("a", [0.0, 1e-300, 2e-15, 0.5, 1.0, 7.3, 40.0, 300.0])
+    def test_bessel_orders_against_scipy(self, a, tol, least):
+        j, tail = oracle._bessel_orders(a, tol, least)
+        k = np.arange(j.size)
+        assert j.size >= least
+        # below 1e-50, a is taken as 1e-50; jv's own error reaches about 1e-14 at a = 300
+        assert np.allclose(j, jv(k, a), rtol=1e-12, atol=2e-14 if a > 1.0 else 1e-50)
+        dropped = np.sum(np.abs(jv(np.arange(j.size, int(2 * a) + 200), a)))
+        assert dropped <= tail * (1.0 + 1e-12)
+        assert tail <= tol
+        if least == 2 and a == 2e-15:
+            # the tiny-duration propagation needs J_1, not a zero
+            assert j[1] == pytest.approx(1e-15, rel=1e-15)
 
     def test_next_fast_len_matches_scipy(self):
         # every size up to 4096, then each 11-smooth size up to 2^17 and the

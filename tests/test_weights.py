@@ -87,9 +87,12 @@ def exponential_reference(p, z, s, eps, gamma):
     the complex sum over mirrored nodes on [-u_max, u_max], ``u_max`` where
     ``exp(-gamma u)`` falls to ``REFERENCE_TAIL``, with ``V`` evaluated at ``z -
     u`` and ``z + u`` and 10 Gauss-Legendre nodes per period of ``|s| + max(R,
-    1) + gamma``.  The cut leaves it about 1e-10 from the integral."""
+    1) + gamma`` plus the phase's own rate ``2 eps sum |a_k| q_k``.  The cut
+    leaves it about 1e-10 from the integral."""
     u_max = -math.log(REFERENCE_TAIL) / gamma
-    edges = np.append(np.arange(0.0, u_max, TWO_PI / (abs(s) + max(p.R, 1.0) + gamma)), u_max)
+    q, a, _ = p.line_arrays
+    rate = abs(s) + max(p.R, 1.0) + gamma + 2.0 * eps * float(np.abs(a) @ q)
+    edges = np.append(np.arange(0.0, u_max, TWO_PI / rate), u_max)
     u_pos, w_pos = quadrature._gauss_panels(edges, 10)
     u = np.concatenate([-u_pos, u_pos])
     w = np.concatenate([w_pos, w_pos])
@@ -590,6 +593,23 @@ class TestStepQ:
                             lambda x: (np.array([1e6, 1e-8, -1e6]), 0.0))
         with pytest.raises(weights.NonConvergenceError, match="bound"):
             weights._u_series(BandLimitedPotential.single_line(0.1, 1.0), 0.3, 0.0, 0.25, 0.5)
+
+    def test_reference_resolves_the_phase_rate(self):
+        # the four strong lines of test_series_stops_at_its_term_cap: panels
+        # sized without the phase's rate 2 eps sum |a_k| q_k left the
+        # reference 1.9e-6 off their 30-digit value
+        lines = [(math.sqrt(k), 2.0, 0.3 * i) for i, k in enumerate([1, 2, 3, 5])]
+        ref = exponential_reference(BandLimitedPotential.from_lines(lines), 0.7, 0.4, 0.25, 0.5)
+        assert ref.real == pytest.approx(-0.6978920723861128, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("a", [2e7, 1e17])
+    def test_line_past_term_cap_raises_before_bessel_work(self, monkeypatch, a):
+        # one line at |x| = 2 eps |a sin(q z + phi)| keeps at least 2 floor|x| + 1
+        # orders, more than SERIES_TERMS here, so the series raises before any J_m
+        monkeypatch.setattr(weights, "_jacobi_anger", lambda *args: pytest.fail("Bessel work"))
+        p = BandLimitedPotential.single_line(a=a, q=1.0)
+        with pytest.raises(weights.NonConvergenceError, match="line 1 of 1 .* SERIES_TERMS"):
+            step_q_exponential(p, 0.3, 0.7, 0.25, 0.1)
 
     @given(
         st.one_of(
