@@ -8,13 +8,16 @@ carrying the sign and ``h > 0``.  The linearized form has
 with the nonlocal kernel, for a line potential ``sum_k a_k cos(q_k x + phi_k)``,
 
     M(z, s) = - sum_k a_k sin(q_k z + phi_k) * D(s, q_k),
-    D(s, q) = (s^2 + gamma^2) / ((s - q)^2 + gamma^2) - (s^2 + gamma^2) / ((s + q)^2 + gamma^2).
+    D(s, q) = (s^2 + gamma^2) / ((s - k)^2 + gamma^2) - (s^2 + gamma^2) / ((s + k)^2 + gamma^2),
+
+with ``k = _shift(q)``, today ``q``, which the exponential series' centres take too.  The
+product form shifts by ``q / 2``; ROADMAP item 1 measures the coupling here at twice the oracle's.
 
 The full exponential form has ``h = 1 / (2 pi eps)`` and ``g = int exp(-gamma
 |u| - i u s + i eps (V(z - u) - V(z + u))) du``, which is real.  With ``x_k =
 2 eps a_k sin(q_k z + phi_k)`` and ``exp(i x sin(q u)) = sum_m J_m(x) exp(i m q
 u)`` (Jacobi-Anger) it is ``sum_nu c_nu L(s - nu)``, ``L(w) = 2 gamma / (w^2 +
-gamma^2)``, over sums ``nu`` of ``m_k q_k`` (``_u_series``); cut at ``|m| <= 1``
+gamma^2)``, over sums ``nu`` of ``m_k k_k`` (``_u_series``); cut at ``|m| <= 1``
 with ``J_0 -> 1`` and ``J_{+-1}(x) -> +-x / 2``, the linearized ``2 pi eps g h``.
 ``_split_q`` returns ``(M, g, h)`` for either form, and every step factor and
 path weight goes through it.  ``W = n prod_j Q_j`` has no bound, so
@@ -93,16 +96,33 @@ class NonConvergenceError(RuntimeError):
     """A numeric evaluation failed to meet its tolerance."""
 
 
-def lorentzian_pair(s, q, gamma):
-    """``D(s, q)``: difference of shifted Lorentzians scaled by s^2 + gamma^2.
+def _shift(q):
+    """Shift ``k`` of ``D(s, q)``'s Lorentzians and the series' centres: ``q`` (ROADMAP item 1)."""
+    return q
 
-    Over one denominator, ``4 q s (s^2 + g^2) / (((s - q)^2 + g^2)((s + q)^2
-    + g^2))``: the difference of the two reciprocals would cancel at small
-    ``|s|``.
+
+def lorentzian_pair(s, q, gamma):
+    """``D(s, q)``: difference of Lorentzians shifted by ``k = _shift(q)``, scaled by s^2 + gamma^2.
+
+    Over one denominator, ``4 k s (s^2 + g^2) / (((s - k)^2 + g^2)((s + k)^2 + g^2))``, formed
+    in place in two arrays of the broadcast shape: the difference of the two reciprocals would
+    cancel at small ``|s|``.
     """
     s = np.asarray(s, dtype=float)
-    g2 = gamma * gamma
-    return 4.0 * q * s * (s * s + g2) / (((s - q) ** 2 + g2) * ((s + q) ** 2 + g2))
+    k, g2 = _shift(q), gamma * gamma
+    shape = np.broadcast_shapes(s.shape, np.shape(k))
+    d, u = np.empty(shape), np.empty(shape)
+    np.add(s, k, out=d)
+    np.square(d, out=d)
+    d += g2
+    np.subtract(s, k, out=u)
+    np.square(u, out=u)
+    u += g2
+    u *= d
+    np.multiply(s, 4.0 * k, out=d)
+    d *= s * s + g2
+    d /= u
+    return d if d.ndim else d[()]
 
 
 # elements in a group's buffer of line terms in _add_m: a group of lines is
@@ -113,20 +133,15 @@ _M_CAP = 2**13
 def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: float = 1.0):
     """Add ``scale * M(z, s)`` to ``out`` in place, a group of lines at a time.
 
-    ``out`` has the broadcast shape of ``z`` and ``s``.  A group of ``G =
-    max(1, _M_CAP // out.size)`` lines is a leading axis: its ``D(s, q)`` is
-    formed in shape ``(G,) + s.shape`` and its ``a sin(q z + phi)`` in ``(G,)
-    + z.shape``, so a grid of ``z`` against ``s`` costs one of each per row or
-    column and line, and the numpy calls are per group, not per line.  The
-    group's terms are written below a copy of ``out`` in one buffer, and one
-    ``np.subtract.reduce`` along the group axis subtracts them in line order:
-    it is sequential at every shape, where ``np.add.reduce`` would sum a
-    one-dimensional axis pairwise.  A group of one line (a large ``out``) has
-    no leading axis and subtracts its term directly.  The scratch arrays
-    serve every group, and for ``z`` and ``s`` of ``out``'s shape they are
-    two, plus ``s^2 + gamma^2``.  ``D`` is computed as
-    :func:`lorentzian_pair` computes it, operation for operation, so at
-    ``scale = 1`` the sum is bit for bit the sum of those terms.
+    ``out`` has the broadcast shape of ``z`` and ``s``.  A group of ``G = max(1, _M_CAP //
+    out.size)`` lines is a leading axis: its ``D(s, q)`` (:func:`lorentzian_pair`) is formed in
+    shape ``(G,) + s.shape`` and its ``a sin(q z + phi)`` in ``(G,) + z.shape``, so a grid of
+    ``z`` against ``s`` costs one of each per row or column and line, and the numpy calls are
+    per group, not per line.  The group's terms are written below a copy of ``out`` in one
+    buffer, and one ``np.subtract.reduce`` along the group axis subtracts them in line order:
+    it is sequential at every shape, where ``np.add.reduce`` would sum a one-dimensional axis
+    pairwise, so at ``scale = 1`` the sum is bit for bit the sum of the terms in line order.  A
+    group of one line (a large ``out``) has no leading axis and subtracts its term directly.
     """
     q, a, phi = p.line_arrays
     n_lines = q.size
@@ -136,36 +151,20 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
         z = z.reshape((1,) * (out.ndim - z.ndim) + z.shape)
         s = s.reshape((1,) * (out.ndim - s.ndim) + s.shape)
         q, a, phi = (v.reshape((-1,) + (1,) * out.ndim) for v in (q, a, phi))
-        q4, sa = 4.0 * q, scale * a
+        sa = scale * a
     else:  # one line at a time, its parameters floats
         q, a, phi = q.tolist(), a.tolist(), phi.tolist()
-        q4, sa = [4.0 * v for v in q], [scale * v for v in a]
+        sa = [scale * v for v in a]
     lead = (size,) if size > 1 else ()
-    g2 = gamma * gamma
-    s2g = s * s
-    s2g += g2
-    # d before the term buffer: the other order took about 110 more minor
-    # page faults per call on a 4096 x 15 Monte Carlo batch, and 8% longer
-    d = np.empty(lead + s.shape)
     acc = np.empty((size + 1,) + out.shape) if size > 1 else None
     t = np.empty(out.shape) if acc is None else acc[1:]
     w = t if z.shape == out.shape else np.empty(lead + z.shape)
-    u = w if z.shape == s.shape else np.empty(lead + s.shape)
     for lo in range(0, n_lines, size):
         k = lo if acc is None else slice(lo, lo + size)
         if acc is not None and lo + size > n_lines:  # a short last group
             n = n_lines - lo
-            d, u, w, t, acc = d[:n], u[:n], w[:n], t[:n], acc[: n + 1]
-        np.add(s, q[k], out=d)
-        np.square(d, out=d)
-        d += g2
-        np.subtract(s, q[k], out=u)
-        np.square(u, out=u)
-        u += g2
-        u *= d
-        np.multiply(s, q4[k], out=d)
-        d *= s2g
-        d /= u
+            w, t, acc = w[:n], t[:n], acc[: n + 1]
+        d = lorentzian_pair(s, q[k], gamma)
         np.multiply(z, q[k], out=w)
         w += phi[k]
         np.sin(w, out=w)
@@ -196,12 +195,13 @@ def m_bound(p: BandLimitedPotential, gamma: float) -> float:
     """Leading-order bound ``R^2 K / (2 pi gamma^2)`` on |M|."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if p.R > 0 and gamma > 0.5 * p.R:
+    r = _shift(p.R)
+    if r > 0 and gamma > 0.5 * r:
         warnings.warn(
             "m_bound assumes gamma << R; the leading-order bound is loose here",
             stacklevel=2,
         )
-    return p.R**2 * p.K / (TWO_PI * gamma**2)
+    return r**2 * p.K / (TWO_PI * gamma**2)
 
 
 class CertifiedSup(NamedTuple):
@@ -214,11 +214,11 @@ def _sup_lorentzian_pair(q, gamma: float):
 
     D is odd in s and peaks at ``s* = gamma sqrt(v)``, where ``v`` is the one
     positive root of ``v^3 + (1 + 2r^2) v^2 - (3(1 + r^2)^2 - 2(1 - r^2)) v -
-    (1 + r^2)^2``, ``r = q / gamma``: the condition ``dD/ds = 0`` in ``u =
+    (1 + r^2)^2``, ``r = _shift(q) / gamma``: the condition ``dD/ds = 0`` in ``u =
     s^2 = gamma^2 v``.  Its other two roots are negative and all three are
     real, so ``v`` is the largest, from the trigonometric form of the roots.
     """
-    r2 = (np.asarray(q, dtype=float) / gamma) ** 2
+    r2 = (_shift(np.asarray(q, dtype=float)) / gamma) ** 2
     a = 1.0 + 2.0 * r2
     b = 2.0 * (1.0 - r2) - 3.0 * (1.0 + r2) ** 2
     c = -((1.0 + r2) ** 2)
@@ -263,7 +263,7 @@ def positivity_threshold(p: BandLimitedPotential, gamma: float) -> ThresholdPair
         raise ValueError("gamma must be positive")
     if p.K == 0.0 or p.R == 0.0:
         return ThresholdPair(math.inf, math.inf)
-    lam_paper = TWO_PI * gamma**2 / (p.R**2 * p.K)
+    lam_paper = TWO_PI * gamma**2 / (_shift(p.R) ** 2 * p.K)
     sup = m_sup_certified(p, gamma)
     lam_strict = math.inf if sup.value == 0.0 else 1.0 / sup.value
     return ThresholdPair(float(lam_paper), float(lam_strict))
@@ -326,7 +326,7 @@ def _u_series(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: fl
             )
         lost += (np.abs(c).sum() + 0.65 * w.sum() / gamma) * tail * grow
         # 2M + 1 shifted copies of the sorted nu, which a stable sort merges as runs
-        nu = np.add.outer(qk * np.arange(-(ck.size // 2), ck.size // 2 + 1), nu).ravel()
+        nu = np.add.outer(_shift(qk) * np.arange(-(ck.size // 2), ck.size // 2 + 1), nu).ravel()
         c, b = np.multiply.outer(ck, c).ravel(), np.multiply.outer(np.abs(ck), b).ravel()
         w = np.multiply.outer(np.abs(ck), w).ravel()
         keep = np.abs(c) >= SERIES_TOL / (grow * c.size)

@@ -930,3 +930,75 @@ class TestGridPins:
         cfg = LatticeConfig(0.0, 1.0, 5, 0.5, 0.0, 0.2)
         est = transition_probability_quadrature(self.grid(), cfg, points_per_dim=4)
         assert abs(est.value - 0.08167054459993657) <= est.std_error
+
+
+class TestShift:
+    """Every site that shifts ``D``'s Lorentzians or the series' centres takes the shift from
+    ``weights._shift``: patched to ``q / 2``, the shift ROADMAP item 1 measures, each follows."""
+
+    GAMMA = 0.1
+    LINES = BandLimitedPotential.from_lines([(1.0, 0.3, 0.4), (0.7, -0.2, 1.1)])
+
+    @pytest.fixture(autouse=True)
+    def half_shift(self, monkeypatch):
+        monkeypatch.setattr(weights, "_shift", lambda q: q / 2)
+
+    @staticmethod
+    def written(s, q, gamma):
+        """``D(s, q)`` written out as its two Lorentzian ratios, shifted by ``q / 2``."""
+        k, s2g = q / 2, s * s + gamma * gamma
+        return s2g / ((s - k) ** 2 + gamma * gamma) - s2g / ((s + k) ** 2 + gamma * gamma)
+
+    # 9 x 61 points sum the lines in groups, 101 x 101 one line at a time
+    @pytest.mark.parametrize("n_z,n_s", [(9, 61), (101, 101)])
+    def test_d_and_m(self, n_z, n_s):
+        z = np.linspace(-4.0, 4.0, n_z)[:, None]
+        s = np.linspace(-3.0, 3.0, n_s)[None, :]
+        for ln in self.LINES.lines:
+            d = lorentzian_pair(s, ln.q, self.GAMMA)
+            assert np.allclose(d, self.written(s, ln.q, self.GAMMA), rtol=1e-13, atol=1e-14)
+        ref = -sum(ln.a * np.sin(ln.q * z + ln.phi) * self.written(s, ln.q, self.GAMMA)
+                   for ln in self.LINES.lines)
+        assert np.allclose(step_m(self.LINES, z, s, self.GAMMA), ref, rtol=1e-12, atol=1e-13)
+
+    def test_sup_bounds_a_dense_maximum(self):
+        grid_max = np.max(self.written(np.linspace(0.0, 1.5, 300001), 1.0, self.GAMMA))
+        sup = m_sup_certified(COSINE, self.GAMMA)
+        assert sup.certified
+        assert grid_max <= sup.value <= grid_max * (1.0 + 1e-5)
+
+    def test_leading_order_uses_half_r(self):
+        r2k = 0.25 * COSINE.K  # (R / 2)^2 K
+        bound = m_bound(COSINE, self.GAMMA)
+        assert bound == pytest.approx(r2k / (TWO_PI * self.GAMMA**2), rel=1e-15)
+        lam = positivity_threshold(COSINE, self.GAMMA).lambda_paper
+        assert lam == pytest.approx(TWO_PI * self.GAMMA**2 / r2k, rel=1e-15)
+        with pytest.warns(UserWarning, match="gamma << R"):
+            m_bound(COSINE, 0.3)  # above R / 4, below R / 2
+
+    def test_witness_at_the_grid_argmax(self):
+        # z* keeps the line's own q: sin(q z*) = -1; s* is the centre of the refining grid
+        z_w, s_w, m_w = negative_step_witness(COSINE, self.GAMMA)
+        _, s_star = _sup_lorentzian_pair(np.array([1.0]), self.GAMMA)
+        assert (z_w, s_w) == (-0.5 * math.pi, float(s_star[0]))
+        assert m_w == step_m(COSINE, z_w, s_w, self.GAMMA)
+
+    def test_first_order_series_is_the_linear_q(self):
+        # at 2 eps a = 5e-7 the exponential series' second order is 1e-13 relative; a series
+        # centred at m q while M shifts by q / 2 is off at first order, about 1e-7
+        p = BandLimitedPotential.single_line(a=1e-6, q=1.3, phi=0.4)
+        for z, s in [(0.3, 0.2), (-1.1, 0.7), (2.0, -0.9)]:
+            lin = step_q_linear(p, z, s, 0.25, 0.5)
+            assert step_q_exponential(p, z, s, 0.25, 0.5) == pytest.approx(lin, rel=1e-10)
+
+    def test_tensor_table_form_matches_step_m(self):
+        cfg = LatticeConfig(0.0, 1.0, 3, 0.3, 0.1, -0.2)
+        x, w = np.polynomial.legendre.leggauss(5)
+        nodes, wts = 0.5 * np.pi * x, 0.5 * np.pi * w
+        theta = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), -1).reshape(-1, 2)
+        s = cfg.gamma * np.tan(theta)
+        z = interior_from_velocity_changes(s, cfg)
+        fac = np.exp(-cfg.gamma * np.abs(z)) * (1.0 - cfg.eps * step_m(self.LINES, z, s, cfg.gamma))
+        ref = np.outer(wts, wts).ravel() @ np.prod(fac, axis=1)
+        got = quadrature._tensor_sum(self.LINES, cfg, 100.0, nodes, wts)[0]
+        assert got == pytest.approx(ref, rel=1e-12)
