@@ -187,7 +187,7 @@ def _cmd_positivity(args, config: dict, p: BandLimitedPotential) -> int:
     # spot-check the theorem at the witness point: Q must be nonnegative at
     # the strict threshold and turn negative just above it
     code = EXIT_OK
-    if p.lines and math.isfinite(thr.lambda_strict):
+    if p.lines and 0.0 < thr.lambda_strict < math.inf:
         z_w, s_w, _ = negative_step_witness(p, gamma)
         q_at = float(step_q_linear(p, z_w, s_w, thr.lambda_strict, gamma))
         q_above = float(step_q_linear(p, z_w, s_w, 2.0 * thr.lambda_strict, gamma))

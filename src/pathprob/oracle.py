@@ -337,11 +337,14 @@ def _readout(x: np.ndarray, z: float) -> np.ndarray:
     ``(1/N) sum_k psihat_k exp(i k (z - x_0))`` over the grid wavenumbers,
     with the Nyquist term (even ``N``) taken as its cosine, so the
     interpolant is real for real data; exact for the grid's band-limited
-    function.  ``w`` is the ``irfft`` of the phases ``exp(-i k (z - x_0))``,
-    which takes the Nyquist phase's real part.
+    function.  ``w`` is the ``irfft`` of the phases ``exp(-i k (z - x_j))``,
+    which takes the Nyquist phase's real part, rolled by ``j``: from the
+    nearest node ``x_j`` the phases' rounding stays that of ``z - x_j``,
+    where from ``x_0`` it grew with the grid.
     """
+    j = int(np.abs(x - z).argmin())
     k = TWO_PI * np.fft.rfftfreq(x.size, d=x[1] - x[0])
-    return np.fft.irfft(np.exp(-1j * k * (z - x[0])), x.size)
+    return np.roll(np.fft.irfft(np.exp(-1j * k * (z - x[j])), x.size), j)
 
 
 SOURCE_SIGMAS = (0.4, 0.3, 0.2)  # kernel_estimate's unit-mass sources, widest first

@@ -101,11 +101,14 @@ def _shift(q):
     return q
 
 
+@np.errstate(over="ignore")
 def _pair_into(s, q, g2: float, s2g, d: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``D(s, q)`` into ``d``, with ``u`` scratch of its shape and ``s2g = s^2 + g2``.
 
     Over one denominator, ``4 k s s2g / (((s - k)^2 + g2)((s + k)^2 + g2))``, ``k =
-    _shift(q)``: the difference of the two reciprocals would cancel at small ``|s|``.
+    _shift(q)``: the difference of the two reciprocals would cancel at small ``|s|``.  A square
+    past about 1e154 overflows to inf and ``D`` to its limit 0; where ``|s|`` and ``k`` both
+    pass about 1e77 the numerator overflows too and ``D`` is inf or nan.
     """
     k = _shift(q)
     np.add(s, k, out=d)
@@ -215,7 +218,15 @@ def m_bound(p: BandLimitedPotential, gamma: float) -> float:
             "m_bound assumes gamma << R; the leading-order bound is loose here",
             stacklevel=2,
         )
-    return r**2 * p.K / (TWO_PI * gamma**2)
+    return _square(r) * p.K / (TWO_PI * gamma**2)
+
+
+def _square(x: float) -> float:
+    """``x**2``, inf where ``**`` raises OverflowError (``x * x`` rounds differently)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 class CertifiedSup(NamedTuple):
@@ -231,8 +242,19 @@ def _sup_lorentzian_pair(q, gamma: float):
     (1 + r^2)^2``, ``r = _shift(q) / gamma``: the condition ``dD/ds = 0`` in ``u =
     s^2 = gamma^2 v``.  Its other two roots are negative and all three are
     real, so ``v`` is the largest, from the trigonometric form of the roots.
+
+    The rounding of ``s*`` is about ``2^-52 r`` of the peak's width ``gamma`` and lowers
+    ``D(s*)`` by about its square, past :func:`m_sup_certified`'s 1e-12 margin from ``r ~
+    1e10``.  From ``r = 1e8``, where ``D(k) >= r^2`` and ``D <= r^2 + 2`` (the maximum of ``D``'s
+    first ratio is ``(r^2 + 2 + r sqrt(r^2 + 4)) / 2``), the supremum is taken as ``r^2``, inf
+    where that overflows, and ``s*`` as ``k``, which is ``gamma sqrt(v)`` to rounding there.
     """
-    r2 = (_shift(np.asarray(q, dtype=float)) / gamma) ** 2
+    q = np.asarray(q, dtype=float)
+    k = _shift(q)
+    with np.errstate(over="ignore"):
+        d_max = (k / gamma) ** 2
+    s, near = k.copy(), d_max < 1e16
+    r2 = d_max[near]
     a = 1.0 + 2.0 * r2
     b = 2.0 * (1.0 - r2) - 3.0 * (1.0 + r2) ** 2
     c = -((1.0 + r2) ** 2)
@@ -241,8 +263,9 @@ def _sup_lorentzian_pair(q, gamma: float):
     h = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
     m = np.sqrt(-p / 3.0)
     theta = np.arccos(np.clip(1.5 * h / (p * m), -1.0, 1.0))
-    s = gamma * np.sqrt(2.0 * m * np.cos(theta / 3.0) - a / 3.0)
-    return lorentzian_pair(s, q, gamma), s
+    s[near] = gamma * np.sqrt(2.0 * m * np.cos(theta / 3.0) - a / 3.0)
+    d_max[near] = lorentzian_pair(s[near], q[near], gamma)
+    return d_max, s
 
 
 def m_sup_certified(p: BandLimitedPotential, gamma: float) -> CertifiedSup:
@@ -258,6 +281,7 @@ def m_sup_certified(p: BandLimitedPotential, gamma: float) -> CertifiedSup:
         raise ValueError("gamma must be positive")
     q, a, _ = p.line_arrays
     d_max, _ = _sup_lorentzian_pair(q, gamma)
+    d_max[a == 0.0] = 0.0  # an overflowed supremum is inf, and 0 inf nan
     return CertifiedSup(float(np.abs(a) @ d_max) * (1.0 + 1e-12), True)
 
 
@@ -277,7 +301,7 @@ def positivity_threshold(p: BandLimitedPotential, gamma: float) -> ThresholdPair
         raise ValueError("gamma must be positive")
     if p.K == 0.0 or p.R == 0.0:
         return ThresholdPair(math.inf, math.inf)
-    lam_paper = TWO_PI * gamma**2 / (_shift(p.R) ** 2 * p.K)
+    lam_paper = TWO_PI * gamma**2 / (_square(_shift(p.R)) * p.K)
     sup = m_sup_certified(p, gamma)
     lam_strict = math.inf if sup.value == 0.0 else 1.0 / sup.value
     return ThresholdPair(float(lam_paper), float(lam_strict))
@@ -514,19 +538,23 @@ def negative_step_witness(p: BandLimitedPotential, gamma: float):
     strict threshold.  Line k's term ``-a_k sin(q_k z + phi_k) D(s, q_k)``
     reaches ``+|a_k| D(s*_k, q_k)`` at its maximizer ``s*_k`` and at ``z*_k``
     with ``sin(q_k z*_k + phi_k) = -sign a_k``.  Of these points the one with
-    the largest M is refined on a 41 x 41 grid around it.
+    the largest M is refined on a 41 x 41 grid around it.  Raises ValueError
+    where that M is not finite (``D(s*, q)`` overflows from ``q`` about 1e77).
     """
     if not p.lines:
         raise ValueError("witness construction needs a nonzero potential")
     q, a, phi = p.line_arrays
     _, s_star = _sup_lorentzian_pair(q, gamma)
     z_star = (-np.copysign(0.5 * np.pi, a) - phi) / q
-    k = int(np.argmax(step_m(p, z_star, s_star, gamma)))
     offsets = np.linspace(-1.0, 1.0, 41)
-    zg = z_star[k] + offsets[:, None] * (0.5 * np.pi / p.R)
-    sg = s_star[k] + offsets[None, :] * gamma
-    mm = step_m(p, zg, sg, gamma)
+    with np.errstate(invalid="ignore"):  # D's inf / inf
+        k = int(np.argmax(step_m(p, z_star, s_star, gamma)))
+        zg = z_star[k] + offsets[:, None] * (0.5 * np.pi / p.R)
+        sg = s_star[k] + offsets[None, :] * gamma
+        mm = step_m(p, zg, sg, gamma)
     i, j = np.unravel_index(np.argmax(mm), mm.shape)
+    if not math.isfinite(mm[i, j]):
+        raise ValueError(f"no witness in double precision: M is {mm[i, j]} at s = {sg[0, j]:.4g}")
     return float(zg[i, 0]), float(sg[0, j]), float(mm[i, j])
 
 

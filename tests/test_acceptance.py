@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pathprob import weights
 from pathprob.analysis import classical_concentration_scan
 from pathprob.lattice import LatticeConfig
 from pathprob.montecarlo import SamplerConfig, estimate_transition_mc, sample_bridge_paths
@@ -294,3 +295,34 @@ def test_criterion_10_agreement_with_schrodinger():
         + ", ".join(f"{d:.3f}" for d in devs)
         + f" (monotone: {monotone}; final <=20%)",
     )
+
+
+# ROADMAP item 1's acceptance: the model's effect of a weak potential, its weak/free ratio of
+# prod exp(-gamma |z|) (1 - eps M) over 2^19 shared Cauchy-bridge draws minus 1, against the
+# oracle's |K|^2 / |K_0|^2 - 1, on the first row of item 1's table.  Shifted by q the model's
+# effect is about 1.9 times the oracle's; by q / 2, the product form's shift, about 0.97 times.
+@pytest.mark.parametrize("shift", [
+    pytest.param("q", marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the step factor's Lorentzians are shifted by q, the product form's "
+        "by q / 2, and the model's weak-potential effect is about twice the oracle's"))),
+    "q/2",
+])
+def test_item_01_weak_effect_matches_oracle(shift, monkeypatch):
+    if shift == "q/2":
+        monkeypatch.setattr(weights, "_shift", lambda q: q / 2)
+    weak, free = BandLimitedPotential.single_line(a=0.05, q=1.0), BandLimitedPotential.zero()
+    n = 12
+    cfg = LatticeConfig(0.0, 1.0, n, 0.15 / n, 0.0, 0.3)
+    sums = np.zeros(2)
+    for batch in range(4):
+        interiors, s = sample_bridge_paths(cfg, SamplerConfig(), 2**17, batch)
+        for i, p in enumerate((weak, free)):
+            sign, log_abs = weights._sign_log_ratio(p, interiors, s, cfg.eps, cfg.gamma)
+            sums[i] += np.sum(sign * np.exp(log_abs))
+    model = sums[0] / sums[1] - 1.0
+    k_weak, k_free = (kernel_estimate(p, cfg.z_a, cfg.z_b, cfg.duration) for p in (weak, free))
+    oracle = k_weak.modulus_squared / k_free.modulus_squared - 1.0
+    ratio = model / oracle
+    print(f"[item 1, shift {shift}] model effect {model:.5f}, oracle {oracle:.5f}, "
+          f"ratio {ratio:.3f}")
+    assert 0.9 <= ratio <= 1.1

@@ -100,6 +100,31 @@ class TestPositivity:
         assert run(["positivity", "-c", str(f)]) == 1
         assert "positivity needs a positive finite --gamma" in capsys.readouterr().err
 
+    # q / gamma past about 7e76 made the certified supremum nan (exit 0, nan thresholds, and
+    # RuntimeWarnings), and q past about 1.3e154 raised OverflowError on R^2 (a traceback)
+    @pytest.mark.parametrize("q", [1e77, 1e100, 1e160])
+    def test_huge_wavenumber_exits_cleanly(self, q, tmp_path, capsys):
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"potential": {"lines": [{"q": q, "a": 1.0, "phi": 0.0}]}}))
+        code, payload = run_json(["positivity", "-c", str(f), "--gamma", "1.0"], tmp_path)
+        if code == 2:  # D at the witness, s* = q, overflows
+            assert capsys.readouterr().err.startswith("error: no witness in double precision")
+        else:
+            assert code == 0 and payload["m_sup_certified"] is True
+            assert payload["m_sup"] == "inf" and payload["lambda_strict"] == 0.0
+        assert code == (0 if q > 1e154 else 2)
+
+    @pytest.mark.filterwarnings("ignore:.*lambda_strict.*:UserWarning")
+    def test_huge_wavenumber_mc_is_free(self, tmp_path):
+        # the line's D overflows to its limit 0 at every drawn s: the free particle's estimate
+        config = dict(FREE_CONFIG, sampler={"n_samples": 4096, "seed": 1})
+        f, g = tmp_path / "huge.json", tmp_path / "free.json"
+        f.write_text(json.dumps(config | {"potential": {"lines": [{"q": 1e160, "a": 1.0}]}}))
+        g.write_text(json.dumps(config))
+        argv = ["transition", "--method", "mc", "-c"]
+        code, huge = run_json(argv + [str(f)], tmp_path)
+        assert code == 0 and huge["value"] == run_json(argv + [str(g)], tmp_path)[1]["value"]
+
 
 class TestTransition:
     def test_free_quadrature_value(self, free_json, tmp_path):

@@ -413,6 +413,29 @@ class TestBounds:
         assert np.all(step_q_linear(p, z, s, eps, gamma) >= 0)
         assert (1.0 - 1e-2) * sup.value < np.max(step_m(p, z, s, gamma)) <= sup.value
 
+    # sup D >= D(q, q) > r^2, r = q / gamma.  From r ~ 1e10 the rounding of s* put D(s*) below
+    # the supremum by more than the 1e-12 margin (2.6e-12 at 1e10, 2.4e-4 at 1e14); past about
+    # 7e76 the cubic overflowed and the supremum was a "certified" nan; past about 1.3e154 the
+    # thresholds' R^2 raised OverflowError
+    @pytest.mark.parametrize("gamma", [1.0, 1e-10])
+    @pytest.mark.parametrize("r", [1e10, 1e14, 1e77, 1e100, 1e160])
+    def test_sup_bounds_huge_wavenumber(self, r, gamma):
+        p = BandLimitedPotential.single_line(a=1.0, q=r * gamma)
+        sup = m_sup_certified(p, gamma)
+        assert sup.certified and sup.value >= r * r  # inf where r^2 overflows
+        lam_paper, lam_strict = positivity_threshold(p, gamma)
+        assert lam_strict == 1.0 / sup.value
+        assert lam_paper == pytest.approx(1.0 / (r * r), rel=1e-14, abs=1e-300)
+        assert m_bound(p, gamma) == pytest.approx(r * r, rel=1e-14)
+        _, s_star = _sup_lorentzian_pair(np.array([r * gamma]), gamma)
+        assert s_star[0] == r * gamma
+
+    def test_sup_drops_zero_amplitude_line_past_overflow(self):
+        # its supremum overflows to inf, and 0 inf is nan
+        p = BandLimitedPotential.from_lines([(1e160, 0.0, 0.0), (1.0, 1.0, 0.0)])
+        one = BandLimitedPotential.single_line(1.0, 1.0)
+        assert m_sup_certified(p, 1.0) == m_sup_certified(one, 1.0)
+
     @given(grid_spectra(), st.floats(0.05, 1.0), st.integers(0, 2**32))
     @settings(max_examples=30, deadline=None)
     def test_grid_sup_bounds_sampled_m(self, p_grid, gamma, seed):
