@@ -142,17 +142,19 @@ _M_CAP = 2**13
 def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: float = 1.0):
     """Add ``scale * M(z, s)`` to ``out`` in place, a group of lines at a time.
 
-    ``out`` has the broadcast shape of ``z`` and ``s``.  A group of ``G = max(1, _M_CAP //
-    out.size)`` lines is a leading axis: its ``D(s, q)`` is formed in shape ``(G,) + s.shape``
-    and its ``a sin(q z + phi)`` in ``(G,) + z.shape``, so a grid of ``z`` against ``s`` costs
-    one of each per row or column and line, and the numpy calls are per group, not per line.
-    The group's terms are written below a copy of ``out`` in one buffer, and one
-    ``np.subtract.reduce`` along the group axis subtracts them in line order: it is sequential
-    at every shape, where ``np.add.reduce`` would sum a one-dimensional axis pairwise.  A group
-    of one line (a large ``out``) has no leading axis and subtracts its term directly.  The
-    scratch arrays serve every group, and for ``z`` and ``s`` of ``out``'s shape they are two,
-    plus ``s^2 + gamma^2``; ``D`` is :func:`_pair_into` in them, so at ``scale = 1`` the sum is
-    bit for bit the sum of :func:`lorentzian_pair`'s terms.
+    ``out`` has the broadcast shape of ``z`` and ``s``.  A group of ``G =
+    max(1, _M_CAP // out.size)`` lines is a leading axis: its ``D(s, q)`` is
+    formed in shape ``(G,) + s.shape`` and its ``a sin(q z + phi)`` in ``(G,)
+    + z.shape``, so a grid of ``z`` against ``s`` costs one of each per row or
+    column and line, and the numpy calls are per group, not per line.  The
+    group's terms are written below a copy of ``out`` in one buffer, and one
+    ``np.subtract.reduce`` along the group axis subtracts them in line order:
+    it is sequential at every shape, where ``np.add.reduce`` would sum a
+    one-dimensional axis pairwise.  A group of one line (a large ``out``) has
+    no leading axis and subtracts its term directly.  The scratch arrays
+    serve every group, and for ``z`` and ``s`` of ``out``'s shape they are
+    two, plus ``s^2 + gamma^2``.  ``D`` is :func:`_pair_into` in them, so at
+    ``scale = 1`` the sum is bit for bit the sum of :func:`lorentzian_pair`'s terms.
     """
     q, a, phi = p.line_arrays
     n_lines = q.size
@@ -168,7 +170,8 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
         sa = [scale * v for v in a]
     lead = (size,) if size > 1 else ()
     g2 = gamma * gamma
-    s2g = s * s + g2
+    s2g = s * s
+    s2g += g2
     # d before the term buffer: the other order took about 110 more minor
     # page faults per call on a 4096 x 15 Monte Carlo batch, and 8% longer
     d = np.empty(lead + s.shape)
