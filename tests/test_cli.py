@@ -17,7 +17,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
     import tomli as tomllib
 
 import pathprob
-from pathprob import weights
+from pathprob import cli, weights
 from pathprob.cli import _COMMANDS, _FLAGS, _SECTIONS, _build_parser, main, run
 from pathprob.lattice import (
     LatticeConfig,
@@ -223,6 +223,19 @@ class TestWeight:
         assert payload["sign"] == 1 and payload["W"] == 0.0
         assert all(step["Q"] == 0.0 for step in payload["per_step"])
         assert math.isfinite(payload["logabsW"])
+
+    @pytest.mark.parametrize("q", [1e155, 1e160, 1e300])
+    def test_exponential_past_square_overflow(self, tmp_path, capsys, q):
+        # the series' Lorentzians at m q, m != 0, overflow to their limit 0 quietly
+        config = tmp_path / "huge.json"
+        lines = [{"q": q, "a": 0.3}]
+        config.write_text(json.dumps(dict(COSINE_CONFIG, potential={"lines": lines})))
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
+        path_file = tmp_path / "p.csv"
+        write_path_csv(straight_line(cfg), cfg, path_file)
+        argv = ["weight", "-c", str(config), "--path", str(path_file), "--form", "exponential"]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestOtherCommands:
@@ -632,6 +645,35 @@ class TestSchema:
         for flag, (option, _, target) in _FLAGS.items():
             assert option.lstrip("-").replace("-", "_") == flag
             assert target is None or target[1] in _SECTIONS[target[0]]
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_invoked_subcommand_parser(self, name, capsys, monkeypatch):
+        # a run declares only its subcommand's arguments; its help, its
+        # arguments and the usage line of its errors are the full parser's
+        built = []
+        monkeypatch.setattr(cli, "_build_parser", lambda *a: built.append(a) or _build_parser(*a))
+        def subparsers(parser):
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return sub.choices
+
+        def declared(sp):
+            return [(a.option_strings, a.dest, a.default, a.required) for a in sp._actions]
+
+        full, invoked = subparsers(_build_parser()), subparsers(_build_parser(name))
+        assert run([name, "--help"]) == 0
+        assert capsys.readouterr().out == full[name].format_help()
+        assert declared(invoked[name]) == declared(full[name])
+        assert list(invoked) == list(_COMMANDS)
+        for other, sp in invoked.items():
+            if other != name:
+                assert [a.option_strings for a in sp._actions] == [["-h", "--help"]]
+        required = {"weight": ["--path", "p.csv"], "scan": ["--kind", "classical"]}
+        assert run([name, *required.get(name, []), "--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == f"usage: pathprob [-h] {{{','.join(_COMMANDS)}}} ..."
+        assert err.endswith("unrecognized arguments: --bogus\n")
+        assert built == [(name,), (name,)]
+        assert run(["bogus"]) == 1 and built[-1] == (None,)
 
     def test_readme_config_fields(self):
         # README names each config section's fields, in the reader's order

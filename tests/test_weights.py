@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import j0
 
 from pathprob import quadrature, weights
 from pathprob.lattice import LatticeConfig, interior_from_velocity_changes, make_path
@@ -572,6 +573,16 @@ class TestStepQ:
             assert float(got) == pytest.approx(g, rel=1e-12, abs=0.0)
             q = math.exp(-gamma * abs(z)) * g * h
             assert step_q_exponential(p, z, s, eps, gamma) == pytest.approx(q, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("q", [1e155, 1e160, 1e300])
+    def test_exponential_past_square_overflow(self, q):
+        # (s - m q)^2 overflows for m != 0 and those Lorentzians take their
+        # limit 0 without a RuntimeWarning: the m = 0 term is Q
+        p = BandLimitedPotential.single_line(a=0.3, q=q)
+        z, s, eps, gamma = 0.3, 0.2, 0.1, 0.1
+        want = (j0(2.0 * eps * 0.3 * math.sin(q * z)) * 2.0 * gamma / (s * s + gamma * gamma)
+                * math.exp(-gamma * abs(z)) / (TWO_PI * eps))
+        assert step_q_exponential(p, z, s, eps, gamma) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_first_order_series_is_the_linear_form(self, monkeypatch):
         # cut at |m| <= 1 with J_0 -> 1 and J_{+-1}(x) -> +-x / 2, the series
