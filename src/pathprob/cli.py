@@ -335,25 +335,26 @@ _COMMANDS = {
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """A fresh ``pathprob`` parser; given ``command``, it declares only that subcommand's
-    arguments.
+    """A fresh ``pathprob`` parser; given ``command``, it adds only that subcommand.
 
-    Declaring the other subcommands' arguments too about doubles the build (1.0 ms against
-    0.45-0.6 ms on a 2-vCPU x86_64 VM), which counts where one process calls ``run`` many
-    times.  Every subcommand keeps its name and help line: the top-level
-    usage and help and the "required", "invalid choice" and "unrecognized arguments"
-    messages read only those, so the output is the same as the full parser's.
+    Adding the other five subparsers too more than doubles the build (0.5-0.7 ms against
+    0.2-0.3 ms, median of 500 on a 2-vCPU x86_64 VM), which counts where one process calls
+    ``run`` many times.  The top-level usage line of such a parser's errors reads the fixed
+    ``metavar``, the string argparse builds from all of ``_COMMANDS``, so it is the full
+    parser's.  The full parser keeps no ``metavar``: its "required" and "invalid choice"
+    messages name the argument ``command``.
     """
     ap = argparse.ArgumentParser(
         prog="pathprob",
         description="Positive path-weight transition probabilities for "
         "band-limited 1D potentials.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (func, help_line, shared, own) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
         if command not in (None, name):
             continue
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("-c", "--config", help="JSON config file")
         sp.add_argument("--out", help="output file (default stdout)")
         for option, kwargs in [_FLAGS[flag][:2] for flag in shared] + own:

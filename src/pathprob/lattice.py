@@ -104,8 +104,7 @@ class StepQuantities:
 def validate_path(path: Path, cfg: LatticeConfig) -> None:
     if path.n != cfg.n:
         raise ValueError(f"path has {path.n} steps, lattice expects {cfg.n}")
-    if not (np.isclose(path.z[0], cfg.z_a, rtol=0, atol=1e-9)
-            and np.isclose(path.z[-1], cfg.z_b, rtol=0, atol=1e-9)):
+    if not (abs(path.z[0] - cfg.z_a) <= 1e-9 and abs(path.z[-1] - cfg.z_b) <= 1e-9):
         raise ValueError("path endpoints do not match the lattice config")
 
 

@@ -648,8 +648,8 @@ class TestSchema:
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_invoked_subcommand_parser(self, name, capsys, monkeypatch):
-        # a run declares only its subcommand's arguments; its help, its
-        # arguments and the usage line of its errors are the full parser's
+        # a run adds only its subcommand's parser; its help, its arguments
+        # and the usage line of its errors are the full parser's
         built = []
         monkeypatch.setattr(cli, "_build_parser", lambda *a: built.append(a) or _build_parser(*a))
         def subparsers(parser):
@@ -663,10 +663,7 @@ class TestSchema:
         assert run([name, "--help"]) == 0
         assert capsys.readouterr().out == full[name].format_help()
         assert declared(invoked[name]) == declared(full[name])
-        assert list(invoked) == list(_COMMANDS)
-        for other, sp in invoked.items():
-            if other != name:
-                assert [a.option_strings for a in sp._actions] == [["-h", "--help"]]
+        assert list(invoked) == [name]
         required = {"weight": ["--path", "p.csv"], "scan": ["--kind", "classical"]}
         assert run([name, *required.get(name, []), "--bogus"]) == 1
         err = capsys.readouterr().err
@@ -674,6 +671,52 @@ class TestSchema:
         assert err.endswith("unrecognized arguments: --bogus\n")
         assert built == [(name,), (name,)]
         assert run(["bogus"]) == 1 and built[-1] == (None,)
+
+    def test_fixed_metavar(self):
+        # the subcommand list argparse prints for all of _COMMANDS, so a new
+        # subcommand keeps an invoked parser's usage line in step
+        ap = argparse.ArgumentParser(prog="pathprob")
+        sub = ap.add_subparsers(dest="command", required=True)
+        for name in _COMMANDS:
+            sub.add_parser(name)
+        for name in _COMMANDS:
+            assert _build_parser(name).format_usage() == ap.format_usage()
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_errors_match_full_parser(self, name, capsys, monkeypatch):
+        # a missing required argument, an invalid choice and an unrecognized
+        # flag exit and read as they do under the full parser
+        required = {"weight": ["--path", "p.csv"], "scan": ["--kind", "classical"]}.get(name, [])
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        cases = [[name, *required, "--bogus"], [name, *required, "--out"]]
+        cases += [[name]] if required else []
+        cases += [
+            [name, *required, a.option_strings[-1], "bogus"]
+            for a in sub.choices[name]._actions if a.choices
+        ]
+
+        def outcomes():
+            return [(run(argv), capsys.readouterr().err) for argv in cases]
+
+        invoked = outcomes()
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: _build_parser())
+        assert outcomes() == invoked
+        assert {code for code, _ in invoked} == {1}
+
+    def test_weight_run_builds_two_parsers(self, tmp_path, free_json, monkeypatch):
+        # the top-level parser and weight's, none for the other subcommands
+        cfg = LatticeConfig(0.0, 1.0, 2, 0.05, 0.0, 0.0)
+        path_file = tmp_path / "p.csv"
+        write_path_csv(straight_line(cfg), cfg, path_file)
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__",
+            lambda self, *a, **kw: built.append(self) or init(self, *a, **kw),
+        )
+        code, _ = run_json(["weight", "-c", free_json, "--path", str(path_file)], tmp_path)
+        assert code == 0
+        assert len(built) == 2
 
     def test_readme_config_fields(self):
         # README names each config section's fields, in the reader's order

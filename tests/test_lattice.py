@@ -14,6 +14,7 @@ from pathprob.lattice import (
     read_path_csv,
     second_difference_matrix,
     second_differences,
+    validate_path,
     velocity_changes,
     write_path_csv,
 )
@@ -28,6 +29,15 @@ def cfg_for(z, t_a=0.0, t_b=1.0, gamma=0.1):
     return LatticeConfig(
         t_a=t_a, t_b=t_b, n=len(z) - 1, gamma=gamma, z_a=z[0], z_b=z[-1]
     )
+
+
+# offsets of a path's endpoint from the lattice's, around validate_path's 1e-9
+ENDPOINT_OFFSETS = st.one_of(
+    st.floats(-2e-9, 2e-9),
+    st.sampled_from(
+        [1e-9, -1e-9, *np.nextafter(1e-9, [0.0, 1.0]), *np.nextafter(-1e-9, [0.0, -1.0])]
+    ),
+)
 
 
 class TestConfig:
@@ -73,6 +83,20 @@ class TestSecondDifferences:
         cfg = LatticeConfig(0.0, 1.0, 3, 0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
             second_differences(Path(np.array([0.0, 0.3, 0.6, 0.5])), cfg)
+
+    @given(st.floats(-5, 5), st.floats(-5, 5), ENDPOINT_OFFSETS, ENDPOINT_OFFSETS)
+    @settings(max_examples=200, deadline=None)
+    def test_endpoint_tolerance_is_isclose(self, z_a, z_b, d_a, d_b):
+        # the scalar comparison gives np.isclose(..., rtol=0, atol=1e-9)'s verdict
+        cfg = LatticeConfig(0.0, 1.0, 2, 0.1, z_a, z_b)
+        path = Path(np.array([z_a + d_a, 0.5 * (z_a + z_b), z_b + d_b]))
+        expected = all(np.isclose(path.z[[0, -1]], [z_a, z_b], rtol=0, atol=1e-9))
+        try:
+            validate_path(path, cfg)
+        except ValueError:
+            assert not expected
+        else:
+            assert expected
 
     @given(
         st.lists(st.floats(-5, 5), min_size=4, max_size=12),
