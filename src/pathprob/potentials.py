@@ -148,15 +148,16 @@ class BandLimitReport:
 
     linf_error: float
     rms_error: float
-    peaks: tuple[tuple[float, float], ...] = field(default=())  # (q, amplitude)
 
 
-def band_limit(x_samples, v_samples, R: float, n_q: int | None = None):
+def band_limit(x_samples, v_samples, R: float):
     """Project tabulated samples of a real potential onto ``|q| <= R``.
 
     The sampled potential (mean-subtracted, fixing the zero of energy) is
-    transformed with a trapezoid approximation of the Fourier integral,
-    truncated to ``|q| <= R``, and returned as the lines of
+    transformed with a trapezoid approximation of the Fourier integral on
+    ``max(129, ceil(8 R X / pi) | 1)`` uniform nodes over ``[-R, R]``, ``X``
+    the sample window's half-width, enough to resolve the sinc structure the
+    window sets.  It is returned as the lines of
     :meth:`BandLimitedPotential.from_grid` together with a reconstruction-error
     report.
 
@@ -178,13 +179,7 @@ def band_limit(x_samples, v_samples, R: float, n_q: int | None = None):
 
     v_centered = v - np.mean(v)  # drop the q=0 component
     half_width = 0.5 * (x[-1] - x[0])
-    if n_q is None:
-        # resolve the sinc structure set by the sample window
-        n_q = int(np.ceil(8.0 * R * half_width / np.pi))
-        n_q = max(129, n_q | 1)
-    elif n_q % 2 == 0:
-        n_q += 1
-    q = np.linspace(-R, R, n_q)
+    q = np.linspace(-R, R, max(129, int(np.ceil(8.0 * R * half_width / np.pi)) | 1))
     phase = np.exp(1j * np.multiply.outer(q, x))
     vt = dx * phase @ v_centered
     vt[np.abs(q) < 0.5 * (q[1] - q[0])] = 0.0
@@ -194,17 +189,7 @@ def band_limit(x_samples, v_samples, R: float, n_q: int | None = None):
     err = v_rec - v_centered
     linf = float(np.max(np.abs(err)))
     rms = float(np.sqrt(np.mean(err**2)))
-
-    # dominant spectral peaks, amplitude estimated from the window measure
-    mag = np.abs(vt)
-    peaks = []
-    if mag.max() > 0:
-        thresh = 0.1 * mag.max()
-        for i in range(1, n_q - 1):
-            if q[i] > 0 and mag[i] >= thresh and mag[i] >= mag[i - 1] and mag[i] > mag[i + 1]:
-                peaks.append((float(q[i]), float(mag[i] / half_width)))
-    report = BandLimitReport(linf_error=linf, rms_error=rms, peaks=tuple(peaks))
-    return pot, report
+    return pot, BandLimitReport(linf_error=linf, rms_error=rms)
 
 
 # -- JSON interchange -------------------------------------------------

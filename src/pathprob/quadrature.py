@@ -17,11 +17,12 @@ Three routes are provided:
   each ``|z_i|`` add up to at most the window is certified inside it once,
   and skips the per-point boundary-mass check (see :func:`_tensor_sum`).
 * :func:`amplitude_discrete` evaluates the discretized complex amplitude by
-  nested oscillatory quadrature, for cross-checks of ``|A|^2``.
+  nested oscillatory quadrature, each interior point damped by the step
+  factor's ``exp(-gamma |x|)``, for cross-checks of ``|A|^2``.
 * :func:`probability_product_form` evaluates the squared amplitude written
   as a product of one-dimensional pair-separation integrals, with the
   integrand kept literally identical to the squared amplitude's (same
-  regularizer, half-separation potential difference) so that the two agree
+  damping, half-separation potential difference) so that the two agree
   to quadrature accuracy at any finite n.  Its Bessel coefficients are the
   exponential step factor's, from ``weights._jacobi_anger``.
 
@@ -51,7 +52,7 @@ __all__ = [
 
 MAX_QUADRATURE_N = 6
 MAX_AMPLITUDE_N = 4
-AMPLITUDE_TAIL = 1e-10  # amplitude_discrete's regularizer cut-off
+AMPLITUDE_TAIL = 1e-10  # amplitude_discrete's cut-off of exp(-gamma |x|)
 AMPLITUDE_DENSITY = 6.0  # its nodes per local period, checked against 1.6 times as many
 AMPLITUDE_TOL = 1e-6  # the relative gap it allows between the two
 PRODUCT_POINTS = 1200  # Gauss-Legendre nodes per position in probability_product_form
@@ -278,26 +279,15 @@ def _oscillatory_nodes(u_max: float, eps: float, extra_freq: float, density: flo
     return np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])
 
 
-def _amplitude_value(p, cfg, regularizer, density):
+def _amplitude_value(p, cfg, density):
     n = cfg.n
     eps = cfg.eps
     gamma = cfg.gamma
-    if regularizer == "laplace":
-        u_max = -math.log(AMPLITUDE_TAIL) / gamma
-
-        def reg(x):
-            return np.exp(-gamma * np.abs(x))
-    elif regularizer == "gaussian":
-        u_max = math.sqrt(-math.log(AMPLITUDE_TAIL) / gamma)
-
-        def reg(x):
-            return np.exp(-gamma * x * x)
-    else:
-        raise ValueError(f"unknown regularizer {regularizer!r}")
+    u_max = -math.log(AMPLITUDE_TAIL) / gamma
     extra = sum(abs(ln.a) * ln.q for ln in p.lines) * eps + gamma
     x, w = _oscillatory_nodes(u_max, eps, extra, density)
     v = p.evaluate(x)
-    layer = reg(x) * np.exp(-1j * eps * v)
+    layer = np.exp(-gamma * np.abs(x)) * np.exp(-1j * eps * v)
     psi = np.exp(0.5j * (x - cfg.z_a) ** 2 / eps) * layer
     for _ in range(n - 2):
         new = np.empty_like(psi)
@@ -312,23 +302,20 @@ def _amplitude_value(p, cfg, regularizer, density):
     return complex(pref * amp)
 
 
-def amplitude_discrete(
-    p: BandLimitedPotential,
-    cfg: LatticeConfig,
-    regularizer: str = "gaussian",
-) -> KernelEstimate:
+def amplitude_discrete(p: BandLimitedPotential, cfg: LatticeConfig) -> KernelEstimate:
     """Brute-force discretized transition amplitude at small n.
 
-    Nested oscillatory quadrature over the n-1 intermediate positions with a
-    per-interior-point regularizer ("gaussian" or "laplace").  The result is
-    verified against a refined node set; failing the ``AMPLITUDE_TOL``
-    comparison raises with panel diagnostics.
+    Nested oscillatory quadrature over the n-1 intermediate positions, each
+    damped by the step factor's ``exp(-gamma |x|)``, the damping for which
+    ``|A|^2`` is :func:`probability_product_form`'s integral.
+    The result is verified against a refined node set; failing the
+    ``AMPLITUDE_TOL`` comparison raises with panel diagnostics.
     """
     if cfg.n > MAX_AMPLITUDE_N:
         raise ValueError(f"discrete amplitudes are limited to n <= {MAX_AMPLITUDE_N}")
     density = AMPLITUDE_DENSITY
-    a0 = _amplitude_value(p, cfg, regularizer, density)
-    a1 = _amplitude_value(p, cfg, regularizer, density * 1.6)
+    a0 = _amplitude_value(p, cfg, density)
+    a1 = _amplitude_value(p, cfg, density * 1.6)
     if abs(a1 - a0) > AMPLITUDE_TOL * max(abs(a1), 1e-300):
         raise NonConvergenceError(
             f"oscillatory quadrature not converged: |delta|={abs(a1 - a0):.3g} at node "
@@ -376,9 +363,9 @@ def probability_product_form(
 ) -> float:
     """Squared amplitude as a product of per-step pair-separation integrals.
 
-    Integrand-identical to ``|amplitude_discrete(..., "laplace")|^2`` after
+    Integrand-identical to ``|amplitude_discrete(p, cfg)|^2`` after
     the exact linear change from the two path copies to mean positions and
-    pair separations: same Laplace regularizer (which becomes
+    pair separations: same damping ``exp(-gamma |x|)`` (which becomes
     ``exp(-2 gamma max(|z|, |u|/2))``), potential difference at half the
     pair separation.  ``PRODUCT_POINTS`` Gauss-Legendre nodes per position.
     Single-line potentials only (the separation integral is closed form

@@ -164,7 +164,7 @@ def test_criterion_03_free_particle_value():
 def test_criterion_04_change_of_variables_identity():
     p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
     cfg = LatticeConfig(0.0, 3.0, 3, 1.0, 0.1, -0.2)
-    lhs = amplitude_discrete(p, cfg, regularizer="laplace").modulus_squared
+    lhs = amplitude_discrete(p, cfg).modulus_squared
     rhs = probability_product_form(p, cfg)
     rel = abs(lhs - rhs) / lhs
     ok = rel <= 1e-6

@@ -324,23 +324,9 @@ class TestTensorSum:
 
 
 class TestAmplitude:
-    def test_free_n2(self):
-        cfg = free_cfg(2, 0.02)
-        est = amplitude_discrete(FREE, cfg, regularizer="gaussian")
-        assert est.modulus_squared == pytest.approx(1.0 / TWO_PI, rel=1e-3)
-
-    def test_free_n_independent(self):
-        a2 = amplitude_discrete(FREE, free_cfg(2, 0.05), regularizer="gaussian")
-        a3 = amplitude_discrete(FREE, free_cfg(3, 0.05), regularizer="gaussian")
-        assert a3.modulus_squared == pytest.approx(a2.modulus_squared, rel=1e-3)
-
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
             amplitude_discrete(FREE, free_cfg(5, 0.1))
-
-    def test_unknown_regularizer(self):
-        with pytest.raises(ValueError):
-            amplitude_discrete(FREE, free_cfg(2, 0.1), regularizer="cosine")
 
 
 def assert_pair_integral_matches_series(a, phi, eps, q=1.0, gamma=0.5):
@@ -368,13 +354,13 @@ class TestProductForm:
     def test_identity_n2_weak_line(self):
         p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
         cfg = LatticeConfig(0.0, 2.0, 2, 1.0, 0.1, -0.2)
-        lhs = amplitude_discrete(p, cfg, regularizer="laplace").modulus_squared
+        lhs = amplitude_discrete(p, cfg).modulus_squared
         rhs = probability_product_form(p, cfg)
         assert rhs == pytest.approx(lhs, rel=1e-6)
 
     def test_identity_free_n3(self):
         cfg = LatticeConfig(0.0, 3.0, 3, 1.0, 0.0, 0.3)
-        lhs = amplitude_discrete(FREE, cfg, regularizer="laplace").modulus_squared
+        lhs = amplitude_discrete(FREE, cfg).modulus_squared
         rhs = probability_product_form(FREE, cfg)
         assert rhs == pytest.approx(lhs, rel=1e-5)
 
