@@ -107,8 +107,9 @@ def _pair_into(s, q, g2: float, s2g, d: np.ndarray, u: np.ndarray) -> np.ndarray
 
     Over one denominator, ``4 k s s2g / (((s - k)^2 + g2)((s + k)^2 + g2))``, ``k =
     _shift(q)``: the difference of the two reciprocals would cancel at small ``|s|``.  A square
-    past about 1e154 overflows to inf and ``D`` to its limit 0; where ``|s|`` and ``k`` both
-    pass about 1e77 the numerator overflows too and ``D`` is inf or nan.
+    past about 1e154 overflows to inf and ``D`` to its limit 0; where the numerator overflows
+    too (``|s|`` past about 3.5e102 at ``k = 1``, or ``|s|`` and ``k`` both past about 1e77)
+    ``D`` is inf or nan, and :func:`lorentzian_pair` mends the nan.
     """
     k = _shift(q)
     np.add(s, k, out=d)
@@ -126,11 +127,21 @@ def _pair_into(s, q, g2: float, s2g, d: np.ndarray, u: np.ndarray) -> np.ndarray
 
 def lorentzian_pair(s, q, gamma):
     """``D(s, q)``: difference of Lorentzians shifted by ``_shift(q)``, scaled by s^2 + gamma^2
-    (:func:`_pair_into`)."""
+    (:func:`_pair_into`).  ``D`` is homogeneous of degree 0 in ``(s, k, gamma)``, so where
+    :func:`_pair_into` gives nan it is taken at ``(s, k, gamma) / max(|s|, k)``, whose
+    products do not overflow; an inf stays."""
     s = np.asarray(s, dtype=float)
     shape = np.broadcast_shapes(s.shape, np.shape(q))
     g2 = gamma * gamma
-    d = _pair_into(s, q, g2, s * s + g2, np.empty(shape), np.empty(shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _pair_into(s, q, g2, s * s + g2, np.empty(shape), np.empty(shape))
+    lost = np.isnan(d)
+    if lost.any():
+        s, q = (np.broadcast_to(v, shape)[lost] for v in (s, q))
+        c = np.maximum(np.abs(s), _shift(q))  # _shift is linear: _shift(q / c) = k / c
+        s, g2 = s / c, (gamma / c) ** 2
+        with np.errstate(divide="ignore"):  # (gamma / c)^2 is 0 and s = k: D's limit inf
+            d[lost] = _pair_into(s, q / c, g2, s * s + g2, np.empty(s.shape), np.empty(s.shape))
     return d if d.ndim else d[()]
 
 
@@ -200,14 +211,22 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
 
 def step_m(p: BandLimitedPotential, z, s, gamma: float):
     """Nonlocal kernel M(z, s).  Accepts scalar or array z, s (broadcast); a
-    non-finite ``z`` or ``s`` raises ValueError."""
+    non-finite ``z`` or ``s`` raises ValueError.  Where :func:`_add_m` gives
+    nan, ``M`` is summed again from :func:`lorentzian_pair`'s terms, which
+    mend ``D``'s nan past overflow; a nan from elsewhere warns there."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
     if not (np.isfinite(z).all() and np.isfinite(s).all()):
         raise ValueError("step factors need finite z and s")
-    out = _add_m(p, z, s, gamma, np.zeros(np.broadcast(z, s).shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # D's inf / inf, summed again below
+        out = _add_m(p, z, s, gamma, np.zeros(np.broadcast(z, s).shape))
+    lost = np.isnan(out)
+    if lost.any():
+        z, s = (np.broadcast_to(v, out.shape)[lost] for v in (z, s))
+        q, a, phi = (v[:, None] for v in p.line_arrays)
+        out[lost] = -np.sum(a * np.sin(q * z + phi) * lorentzian_pair(s, q, gamma), axis=0)
     return out if out.ndim else float(out)
 
 
@@ -551,7 +570,7 @@ def negative_step_witness(p: BandLimitedPotential, gamma: float):
     _, s_star = _sup_lorentzian_pair(q, gamma)
     z_star = (-np.copysign(0.5 * np.pi, a) - phi) / q
     offsets = np.linspace(-1.0, 1.0, 41)
-    with np.errstate(invalid="ignore"):  # D's inf / inf
+    with np.errstate(invalid="ignore"):  # 0 inf, a zero sin times D's inf
         k = int(np.argmax(step_m(p, z_star, s_star, gamma)))
         zg = z_star[k] + offsets[:, None] * (0.5 * np.pi / p.R)
         sg = s_star[k] + offsets[None, :] * gamma

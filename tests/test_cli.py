@@ -238,6 +238,18 @@ class TestWeight:
         assert capsys.readouterr().err == ""
 
 
+    def test_step_past_numerator_overflow(self, tmp_path, capsys, cosine_json):
+        # z_2 = 1e110 puts |s| near 1e111, where D's numerator and denominator both overflow:
+        # M was nan and the run exited 2 with "non-finite step factor Q"
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
+        path_file = tmp_path / "p.csv"
+        write_path_csv(make_path(cfg, np.array([0.1, 1e110, 0.1])), cfg, path_file)
+        assert run(["weight", "-c", cosine_json, "--path", str(path_file)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert math.isfinite(json.loads(captured.out)["W"])
+
+
 class TestOtherCommands:
     def test_oracle_free(self, free_json, tmp_path):
         code, payload = run_json(["oracle", "-c", free_json], tmp_path)
