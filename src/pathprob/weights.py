@@ -259,7 +259,7 @@ class CertifiedSup(NamedTuple):
 def _sup_lorentzian_pair(q, gamma: float):
     """``(sup_s D(s, q), s*)`` at each of an array of ``q > 0``.
 
-    D is odd in s and peaks at ``s* = gamma sqrt(v)``, where ``v`` is the one
+    D is odd in s and is largest at ``s* = gamma sqrt(v)``, where ``v`` is the one
     positive root of ``v^3 + (1 + 2r^2) v^2 - (3(1 + r^2)^2 - 2(1 - r^2)) v -
     (1 + r^2)^2``, ``r = _shift(q) / gamma``: the condition ``dD/ds = 0`` in ``u =
     s^2 = gamma^2 v``.  Its other two roots are negative and all three are
