@@ -237,10 +237,9 @@ class TestWeight:
         assert run(argv) == 0
         assert capsys.readouterr().err == ""
 
-
     def test_step_past_numerator_overflow(self, tmp_path, capsys, cosine_json):
-        # z_2 = 1e110 puts |s| near 1e111, where D's numerator and denominator both overflow:
-        # M was nan and the run exited 2 with "non-finite step factor Q"
+        # z_2 = 1e110 puts |s| near 1e111, where D's numerator and denominator both overflow;
+        # M and Q stay finite, so the run does not stop on "non-finite step factor Q"
         cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
         path_file = tmp_path / "p.csv"
         write_path_csv(make_path(cfg, np.array([0.1, 1e110, 0.1])), cfg, path_file)

@@ -212,13 +212,13 @@ class TestStepM:
 
     @pytest.mark.parametrize("s", [1e110, -1e110, 1e200, 1e300])
     def test_past_numerator_overflow(self, s):
-        # from |s| about 3.5e102 at k = 1 D's numerator and denominator both overflow (inf /
-        # inf was nan); D, homogeneous of degree 0, is then taken at (s, k, gamma) / |s|
+        # from |s| about 3.5e102 at k = 1 D's numerator and denominator both overflow, and
+        # D, homogeneous of degree 0, is taken at (s, k, gamma) / |s|
         assert step_m(COSINE, 0.3, s, 0.1) == pytest.approx(-math.sin(0.3) * 4.0 / s, rel=1e-12)
 
     def test_lorentzian_pair_keeps_inf(self):
-        # D(k, k) ~ (k / gamma)^2 overflows: inf at k = 1e100 as before, and past 1e154,
-        # where inf / inf was nan, its limit +-inf
+        # D(k, k) ~ (k / gamma)^2 overflows to its limit +-inf, also past k = 1e154, where
+        # the products of _pair_into's one-denominator form both overflow
         assert lorentzian_pair(1e100, 1e100, 1.0) == math.inf
         assert lorentzian_pair(1e160, 1e160, 1.0) == math.inf
         assert lorentzian_pair(-1e160, 1e160, 1.0) == -math.inf
