@@ -9,20 +9,20 @@ against these numbers.
 
 ``propagate`` is exact in time: for ``V = 0`` it applies one kinetic factor
 ``exp(-i T k^2/2)``, otherwise the Chebyshev expansion of ``exp(-iHT)``
-(Tal-Ezer and Kosloff 1984), whose dropped terms are bounded by
-``CHEB_TOL`` of the norm; its Bessel coefficients come from Miller's
-backward recurrence (Gautschi 1967).  There is no time step to choose.
-The grid ``H`` is real, so the recurrence runs on the real and imaginary
-parts as real rows, and its terms enter the sums a block of ``CHEB_BLOCK``
-at a time, as one matrix product.  It is also symmetric, so a kernel
-propagates one row, the read-out at ``z_b``, for all its sources.  One
-recurrence serves several durations: ``ck_check`` reads both legs and the
-direct amplitude or kernel from one pass.  Default grids have an 11-smooth
-length, which numpy's FFT factors into its fastest radices.  ``_bessel_orders``
-is the library's one Bessel truncation rule (no scipy), for the Chebyshev
-coefficients and, through ``weights._jacobi_anger``, the exponential step factor
-and the product form.  From the package this module imports only
-``potentials`` and ``results``, so no path-weight route reaches it.
+(Tal-Ezer and Kosloff 1984), whose dropped terms are bounded by ``CHEB_TOL``
+of the norm; its Bessel coefficients come from Miller's backward recurrence
+(Gautschi 1967).  There is no time step to choose.  The grid ``H`` is real,
+so the recurrence runs on the real and imaginary parts as real rows; each
+row stops at its own longest duration's last term, and its terms enter its
+sums ``CHEB_BLOCK`` at a time.  ``H`` is symmetric, so a kernel propagates
+one row, the read-out at ``z_b``, for all sources, and ``ck_check`` gets
+both legs and the direct amplitude or kernel from one recurrence.  Default
+grids have an 11-smooth length, which numpy's FFT factors into its fastest
+radices.  ``_bessel_orders`` is the library's one Bessel truncation rule (no
+scipy), for the Chebyshev coefficients and, through
+``weights._jacobi_anger``, the exponential step factor and the product form.
+From the package this module imports only ``potentials`` and ``results``, so
+no path-weight route reaches it.
 """
 
 from __future__ import annotations
@@ -160,86 +160,86 @@ def _chebyshev_coefficients(a: float) -> np.ndarray:
     return coeff
 
 
-CHEB_BLOCK = 64  # recurrence terms held at once; a block enters the sums as one matrix product
+CHEB_BLOCK = 64  # recurrence terms held at once; a block enters a row's sums as one matrix product
 
 
-def _chebyshev_propagate(psi, kinetic, v, durations):
-    """``exp(-i H T) psi`` for each ``T`` in ``durations``, from one Chebyshev recurrence.
+def _chebyshev_propagate(rows, kinetic, v, durations):
+    """``exp(-i H T) rows[i]`` for each ``T`` in ``durations[i]``, from one Chebyshev recurrence.
 
-    ``H = irfft(kinetic * rfft(.)) + v``, with ``kinetic`` on the ``rfft``
-    wavenumbers.  The spectrum of the grid ``H`` lies in
-    ``[min v, max kinetic + max v]`` (Weyl's inequality: both terms are
-    Hermitian, the kinetic one with eigenvalues ``kinetic`` and the potential
-    one diagonal), so ``Ht = (H - c) / r`` with that interval's centre ``c``
-    and half-width ``r`` has its spectrum in ``[-1, 1]``.  The terms
-    ``T_k(Ht) psi`` run by the three-term recurrence
+    ``H = irfft(kinetic * rfft(.)) + v``, with ``kinetic`` on the ``rfft`` wavenumbers.  The
+    spectrum of the grid ``H`` lies in ``[min v, max kinetic + max v]`` (Weyl's inequality: both
+    terms are Hermitian, the kinetic one with eigenvalues ``kinetic`` and the potential one
+    diagonal), so ``Ht = (H - c) / r`` with that interval's centre ``c`` and half-width ``r`` has
+    its spectrum in ``[-1, 1]``.  The terms ``T_k(Ht) psi`` run by the three-term recurrence
     ``T_{k+1} = 2 Ht T_k - T_{k-1}``.
 
-    ``H`` is real (``k^2/2`` is even in ``k`` and ``v`` is real), so the
-    recurrence runs on real rows: the real part of ``psi`` and, when it is
-    nonzero, the imaginary part.  The longest duration's terms contain
-    every shorter one's series, so one recurrence serves all durations:
-    each keeps its own coefficients from ``_chebyshev_coefficients``,
-    zero-padded to the longest.  The terms are held ``CHEB_BLOCK`` at a time
-    and each block enters the sums as one real matrix product with the
-    block's coefficients.  Returns shape ``(len(durations),) + psi.shape``.
+    ``H`` is real (``k^2/2`` is even in ``k`` and ``v`` is real), so the recurrence runs on real
+    rows: each row's real part and, when it is nonzero, its imaginary part.  A real row takes the
+    terms of its row's longest duration, which hold the shorter ones' series, each with its own
+    coefficients from ``_chebyshev_coefficients``.  The real rows run longest first, so those
+    still running are a leading slice of the buffers.  The terms are held ``CHEB_BLOCK`` at a
+    time, and a block enters each real row's sums as one matrix product over the terms that row
+    computed.  Returns row ``i``'s results as shape ``(len(durations[i]), n)``.
     """
     e_min, e_max = float(np.min(v)), float(np.max(kinetic) + np.max(v))
     c, r = 0.5 * (e_max + e_min), 0.5 * (e_max - e_min)
-    series = [_chebyshev_coefficients(r * t) * np.exp(-1j * c * t) for t in durations]
-    n_terms = max(cf.size for cf in series)
-    coeff = np.array([np.pad(cf, (0, n_terms - cf.size)) for cf in series])
-    weights = np.concatenate([coeff.real, coeff.imag])  # (2D, n_terms)
+    cf = {t: _chebyshev_coefficients(r * t) * np.exp(-1j * c * t) for t in set().union(*durations)}
     kin2, v2 = 2.0 * kinetic / r, 2.0 * (v - c) / r
 
-    n = psi.shape[-1]
-    flat = psi.reshape(-1, n)
-    parts = [flat.real, flat.imag] if np.any(flat.imag) else [flat.real]
-    block = min(CHEB_BLOCK, n_terms)
-    terms = np.empty((block, len(parts) * flat.shape[0], n))
-    sums = np.zeros((weights.shape[0], terms[0].size))
-    spec = np.empty(terms.shape[1:-1] + (kin2.size,), dtype=complex)
-    pot = np.empty(terms.shape[1:])
+    parts = []  # (row, real then imaginary coefficients zero-padded to its longest, real row)
+    for i, (row, ts) in enumerate(zip(rows, durations)):
+        coeff = np.array([np.pad(cf[t], (0, max(cf[u].size for u in ts) - cf[t].size)) for t in ts])
+        parts.append((i, np.concatenate([coeff.real, coeff.imag]), row.real))
+        if np.any(row.imag):  # psi = a + i b, and i coeff = -coeff.imag + i coeff.real
+            parts.append((i, np.concatenate([-coeff.imag, coeff.real]), row.imag))
+    parts.sort(key=lambda part: -part[1].shape[1])
+    counts = [w.shape[1] for _, w, _ in parts]
+    live = np.searchsorted(-np.array(counts), -np.arange(counts[0])).tolist()  # counts > k
+    n, block = rows.shape[-1], min(CHEB_BLOCK, counts[0])
+    terms = np.empty((block, len(parts), n))
+    sums = [np.zeros((2 * len(ts), n)) for ts in durations]
+    spec, pot = np.empty((len(parts), kinetic.size), complex), np.empty((len(parts), n))
 
-    def two_ht(src, dst):  # dst = 2 Ht src
-        np.fft.irfft(np.multiply(kin2, np.fft.rfft(src, out=spec), out=spec), n, out=dst)
-        dst += np.multiply(v2, src, out=pot)
+    def two_ht(src, dst):  # dst = 2 Ht src, on the leading len(src) rows
+        f = spec[: len(src)]
+        np.fft.irfft(np.multiply(kin2, np.fft.rfft(src, out=f), out=f), n, out=dst)
+        dst += np.multiply(v2, src, out=pot[: len(src)])
 
-    np.concatenate(parts, out=terms[0])
+    def add_block(k0):  # the terms from k0 in the block, as far as each real row computed them
+        for q, (i, w, _) in enumerate(parts[: live[k0]]):
+            m = min(block, counts[q] - k0)
+            sums[i] += w[:, k0 : k0 + m] @ terms[:m, q]
+
+    terms[0] = [part for _, _, part in parts]
     two_ht(terms[0], terms[1])
     terms[1] *= 0.5
-    for k in range(2, n_terms):
+    for k in range(2, counts[0]):
         j = k % block
         if j == 0:
-            sums += weights[:, k - block : k] @ terms.reshape(block, -1)
-        two_ht(terms[j - 1], terms[j])
-        terms[j] -= terms[j - 2]
-    k0 = (n_terms - 1) // block * block
-    sums += weights[:, k0:n_terms] @ terms[: n_terms - k0].reshape(n_terms - k0, -1)
-
-    re, im = sums.reshape((2, len(series), len(parts)) + flat.shape)
-    out = re[:, 0] + 1j * im[:, 0]
-    if len(parts) == 2:  # psi = a + i b: (R_a + i I_a) + i (R_b + i I_b)
-        out += 1j * re[:, 1] - im[:, 1]
-    return out.reshape((len(series),) + psi.shape)
+            add_block(k - block)
+        two_ht(terms[j - 1, : live[k]], terms[j, : live[k]])
+        terms[j, : live[k]] -= terms[j - 2, : live[k]]
+    add_block((counts[0] - 1) // block * block)
+    return [re + 1j * im for re, im in (s.reshape(2, -1, n) for s in sums)]
 
 
-def _propagate_rows(psi0: WavefunctionGrid, p: BandLimitedPotential, durations) -> np.ndarray:
-    """``exp(-i H T)`` applied to every row of ``psi0`` for each positive ``T`` in ``durations``.
+def _propagate_rows(psi0: WavefunctionGrid, p: BandLimitedPotential, durations) -> list:
+    """``exp(-i H T)`` on row ``i`` of ``psi0.psi`` (as 2D), for each ``T`` in ``durations[i]``.
 
-    Returns shape ``(len(durations),) + psi0.psi.shape``.  One kinetic factor
-    per duration for ``V = 0``, else one Chebyshev recurrence for all
-    durations.  The grid must resolve the potential band, ``dx R <= 0.5``.
+    Row ``i``'s results have shape ``(len(durations[i]), n)``.  One kinetic
+    factor per duration for ``V = 0``, else one Chebyshev recurrence.  The
+    grid must resolve the potential band, ``dx R <= 0.5``.
     """
     x, dx = psi0.x, psi0.dx
     if p.R > 0 and dx * p.R > 0.5:
         raise ValueError(f"grid too coarse for the potential band: dx*R = {dx * p.R:.3g} > 0.5")
+    rows = psi0.psi.reshape(-1, x.size)
     if p.is_zero:
         k = TWO_PI * np.fft.fftfreq(x.size, d=dx)
-        spec = np.fft.fft(psi0.psi)
-        return np.stack([np.fft.ifft(np.exp(-0.5j * t * k**2) * spec) for t in durations])
+        phases = (np.exp(-0.5j * np.multiply.outer(ts, k**2)) for ts in durations)
+        return [np.fft.ifft(ph * spec) for ph, spec in zip(phases, np.fft.fft(rows))]
     k = TWO_PI * np.fft.rfftfreq(x.size, d=dx)
-    return _chebyshev_propagate(psi0.psi, 0.5 * k**2, p.evaluate(x), durations)
+    return _chebyshev_propagate(rows, 0.5 * k**2, p.evaluate(x), durations)
 
 
 def _check_args(z_a: float, z_b: float, duration: float) -> None:
@@ -260,9 +260,10 @@ def propagate(psi0: WavefunctionGrid, p: BandLimitedPotential, duration: float) 
     """
     if not 0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    if duration == 0.0:
+    if duration == 0.0 or psi0.psi.size == 0:
         return psi0
-    return WavefunctionGrid(x=psi0.x, psi=_propagate_rows(psi0, p, (duration,))[0])
+    rows = _propagate_rows(psi0, p, [(duration,)] * (psi0.psi.size // psi0.x.size))
+    return WavefunctionGrid(x=psi0.x, psi=np.reshape(rows, psi0.psi.shape))
 
 
 def free_kernel_exact(z_a: float, z_b: float, duration: float) -> KernelEstimate:
@@ -457,10 +458,12 @@ def ck_check(
     ``mode="amplitude"`` composes complex kernels (expected to close, the
     control case); ``mode="probability"`` composes squared moduli, the
     quantity that fails for this process.  Both legs start from sources of
-    width ``CK_SOURCE_SIGMA``.  One pass, exact in time, propagates them (and
-    in probability mode ``kernel_estimate``'s read-out at ``z_b``) to
-    ``t_c - t_a``, ``t_b - t_c`` and ``t_b - t_a``.  The intermediate
-    integral runs over ``|z_c| <= half_width - 4`` (reported as ``window``);
+    width ``CK_SOURCE_SIGMA``.  One pass, exact in time, propagates each row to
+    its own durations: the source at ``z_a`` to ``t_c - t_a`` (amplitude mode:
+    also ``t_b - t_a``), the one at ``z_b`` to ``t_b - t_c`` (the kernel is
+    symmetric) and in probability mode ``kernel_estimate``'s read-out at
+    ``z_b`` to ``t_b - t_a``.  The intermediate integral runs over
+    ``|z_c| <= half_width - 4`` (reported as ``window``);
     a widened window probes convergence, and a diverging probability
     integral is reported with ``converged=False`` rather than raised.  Non-finite
     endpoints or times, a ``half_width`` at or below ``max(|z_a|, |z_b|) + 4``,
@@ -472,27 +475,24 @@ def ck_check(
     if not -math.inf < t_a < t_c < t_b < math.inf:
         raise ValueError(f"need finite t_a < t_c < t_b, got {t_a}, {t_c}, {t_b}")
     _check_args(z_a, z_b, t_b - t_a)
-    t1 = t_c - t_a
-    t2 = t_b - t_c
+    t1, t2 = t_c - t_a, t_b - t_c
     if half_width is None:
         half_width = max(abs(z_a), abs(z_b)) + 10.0 + 5.0 * math.sqrt(t_b - t_a)
     _check_half_width(half_width, z_a, z_b)
     x, dx = _grid(half_width, n_points)
     window = half_width - 4.0
 
-    # forward leg from z_a and (time-symmetric kernel) leg from z_b; the
-    # probability mode adds the direct kernel's read-out at z_b
     src_a, src_b = (_smeared_free_kernel(x, z, 0.0, CK_SOURCE_SIGMA) for z in (z_a, z_b))
-    rows = [src_a, src_b]
+    rows, durations = [src_a, src_b], ((t1, t_b - t_a), (t2,))
     if mode == "probability":
         _check_resolvable(half_width, x)
-        rows.append(_readout(x, z_b))
-    out = _propagate_rows(WavefunctionGrid(x=x, psi=rows), p, (t1, t2, t_b - t_a))
-    leg_a, leg_b = out[0, 0], out[1, 1]
+        rows, durations = rows + [_readout(x, z_b)], ((t1,), (t2,), (t_b - t_a,))
+    out = _propagate_rows(WavefunctionGrid(x=x, psi=rows), p, durations)
+    leg_a, leg_b = out[0][0], out[1][0]
 
     if mode == "amplitude":
         lhs = complex(np.sum(leg_a * leg_b) * dx)
-        rhs = complex(np.sum(out[2, 0] * src_b) * dx)
+        rhs = complex(np.sum(out[0][1] * src_b) * dx)
         residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         return CKResult(lhs, rhs, residual, mode, True, window)
 
@@ -501,7 +501,7 @@ def ck_check(
         for z, t in ((z_a, t1), (z_b, t2))
     )
     integrand = np.abs(leg_a * corr_a) ** 2 * np.abs(leg_b * corr_b) ** 2
-    rhs = _kernel_from_readout(out[2, 2], x, z_a, z_b, t_b - t_a).modulus_squared
+    rhs = _kernel_from_readout(out[2][0], x, z_a, z_b, t_b - t_a).modulus_squared
 
     def lhs_over(wdw):
         mask = np.abs(x) <= wdw

@@ -559,9 +559,9 @@ def negative_step_witness(p: BandLimitedPotential, gamma: float):
 
     Used to construct paths whose weight turns negative once eps exceeds the
     strict threshold.  Line k's term ``-a_k sin(q_k z + phi_k) D(s, q_k)``
-    reaches ``+|a_k| D(s*_k, q_k)`` at its maximizer ``s*_k`` and at ``z*_k``
-    with ``sin(q_k z*_k + phi_k) = -sign a_k``.  Of these points the one with
-    the largest M is refined on a 41 x 41 grid around it.  Raises ValueError
+    reaches ``+|a_k| D(s*_k, q_k)`` at its maximizer ``s*_k`` and at ``z*_k`` with
+    ``sin(q_k z*_k + phi_k) = -sign a_k``.  The one with the largest M is refined on a
+    41 x 41 grid around it, whose largest M but nan (``0 inf``) is the witness; ValueError
     where that M is not finite (``D(s*, q)`` overflows from ``q`` about 1e77).
     """
     if not p.lines:
@@ -575,7 +575,7 @@ def negative_step_witness(p: BandLimitedPotential, gamma: float):
         zg = z_star[k] + offsets[:, None] * (0.5 * np.pi / p.R)
         sg = s_star[k] + offsets[None, :] * gamma
         mm = step_m(p, zg, sg, gamma)
-    i, j = np.unravel_index(np.argmax(mm), mm.shape)
+    i, j = np.unravel_index(np.argmax(np.where(np.isnan(mm), -np.inf, mm)), mm.shape)
     if not math.isfinite(mm[i, j]):
         raise ValueError(f"no witness in double precision: M is {mm[i, j]} at s = {sg[0, j]:.4g}")
     return float(zg[i, 0]), float(sg[0, j]), float(mm[i, j])

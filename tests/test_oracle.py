@@ -217,40 +217,71 @@ class TestExactPropagation:
                 st.floats(-3.0, 3.0),
                 st.floats(0.3, 1.5),
                 st.just(0.0) | st.floats(-2.0, 2.0),  # real and complex rows
+                st.lists(
+                    st.sampled_from([2, 20, 63, oracle.CHEB_BLOCK, 65, 2 * oracle.CHEB_BLOCK])
+                    | st.integers(2, 400),
+                    min_size=1,
+                    max_size=4,
+                ),
             ),
             min_size=1,
             max_size=3,
         ),
-        st.lists(
-            st.sampled_from([2, 20, 63, oracle.CHEB_BLOCK, 65, 2 * oracle.CHEB_BLOCK])
-            | st.integers(2, 400),
-            min_size=1,
-            max_size=4,
-        ),
     )
-    @example([(1.0, 0.5, 0.3)], [(0.0, 1.0, 0.0), (0.5, 0.7, 1.0)], [20, 64, 65, 300])
-    @example([], [(0.0, 1.0, 0.0), (0.5, 0.7, 1.0)], [20, 300])
+    @example(
+        [(1.0, 0.5, 0.3)],
+        [(0.0, 1.0, 0.0, [20, 64, 65, 300]), (0.5, 0.7, 1.0, [20, 64, 65, 300])],
+    )
+    @example([], [(0.0, 1.0, 0.0, [20, 300]), (0.5, 0.7, 1.0, [20, 300])])
+    # a complex row longest, between and shortest: its imaginary part's
+    # terms stop with its real part's, inside a block and at its edge
+    @example(
+        [(1.0, 0.5, 0.3)],
+        [(0.0, 1.0, 0.0, [20]), (0.5, 0.7, 1.0, [300, 2]), (-1.0, 0.8, 0.0, [65, 64])],
+    )
+    @example([(1.0, 0.5, 0.3)], [(0.5, 0.7, 1.0, [63]), (0.0, 1.0, 0.0, [128, 2])])
+    @example(
+        [(1.0, 0.5, 0.3)],
+        [(0.0, 1.0, 0.0, [300]), (0.5, 0.7, 1.0, [129]), (1.0, 0.6, 0.0, [64])],
+    )
     @settings(max_examples=30, deadline=None)
-    def test_one_pass_matches_separate_calls(self, specs, packets, counts):
-        # each duration's Chebyshev series has the drawn term count, below,
-        # at and well above one block of CHEB_BLOCK terms
+    def test_one_pass_matches_separate_calls(self, specs, packets):
+        # each row has its own durations, whose Chebyshev series have the
+        # drawn term counts, below, at and well above one block of CHEB_BLOCK
+        # terms, so the rows stop at different terms
         p = BandLimitedPotential.from_lines([SpectralLine(q, a, phi) for q, a, phi in specs])
         x = make_grid(8.0, 128)
-        rows = [gaussian_packet(x, c, s, momentum=k).psi for c, s, k in packets]
+        rows = [gaussian_packet(x, c, s, momentum=k).psi for c, s, k, _ in packets]
         w = WavefunctionGrid(x=x, psi=rows)
         v = p.evaluate(x)
         kinetic_max = 0.5 * (math.pi / w.dx) ** 2
         r = 0.5 * (kinetic_max + float(np.max(v)) - float(np.min(v)))
-        durations = [terms_at(n) / r for n in counts]
+        durations = [[terms_at(n) / r for n in counts] for *_, counts in packets]
         if not p.is_zero:
-            for n, t in zip(counts, durations):
-                assert oracle._chebyshev_coefficients(r * t).size == n
+            for (*_, counts), ts in zip(packets, durations):
+                assert [oracle._chebyshev_coefficients(r * t).size for t in ts] == counts
         out = oracle._propagate_rows(w, p, durations)
-        assert out.shape == (len(durations),) + w.psi.shape
-        for got, t in zip(out, durations):
-            for row, got_row in zip(rows, got):
+        assert len(out) == len(rows)
+        for row, got, ts in zip(rows, out, durations):
+            assert got.shape == (len(ts), x.size)
+            for got_t, t in zip(got, ts):
                 alone = propagate(WavefunctionGrid(x=x, psi=row), p, t).psi
-                assert rel_l2(got_row, alone) <= 1e-13
+                assert rel_l2(got_t, alone) <= 1e-13
+
+    @pytest.mark.parametrize("p", [FREE, LINE])
+    def test_stack_keeps_its_shape(self, p):
+        # a (2, 2, n) stack of real and complex rows, each propagated alone, and an empty stack
+        x = make_grid(8.0, 128)
+        packets = [[(-1.0, 0.8, 0.0), (0.5, 0.6, 1.0)], [(1.0, 1.0, -0.7), (0.0, 0.5, 0.0)]]
+        stack = [[gaussian_packet(x, *pk).psi for pk in pair] for pair in packets]
+        w = WavefunctionGrid(x=x, psi=stack)
+        out = propagate(w, p, 0.3)
+        assert out.psi.shape == (2, 2, x.size)
+        for i, j in np.ndindex(2, 2):
+            alone = propagate(WavefunctionGrid(x=x, psi=w.psi[i, j]), p, 0.3).psi
+            assert rel_l2(out.psi[i, j], alone) <= 1e-13
+        empty = WavefunctionGrid(x=x, psi=np.empty((0, x.size)))
+        assert propagate(empty, p, 0.3).psi.shape == (0, x.size)
 
     def test_free_dispersed_gaussian(self):
         x = make_grid(20.0, 1024)
@@ -358,7 +389,9 @@ class TestReciprocity:
         # the grid resolves every drawn band: dx = 16/n <= 0.25, R <= 2
         x = make_grid(8.0, n)
         g, w = np.random.default_rng(seed).standard_normal((2, n))
-        ug, uw = (oracle._propagate_rows(WavefunctionGrid(x=x, psi=r), p, durations) for r in (g, w))
+        ug, uw = (
+            oracle._propagate_rows(WavefunctionGrid(x=x, psi=r), p, [durations])[0] for r in (g, w)
+        )
         tol = 1e-12 * np.linalg.norm(w) * np.linalg.norm(g)
         for d in range(len(durations)):
             assert abs(w @ ug[d] - g @ uw[d]) <= tol
@@ -558,16 +591,18 @@ class TestCompositionCheck:
         assert res.residual > 0.05
 
     def test_one_propagation_pass_per_mode(self, monkeypatch):
-        # rows [src_a, src_b] at (t1, t2, T); the probability mode adds the
-        # direct kernel's read-out at z_b
+        # rows [src_a, src_b], each to its own durations: the amplitude mode
+        # takes src_a also to T, the probability mode adds the direct kernel's
+        # read-out at z_b, to T
         calls = counting(monkeypatch, "_propagate_rows")
-        for mode, n_rows in (("amplitude", 2), ("probability", 3)):
+        per_row = {"amplitude": ((0.6, 1.0), (0.4,)), "probability": ((0.6,), (0.4,), (1.0,))}
+        for mode, expected in per_row.items():
             calls.clear()
             ck_check(FREE, -0.2, 0.0, 0.6, 0.4, 1.0, mode=mode, half_width=12.7, n_points=512)
             assert len(calls) == 1
             psi0, _, durations = calls[0]
-            assert psi0.psi.shape == (n_rows, 512)
-            assert durations == pytest.approx((0.6, 0.4, 1.0))
+            assert psi0.psi.shape == (len(expected), 512)
+            assert [tuple(ts) for ts in durations] == [pytest.approx(ts) for ts in expected]
 
     def test_unknown_mode_rejected_before_propagating(self, monkeypatch):
         calls = counting(monkeypatch, "_propagate_rows")

@@ -444,6 +444,14 @@ class TestBounds:
         _, s_star = _sup_lorentzian_pair(np.array([r * gamma]), gamma)
         assert s_star[0] == r * gamma
 
+    # the refining grid's edge row has sin(q z + phi) = 0 to rounding, where M is 0 inf = nan,
+    # and M is +inf over the rest of the grid: the message names that inf
+    @pytest.mark.parametrize("q", [1e77, 1e100])
+    def test_witness_past_overflow_names_inf(self, q):
+        p = BandLimitedPotential.single_line(a=1.0, q=q)
+        with pytest.raises(ValueError, match=r"no witness in double precision: M is inf at s = "):
+            negative_step_witness(p, 1.0)
+
     def test_sup_drops_zero_amplitude_line_past_overflow(self):
         # its supremum overflows to inf, and 0 inf is nan
         p = BandLimitedPotential.from_lines([(1e160, 0.0, 0.0), (1.0, 1.0, 0.0)])
