@@ -268,7 +268,7 @@ class TestExactPropagation:
                 alone = propagate(WavefunctionGrid(x=x, psi=row), p, t).psi
                 assert rel_l2(got_t, alone) <= 1e-13
 
-    @pytest.mark.parametrize("p", [FREE, LINE])
+    @pytest.mark.parametrize("p", [FREE, LINE], ids=["free", "line"])
     def test_stack_keeps_its_shape(self, p):
         # a (2, 2, n) stack of real and complex rows, each propagated alone, and an empty stack
         x = make_grid(8.0, 128)
