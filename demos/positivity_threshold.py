@@ -25,9 +25,10 @@ from pathprob.weights import (
 def main():
     p = BandLimitedPotential.single_line(a=1.0, q=1.0)
     gamma = 0.1
-    lam_paper, lam_strict = positivity_threshold(p, gamma)
+    thr = positivity_threshold(p, gamma)
+    lam_strict = thr.lambda_strict
     print(f"potential: cosine, a=1, q=1;  gamma = {gamma}")
-    print(f"leading-order threshold : {lam_paper:.6f}")
+    print(f"leading-order threshold : {thr.lambda_paper:.6f}")
     print(f"certified threshold     : {lam_strict:.6f}")
 
     n = 6

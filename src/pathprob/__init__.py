@@ -2,11 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .lattice import LatticeConfig, Path, StepQuantities, second_differences
+from .lattice import LatticeConfig, Path, second_differences
 from .potentials import BandLimitedPotential, SpectralLine, band_limit
 from .weights import (  # noqa: I001
 
-    WeightEvaluation,
     m_bound,
     m_sup_certified,
     path_weight,
@@ -15,13 +14,15 @@ from .weights import (  # noqa: I001
     step_q_exponential,
     step_q_linear,
 )
-from .results import TransitionEstimate
+from .results import PositivityResult, TransitionEstimate, WeightResult
 from .quadrature import extrapolate_gamma, transition_probability_quadrature
 from .montecarlo import SamplerConfig, estimate_transition_mc
 from .oracle import free_kernel_exact, kernel_estimate, propagate
 
 __all__ = [
     "TransitionEstimate",
+    "WeightResult",
+    "PositivityResult",
     "transition_probability_quadrature",
     "extrapolate_gamma",
     "SamplerConfig",
@@ -35,9 +36,7 @@ __all__ = [
     "band_limit",
     "LatticeConfig",
     "Path",
-    "StepQuantities",
     "second_differences",
-    "WeightEvaluation",
     "step_m",
     "m_bound",
     "m_sup_certified",

@@ -9,6 +9,7 @@ stay reproducible.  Exit codes: 0 success, 1 usage error, 2 numeric failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import io
 import json
@@ -23,12 +24,10 @@ from .quadrature import transition_probability_quadrature
 from .results import _jsonable, _write_csv
 from .weights import (
     NonConvergenceError,
-    m_sup_certified,
     negative_step_witness,
     path_weight,
     positivity_threshold,
     step_q_linear,
-    weight_report,
 )
 
 __all__ = ["main", "run"]
@@ -162,7 +161,7 @@ def _cmd_weight(args, config: dict, p: BandLimitedPotential) -> int:
     except ValueError as exc:
         raise SystemExit(f"bad path file: {exc}") from exc
     ev = path_weight(p, path, cfg, form=args.form)
-    _emit(weight_report(ev), args)
+    _emit(ev.to_dict(), args)
     if args.expect_positive and ev.sign <= 0:
         return EXIT_INVARIANT
     return EXIT_OK
@@ -175,31 +174,22 @@ def _cmd_positivity(args, config: dict, p: BandLimitedPotential) -> int:
             "positivity needs a positive finite --gamma or lattice.gamma config field"
         )
     thr = positivity_threshold(p, gamma)
-    payload = {
-        "gamma": gamma,
-        "lambda_paper": thr.lambda_paper,
-        "lambda_strict": thr.lambda_strict,
-    }
-    if not p.is_zero:
-        sup = m_sup_certified(p, gamma)
-        payload["m_sup"] = sup.value
-        payload["m_sup_certified"] = sup.certified
     # spot-check the theorem at the witness point: Q must be nonnegative at
     # the strict threshold and turn negative just above it
     code = EXIT_OK
-    if p.lines and 0.0 < thr.lambda_strict < math.inf:
+    if 0.0 < thr.lambda_strict < math.inf:
         z_w, s_w, _ = negative_step_witness(p, gamma)
         q_at = float(step_q_linear(p, z_w, s_w, thr.lambda_strict, gamma))
         q_above = float(step_q_linear(p, z_w, s_w, 2.0 * thr.lambda_strict, gamma))
-        payload["witness"] = {
+        thr = dataclasses.replace(thr, witness={
             "z": z_w,
             "s": s_w,
             "q_at_threshold": q_at,
             "q_above_threshold": q_above,
-        }
+        })
         if q_at < 0:
             code = EXIT_INVARIANT
-    _emit(payload, args)
+    _emit(thr.to_dict(), args)
     return code
 
 

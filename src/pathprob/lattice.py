@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "LatticeConfig",
     "Path",
-    "StepQuantities",
     "second_differences",
     "velocity_changes",
     "interior_from_velocity_changes",
@@ -84,21 +83,6 @@ class Path:
     @property
     def n(self) -> int:
         return self.z.size - 1
-
-
-@dataclass(frozen=True)
-class StepQuantities:
-    """Per-step velocity changes and weight factors, all of length n-1."""
-
-    s: np.ndarray
-    M: np.ndarray
-    Q: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.s) == len(self.M) == len(self.Q)):
-            raise ValueError("s, M, Q must have equal length")
-        if not np.all(np.isfinite(self.Q)):
-            raise ValueError("non-finite step factor Q")
 
 
 def validate_path(path: Path, cfg: LatticeConfig) -> None:

@@ -11,17 +11,20 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
+from typing import Any
 
 __all__ = [
     "TransitionEstimate",
     "KernelEstimate",
     "CKResult",
     "ScanResult",
+    "WeightResult",
+    "PositivityResult",
 ]
 
 
 def _jsonable(obj):
-    """Make a structure JSON-safe: inf/nan become strings, tuples lists."""
+    """Make a structure JSON-safe: inf/nan become strings, tuples and arrays lists."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -32,8 +35,8 @@ def _jsonable(obj):
         if math.isnan(obj):
             return "nan"
         return obj
-    if hasattr(obj, "item"):
-        return _jsonable(obj.item())
+    if hasattr(obj, "tolist"):
+        return _jsonable(obj.tolist())
     return obj
 
 
@@ -127,3 +130,56 @@ class ScanResult(_Result):
         with open(json_path, "w") as fh:
             json.dump(sidecar, fh, indent=2)
         return csv_path, json_path
+
+
+@dataclass(frozen=True)
+class WeightResult(_Result):
+    """Weight ``W = n prod Q_j`` of one path, its per-step ``s``, ``M`` and ``Q``
+    (arrays of length n-1), and the positivity thresholds it was judged against."""
+
+    W: float
+    sign: int
+    logabsW: float
+    lambda_paper: float
+    lambda_strict: float
+    positive: bool
+    s: Any
+    M: Any
+    Q: Any
+
+    def __post_init__(self):
+        if not (len(self.s) == len(self.M) == len(self.Q)):
+            raise ValueError("s, M, Q must have equal length")
+        if not all(map(math.isfinite, self.Q)):
+            raise ValueError("non-finite step factor Q")
+
+    def to_dict(self) -> dict:
+        """The fields, with ``s``, ``M`` and ``Q`` as ``per_step`` rows ``{j, s, M, Q}``, ``j``
+        from 1."""
+        d = super().to_dict()
+        steps = zip(d.pop("s"), d.pop("M"), d.pop("Q"))
+        d["per_step"] = [{"j": j, "s": s, "M": m, "Q": q} for j, (s, m, q) in enumerate(steps, 1)]
+        return d
+
+
+@dataclass(frozen=True)
+class PositivityResult(_Result):
+    """The step sizes below which every step factor is nonnegative, for one ``gamma``.
+
+    ``m_sup`` is the certified ``sup |M|``, set where the potential has lines;
+    ``witness`` is the CLI's check of the strict threshold at a point near that
+    supremum.
+    """
+
+    gamma: float
+    lambda_paper: float
+    lambda_strict: float
+    m_sup: float | None = None
+    witness: dict | None = None
+
+    def to_dict(self) -> dict:
+        """The fields, and ``m_sup_certified: true`` beside a set ``m_sup``."""
+        d = super().to_dict()
+        if self.m_sup is not None:
+            d["m_sup_certified"] = True
+        return d

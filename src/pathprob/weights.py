@@ -52,28 +52,30 @@ most of the quadrature's time.
 compare the table form against it.
 
 A path's weight is nonnegative for every path once ``eps`` is at or below a
-threshold.  Two thresholds are exposed:
-the closed-form leading-order one, ``2 pi gamma^2 / (R^2 K)``, and a strict
-one, ``1 / sup_{z,s} |M|``, with the supremum certified in closed form.  The
-strict threshold is the one the zero-tolerance positivity guarantees are
-stated against: the leading-order formula undercounts the true supremum of
-``D`` by an O((gamma/q)^2) relative margin.  A tabulated potential is a
-cosine sum too (:meth:`BandLimitedPotential.from_grid`), so every threshold
-is certified.
+threshold.  :func:`positivity_threshold` returns two in a
+:class:`~pathprob.results.PositivityResult`: the closed-form leading-order
+one, ``2 pi gamma^2 / (R^2 K)``, and a strict one, ``1 / sup_{z,s} |M|``,
+with the supremum certified in closed form (:func:`m_sup_certified`, the
+result's ``m_sup``).  The strict threshold is the one the zero-tolerance
+positivity guarantees are stated against: the leading-order formula
+undercounts the true supremum of ``D`` by an O((gamma/q)^2) relative margin.
+A tabulated potential is a cosine sum too
+(:meth:`BandLimitedPotential.from_grid`), so every threshold is certified.
+:func:`path_weight` returns a path's weight, its per-step factors and both
+thresholds as a :class:`~pathprob.results.WeightResult`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import LatticeConfig, Path, StepQuantities, second_differences, velocity_changes
+from .lattice import LatticeConfig, Path, second_differences, velocity_changes
 from .oracle import _bessel_orders
 from .potentials import TWO_PI, BandLimitedPotential
+from .results import PositivityResult, WeightResult
 
 __all__ = [
     "step_m",
@@ -85,10 +87,6 @@ __all__ = [
     "batch_log_weights",
     "positivity_threshold",
     "negative_step_witness",
-    "WeightEvaluation",
-    "ThresholdPair",
-    "CertifiedSup",
-    "weight_report",
 ]
 
 
@@ -251,11 +249,6 @@ def _square(x: float) -> float:
         return math.inf
 
 
-class CertifiedSup(NamedTuple):
-    value: float
-    certified: bool
-
-
 def _sup_lorentzian_pair(q, gamma: float):
     """``(sup_s D(s, q), s*)`` at each of an array of ``q > 0``.
 
@@ -290,7 +283,7 @@ def _sup_lorentzian_pair(q, gamma: float):
     return d_max, s
 
 
-def m_sup_certified(p: BandLimitedPotential, gamma: float) -> CertifiedSup:
+def m_sup_certified(p: BandLimitedPotential, gamma: float) -> float:
     """Certified ``sup_{z,s} |M|``.
 
     Per line ``|sin| <= 1`` and ``|D(s, q_k)| <= D(s*_k, q_k)`` at the closed
@@ -304,29 +297,25 @@ def m_sup_certified(p: BandLimitedPotential, gamma: float) -> CertifiedSup:
     q, a, _ = p.line_arrays
     d_max, _ = _sup_lorentzian_pair(q, gamma)
     d_max[a == 0.0] = 0.0  # an overflowed supremum is inf, and 0 inf nan
-    return CertifiedSup(float(np.abs(a) @ d_max) * (1.0 + 1e-12), True)
+    return float(np.abs(a) @ d_max) * (1.0 + 1e-12)
 
 
-class ThresholdPair(NamedTuple):
-    lambda_paper: float
-    lambda_strict: float
-
-
-def positivity_threshold(p: BandLimitedPotential, gamma: float) -> ThresholdPair:
+def positivity_threshold(p: BandLimitedPotential, gamma: float) -> PositivityResult:
     """Largest step sizes guaranteeing nonnegative step factors.
 
     ``lambda_paper`` is the closed-form ``2 pi gamma^2 / (R^2 K)``;
-    ``lambda_strict`` is ``1 / m_sup_certified``.  Both are ``inf`` for the
-    zero potential (every eps is admissible).
+    ``lambda_strict`` is ``1 / m_sup``, the :func:`m_sup_certified` that the
+    result carries wherever the potential has lines.  Both are ``inf`` where
+    every amplitude is 0 (every eps is admissible).
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if p.K == 0.0 or p.R == 0.0:
-        return ThresholdPair(math.inf, math.inf)
-    lam_paper = TWO_PI * gamma**2 / (_square(_shift(p.R)) * p.K)
+    if not p.lines:
+        return PositivityResult(gamma, math.inf, math.inf)
+    lam_paper = math.inf if p.K == 0.0 else TWO_PI * gamma**2 / (_square(_shift(p.R)) * p.K)
     sup = m_sup_certified(p, gamma)
-    lam_strict = math.inf if sup.value == 0.0 else 1.0 / sup.value
-    return ThresholdPair(float(lam_paper), float(lam_strict))
+    lam_strict = math.inf if sup == 0.0 else 1.0 / sup
+    return PositivityResult(gamma, float(lam_paper), float(lam_strict), m_sup=sup)
 
 
 def _sign_log_abs(q, n: int):
@@ -492,19 +481,6 @@ def step_q_exponential(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     return _step_q(p, z, s, eps, gamma, "exponential")
 
 
-@dataclass(frozen=True)
-class WeightEvaluation:
-    """Weight of one path plus the positivity context it was judged against."""
-
-    W: float
-    sign: int
-    log_abs_w: float
-    steps: StepQuantities
-    lambda_paper: float
-    lambda_strict: float
-    positive: bool
-
-
 def batch_log_weights(p: BandLimitedPotential, interiors: np.ndarray, cfg: LatticeConfig):
     """Log-domain weights for a batch of paths given by interior points.
 
@@ -524,33 +500,37 @@ def path_weight(
     path: Path,
     cfg: LatticeConfig,
     form: str = "linear",
-) -> WeightEvaluation:
+) -> WeightResult:
     """Weight ``W = n * prod Q_j`` of a path, accumulated in log magnitude.
 
     ``form`` selects the linearized ("linear", default: the form the
     positivity theorem certifies) or the full exponential ("exponential")
     step factor.  ``W`` is ``sign * exp(log|W|)``, infinite only where that
-    overflows a double.
+    overflows a double.  A non-finite ``Q_j`` (``0 inf`` where ``exp(-gamma |z|)``
+    underflows and ``g`` overflows) raises ValueError.
     """
     s = second_differences(path, cfg)
     z = path.z[1:-1]
     m, g, h = _split_q(p, z, s, cfg.eps, cfg.gamma, form)
     sign, log_abs = _path_sign_log(z, g, h, cfg.gamma, cfg.n)
-    steps = StepQuantities(s=s, M=m, Q=np.exp(-cfg.gamma * np.abs(z)) * g * h)
+    with np.errstate(invalid="ignore"):  # 0 inf is nan, which WeightResult rejects
+        q = np.exp(-cfg.gamma * np.abs(z)) * g * h
     sign, log_abs = int(sign), float(log_abs)
     try:
         w = sign * math.exp(log_abs) if sign else 0.0
     except OverflowError:
         w = sign * math.inf
-    lam_paper, lam_strict = positivity_threshold(p, cfg.gamma)
-    return WeightEvaluation(
+    thr = positivity_threshold(p, cfg.gamma)
+    return WeightResult(
         W=w,
         sign=sign,
-        log_abs_w=log_abs,
-        steps=steps,
-        lambda_paper=lam_paper,
-        lambda_strict=lam_strict,
+        logabsW=log_abs,
+        lambda_paper=thr.lambda_paper,
+        lambda_strict=thr.lambda_strict,
         positive=bool(w >= 0),
+        s=s,
+        M=m,
+        Q=q,
     )
 
 
@@ -580,18 +560,3 @@ def negative_step_witness(p: BandLimitedPotential, gamma: float):
         raise ValueError(f"no witness in double precision: M is {mm[i, j]} at s = {sg[0, j]:.4g}")
     return float(zg[i, 0]), float(sg[0, j]), float(mm[i, j])
 
-
-def weight_report(ev: WeightEvaluation) -> dict:
-    """JSON-ready weight report with per-step quantities."""
-    return {
-        "W": ev.W,
-        "sign": ev.sign,
-        "logabsW": ev.log_abs_w,
-        "lambda_paper": ev.lambda_paper,
-        "lambda_strict": ev.lambda_strict,
-        "positive": ev.positive,
-        "per_step": [
-            {"j": j + 1, "s": float(s), "M": float(m), "Q": float(q)}
-            for j, (s, m, q) in enumerate(zip(ev.steps.s, ev.steps.M, ev.steps.Q))
-        ],
-    }

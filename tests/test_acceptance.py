@@ -112,7 +112,7 @@ def test_criterion_02_kernel_bound_and_certified_sup():
         )
         envelope = m_bound(p, gamma) * (1.0 + (gamma / p.R) ** 2 + 0.05)
         worst = max(worst, float(np.max(np.abs(step_m(p, z, s, gamma)))) / envelope)
-    sup = m_sup_certified(COSINE, 0.1).value
+    sup = m_sup_certified(COSINE, 0.1)
     # the certified supremum exceeds the leading-order bound 100 by the
     # O((gamma/q)^2) margin; the exact value sits slightly above D(q, q)
     sup_ok = 100.0 < sup < 102.0 and sup == pytest.approx(101.7359, rel=1e-4)

@@ -94,6 +94,22 @@ class TestPositivity:
         assert payload["witness"]["q_at_threshold"] >= 0
         assert payload["witness"]["q_above_threshold"] < 0
 
+    def test_zero_potential(self, free_json, tmp_path):
+        code, payload = run_json(["positivity", "-c", free_json, "--gamma", "0.1"], tmp_path)
+        assert code == 0
+        assert set(payload) == {"gamma", "lambda_paper", "lambda_strict", "timestamp"}
+        assert payload["lambda_paper"] == payload["lambda_strict"] == "inf"
+
+    def test_zero_amplitude_line(self, tmp_path):
+        # a line keeps its certified supremum, 0, and both thresholds are inf: no witness
+        f = tmp_path / "flat.json"
+        f.write_text(json.dumps({"potential": {"lines": [{"q": 1.0, "a": 0.0}]}}))
+        code, payload = run_json(["positivity", "-c", str(f), "--gamma", "0.1"], tmp_path)
+        assert code == 0
+        assert payload["m_sup"] == 0.0 and payload["m_sup_certified"] is True
+        assert payload["lambda_paper"] == payload["lambda_strict"] == "inf"
+        assert "witness" not in payload
+
     def test_gamma_required(self, tmp_path, capsys):
         f = tmp_path / "pot.json"
         f.write_text(json.dumps({"potential": COSINE_CONFIG["potential"]}))
@@ -247,6 +263,20 @@ class TestWeight:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert math.isfinite(json.loads(captured.out)["W"])
+
+    def test_step_factor_zero_times_inf(self, tmp_path, capsys):
+        # s = -q at z = 2.5e99: exp(-gamma |z|) underflows to 0 and g = 1 - eps M is inf, so
+        # Q is 0 inf; the run stops on that Q without a RuntimeWarning
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({
+            "potential": {"lines": [{"q": 1e100, "a": 1.0}]},
+            "lattice": {"ta": 0.0, "tb": 1.0, "n": 2, "gamma": 1.0, "za": 0.0, "zb": 0.0},
+        }))
+        cfg = LatticeConfig(0.0, 1.0, 2, 1.0, 0.0, 0.0)
+        path_file = tmp_path / "p.csv"
+        write_path_csv(make_path(cfg, [2.5e99]), cfg, path_file)
+        assert run(["weight", "-c", str(config), "--path", str(path_file)]) == 2
+        assert capsys.readouterr().err == "error: non-finite step factor Q\n"
 
 
 class TestOtherCommands:
@@ -792,23 +822,29 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "quadrature"
 
-    def test_import_leaves_out_scipy(self, cosine_json, free_json):
+    def test_import_leaves_out_scipy(self, cosine_json, free_json, tmp_path):
         # the CLI runs on numpy alone: with scipy blocked, a fresh interpreter
-        # imports it and runs a scan (its provenance) and a transition
-        scan = [
-            "scan", "-c", cosine_json, "--kind", "linearization",
-            "--points", "0.3,0.7", "--eps-list", "0.02", "0.01",
+        # imports it and runs a scan (its provenance), a transition, a path's
+        # weight and the positivity thresholds with their witness
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)  # COSINE_CONFIG's lattice
+        path_file = tmp_path / "p.csv"
+        write_path_csv(straight_line(cfg), cfg, path_file)
+        argvs = [
+            ["scan", "-c", cosine_json, "--kind", "linearization",
+             "--points", "0.3,0.7", "--eps-list", "0.02", "0.01"],
+            ["transition", "-c", free_json],
+            ["weight", "-c", cosine_json, "--path", str(path_file)],
+            ["positivity", "-c", cosine_json],
         ]
         proc = run_without_scipy(
             "import contextlib, io\n"
             "import pathprob.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [pathprob.cli.run({scan!r}),"
-            f" pathprob.cli.run(['transition', '-c', {free_json!r}])]\n"
+            f"    codes = [pathprob.cli.run(argv) for argv in {argvs!r}]\n"
             "print(codes)\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0]"
+        assert proc.stdout.strip() == "[0, 0, 0, 0]"
 
     def test_product_form_as_first_call(self):
         # the product form's Bessel values need no scipy: with scipy blocked,

@@ -11,6 +11,7 @@ SRC = Path(pathprob.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
 RESULT_NAMES = {
     "_Result", "_jsonable", "TransitionEstimate", "KernelEstimate", "CKResult", "ScanResult",
+    "WeightResult", "PositivityResult",
 }
 
 
@@ -70,3 +71,20 @@ def test_path_weight_modules_take_only_bessel_helpers_from_oracle(name):
     allowed = {"weights.py": {"_bessel_orders"}, "quadrature.py": set()}[name]
     taken = {n for mod, n in package_imports(tree(SRC / name)) if mod == "oracle"}
     assert taken <= allowed, f"{name} takes {taken}"
+
+
+def test_cli_emits_result_dicts():
+    # each subcommand's JSON is one result's to_dict(), or that dict | extra
+    # keys (oracle's), so a field added to the result reaches every output
+    calls = [
+        node for node in ast.walk(tree(SRC / "cli.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"
+    ]
+    assert calls
+    for call in calls:
+        payload = call.args[0]
+        if isinstance(payload, ast.BinOp) and isinstance(payload.op, ast.BitOr):
+            payload = payload.left
+        assert isinstance(payload, ast.Call) and getattr(payload.func, "attr", None) == "to_dict", (
+            f"cli.py line {call.lineno}: {ast.unparse(call)}"
+        )

@@ -14,6 +14,7 @@ from pathprob.lattice import LatticeConfig, interior_from_velocity_changes, make
 from pathprob.montecarlo import SamplerConfig, estimate_transition_mc, sample_bridge_paths
 from pathprob.potentials import BandLimitedPotential, band_limit, potential_from_dict
 from pathprob.quadrature import transition_probability_quadrature
+from pathprob.results import WeightResult
 from pathprob.weights import (
     _sup_lorentzian_pair,
     batch_log_weights,
@@ -26,7 +27,6 @@ from pathprob.weights import (
     step_m,
     step_q_exponential,
     step_q_linear,
-    weight_report,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -375,18 +375,16 @@ class TestBounds:
             m_bound(COSINE, 0.9)
 
     def test_sup_zero_potential(self):
-        sup = m_sup_certified(BandLimitedPotential.zero(), 0.1)
-        assert sup.value == 0.0 and sup.certified
+        assert m_sup_certified(BandLimitedPotential.zero(), 0.1) == 0.0
 
     def test_sup_cosine_exceeds_leading_order(self):
         sup = m_sup_certified(COSINE, 0.1)
-        assert sup.certified
         # exceeds the leading-order 100 by the O((gamma/q)^2) margin
-        assert 100.0 < sup.value < 102.0
-        assert sup.value == pytest.approx(101.73588140386153, rel=1e-9)
+        assert 100.0 < sup < 102.0
+        assert sup == pytest.approx(101.73588140386153, rel=1e-9)
 
     def test_sup_matches_dense_grid_scan(self):
-        sup = m_sup_certified(COSINE, 0.1).value
+        sup = m_sup_certified(COSINE, 0.1)
         zg = np.linspace(-math.pi, math.pi, 801)
         sg = np.linspace(0.0, 2.0, 4001)
         grid_max = np.max(np.abs(step_m(COSINE, zg[:, None], sg[None, :], 0.1)))
@@ -395,9 +393,9 @@ class TestBounds:
 
     def test_sup_two_lines_is_per_line_sum(self):
         p = BandLimitedPotential.from_lines([(1.0, 1.0, 0.0), (0.5, 1.0, 0.0)])
-        sup = m_sup_certified(p, 0.1).value
-        s1 = m_sup_certified(BandLimitedPotential.single_line(1.0, 1.0), 0.1).value
-        s2 = m_sup_certified(BandLimitedPotential.single_line(1.0, 0.5), 0.1).value
+        sup = m_sup_certified(p, 0.1)
+        s1 = m_sup_certified(BandLimitedPotential.single_line(1.0, 1.0), 0.1)
+        s2 = m_sup_certified(BandLimitedPotential.single_line(1.0, 0.5), 0.1)
         assert sup == pytest.approx(s1 + s2, rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.01, 0.4, 3.0])
@@ -419,13 +417,12 @@ class TestBounds:
         p = BandLimitedPotential.from_grid(q, vt)
         gamma = 0.4
         sup = m_sup_certified(p, gamma)
-        assert sup.certified
         eps = positivity_threshold(p, gamma).lambda_strict
-        assert eps == 1.0 / sup.value
+        assert eps == 1.0 / sup
         z = np.linspace(-40.0, 40.0, 1601)[:, None]
         s = np.linspace(-4.0, 4.0, 801)[None, :]
         assert np.all(step_q_linear(p, z, s, eps, gamma) >= 0)
-        assert (1.0 - 1e-2) * sup.value < np.max(step_m(p, z, s, gamma)) <= sup.value
+        assert (1.0 - 1e-2) * sup < np.max(step_m(p, z, s, gamma)) <= sup
 
     # sup D >= D(q, q) > r^2, r = q / gamma.  From r ~ 1e10 the rounding of s* put D(s*) below
     # the supremum by more than the 1e-12 margin (2.6e-12 at 1e10, 2.4e-4 at 1e14); past about
@@ -436,10 +433,10 @@ class TestBounds:
     def test_sup_bounds_huge_wavenumber(self, r, gamma):
         p = BandLimitedPotential.single_line(a=1.0, q=r * gamma)
         sup = m_sup_certified(p, gamma)
-        assert sup.certified and sup.value >= r * r  # inf where r^2 overflows
-        lam_paper, lam_strict = positivity_threshold(p, gamma)
-        assert lam_strict == 1.0 / sup.value
-        assert lam_paper == pytest.approx(1.0 / (r * r), rel=1e-14, abs=1e-300)
+        assert sup >= r * r  # inf where r^2 overflows
+        thr = positivity_threshold(p, gamma)
+        assert thr.lambda_strict == 1.0 / sup
+        assert thr.lambda_paper == pytest.approx(1.0 / (r * r), rel=1e-14, abs=1e-300)
         assert m_bound(p, gamma) == pytest.approx(r * r, rel=1e-14)
         _, s_star = _sup_lorentzian_pair(np.array([r * gamma]), gamma)
         assert s_star[0] == r * gamma
@@ -463,7 +460,7 @@ class TestBounds:
     def test_grid_sup_bounds_sampled_m(self, p_grid, gamma, seed):
         # no sampled |M| above the certified supremum, and so no Q < 0 at
         # eps = lambda_strict, at random points and at the witness
-        sup = m_sup_certified(p_grid, gamma).value
+        sup = m_sup_certified(p_grid, gamma)
         eps = positivity_threshold(p_grid, gamma).lambda_strict
         rng = np.random.default_rng(seed)
         z_w, s_w, _ = negative_step_witness(p_grid, gamma)
@@ -475,7 +472,7 @@ class TestBounds:
     @given(st.floats(-8, 8), st.floats(-8, 8))
     @settings(max_examples=100, deadline=None)
     def test_step_m_below_certified_sup(self, z, s):
-        sup = m_sup_certified(COSINE, 0.1).value
+        sup = m_sup_certified(COSINE, 0.1)
         assert abs(step_m(COSINE, z, s, 0.1)) <= sup * (1 + 1e-12)
 
 
@@ -762,7 +759,7 @@ class TestPathWeight:
         rng = np.random.default_rng(0)
         interior = rng.normal(size=4)
         ev = path_weight(COSINE, make_path(cfg, interior), cfg)
-        direct = cfg.n * np.prod(ev.steps.Q)
+        direct = cfg.n * np.prod(ev.Q)
         assert ev.W == pytest.approx(direct, rel=1e-10)
 
     def test_negative_witness_path(self):
@@ -776,7 +773,7 @@ class TestPathWeight:
         z1 = z_w
         z2 = s_w * eps + 2 * z1 - cfg.z_a
         ev = path_weight(COSINE, make_path(cfg, [z1, z2, z2]), cfg)
-        assert ev.steps.Q[0] < 0
+        assert ev.Q[0] < 0
         assert ev.W < 0 and not ev.positive
 
     def test_exponential_form_runs(self):
@@ -797,8 +794,8 @@ class TestPathWeight:
             for i in range(5):
                 ev = path_weight(p, make_path(cfg, interiors[i]), cfg)
                 assert signs[i] == ev.sign
-                assert log_abs[i] == ev.log_abs_w
-                assert np.array_equal(q_signs[i], np.sign(ev.steps.Q))
+                assert log_abs[i] == ev.logabsW
+                assert np.array_equal(q_signs[i], np.sign(ev.Q))
 
     @pytest.mark.parametrize("form", ["linear", "exponential"])
     def test_far_path_keeps_sign(self, form):
@@ -823,9 +820,9 @@ class TestPathWeight:
         )
         assert np.all(g > 0)
         ev = path_weight(p, path, cfg, form=form)
-        assert np.all(ev.steps.Q == 0.0)
+        assert np.all(ev.Q == 0.0)
         assert ev.sign == 1 and ev.positive
-        assert ev.log_abs_w == pytest.approx(ref, rel=1e-12)
+        assert ev.logabsW == pytest.approx(ref, rel=1e-12)
         if form == "linear":
             # the per-step signs are those of g, not of the underflowed Q
             signs, log_abs, q_signs = batch_log_weights(p, interior[None, :], cfg)
@@ -841,7 +838,7 @@ class TestPathWeight:
             gamma = math.exp(-(target - math.log(n)) / (n - 1)) * n / math.pi
             cfg = LatticeConfig(0.0, 1.0, n, gamma, 0.0, 0.0)
             ev = path_weight(BandLimitedPotential.zero(), straight_line(cfg), cfg)
-            assert ev.log_abs_w == pytest.approx(target, rel=1e-12)
+            assert ev.logabsW == pytest.approx(target, rel=1e-12)
             assert ev.W == pytest.approx(w, rel=1e-12) and ev.sign == 1
 
     def test_step_m_once_per_path(self, monkeypatch):
@@ -856,9 +853,18 @@ class TestPathWeight:
         path_weight(COSINE, make_path(cfg, [0.1, -0.2, 0.4, 0.3]), cfg, form="linear")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("q,message", [
+        ([1.0], "s, M, Q must have equal length"),
+        ([1.0, math.nan], "non-finite step factor Q"),
+    ])
+    def test_result_checks_its_steps(self, q, message):
+        with pytest.raises(ValueError, match=message):
+            WeightResult(1.0, 1, 0.0, 0.01, 0.01, True, s=[0.1, 0.2], M=[0.3, 0.4], Q=q)
+
     def test_report_schema(self):
         cfg = LatticeConfig(0.0, 1.0, 3, 0.1, 0.0, 0.4)
-        rep = weight_report(path_weight(COSINE, straight_line(cfg), cfg))
+        ev = path_weight(COSINE, straight_line(cfg), cfg)
+        rep = ev.to_dict()
         assert set(rep) == {
             "W",
             "sign",
@@ -869,7 +875,9 @@ class TestPathWeight:
             "per_step",
         }
         assert len(rep["per_step"]) == cfg.n - 1
-        assert set(rep["per_step"][0]) == {"j", "s", "M", "Q"}
+        for i, step in enumerate(rep["per_step"]):
+            assert set(step) == {"j", "s", "M", "Q"} and step["j"] == i + 1
+            assert (step["s"], step["M"], step["Q"]) == (ev.s[i], ev.M[i], ev.Q[i])
 
 
 class TestSignLogRatio:
@@ -961,7 +969,7 @@ class TestGridPins:
             -0.03887827355432857,
             -0.1666645464011595,
         ]
-        assert ev.steps.M == pytest.approx(pinned, rel=1e-13)
+        assert ev.M == pytest.approx(pinned, rel=1e-13)
         assert ev.W == pytest.approx(0.00032187674304218813, rel=1e-13)
 
     def test_mc_transition(self):
@@ -1019,8 +1027,7 @@ class TestShift:
     def test_sup_bounds_a_dense_maximum(self):
         grid_max = np.max(self.written(np.linspace(0.0, 1.5, 300001), 1.0, self.GAMMA))
         sup = m_sup_certified(COSINE, self.GAMMA)
-        assert sup.certified
-        assert grid_max <= sup.value <= grid_max * (1.0 + 1e-5)
+        assert grid_max <= sup <= grid_max * (1.0 + 1e-5)
 
     def test_leading_order_uses_half_r(self):
         r2k = 0.25 * COSINE.K  # (R / 2)^2 K
