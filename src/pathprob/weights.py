@@ -31,7 +31,12 @@ array in place, so ``step_m`` sums them into zeros and the Monte Carlo's
 ``1 - eps M`` into ones.  It takes the lines a group at a time, the group
 a leading array axis sized to the array, so a small array costs a few
 numpy calls per group rather than per line, and the sum stays bit for bit
-the per-line sum in line order.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
+the per-line sum in line order.  Each line's ``sin(q z + phi)`` is the
+half-angle form ``2 tau / (1 + tau^2)``, ``tau = tan((q z + phi) / 2)``
+(:func:`_half_angle_sin`, within a few ulp of ``sin``): numpy runs float64
+``tan`` through its SIMD dispatch and ``sin`` in scalar libm, which was the
+largest single cost of the Monte Carlo's ratio; ``step_m``'s re-sum where
+a term overflows takes the same sine.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
 linearized step factor is ``Q = f rho(s) / eps``, with ``rho(s) = gamma /
 (pi (s^2 + gamma^2))`` the Cauchy law of a velocity change.
 Paths whose ``n - 1`` velocity changes are drawn from ``rho`` have density
@@ -148,35 +153,52 @@ def lorentzian_pair(s, q, gamma):
 _M_CAP = 2**13
 
 
+def _half_angle_sin(x):
+    """``sin x`` as ``2 tau / (1 + tau^2)``, ``tau = tan(x / 2)``: the sine of :func:`_add_m`.
+
+    numpy runs float64 ``tan`` through its AVX-512 dispatch where the CPU has it, and ``sin``
+    in scalar libm at several times the cost per element.  It keeps the sign of +-0 and is
+    within 4 ulp of ``sin`` (2 at most, measured on x86_64); ``tau^2`` stays finite, since no
+    double is within 1e-19 of an odd multiple of ``pi / 2``.
+    """
+    tau = np.tan(0.5 * x)
+    return 2.0 * tau / (1.0 + tau * tau)
+
+
 def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: float = 1.0):
     """Add ``scale * M(z, s)`` to ``out`` in place, a group of lines at a time.
 
     ``out`` has the broadcast shape of ``z`` and ``s``.  A group of ``G =
     max(1, _M_CAP // out.size)`` lines is a leading axis: its ``D(s, q)`` is
-    formed in shape ``(G,) + s.shape`` and its ``a sin(q z + phi)`` in ``(G,)
-    + z.shape``, so a grid of ``z`` against ``s`` costs one of each per row or
-    column and line, and the numpy calls are per group, not per line.  The
-    group's terms are written below a copy of ``out`` in one buffer, and one
-    ``np.subtract.reduce`` along the group axis subtracts them in line order:
-    it is sequential at every shape, where ``np.add.reduce`` would sum a
-    one-dimensional axis pairwise.  A group of one line (a large ``out``) has
-    no leading axis and subtracts its term directly.  The scratch arrays
-    serve every group, and for ``z`` and ``s`` of ``out``'s shape they are
-    two, plus ``s^2 + gamma^2``.  ``D`` is :func:`_pair_into` in them, so at
-    ``scale = 1`` the sum is bit for bit the sum of :func:`lorentzian_pair`'s terms.
+    formed in shape ``(G,) + s.shape`` and its ``tau = tan((q z + phi) / 2)``
+    in ``(G,) + z.shape``, so a grid of ``z`` against ``s`` costs one of each
+    per row or column and line, and the numpy calls are per group, not per
+    line.  A line's term ``a sin(q z + phi) D`` is ``tau D / (1 + tau^2)``
+    times ``2 a`` (:func:`_half_angle_sin`), with ``q / 2``, ``phi / 2`` and
+    ``2 scale a`` taken once per call.  The group's terms are written below a
+    copy of ``out`` in one buffer, and one ``np.subtract.reduce`` along the
+    group axis subtracts them in line order: it is sequential at every shape,
+    where ``np.add.reduce`` would sum a one-dimensional axis pairwise.  A
+    group of one line (a large ``out``) has no leading axis and subtracts its
+    term directly.  The scratch arrays serve every group.  Where ``s`` has
+    ``out``'s shape, ``tau D`` goes into ``D``'s array, so for ``z`` and ``s``
+    of ``out``'s shape there are two, plus ``s^2 + gamma^2``; otherwise it
+    goes into the terms' array and ``tau`` has its own.  ``D`` is
+    :func:`_pair_into` in them, so the sum is bit for bit the sum of
+    :func:`lorentzian_pair`'s terms ``tau D / (1 + tau^2) * (2 scale a)``,
+    rounded in that order.
     """
     q, a, phi = p.line_arrays
     n_lines = q.size
     size = max(1, min(n_lines, _M_CAP // max(out.size, 1)))
+    hq, hphi, ca = 0.5 * q, 0.5 * phi, (2.0 * scale) * a
     if size > 1:
         # the group axis leads, so z and s take out's number of axes
         z = z.reshape((1,) * (out.ndim - z.ndim) + z.shape)
         s = s.reshape((1,) * (out.ndim - s.ndim) + s.shape)
-        q, a, phi = (v.reshape((-1,) + (1,) * out.ndim) for v in (q, a, phi))
-        sa = scale * a
+        q, hq, hphi, ca = (v.reshape((-1,) + (1,) * out.ndim) for v in (q, hq, hphi, ca))
     else:  # one line at a time, its parameters floats
-        q, a, phi = q.tolist(), a.tolist(), phi.tolist()
-        sa = [scale * v for v in a]
+        q, hq, hphi, ca = q.tolist(), hq.tolist(), hphi.tolist(), ca.tolist()
     lead = (size,) if size > 1 else ()
     g2 = gamma * gamma
     s2g = s * s
@@ -186,7 +208,10 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
     d = np.empty(lead + s.shape)
     acc = np.empty((size + 1,) + out.shape) if size > 1 else None
     t = np.empty(out.shape) if acc is None else acc[1:]
-    w = t if z.shape == out.shape else np.empty(lead + z.shape)
+    # tau D goes into d where s has out's shape, else into t, which tau
+    # must not share then
+    in_d = s.shape == out.shape
+    w = t if z.shape == out.shape and in_d else np.empty(lead + z.shape)
     u = w if z.shape == s.shape else np.empty(lead + s.shape)
     for lo in range(0, n_lines, size):
         k = lo if acc is None else slice(lo, lo + size)
@@ -194,11 +219,14 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
             n = n_lines - lo
             d, u, w, t, acc = d[:n], u[:n], w[:n], t[:n], acc[: n + 1]
         _pair_into(s, q[k], g2, s2g, d, u)
-        np.multiply(z, q[k], out=w)
-        w += phi[k]
-        np.sin(w, out=w)
-        w *= sa[k]
-        np.multiply(w, d, out=t)
+        np.multiply(z, hq[k], out=w)
+        w += hphi[k]
+        np.tan(w, out=w)
+        td = np.multiply(w, d, out=d if in_d else t)
+        np.square(w, out=w)
+        w += 1.0
+        np.divide(td, w, out=t)
+        t *= ca[k]
         if acc is None:
             out -= t
         else:
@@ -210,8 +238,9 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
 def step_m(p: BandLimitedPotential, z, s, gamma: float):
     """Nonlocal kernel M(z, s).  Accepts scalar or array z, s (broadcast); a
     non-finite ``z`` or ``s`` raises ValueError.  Where :func:`_add_m` gives
-    nan, ``M`` is summed again from :func:`lorentzian_pair`'s terms, which
-    mend ``D``'s nan past overflow; a nan from elsewhere warns there."""
+    nan or inf, ``M`` is summed again from :func:`lorentzian_pair`'s terms,
+    which mend ``D``'s nan past overflow, and the sine, which keeps a term
+    finite where ``tan(x / 2) D`` overflows; a nan from elsewhere warns there."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     z = np.asarray(z, dtype=float)
@@ -220,11 +249,13 @@ def step_m(p: BandLimitedPotential, z, s, gamma: float):
         raise ValueError("step factors need finite z and s")
     with np.errstate(over="ignore", invalid="ignore"):  # D's inf / inf, summed again below
         out = _add_m(p, z, s, gamma, np.zeros(np.broadcast(z, s).shape))
-    lost = np.isnan(out)
+    lost = ~np.isfinite(out)
     if lost.any():
         z, s = (np.broadcast_to(v, out.shape)[lost] for v in (z, s))
         q, a, phi = (v[:, None] for v in p.line_arrays)
-        out[lost] = -np.sum(a * np.sin(q * z + phi) * lorentzian_pair(s, q, gamma), axis=0)
+        with np.errstate(over="ignore"):  # |M| past the largest double is inf
+            terms = a * _half_angle_sin(q * z + phi) * lorentzian_pair(s, q, gamma)
+            out[lost] = -np.sum(terms, axis=0)
     return out if out.ndim else float(out)
 
 
@@ -297,22 +328,32 @@ def m_sup_certified(p: BandLimitedPotential, gamma: float) -> float:
     q, a, _ = p.line_arrays
     d_max, _ = _sup_lorentzian_pair(q, gamma)
     d_max[a == 0.0] = 0.0  # an overflowed supremum is inf, and 0 inf nan
-    return float(np.abs(a) @ d_max) * (1.0 + 1e-12)
+    with np.errstate(over="ignore"):  # |a| D past the largest double: sup |M| is inf
+        return float(np.abs(a) @ d_max) * (1.0 + 1e-12)
 
 
 def positivity_threshold(p: BandLimitedPotential, gamma: float) -> PositivityResult:
     """Largest step sizes guaranteeing nonnegative step factors.
 
-    ``lambda_paper`` is the closed-form ``2 pi gamma^2 / (R^2 K)``;
-    ``lambda_strict`` is ``1 / m_sup``, the :func:`m_sup_certified` that the
-    result carries wherever the potential has lines.  Both are ``inf`` where
-    every amplitude is 0 (every eps is admissible).
+    ``lambda_paper`` is the closed-form ``2 pi gamma^2 / (R^2 K)``, taken as
+    ``2 pi (gamma / R)^2 / K`` where ``gamma^2`` overflows or ``R^2 K``
+    underflows to 0, so it is never nan; ``lambda_strict`` is ``1 / m_sup``,
+    the :func:`m_sup_certified` that the result carries wherever the potential
+    has lines.  Both are ``inf`` where every amplitude is 0 (every eps is
+    admissible).
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     if not p.lines:
         return PositivityResult(gamma, math.inf, math.inf)
-    lam_paper = math.inf if p.K == 0.0 else TWO_PI * gamma**2 / (_square(_shift(p.R)) * p.K)
+    r, k = _shift(p.R), p.K
+    g2, r2k = _square(gamma), _square(r) * k
+    if k == 0.0:
+        lam_paper = math.inf
+    elif g2 < math.inf and r2k > 0.0:
+        lam_paper = TWO_PI * g2 / r2k
+    else:  # a K that overflowed to inf gives 0, as R^2 K does above
+        lam_paper = TWO_PI * _square(gamma / r) / k if k < math.inf else 0.0
     sup = m_sup_certified(p, gamma)
     lam_strict = math.inf if sup == 0.0 else 1.0 / sup
     return PositivityResult(gamma, float(lam_paper), float(lam_strict), m_sup=sup)
@@ -415,7 +456,8 @@ def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str 
         return m, g, 1.0 / (TWO_PI * eps)
     if form != "linear":
         raise ValueError(f"unknown step-factor form {form!r}")
-    return m, 1.0 - eps * m, 2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))
+    with np.errstate(over="ignore"):  # s^2 + gamma^2 past the largest double: h is 0
+        return m, 1.0 - eps * m, 2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))
 
 
 def _path_sign_log(z, g, h, gamma: float, n: int):
@@ -436,11 +478,12 @@ def _sign_log_ratio(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     underflows.  ``|1 - eps M| <= 1 + eps sup|M|``, so a row's product leaves
     the normal range of a double only through a zero factor or through many
     factors far from 1 (``eps`` far above the positivity threshold, or near
-    it); such rows are reduced step by step.  ``z`` and ``s`` have shape (N,
-    n-1).
+    it); such rows are reduced step by step, and a factor that :func:`_add_m`
+    left inf or nan (``tan(x / 2) D`` past the largest double) is taken from
+    :func:`step_m` there.  ``z`` and ``s`` have shape (N, n-1).
     """
-    fac = _add_m(p, z, s, gamma, np.ones(z.shape), scale=-eps)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fac = _add_m(p, z, s, gamma, np.ones(z.shape), scale=-eps)
         # column by column: numpy reduces along a short last axis row by
         # row, at about three times the cost
         prod = fac[:, 0].copy()
@@ -450,7 +493,11 @@ def _sign_log_ratio(p: BandLimitedPotential, z, s, eps: float, gamma: float):
         log_abs = np.log(mag)
     lost = ~((mag >= np.finfo(float).tiny) & (mag < math.inf))
     if lost.any():
-        sign[lost], log_abs[lost] = _sign_log_abs(fac[lost], 1)
+        f = fac[lost]
+        bad = ~np.isfinite(f)
+        if bad.any():
+            f[bad] = 1.0 - eps * step_m(p, z[lost][bad], s[lost][bad], gamma)
+        sign[lost], log_abs[lost] = _sign_log_abs(f, 1)
     log_abs -= gamma * (np.abs(z, out=fac) @ np.ones(z.shape[1]))
     return sign, log_abs
 
@@ -511,10 +558,14 @@ def path_weight(
     """
     s = second_differences(path, cfg)
     z = path.z[1:-1]
-    m, g, h = _split_q(p, z, s, cfg.eps, cfg.gamma, form)
-    sign, log_abs = _path_sign_log(z, g, h, cfg.gamma, cfg.n)
-    with np.errstate(invalid="ignore"):  # 0 inf is nan, which WeightResult rejects
+    # a nan or inf M (gamma^2 past overflow) or 0 inf makes a Q non-finite,
+    # which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, g, h = _split_q(p, z, s, cfg.eps, cfg.gamma, form)
         q = np.exp(-cfg.gamma * np.abs(z)) * g * h
+    if not np.isfinite(q).all():  # before int() meets a nan sign
+        raise ValueError("non-finite step factor Q")
+    sign, log_abs = _path_sign_log(z, g, h, cfg.gamma, cfg.n)
     sign, log_abs = int(sign), float(log_abs)
     try:
         w = sign * math.exp(log_abs) if sign else 0.0

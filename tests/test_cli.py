@@ -130,6 +130,24 @@ class TestPositivity:
             assert payload["m_sup"] == "inf" and payload["lambda_strict"] == 0.0
         assert code == (0 if q > 1e154 else 2)
 
+    def test_tiny_wavenumber_exits_cleanly(self, tmp_path, capsys):
+        # R^2 K underflows to 0 below q about 1e-162 (a ZeroDivisionError's traceback once);
+        # the paper's threshold, 2 pi (gamma / R)^2 / K, is past the largest double
+        f = tmp_path / "tiny.json"
+        f.write_text(json.dumps({"potential": {"lines": [{"q": 1e-170, "a": 1.0}]}}))
+        code, payload = run_json(["positivity", "-c", str(f), "--gamma", "0.1"], tmp_path)
+        assert code == 0 and capsys.readouterr().err == ""
+        assert payload["lambda_paper"] == "inf" and payload["lambda_strict"] > 1e168
+
+    def test_gamma_past_square_overflow(self, cosine_json, tmp_path, capsys):
+        # gamma^2 overflows past gamma about 1.34e154 (an OverflowError's traceback once), and
+        # so does the witness's s^2 + gamma^2: the paper's threshold is past the largest double
+        argv = ["positivity", "-c", cosine_json, "--gamma", "1e160"]
+        code, payload = run_json(argv, tmp_path)
+        assert code == 0 and capsys.readouterr().err == ""
+        assert payload["lambda_paper"] == "inf"
+        assert payload["lambda_strict"] == pytest.approx(5e159, rel=1e-11)
+
     @pytest.mark.filterwarnings("ignore:.*lambda_strict.*:UserWarning")
     def test_huge_wavenumber_mc_is_free(self, tmp_path):
         # the line's D overflows to its limit 0 at every drawn s: the free particle's estimate
@@ -275,6 +293,31 @@ class TestWeight:
         cfg = LatticeConfig(0.0, 1.0, 2, 1.0, 0.0, 0.0)
         path_file = tmp_path / "p.csv"
         write_path_csv(make_path(cfg, [2.5e99]), cfg, path_file)
+        assert run(["weight", "-c", str(config), "--path", str(path_file)]) == 2
+        assert capsys.readouterr().err == "error: non-finite step factor Q\n"
+
+    def test_tiny_wavenumber(self, tmp_path, capsys):
+        # the thresholds behind the weight no longer stop the run where R^2 K underflows
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(dict(COSINE_CONFIG, potential={
+            "lines": [{"q": 1e-170, "a": 1.0}]})))
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
+        path_file = tmp_path / "p.csv"
+        write_path_csv(straight_line(cfg), cfg, path_file)
+        code, payload = run_json(["weight", "-c", str(config), "--path", str(path_file)],
+                                 tmp_path)
+        assert code == 0 and capsys.readouterr().err == ""
+        assert payload["sign"] == 1 and payload["lambda_paper"] == "inf"
+
+    def test_gamma_past_square_overflow(self, tmp_path, capsys):
+        # gamma^2 overflows and M is nan at every step: the run stops on the step factor,
+        # not on casting a nan sign, and without a RuntimeWarning
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps(dict(COSINE_CONFIG, lattice=dict(
+            COSINE_CONFIG["lattice"], gamma=1e160))))
+        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
+        path_file = tmp_path / "p.csv"
+        write_path_csv(straight_line(cfg), cfg, path_file)
         assert run(["weight", "-c", str(config), "--path", str(path_file)]) == 2
         assert capsys.readouterr().err == "error: non-finite step factor Q\n"
 

@@ -216,6 +216,14 @@ class TestStepM:
         # D, homogeneous of degree 0, is taken at (s, k, gamma) / |s|
         assert step_m(COSINE, 0.3, s, 0.1) == pytest.approx(-math.sin(0.3) * 4.0 / s, rel=1e-12)
 
+    def test_half_angle_term_past_overflow(self):
+        # D(k, k) is about 1e304 at gamma = 1e-152, and tan(z / 2) D overflows where
+        # |tan(z / 2)| > 2e4: the first two points, which step_m sums again from the sine
+        z = np.array([math.pi - 1e-6, math.pi - 1e-9, 3.0])
+        d = lorentzian_pair(1.0, 1.0, 1e-152)
+        want = -np.array([math.sin(v) for v in z]) * d
+        np.testing.assert_allclose(step_m(COSINE, z, 1.0, 1e-152), want, rtol=1e-12)
+
     def test_lorentzian_pair_keeps_inf(self):
         # D(k, k) ~ (k / gamma)^2 overflows to its limit +-inf, also past k = 1e154, where
         # the products of _pair_into's one-denominator form both overflow
@@ -242,8 +250,9 @@ class TestStepM:
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_in_place_sum_equals_lorentzian_pair_terms(self, shape, lines):
         # the line sum is accumulated in place, a group of lines at a time,
-        # to the last bit of the terms as written with lorentzian_pair, in
-        # line order, under broadcasting; "partial" leaves the last group short
+        # to the last bit of the terms as written with lorentzian_pair and the
+        # half-angle sine, in line order, under broadcasting; "partial" leaves
+        # the last group short
         z_shape, s_shape, scale = self.SHAPES[shape]
         rng = np.random.default_rng(2)
         z = rng.normal(0.0, 5.0, size=z_shape)
@@ -264,7 +273,8 @@ class TestStepM:
         start = 0.0 if scale == 1.0 else 1.0
         ref = np.full(np.broadcast(z, s).shape, start)
         for ln in p.lines:
-            term = scale * ln.a * np.sin(ln.q * z + ln.phi) * lorentzian_pair(s, ln.q, 0.3)
+            tau = np.tan(0.5 * ln.q * z + 0.5 * ln.phi)
+            term = tau * lorentzian_pair(s, ln.q, 0.3) / (1.0 + tau * tau) * (2.0 * scale * ln.a)
             ref = ref - term
         if scale == 1.0:
             got = step_m(p, z, s, 0.3)
@@ -272,6 +282,24 @@ class TestStepM:
             got = weights._add_m(p, z, s, 0.3, np.ones(ref.shape), scale=scale)
         assert np.shape(got) == ref.shape
         assert np.array_equal(got, ref)
+
+    def test_half_angle_sine_accuracy(self):
+        # within 4 ulp of math.sin, or 1e-16 absolute near its zeros, from +-0 through
+        # points near k pi and (k + 1/2) pi to |x| = 1e6
+        k = np.array([1.0, 2.0, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5, 3e5])
+        x = np.concatenate([
+            [0.0, -0.0, 1e-300, 5e-324, 1e-8, 0.5, 1.0, 1e6, 1e6 - 0.5],
+            k * math.pi, (k + 0.5) * math.pi,
+            np.nextafter(k * math.pi, math.inf), np.nextafter((k + 0.5) * math.pi, 0.0),
+            np.random.default_rng(5).uniform(-1e6, 1e6, 2000),
+            np.random.default_rng(6).uniform(-20.0, 20.0, 2000),
+        ])
+        x = np.concatenate([x, -x])
+        got = weights._half_angle_sin(x)
+        want = np.array([math.sin(v) for v in x])
+        assert np.array_equal(np.signbit(got[x == 0.0]), np.signbit(x[x == 0.0]))
+        err = np.abs(got - want)
+        assert np.all((err <= 4.0 * np.spacing(np.abs(want))) | (err <= 1e-16))
 
     @pytest.mark.parametrize(
         "z,s", [(0.3, 0.7), (-1.2, 1.5), (math.pi / 2, 1.0), (2.0, -0.4)]
@@ -492,6 +520,32 @@ class TestThresholds:
     def test_zero_potential_unconstrained(self):
         thr = positivity_threshold(BandLimitedPotential.zero(), 0.1)
         assert math.isinf(thr.lambda_paper) and math.isinf(thr.lambda_strict)
+
+    # (gamma, q): gamma^2 overflows past about 1.34e154, R^2 K underflows to 0 below q
+    # about 1e-162 (an OverflowError and a ZeroDivisionError once), or both squares leave
+    # the doubles; K = 2 pi a = pi, so the threshold is 2 (gamma / q)^2
+    @pytest.mark.parametrize("gamma,q", [
+        (0.1, 1.0), (1e-170, 1.0), (1.0, 1e160), (1e160, 1.0), (1e160, 1e100), (1e160, 1e160),
+        (0.1, 1e-170), (1e-100, 1e-170), (1e-170, 1e-170), (1e160, 1e-170),
+    ])
+    def test_paper_threshold_past_overflow(self, gamma, q):
+        p = BandLimitedPotential.single_line(a=0.5, q=q)
+        lam = positivity_threshold(p, gamma).lambda_paper
+        try:
+            closed = TWO_PI * gamma**2 / (q**2 * p.K)
+        except (OverflowError, ZeroDivisionError):
+            exact = 2 * (Fraction(gamma) / Fraction(q)) ** 2
+            want = math.inf if exact > Fraction(np.finfo(float).max) else float(exact)
+            assert lam == pytest.approx(want, rel=1e-14)
+        else:  # where the closed form has a value, it is the threshold
+            assert lam == closed
+
+    def test_paper_threshold_with_infinite_k(self):
+        # 2 pi |a| overflows K to inf: 0, as where gamma^2 stays a double
+        p = BandLimitedPotential.single_line(a=1e308, q=1.0)
+        assert p.K == math.inf
+        assert positivity_threshold(p, 1.0).lambda_paper == 0.0
+        assert positivity_threshold(p, 1e160).lambda_paper == 0.0
 
     @given(
         st.lists(
@@ -905,6 +959,28 @@ class TestSignLogRatio:
         assert np.all(np.abs(log_abs - ref_log) <= 1e-12 * np.abs(ref_log))
         if case == "strong-above-strict":
             assert np.any(sign < 0) and np.any(sign > 0)
+
+    def test_mc_bridge_problem_against_libm_sine(self):
+        # the n = 16 weak-cosine bridge that the benchmark's Monte Carlo workload estimates,
+        # its factors 1 - eps M written with np.sin, one batch
+        p = BandLimitedPotential.single_line(a=0.1, q=1.0)
+        cfg = LatticeConfig(0.0, 1.0, 16, 0.1, 0.0, 0.3)
+        z, s = sample_bridge_paths(cfg, SamplerConfig(seed=201), 4096)
+        sign, log_abs = weights._sign_log_ratio(p, z, s, cfg.eps, cfg.gamma)
+        fac = 1.0 + cfg.eps * 0.1 * np.sin(z) * lorentzian_pair(s, 1.0, cfg.gamma)
+        assert np.all(fac > 0)
+        ref = np.sum(np.log(fac), axis=1) - cfg.gamma * np.sum(np.abs(z), axis=1)
+        assert np.all(sign == 1)
+        np.testing.assert_allclose(log_abs, ref, rtol=1e-13, atol=0)
+
+    def test_factor_past_tan_overflow(self):
+        # the first step's tan(z / 2) D overflows (D about 1e304 at s = k, gamma = 1e-152),
+        # and that factor, about 1e294, is summed again by step_m
+        z, s = np.array([[math.pi - 1e-9, 0.5]]), np.array([[1.0, 0.3]])
+        sign, log_abs = weights._sign_log_ratio(COSINE, z, s, 0.1, 1e-152)
+        fac = 1.0 + 0.1 * np.sin(z) * lorentzian_pair(s, 1.0, 1e-152)
+        assert fac[0, 0] > 1e290 and sign[0] == 1
+        assert log_abs[0] == pytest.approx(np.sum(np.log(fac)), rel=1e-12)
 
     def test_zero_factor(self):
         # sin = -1 and a D = 1 exactly: the first step's factor 1 - eps M is 0
