@@ -2,7 +2,8 @@
 
 Every run is driven by a single JSON config (potential + lattice + sampler +
 oracle grid); individual flags override config fields so golden-file runs
-stay reproducible.  Exit codes: 0 success, 1 usage error, 2 numeric failure
+stay reproducible.  Exit codes: 0 success, 1 usage error (an input outside the
+numeric domain of :mod:`~pathprob.potentials` too), 2 numeric failure
 (non-convergence or a violated solver guard), 3 detected invariant violation.
 """
 
@@ -19,7 +20,7 @@ import sys
 from . import analysis, oracle
 from .lattice import LatticeConfig, read_path_csv, validate_path
 from .montecarlo import SamplerConfig, estimate_transition_mc
-from .potentials import BandLimitedPotential, potential_from_dict
+from .potentials import BandLimitedPotential, DomainError, potential_from_dict
 from .quadrature import transition_probability_quadrature
 from .results import _jsonable, _write_csv
 from .weights import (
@@ -177,7 +178,7 @@ def _cmd_positivity(args, config: dict, p: BandLimitedPotential) -> int:
     # spot-check the theorem at the witness point: Q must be nonnegative at
     # the strict threshold and turn negative just above it
     code = EXIT_OK
-    if 0.0 < thr.lambda_strict < math.inf:
+    if math.isfinite(thr.lambda_strict):
         z_w, s_w, _ = negative_step_witness(p, gamma)
         q_at = float(step_q_linear(p, z_w, s_w, thr.lambda_strict, gamma))
         q_above = float(step_q_linear(p, z_w, s_w, 2.0 * thr.lambda_strict, gamma))
@@ -363,7 +364,7 @@ def run(argv=None) -> int:
     try:
         config = _load_config(args)
         return args.func(args, config, _potential(config))
-    except SystemExit as exc:
+    except (SystemExit, DomainError) as exc:  # an input outside the numeric domain too
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .potentials import Z_MAX, DomainError, check_gamma
+
 __all__ = [
     "LatticeConfig",
     "Path",
@@ -28,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Uniform time lattice plus regularization and endpoint data.
+    """Uniform time lattice plus regularization ``0 < gamma <= GAMMA_MAX`` and endpoint data.
 
     ``eps`` is always derived from ``(t_a, t_b, n)`` so that ``n * eps``
     equals ``t_b - t_a`` exactly in floating point.
@@ -50,8 +52,7 @@ class LatticeConfig:
             raise ValueError("need at least n = 2 time steps")
         if not self.t_b > self.t_a:
             raise ValueError("t_b must exceed t_a")
-        if not self.gamma > 0:
-            raise ValueError("regularization gamma must be positive")
+        check_gamma(self.gamma)
 
     @property
     def eps(self) -> float:
@@ -68,7 +69,7 @@ class LatticeConfig:
 
 @dataclass(frozen=True)
 class Path:
-    """Positions ``z_0..z_n``; endpoints are fixed by the lattice config."""
+    """Positions ``z_0..z_n`` within ``|z| <= Z_MAX``; the lattice config fixes the endpoints."""
 
     z: np.ndarray
 
@@ -78,6 +79,8 @@ class Path:
             raise ValueError("a path needs at least 3 points")
         if not np.all(np.isfinite(z)):
             raise ValueError("a path's positions must be finite")
+        if not np.all(np.abs(z) <= Z_MAX):
+            raise DomainError(f"a path's positions must lie within |z| <= Z_MAX = {Z_MAX:g}")
         object.__setattr__(self, "z", z)
 
     @property

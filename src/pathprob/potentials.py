@@ -25,12 +25,37 @@ __all__ = [
     "BandLimitedPotential",
     "BandLimitReport",
     "band_limit",
+    "DomainError",
 ]
+
+# The numeric domain of the step kernel M(z, s) (weights), inside which every closed form holds
+# in double precision.  Each bound is at least 10 times inside the edge measured on x86_64:
+QG_MAX = 1e8  # a line's q / gamma: the cubic's s* keeps sup D within 1e-12 up to about 8e9
+S_MAX = 1e76  # |s|: D's products overflow from about 1.16e77
+GAMMA_MAX = 1e59  # the Monte Carlo's farthest draw, 1.63e16 gamma, overflows D from 7.1e60
+Q_MIN = 1e-72  # at q / gamma = QG_MAX, D(s*) underflows and is 4e-9 off at q = 1e-75
+Q_MAX = QG_MAX * GAMMA_MAX
+Z_MAX = 1e240  # |z|: q |z| stays below 1e307 (overflow at 1.8e308)
+K_MAX = 1e292  # K = 2 pi sum |a|: sup |M| = K (QG_MAX^2 + 2) / (2 pi) overflows from 1.1e293
+
+
+class DomainError(ValueError):
+    """An input outside the numeric domain (``QG_MAX``, ``S_MAX``, ... above)."""
+
+
+def check_gamma(gamma: float, r: float = 0.0) -> None:
+    """DomainError unless ``0 < gamma <= GAMMA_MAX`` and ``r / gamma <= QG_MAX`` (``r`` a
+    largest line wavenumber)."""
+    if not 0.0 < gamma <= GAMMA_MAX:
+        raise DomainError(f"gamma must be positive and at most GAMMA_MAX = {GAMMA_MAX:g}, "
+                          f"got {gamma}")
+    if not r <= QG_MAX * gamma:
+        raise DomainError(f"q / gamma = {r / gamma:.4g} is past QG_MAX = {QG_MAX:g}")
 
 
 @dataclass(frozen=True)
 class SpectralLine:
-    """A single cosine component ``a * cos(q * x + phi)`` with ``q > 0``."""
+    """A single cosine component ``a * cos(q * x + phi)`` with ``Q_MIN <= q <= Q_MAX``."""
 
     q: float
     a: float
@@ -39,8 +64,9 @@ class SpectralLine:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.q, self.a, self.phi))):
             raise ValueError(f"line fields must be finite, got {self}")
-        if not self.q > 0:
-            raise ValueError(f"line wavenumber must be positive, got q={self.q}")
+        if not Q_MIN <= self.q <= Q_MAX:
+            raise DomainError(f"line wavenumber needs Q_MIN = {Q_MIN:g} <= q <= Q_MAX = "
+                              f"{Q_MAX:g}, got q={self.q}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +75,7 @@ class BandLimitedPotential:
 
     ``R`` (the largest line wavenumber) and ``K = 2*pi*sum|a_k|``, which is
     ``\\int |Vt|`` exactly, are derived from the lines; both are 0 with none.
+    ``K <= K_MAX``, and ``R^2 K`` is positive where ``K`` is (DomainError).
     ``line_arrays`` is ``(q, a, phi)`` of the lines as read-only arrays, built
     once and left out of equality and hashing.
     """
@@ -63,6 +90,10 @@ class BandLimitedPotential:
     def __post_init__(self):
         object.__setattr__(self, "R", max((ln.q for ln in self.lines), default=0.0))
         object.__setattr__(self, "K", TWO_PI * sum(abs(ln.a) for ln in self.lines))
+        if not self.K <= K_MAX:
+            raise DomainError(f"K = {self.K:g} is past K_MAX = {K_MAX:g}")
+        if self.K and not self.R**2 * self.K > 0.0:  # 2 pi gamma^2 / (R^2 K) divides by it
+            raise DomainError(f"R^2 K underflows to 0 at R = {self.R:g}, K = {self.K:g}")
         cols = np.array([(ln.q, ln.a, ln.phi) for ln in self.lines], dtype=float).reshape(-1, 3)
         cols = np.ascontiguousarray(cols.T)
         cols.flags.writeable = False

@@ -33,10 +33,9 @@ a leading array axis sized to the array, so a small array costs a few
 numpy calls per group rather than per line, and the sum stays bit for bit
 the per-line sum in line order.  Each line's ``sin(q z + phi)`` is the
 half-angle form ``2 tau / (1 + tau^2)``, ``tau = tan((q z + phi) / 2)``
-(:func:`_half_angle_sin`, within a few ulp of ``sin``): numpy runs float64
-``tan`` through its SIMD dispatch and ``sin`` in scalar libm, which was the
-largest single cost of the Monte Carlo's ratio; ``step_m``'s re-sum where
-a term overflows takes the same sine.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
+(within a few ulp of ``sin``): numpy runs float64 ``tan`` through its SIMD
+dispatch and ``sin`` in scalar libm, which was the largest single cost of
+the Monte Carlo's ratio.  With ``f = exp(-gamma |z|) (1 - eps M)`` the
 linearized step factor is ``Q = f rho(s) / eps``, with ``rho(s) = gamma /
 (pi (s^2 + gamma^2))`` the Cauchy law of a velocity change.
 Paths whose ``n - 1`` velocity changes are drawn from ``rho`` have density
@@ -68,6 +67,11 @@ A tabulated potential is a cosine sum too
 (:meth:`BandLimitedPotential.from_grid`), so every threshold is certified.
 :func:`path_weight` returns a path's weight, its per-step factors and both
 thresholds as a :class:`~pathprob.results.WeightResult`.
+
+Every closed form here holds inside the numeric domain that
+:mod:`~pathprob.potentials` declares (``q / gamma <= QG_MAX``, ``gamma <=
+GAMMA_MAX``, ``|z| <= Z_MAX``, ``|s| <= S_MAX``); each public function
+raises :class:`~pathprob.potentials.DomainError`, a ValueError, outside it.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ import numpy as np
 
 from .lattice import LatticeConfig, Path, second_differences, velocity_changes
 from .oracle import _bessel_orders
-from .potentials import TWO_PI, BandLimitedPotential
+from .potentials import S_MAX, TWO_PI, Z_MAX, BandLimitedPotential, DomainError, check_gamma
 from .results import PositivityResult, WeightResult
 
 __all__ = [
@@ -104,15 +108,18 @@ def _shift(q):
     return q
 
 
-@np.errstate(over="ignore")
+def _check_zs(z, s) -> None:
+    """DomainError unless ``|z| <= Z_MAX`` and ``|s| <= S_MAX`` everywhere (nan and inf fail)."""
+    if not (np.all(np.abs(z) <= Z_MAX) and np.all(np.abs(s) <= S_MAX)):
+        raise DomainError(f"step factors need finite z and s with |z| <= Z_MAX = {Z_MAX:g} "
+                          f"and |s| <= S_MAX = {S_MAX:g}")
+
+
 def _pair_into(s, q, g2: float, s2g, d: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``D(s, q)`` into ``d``, with ``u`` scratch of its shape and ``s2g = s^2 + g2``.
 
     Over one denominator, ``4 k s s2g / (((s - k)^2 + g2)((s + k)^2 + g2))``, ``k =
-    _shift(q)``: the difference of the two reciprocals would cancel at small ``|s|``.  A square
-    past about 1e154 overflows to inf and ``D`` to its limit 0; where the numerator overflows
-    too (``|s|`` past about 3.5e102 at ``k = 1``, or ``|s|`` and ``k`` both past about 1e77)
-    ``D`` is inf or nan, and :func:`lorentzian_pair` mends the nan.
+    _shift(q)``: the difference of the two reciprocals would cancel at small ``|s|``.
     """
     k = _shift(q)
     np.add(s, k, out=d)
@@ -130,39 +137,19 @@ def _pair_into(s, q, g2: float, s2g, d: np.ndarray, u: np.ndarray) -> np.ndarray
 
 def lorentzian_pair(s, q, gamma):
     """``D(s, q)``: difference of Lorentzians shifted by ``_shift(q)``, scaled by s^2 + gamma^2
-    (:func:`_pair_into`).  ``D`` is homogeneous of degree 0 in ``(s, k, gamma)``, so where
-    :func:`_pair_into` gives nan it is taken at ``(s, k, gamma) / max(|s|, k)``, whose
-    products do not overflow; an inf stays."""
+    (:func:`_pair_into`).  DomainError outside ``|s| <= S_MAX``, ``|q| / gamma <= QG_MAX``."""
     s = np.asarray(s, dtype=float)
+    check_gamma(gamma, np.max(np.abs(q), initial=0.0))
+    _check_zs(0.0, s)
     shape = np.broadcast_shapes(s.shape, np.shape(q))
     g2 = gamma * gamma
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = _pair_into(s, q, g2, s * s + g2, np.empty(shape), np.empty(shape))
-    lost = np.isnan(d)
-    if lost.any():
-        s, q = (np.broadcast_to(v, shape)[lost] for v in (s, q))
-        c = np.maximum(np.abs(s), _shift(q))  # _shift is linear: _shift(q / c) = k / c
-        s, g2 = s / c, (gamma / c) ** 2
-        with np.errstate(divide="ignore"):  # (gamma / c)^2 is 0 and s = k: D's limit inf
-            d[lost] = _pair_into(s, q / c, g2, s * s + g2, np.empty(s.shape), np.empty(s.shape))
+    d = _pair_into(s, q, g2, s * s + g2, np.empty(shape), np.empty(shape))
     return d if d.ndim else d[()]
 
 
 # elements in a group's buffer of line terms in _add_m: a group of lines is
 # as many as fit, at least one
 _M_CAP = 2**13
-
-
-def _half_angle_sin(x):
-    """``sin x`` as ``2 tau / (1 + tau^2)``, ``tau = tan(x / 2)``: the sine of :func:`_add_m`.
-
-    numpy runs float64 ``tan`` through its AVX-512 dispatch where the CPU has it, and ``sin``
-    in scalar libm at several times the cost per element.  It keeps the sign of +-0 and is
-    within 4 ulp of ``sin`` (2 at most, measured on x86_64); ``tau^2`` stays finite, since no
-    double is within 1e-19 of an odd multiple of ``pi / 2``.
-    """
-    tau = np.tan(0.5 * x)
-    return 2.0 * tau / (1.0 + tau * tau)
 
 
 def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: float = 1.0):
@@ -174,11 +161,15 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
     in ``(G,) + z.shape``, so a grid of ``z`` against ``s`` costs one of each
     per row or column and line, and the numpy calls are per group, not per
     line.  A line's term ``a sin(q z + phi) D`` is ``tau D / (1 + tau^2)``
-    times ``2 a`` (:func:`_half_angle_sin`), with ``q / 2``, ``phi / 2`` and
-    ``2 scale a`` taken once per call.  The group's terms are written below a
-    copy of ``out`` in one buffer, and one ``np.subtract.reduce`` along the
-    group axis subtracts them in line order: it is sequential at every shape,
-    where ``np.add.reduce`` would sum a one-dimensional axis pairwise.  A
+    times ``2 a``, with ``q / 2``, ``phi / 2`` and ``2 scale a`` taken once
+    per call: the half-angle sine keeps the sign of +-0 and is within 4 ulp of
+    ``sin`` (2 at most, measured on x86_64).  No double is within 1e-19 of an
+    odd multiple of ``pi / 2``, so ``|tau| < 1e19``, and ``tau D`` and
+    ``tau^2`` stay finite: ``|D| <= QG_MAX^2 + 2`` in the domain.  The
+    group's terms are written below a copy of ``out`` in one buffer, and one
+    ``np.subtract.reduce`` along the group axis subtracts them in line order:
+    it is sequential at every shape, where ``np.add.reduce`` would sum a
+    one-dimensional axis pairwise.  A
     group of one line (a large ``out``) has no leading axis and subtracts its
     term directly.  The scratch arrays serve every group.  Where ``s`` has
     ``out``'s shape, ``tau D`` goes into ``D``'s array, so for ``z`` and ``s``
@@ -236,48 +227,27 @@ def _add_m(p: BandLimitedPotential, z, s, gamma: float, out: np.ndarray, scale: 
 
 
 def step_m(p: BandLimitedPotential, z, s, gamma: float):
-    """Nonlocal kernel M(z, s).  Accepts scalar or array z, s (broadcast); a
-    non-finite ``z`` or ``s`` raises ValueError.  Where :func:`_add_m` gives
-    nan or inf, ``M`` is summed again from :func:`lorentzian_pair`'s terms,
-    which mend ``D``'s nan past overflow, and the sine, which keeps a term
-    finite where ``tan(x / 2) D`` overflows; a nan from elsewhere warns there."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    """Nonlocal kernel M(z, s).  Accepts scalar or array z, s (broadcast); DomainError
+    outside ``|z| <= Z_MAX``, ``|s| <= S_MAX``, ``0 < gamma <= GAMMA_MAX`` and ``q / gamma
+    <= QG_MAX``."""
+    check_gamma(gamma, p.R)
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
-    if not (np.isfinite(z).all() and np.isfinite(s).all()):
-        raise ValueError("step factors need finite z and s")
-    with np.errstate(over="ignore", invalid="ignore"):  # D's inf / inf, summed again below
-        out = _add_m(p, z, s, gamma, np.zeros(np.broadcast(z, s).shape))
-    lost = ~np.isfinite(out)
-    if lost.any():
-        z, s = (np.broadcast_to(v, out.shape)[lost] for v in (z, s))
-        q, a, phi = (v[:, None] for v in p.line_arrays)
-        with np.errstate(over="ignore"):  # |M| past the largest double is inf
-            terms = a * _half_angle_sin(q * z + phi) * lorentzian_pair(s, q, gamma)
-            out[lost] = -np.sum(terms, axis=0)
+    _check_zs(z, s)
+    out = _add_m(p, z, s, gamma, np.zeros(np.broadcast(z, s).shape))
     return out if out.ndim else float(out)
 
 
 def m_bound(p: BandLimitedPotential, gamma: float) -> float:
     """Leading-order bound ``R^2 K / (2 pi gamma^2)`` on |M|."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma, p.R)
     r = _shift(p.R)
     if r > 0 and gamma > 0.5 * r:
         warnings.warn(
             "m_bound assumes gamma << R; the leading-order bound is loose here",
             stacklevel=2,
         )
-    return _square(r) * p.K / (TWO_PI * gamma**2)
-
-
-def _square(x: float) -> float:
-    """``x**2``, inf where ``**`` raises OverflowError (``x * x`` rounds differently)."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
+    return r**2 * p.K / (TWO_PI * gamma**2)
 
 
 def _sup_lorentzian_pair(q, gamma: float):
@@ -290,17 +260,11 @@ def _sup_lorentzian_pair(q, gamma: float):
     real, so ``v`` is the largest, from the trigonometric form of the roots.
 
     The rounding of ``s*`` is about ``2^-52 r`` of the peak's width ``gamma`` and lowers
-    ``D(s*)`` by about its square, past :func:`m_sup_certified`'s 1e-12 margin from ``r ~
-    1e10``.  From ``r = 1e8``, where ``D(k) >= r^2`` and ``D <= r^2 + 2`` (the maximum of ``D``'s
-    first ratio is ``(r^2 + 2 + r sqrt(r^2 + 4)) / 2``), the supremum is taken as ``r^2``, inf
-    where that overflows, and ``s*`` as ``k``, which is ``gamma sqrt(v)`` to rounding there.
+    ``D(s*)`` by about its square: 2e-16 relative at ``r = QG_MAX``, past
+    :func:`m_sup_certified`'s 1e-12 margin from ``r`` about 8e9.
     """
     q = np.asarray(q, dtype=float)
-    k = _shift(q)
-    with np.errstate(over="ignore"):
-        d_max = (k / gamma) ** 2
-    s, near = k.copy(), d_max < 1e16
-    r2 = d_max[near]
+    r2 = (_shift(q) / gamma) ** 2
     a = 1.0 + 2.0 * r2
     b = 2.0 * (1.0 - r2) - 3.0 * (1.0 + r2) ** 2
     c = -((1.0 + r2) ** 2)
@@ -309,9 +273,8 @@ def _sup_lorentzian_pair(q, gamma: float):
     h = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
     m = np.sqrt(-p / 3.0)
     theta = np.arccos(np.clip(1.5 * h / (p * m), -1.0, 1.0))
-    s[near] = gamma * np.sqrt(2.0 * m * np.cos(theta / 3.0) - a / 3.0)
-    d_max[near] = lorentzian_pair(s[near], q[near], gamma)
-    return d_max, s
+    s = gamma * np.sqrt(2.0 * m * np.cos(theta / 3.0) - a / 3.0)
+    return lorentzian_pair(s, q, gamma), s
 
 
 def m_sup_certified(p: BandLimitedPotential, gamma: float) -> float:
@@ -323,37 +286,25 @@ def m_sup_certified(p: BandLimitedPotential, gamma: float) -> float:
     wherever z aligns every line's phase).  The sum carries a 1e-12 relative
     margin for the rounding of ``s*`` and ``D``.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma, p.R)
     q, a, _ = p.line_arrays
     d_max, _ = _sup_lorentzian_pair(q, gamma)
-    d_max[a == 0.0] = 0.0  # an overflowed supremum is inf, and 0 inf nan
-    with np.errstate(over="ignore"):  # |a| D past the largest double: sup |M| is inf
-        return float(np.abs(a) @ d_max) * (1.0 + 1e-12)
+    return float(np.abs(a) @ d_max) * (1.0 + 1e-12)
 
 
 def positivity_threshold(p: BandLimitedPotential, gamma: float) -> PositivityResult:
     """Largest step sizes guaranteeing nonnegative step factors.
 
-    ``lambda_paper`` is the closed-form ``2 pi gamma^2 / (R^2 K)``, taken as
-    ``2 pi (gamma / R)^2 / K`` where ``gamma^2`` overflows or ``R^2 K``
-    underflows to 0, so it is never nan; ``lambda_strict`` is ``1 / m_sup``,
-    the :func:`m_sup_certified` that the result carries wherever the potential
-    has lines.  Both are ``inf`` where every amplitude is 0 (every eps is
-    admissible).
+    ``lambda_paper`` is the closed-form ``2 pi gamma^2 / (R^2 K)``;
+    ``lambda_strict`` is ``1 / m_sup``, the :func:`m_sup_certified` that the
+    result carries wherever the potential has lines.  Both are ``inf`` where
+    every amplitude is 0 (every eps is admissible).
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma, p.R)
     if not p.lines:
         return PositivityResult(gamma, math.inf, math.inf)
-    r, k = _shift(p.R), p.K
-    g2, r2k = _square(gamma), _square(r) * k
-    if k == 0.0:
-        lam_paper = math.inf
-    elif g2 < math.inf and r2k > 0.0:
-        lam_paper = TWO_PI * g2 / r2k
-    else:  # a K that overflowed to inf gives 0, as R^2 K does above
-        lam_paper = TWO_PI * _square(gamma / r) / k if k < math.inf else 0.0
+    r2k = _shift(p.R) ** 2 * p.K  # positive where K is (BandLimitedPotential)
+    lam_paper = TWO_PI * gamma**2 / r2k if r2k else math.inf
     sup = m_sup_certified(p, gamma)
     lam_strict = math.inf if sup == 0.0 else 1.0 / sup
     return PositivityResult(gamma, float(lam_paper), float(lam_strict), m_sup=sup)
@@ -429,8 +380,7 @@ def _u_series(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: fl
         delta += off.max()
         w = np.add.reduceat(w + np.abs(c) * off, starts)
         nu, c, b = nu[starts], np.add.reduceat(c, starts), np.add.reduceat(b, starts)
-    with np.errstate(over="ignore"):  # a square past about 1e154 is inf and L its limit 0
-        lor = 2.0 * gamma / ((s - nu) ** 2 + gamma * gamma)
+    lor = 2.0 * gamma / ((s - nu) ** 2 + gamma * gamma)
     g = math.fsum((lor * c).tolist())  # correctly rounded, whatever the number of terms
     bound = 2.0 * lost / gamma + w @ (np.abs(s - nu) * lor * lor / gamma + 4.0 * delta / gamma**3)
     roundings = sum(ck.size + 3 for ck, _ in lines) + 6
@@ -443,10 +393,9 @@ def _u_series(p: BandLimitedPotential, z: float, s: float, eps: float, gamma: fl
 def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str = "linear"):
     """``(M, g, h)`` at broadcast ``z, s``, with ``Q = exp(-gamma |z|) g h``, ``g``
     carrying the sign and ``h > 0``: both forms' one definition (module docstring).
-    A non-finite ``z`` or ``s`` raises ValueError (:func:`step_m` checks, before
-    either form's ``g``)."""
-    if not (eps > 0 and gamma > 0):
-        raise ValueError("eps and gamma must be positive")
+    :func:`step_m` checks the domain before either form's ``g``."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
     m = step_m(p, z, s, gamma)
@@ -456,8 +405,7 @@ def _split_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str 
         return m, g, 1.0 / (TWO_PI * eps)
     if form != "linear":
         raise ValueError(f"unknown step-factor form {form!r}")
-    with np.errstate(over="ignore"):  # s^2 + gamma^2 past the largest double: h is 0
-        return m, 1.0 - eps * m, 2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))
+    return m, 1.0 - eps * m, 2.0 * gamma / (TWO_PI * eps * (s * s + gamma * gamma))
 
 
 def _path_sign_log(z, g, h, gamma: float, n: int):
@@ -478,12 +426,11 @@ def _sign_log_ratio(p: BandLimitedPotential, z, s, eps: float, gamma: float):
     underflows.  ``|1 - eps M| <= 1 + eps sup|M|``, so a row's product leaves
     the normal range of a double only through a zero factor or through many
     factors far from 1 (``eps`` far above the positivity threshold, or near
-    it); such rows are reduced step by step, and a factor that :func:`_add_m`
-    left inf or nan (``tan(x / 2) D`` past the largest double) is taken from
-    :func:`step_m` there.  ``z`` and ``s`` have shape (N, n-1).
+    it); such rows are reduced step by step.  ``z`` and ``s`` have shape (N,
+    n-1), ``s`` at most the sampler's ``1.63e16 gamma``.
     """
+    fac = _add_m(p, z, s, gamma, np.ones(z.shape), scale=-eps)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fac = _add_m(p, z, s, gamma, np.ones(z.shape), scale=-eps)
         # column by column: numpy reduces along a short last axis row by
         # row, at about three times the cost
         prod = fac[:, 0].copy()
@@ -493,11 +440,7 @@ def _sign_log_ratio(p: BandLimitedPotential, z, s, eps: float, gamma: float):
         log_abs = np.log(mag)
     lost = ~((mag >= np.finfo(float).tiny) & (mag < math.inf))
     if lost.any():
-        f = fac[lost]
-        bad = ~np.isfinite(f)
-        if bad.any():
-            f[bad] = 1.0 - eps * step_m(p, z[lost][bad], s[lost][bad], gamma)
-        sign[lost], log_abs[lost] = _sign_log_abs(f, 1)
+        sign[lost], log_abs[lost] = _sign_log_abs(fac[lost], 1)
     log_abs -= gamma * (np.abs(z, out=fac) @ np.ones(z.shape[1]))
     return sign, log_abs
 
@@ -510,10 +453,7 @@ def _step_q(p: BandLimitedPotential, z, s, eps: float, gamma: float, form: str):
 
 
 def step_q_linear(p: BandLimitedPotential, z, s, eps: float, gamma: float):
-    """Linearized step factor; the form certified nonnegative for eps below threshold.
-
-    A non-finite ``z`` or ``s`` raises ValueError.
-    """
+    """Linearized step factor; the form certified nonnegative for eps below threshold."""
     return _step_q(p, z, s, eps, gamma, "linear")
 
 
@@ -522,8 +462,7 @@ def step_q_exponential(p: BandLimitedPotential, z, s, eps: float, gamma: float):
 
     ``g`` is the Jacobi-Anger series :func:`_u_series`, which raises NonConvergenceError
     where its bound exceeds ``1e-9 |g| + 1e-13`` and where the lines' products would pass
-    ``SERIES_TERMS`` (five incommensurate lines at ``2 eps |a| ~ 1``, or seven at ``0.05``);
-    a non-finite ``z`` or ``s`` raises ValueError.
+    ``SERIES_TERMS`` (five incommensurate lines at ``2 eps |a| ~ 1``, or seven at ``0.05``).
     """
     return _step_q(p, z, s, eps, gamma, "exponential")
 
@@ -533,7 +472,6 @@ def batch_log_weights(p: BandLimitedPotential, interiors: np.ndarray, cfg: Latti
 
     ``interiors`` has shape (N, n-1).  Returns ``(signs, log_abs, q_signs)``
     where ``q_signs`` is the per-step sign matrix (N, n-1), the sign of ``g``.
-    A non-finite interior point raises ValueError.
     """
     interiors = np.atleast_2d(np.asarray(interiors, dtype=float))
     s = velocity_changes(interiors, cfg)
@@ -553,24 +491,16 @@ def path_weight(
     ``form`` selects the linearized ("linear", default: the form the
     positivity theorem certifies) or the full exponential ("exponential")
     step factor.  ``W`` is ``sign * exp(log|W|)``, infinite only where that
-    overflows a double.  A non-finite ``Q_j`` (``0 inf`` where ``exp(-gamma |z|)``
-    underflows and ``g`` overflows) raises ValueError.
+    overflows a double.
     """
     s = second_differences(path, cfg)
     z = path.z[1:-1]
-    # a nan or inf M (gamma^2 past overflow) or 0 inf makes a Q non-finite,
-    # which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        m, g, h = _split_q(p, z, s, cfg.eps, cfg.gamma, form)
-        q = np.exp(-cfg.gamma * np.abs(z)) * g * h
-    if not np.isfinite(q).all():  # before int() meets a nan sign
-        raise ValueError("non-finite step factor Q")
+    m, g, h = _split_q(p, z, s, cfg.eps, cfg.gamma, form)
+    q = np.exp(-cfg.gamma * np.abs(z)) * g * h
     sign, log_abs = _path_sign_log(z, g, h, cfg.gamma, cfg.n)
     sign, log_abs = int(sign), float(log_abs)
-    try:
-        w = sign * math.exp(log_abs) if sign else 0.0
-    except OverflowError:
-        w = sign * math.inf
+    # exp is a double up to the log of the largest double, where W becomes inf
+    w = sign * math.exp(log_abs) if log_abs <= math.log(np.finfo(float).max) else sign * math.inf
     thr = positivity_threshold(p, cfg.gamma)
     return WeightResult(
         W=w,
@@ -592,22 +522,19 @@ def negative_step_witness(p: BandLimitedPotential, gamma: float):
     strict threshold.  Line k's term ``-a_k sin(q_k z + phi_k) D(s, q_k)``
     reaches ``+|a_k| D(s*_k, q_k)`` at its maximizer ``s*_k`` and at ``z*_k`` with
     ``sin(q_k z*_k + phi_k) = -sign a_k``.  The one with the largest M is refined on a
-    41 x 41 grid around it, whose largest M but nan (``0 inf``) is the witness; ValueError
-    where that M is not finite (``D(s*, q)`` overflows from ``q`` about 1e77).
+    41 x 41 grid around it, whose largest M is the witness.
     """
+    check_gamma(gamma, p.R)
     if not p.lines:
         raise ValueError("witness construction needs a nonzero potential")
     q, a, phi = p.line_arrays
     _, s_star = _sup_lorentzian_pair(q, gamma)
     z_star = (-np.copysign(0.5 * np.pi, a) - phi) / q
     offsets = np.linspace(-1.0, 1.0, 41)
-    with np.errstate(invalid="ignore"):  # 0 inf, a zero sin times D's inf
-        k = int(np.argmax(step_m(p, z_star, s_star, gamma)))
-        zg = z_star[k] + offsets[:, None] * (0.5 * np.pi / p.R)
-        sg = s_star[k] + offsets[None, :] * gamma
-        mm = step_m(p, zg, sg, gamma)
-    i, j = np.unravel_index(np.argmax(np.where(np.isnan(mm), -np.inf, mm)), mm.shape)
-    if not math.isfinite(mm[i, j]):
-        raise ValueError(f"no witness in double precision: M is {mm[i, j]} at s = {sg[0, j]:.4g}")
+    k = int(np.argmax(step_m(p, z_star, s_star, gamma)))
+    zg = z_star[k] + offsets[:, None] * (0.5 * np.pi / p.R)
+    sg = s_star[k] + offsets[None, :] * gamma
+    mm = step_m(p, zg, sg, gamma)
+    i, j = np.unravel_index(np.argmax(mm), mm.shape)
     return float(zg[i, 0]), float(sg[0, j]), float(mm[i, j])
 

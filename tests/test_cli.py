@@ -116,48 +116,37 @@ class TestPositivity:
         assert run(["positivity", "-c", str(f)]) == 1
         assert "positivity needs a positive finite --gamma" in capsys.readouterr().err
 
-    # q / gamma past about 7e76 made the certified supremum nan (exit 0, nan thresholds, and
-    # RuntimeWarnings), and q past about 1.3e154 raised OverflowError on R^2 (a traceback)
+    # q / gamma past about 7e76 made the certified supremum nan, and q past about 1.3e154
+    # raised OverflowError on R^2: such a line is past Q_MAX, a usage error naming the bound
     @pytest.mark.parametrize("q", [1e77, 1e100, 1e160])
     def test_huge_wavenumber_exits_cleanly(self, q, tmp_path, capsys):
         f = tmp_path / "huge.json"
         f.write_text(json.dumps({"potential": {"lines": [{"q": q, "a": 1.0, "phi": 0.0}]}}))
-        code, payload = run_json(["positivity", "-c", str(f), "--gamma", "1.0"], tmp_path)
-        if code == 2:  # D at the witness, s* = q, overflows
-            assert capsys.readouterr().err.startswith("error: no witness in double precision")
-        else:
-            assert code == 0 and payload["m_sup_certified"] is True
-            assert payload["m_sup"] == "inf" and payload["lambda_strict"] == 0.0
-        assert code == (0 if q > 1e154 else 2)
+        assert run(["positivity", "-c", str(f), "--gamma", "1.0"]) == 1
+        assert capsys.readouterr().err.startswith("error: bad potential: line wavenumber needs "
+                                                  "Q_MIN = 1e-72 <= q <= Q_MAX = 1e+67")
 
     def test_tiny_wavenumber_exits_cleanly(self, tmp_path, capsys):
-        # R^2 K underflows to 0 below q about 1e-162 (a ZeroDivisionError's traceback once);
-        # the paper's threshold, 2 pi (gamma / R)^2 / K, is past the largest double
+        # R^2 K underflowed to 0 below q about 1e-162: such a line is below Q_MIN
         f = tmp_path / "tiny.json"
         f.write_text(json.dumps({"potential": {"lines": [{"q": 1e-170, "a": 1.0}]}}))
-        code, payload = run_json(["positivity", "-c", str(f), "--gamma", "0.1"], tmp_path)
-        assert code == 0 and capsys.readouterr().err == ""
-        assert payload["lambda_paper"] == "inf" and payload["lambda_strict"] > 1e168
+        assert run(["positivity", "-c", str(f), "--gamma", "0.1"]) == 1
+        assert "Q_MIN = 1e-72 <= q" in capsys.readouterr().err
 
-    def test_gamma_past_square_overflow(self, cosine_json, tmp_path, capsys):
-        # gamma^2 overflows past gamma about 1.34e154 (an OverflowError's traceback once), and
-        # so does the witness's s^2 + gamma^2: the paper's threshold is past the largest double
-        argv = ["positivity", "-c", cosine_json, "--gamma", "1e160"]
-        code, payload = run_json(argv, tmp_path)
-        assert code == 0 and capsys.readouterr().err == ""
-        assert payload["lambda_paper"] == "inf"
-        assert payload["lambda_strict"] == pytest.approx(5e159, rel=1e-11)
+    def test_gamma_past_square_overflow(self, cosine_json, capsys):
+        # gamma^2 overflowed past gamma about 1.34e154: past GAMMA_MAX, a usage error
+        assert run(["positivity", "-c", cosine_json, "--gamma", "1e160"]) == 1
+        assert capsys.readouterr().err == (
+            "error: gamma must be positive and at most GAMMA_MAX = 1e+59, got 1e+160\n")
 
-    @pytest.mark.filterwarnings("ignore:.*lambda_strict.*:UserWarning")
-    def test_huge_wavenumber_mc_is_free(self, tmp_path):
-        # the line's D overflows to its limit 0 at every drawn s: the free particle's estimate
+    def test_huge_wavenumber_mc_is_free(self, tmp_path, capsys):
+        # the line's D overflowed to its limit 0 at every drawn s, and the estimate was the
+        # free particle's; a line within Q_MAX but past QG_MAX gamma stops the run first
         config = dict(FREE_CONFIG, sampler={"n_samples": 4096, "seed": 1})
-        f, g = tmp_path / "huge.json", tmp_path / "free.json"
-        f.write_text(json.dumps(config | {"potential": {"lines": [{"q": 1e160, "a": 1.0}]}}))
-        g.write_text(json.dumps(config))
-        argv = ["transition", "--method", "mc", "-c"]
-        code, huge = run_json(argv + [str(f)], tmp_path)
-        assert code == 0 and huge["value"] == run_json(argv + [str(g)], tmp_path)[1]["value"]
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(config | {"potential": {"lines": [{"q": 1e20, "a": 1.0}]}}))
+        assert run(["transition", "--method", "mc", "-c", str(f)]) == 1
+        assert capsys.readouterr().err == "error: q / gamma = 2e+21 is past QG_MAX = 1e+08\n"
 
 
 class TestTransition:
@@ -260,31 +249,26 @@ class TestWeight:
 
     @pytest.mark.parametrize("q", [1e155, 1e160, 1e300])
     def test_exponential_past_square_overflow(self, tmp_path, capsys, q):
-        # the series' Lorentzians at m q, m != 0, overflow to their limit 0 quietly
+        # the series' Lorentzians at m q, m != 0, overflowed from q about 1e154, past Q_MAX
         config = tmp_path / "huge.json"
         lines = [{"q": q, "a": 0.3}]
         config.write_text(json.dumps(dict(COSINE_CONFIG, potential={"lines": lines})))
-        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
-        path_file = tmp_path / "p.csv"
-        write_path_csv(straight_line(cfg), cfg, path_file)
-        argv = ["weight", "-c", str(config), "--path", str(path_file), "--form", "exponential"]
-        assert run(argv) == 0
-        assert capsys.readouterr().err == ""
+        argv = ["weight", "-c", str(config), "--path", "unread.csv", "--form", "exponential"]
+        assert run(argv) == 1
+        assert "Q_MAX = 1e+67" in capsys.readouterr().err
 
     def test_step_past_numerator_overflow(self, tmp_path, capsys, cosine_json):
-        # z_2 = 1e110 puts |s| near 1e111, where D's numerator and denominator both overflow;
-        # M and Q stay finite, so the run does not stop on "non-finite step factor Q"
+        # z_2 = 1e110 puts |s| near 1e111, where D's numerator and denominator both
+        # overflowed: past S_MAX, a usage error naming the bound
         cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
         path_file = tmp_path / "p.csv"
         write_path_csv(make_path(cfg, np.array([0.1, 1e110, 0.1])), cfg, path_file)
-        assert run(["weight", "-c", cosine_json, "--path", str(path_file)]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert math.isfinite(json.loads(captured.out)["W"])
+        assert run(["weight", "-c", cosine_json, "--path", str(path_file)]) == 1
+        assert "|s| <= S_MAX = 1e+76" in capsys.readouterr().err
 
     def test_step_factor_zero_times_inf(self, tmp_path, capsys):
-        # s = -q at z = 2.5e99: exp(-gamma |z|) underflows to 0 and g = 1 - eps M is inf, so
-        # Q is 0 inf; the run stops on that Q without a RuntimeWarning
+        # s = -q at z = 2.5e99 once made Q = 0 inf (exp(-gamma |z|) underflows and g = 1 -
+        # eps M is inf): with q = 1e100 past Q_MAX the config is a usage error first
         config = tmp_path / "huge.json"
         config.write_text(json.dumps({
             "potential": {"lines": [{"q": 1e100, "a": 1.0}]},
@@ -293,33 +277,25 @@ class TestWeight:
         cfg = LatticeConfig(0.0, 1.0, 2, 1.0, 0.0, 0.0)
         path_file = tmp_path / "p.csv"
         write_path_csv(make_path(cfg, [2.5e99]), cfg, path_file)
-        assert run(["weight", "-c", str(config), "--path", str(path_file)]) == 2
-        assert capsys.readouterr().err == "error: non-finite step factor Q\n"
+        assert run(["weight", "-c", str(config), "--path", str(path_file)]) == 1
+        assert "Q_MAX" in capsys.readouterr().err
 
     def test_tiny_wavenumber(self, tmp_path, capsys):
-        # the thresholds behind the weight no longer stop the run where R^2 K underflows
+        # R^2 K underflowed to 0 below q about 1e-162: below Q_MIN, a usage error
         config = tmp_path / "tiny.json"
         config.write_text(json.dumps(dict(COSINE_CONFIG, potential={
             "lines": [{"q": 1e-170, "a": 1.0}]})))
-        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
-        path_file = tmp_path / "p.csv"
-        write_path_csv(straight_line(cfg), cfg, path_file)
-        code, payload = run_json(["weight", "-c", str(config), "--path", str(path_file)],
-                                 tmp_path)
-        assert code == 0 and capsys.readouterr().err == ""
-        assert payload["sign"] == 1 and payload["lambda_paper"] == "inf"
+        assert run(["weight", "-c", str(config), "--path", "unread.csv"]) == 1
+        assert "Q_MIN = 1e-72" in capsys.readouterr().err
 
     def test_gamma_past_square_overflow(self, tmp_path, capsys):
-        # gamma^2 overflows and M is nan at every step: the run stops on the step factor,
-        # not on casting a nan sign, and without a RuntimeWarning
+        # gamma^2 overflowed and M was nan at every step: past GAMMA_MAX, the lattice
+        # config is a usage error
         config = tmp_path / "wide.json"
         config.write_text(json.dumps(dict(COSINE_CONFIG, lattice=dict(
             COSINE_CONFIG["lattice"], gamma=1e160))))
-        cfg = LatticeConfig(0.0, 1.0, 4, 0.1, 0.0, 0.2)
-        path_file = tmp_path / "p.csv"
-        write_path_csv(straight_line(cfg), cfg, path_file)
-        assert run(["weight", "-c", str(config), "--path", str(path_file)]) == 2
-        assert capsys.readouterr().err == "error: non-finite step factor Q\n"
+        assert run(["weight", "-c", str(config), "--path", "unread.csv"]) == 1
+        assert "GAMMA_MAX = 1e+59" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -536,6 +512,17 @@ class TestUsageErrors:
                 ["positivity", "--gamma", "0.1"],
                 {"potential": {"grid": {"qmax": 1.0, "values": [[0, 0], [1, 0], [1, 0], [0, 0]]}}},
             ),
+            # outside the numeric domain: q past Q_MAX and below Q_MIN, gamma past GAMMA_MAX
+            # by flag and by config, q / gamma past QG_MAX, K past K_MAX
+            (["positivity", "--gamma", "1.0"], {"potential": {"lines": [{"q": 1e100, "a": 1}]}}),
+            (["positivity", "--gamma", "1.0"], {"potential": {"lines": [{"q": 1e-100, "a": 1}]}}),
+            (["positivity", "--gamma", "1e60"], COSINE_CONFIG),
+            (["transition", "--gamma", "1e60"], FREE_CONFIG),
+            (["weight", "--path", "unread.csv"],
+             dict(COSINE_CONFIG, lattice=dict(COSINE_CONFIG["lattice"], gamma=1e60))),
+            (["transition"], dict(COSINE_CONFIG, lattice=dict(COSINE_CONFIG["lattice"],
+                                                              gamma=1e-9))),
+            (["positivity", "--gamma", "1.0"], {"potential": {"lines": [{"q": 1, "a": 1e300}]}}),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, argv, config):
@@ -575,8 +562,9 @@ class TestUsageErrors:
             ["j,t,z", "0,0.0,0.0", "1,0.25", "2,0.5,0.1", "3,0.75,0.1", "4,1.0,0.2"],
             ["j,t,z", "0,0.0,0.0", "1,0.25,x", "2,0.5,0.1", "3,0.75,0.1", "4,1.0,0.2"],
             ["j,t,z"] + [f"{j},{j / 5},{0.04 * j}" for j in range(6)],
+            ["j,t,z", "0,0.0,0.0", "1,0.25,1e241", "2,0.5,0.1", "3,0.75,0.1", "4,1.0,0.2"],
         ],
-        ids=["empty", "short-row", "non-numeric-z", "five-steps-for-n4"],
+        ids=["empty", "short-row", "non-numeric-z", "five-steps-for-n4", "z-past-z-max"],
     )
     def test_bad_path_file(self, tmp_path, capsys, cosine_json, rows):
         path_file = tmp_path / "bad.csv"
@@ -584,6 +572,9 @@ class TestUsageErrors:
         assert run(["weight", "-c", cosine_json, "--path", str(path_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad path file: ") and "Traceback" not in err
+        if "1e241" in "".join(rows):  # outside the numeric domain, named by its bound
+            assert err == ("error: bad path file: a path's positions must lie within |z| <= "
+                           "Z_MAX = 1e+240\n")
 
     @pytest.mark.parametrize("form", ["linear", "exponential"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -6,6 +6,7 @@ import pytest
 
 from pathprob.potentials import (
     BandLimitedPotential,
+    DomainError,
     SpectralLine,
     band_limit,
     potential_from_dict,
@@ -19,12 +20,22 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "q, a, phi",
         [(0.0, 1.0, 0.0), (-1.0, 1.0, 0.0), (1.0, math.nan, 0.0), (math.inf, 1.0, 0.0),
-         (1.0, 1.0, math.inf), (math.nan, 1.0, 0.0)],
+         (1.0, 1.0, math.inf), (math.nan, 1.0, 0.0), (1e-80, 1.0, 0.0), (1e70, 1.0, 0.0)],
     )
     def test_line_rejects_bad_field(self, q, a, phi):
-        # a positive q, and finite q, a and phi
+        # Q_MIN <= q <= Q_MAX, and finite q, a and phi
         with pytest.raises(ValueError):
             SpectralLine(q=q, a=a, phi=phi)
+
+    def test_potential_outside_domain_rejected(self):
+        # K past K_MAX, where sup |M| overflows, and an R^2 K that underflows to 0, which
+        # the paper's threshold divides by; a subnormal amplitude at q ~ 1 stays
+        with pytest.raises(DomainError, match="K_MAX = 1e\\+292"):
+            BandLimitedPotential.from_lines([(1.0, 1e300, 0.0)])
+        with pytest.raises(DomainError, match="R\\^2 K underflows to 0"):
+            BandLimitedPotential.from_lines([(1e-60, 1e-300, 0.0)])
+        p = BandLimitedPotential.from_lines([(0.3, 5e-324, 0.0)])
+        assert p.R**2 * p.K > 0.0
 
     def test_from_lines_sets_r_and_k(self):
         p = BandLimitedPotential.from_lines([(1.0, 0.5, 0.0), (0.3, -0.2, 1.0)])

@@ -12,7 +12,19 @@ from scipy.special import j0
 from pathprob import quadrature, weights
 from pathprob.lattice import LatticeConfig, interior_from_velocity_changes, make_path
 from pathprob.montecarlo import SamplerConfig, estimate_transition_mc, sample_bridge_paths
-from pathprob.potentials import BandLimitedPotential, band_limit, potential_from_dict
+from pathprob.potentials import (
+    GAMMA_MAX,
+    K_MAX,
+    Q_MAX,
+    Q_MIN,
+    QG_MAX,
+    S_MAX,
+    Z_MAX,
+    BandLimitedPotential,
+    DomainError,
+    band_limit,
+    potential_from_dict,
+)
 from pathprob.quadrature import transition_probability_quadrature
 from pathprob.results import WeightResult
 from pathprob.weights import (
@@ -212,24 +224,31 @@ class TestStepM:
 
     @pytest.mark.parametrize("s", [1e110, -1e110, 1e200, 1e300])
     def test_past_numerator_overflow(self, s):
-        # from |s| about 3.5e102 at k = 1 D's numerator and denominator both overflow, and
-        # D, homogeneous of degree 0, is taken at (s, k, gamma) / |s|
-        assert step_m(COSINE, 0.3, s, 0.1) == pytest.approx(-math.sin(0.3) * 4.0 / s, rel=1e-12)
+        # D's numerator and denominator both overflow from |s| about 3.5e102 at k = 1, past
+        # S_MAX: the kernel and D reject such an s by the bound's name
+        for call in (lambda: step_m(COSINE, 0.3, s, 0.1), lambda: lorentzian_pair(s, 1.0, 0.1)):
+            with pytest.raises(DomainError, match=r"\|s\| <= S_MAX = 1e\+76"):
+                call()
 
     def test_half_angle_term_past_overflow(self):
-        # D(k, k) is about 1e304 at gamma = 1e-152, and tan(z / 2) D overflows where
-        # |tan(z / 2)| > 2e4: the first two points, which step_m sums again from the sine
-        z = np.array([math.pi - 1e-6, math.pi - 1e-9, 3.0])
-        d = lorentzian_pair(1.0, 1.0, 1e-152)
+        # D(k, k) is about (k / gamma)^2: tan(z / 2) D overflowed near z = pi at gamma =
+        # 1e-152, a q / gamma past QG_MAX; at QG_MAX itself the terms are finite
+        z = np.array([math.pi - 1e-6, math.pi - 1e-9, 3.0, np.nextafter(math.pi, 0.0)])
+        with pytest.raises(DomainError, match="QG_MAX"):
+            step_m(COSINE, z, 1.0, 1e-152)
+        d = lorentzian_pair(1.0, 1.0, 1.0 / QG_MAX)
         want = -np.array([math.sin(v) for v in z]) * d
-        np.testing.assert_allclose(step_m(COSINE, z, 1.0, 1e-152), want, rtol=1e-12)
+        np.testing.assert_allclose(step_m(COSINE, z, 1.0, 1.0 / QG_MAX), want, rtol=1e-12)
 
     def test_lorentzian_pair_keeps_inf(self):
-        # D(k, k) ~ (k / gamma)^2 overflows to its limit +-inf, also past k = 1e154, where
-        # the products of _pair_into's one-denominator form both overflow
-        assert lorentzian_pair(1e100, 1e100, 1.0) == math.inf
-        assert lorentzian_pair(1e160, 1e160, 1.0) == math.inf
-        assert lorentzian_pair(-1e160, 1e160, 1.0) == -math.inf
+        # D(k, k) ~ (k / gamma)^2 overflowed to +-inf past k / gamma about 1e154, and D's
+        # products past |s| about 1e77: both are outside the domain, and D(k, k) at its edge
+        # is finite, between QG_MAX^2 and QG_MAX^2 + 2
+        with pytest.raises(DomainError, match="QG_MAX"):
+            lorentzian_pair(1e100, 1e100, 1.0)
+        with pytest.raises(DomainError, match="S_MAX"):
+            lorentzian_pair(-1e160, 1.0, 1.0)
+        assert QG_MAX**2 <= lorentzian_pair(QG_MAX, QG_MAX, 1.0) <= QG_MAX**2 + 2
 
     def test_gamma_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -295,7 +314,8 @@ class TestStepM:
             np.random.default_rng(6).uniform(-20.0, 20.0, 2000),
         ])
         x = np.concatenate([x, -x])
-        got = weights._half_angle_sin(x)
+        tau = np.tan(0.5 * x)  # the kernel's sine, as _add_m writes it
+        got = 2.0 * tau / (1.0 + tau * tau)
         want = np.array([math.sin(v) for v in x])
         assert np.array_equal(np.signbit(got[x == 0.0]), np.signbit(x[x == 0.0]))
         err = np.abs(got - want)
@@ -452,36 +472,37 @@ class TestBounds:
         assert np.all(step_q_linear(p, z, s, eps, gamma) >= 0)
         assert (1.0 - 1e-2) * sup < np.max(step_m(p, z, s, gamma)) <= sup
 
-    # sup D >= D(q, q) > r^2, r = q / gamma.  From r ~ 1e10 the rounding of s* put D(s*) below
-    # the supremum by more than the 1e-12 margin (2.6e-12 at 1e10, 2.4e-4 at 1e14); past about
-    # 7e76 the cubic overflowed and the supremum was a "certified" nan; past about 1.3e154 the
-    # thresholds' R^2 raised OverflowError
+    # r = q / gamma.  From r about 8e9 the rounding of s* puts D(s*) below the supremum by
+    # more than the 1e-12 margin (3.6e-12 at 1e10), the cubic overflowed past about 7e76 and
+    # the thresholds' R^2 past about 1.3e154: every function rejects r past QG_MAX, and a
+    # line past Q_MAX is rejected when it is made
     @pytest.mark.parametrize("gamma", [1.0, 1e-10])
     @pytest.mark.parametrize("r", [1e10, 1e14, 1e77, 1e100, 1e160])
     def test_sup_bounds_huge_wavenumber(self, r, gamma):
+        if not r * gamma <= Q_MAX:
+            with pytest.raises(DomainError, match="Q_MAX = 1e\\+67"):
+                BandLimitedPotential.single_line(a=1.0, q=r * gamma)
+            return
         p = BandLimitedPotential.single_line(a=1.0, q=r * gamma)
-        sup = m_sup_certified(p, gamma)
-        assert sup >= r * r  # inf where r^2 overflows
-        thr = positivity_threshold(p, gamma)
-        assert thr.lambda_strict == 1.0 / sup
-        assert thr.lambda_paper == pytest.approx(1.0 / (r * r), rel=1e-14, abs=1e-300)
-        assert m_bound(p, gamma) == pytest.approx(r * r, rel=1e-14)
-        _, s_star = _sup_lorentzian_pair(np.array([r * gamma]), gamma)
-        assert s_star[0] == r * gamma
+        for f in (m_sup_certified, positivity_threshold, m_bound, negative_step_witness):
+            with pytest.raises(DomainError, match="past QG_MAX = 1e\\+08"):
+                f(p, gamma)
 
-    # the refining grid's edge row has sin(q z + phi) = 0 to rounding, where M is 0 inf = nan,
-    # and M is +inf over the rest of the grid: the message names that inf
+    # D(s*, q) overflowed to inf from q about 1e77 at gamma = 1, where the witness had no
+    # finite M: such a line is past Q_MAX
     @pytest.mark.parametrize("q", [1e77, 1e100])
     def test_witness_past_overflow_names_inf(self, q):
-        p = BandLimitedPotential.single_line(a=1.0, q=q)
-        with pytest.raises(ValueError, match=r"no witness in double precision: M is inf at s = "):
-            negative_step_witness(p, 1.0)
+        with pytest.raises(DomainError, match=r"Q_MIN = 1e-72 <= q <= Q_MAX = 1e\+67"):
+            BandLimitedPotential.single_line(a=1.0, q=q)
 
     def test_sup_drops_zero_amplitude_line_past_overflow(self):
-        # its supremum overflows to inf, and 0 inf is nan
-        p = BandLimitedPotential.from_lines([(1e160, 0.0, 0.0), (1.0, 1.0, 0.0)])
+        # a zero-amplitude line adds 0 to the supremum, also at the domain's edge q / gamma =
+        # QG_MAX; past Q_MAX, where its D overflowed and 0 inf was nan, the line is rejected
+        p = BandLimitedPotential.from_lines([(QG_MAX, 0.0, 0.0), (1.0, 1.0, 0.0)])
         one = BandLimitedPotential.single_line(1.0, 1.0)
         assert m_sup_certified(p, 1.0) == m_sup_certified(one, 1.0)
+        with pytest.raises(DomainError, match="Q_MAX"):
+            BandLimitedPotential.from_lines([(1e160, 0.0, 0.0), (1.0, 1.0, 0.0)])
 
     @given(grid_spectra(), st.floats(0.05, 1.0), st.integers(0, 2**32))
     @settings(max_examples=30, deadline=None)
@@ -521,31 +542,35 @@ class TestThresholds:
         thr = positivity_threshold(BandLimitedPotential.zero(), 0.1)
         assert math.isinf(thr.lambda_paper) and math.isinf(thr.lambda_strict)
 
-    # (gamma, q): gamma^2 overflows past about 1.34e154, R^2 K underflows to 0 below q
-    # about 1e-162 (an OverflowError and a ZeroDivisionError once), or both squares leave
-    # the doubles; K = 2 pi a = pi, so the threshold is 2 (gamma / q)^2
+    # (gamma, q): gamma^2 overflowed past about 1.34e154, R^2 K underflowed to 0 below q
+    # about 1e-162, or both; each such pair is outside the domain, and rejected by the bound
+    # it passes first, and inside it the threshold is the closed form
     @pytest.mark.parametrize("gamma,q", [
         (0.1, 1.0), (1e-170, 1.0), (1.0, 1e160), (1e160, 1.0), (1e160, 1e100), (1e160, 1e160),
         (0.1, 1e-170), (1e-100, 1e-170), (1e-170, 1e-170), (1e160, 1e-170),
     ])
     def test_paper_threshold_past_overflow(self, gamma, q):
-        p = BandLimitedPotential.single_line(a=0.5, q=q)
-        lam = positivity_threshold(p, gamma).lambda_paper
-        try:
-            closed = TWO_PI * gamma**2 / (q**2 * p.K)
-        except (OverflowError, ZeroDivisionError):
-            exact = 2 * (Fraction(gamma) / Fraction(q)) ** 2
-            want = math.inf if exact > Fraction(np.finfo(float).max) else float(exact)
-            assert lam == pytest.approx(want, rel=1e-14)
-        else:  # where the closed form has a value, it is the threshold
-            assert lam == closed
+        bound = ("Q_MIN" if q < Q_MIN else "Q_MAX" if q > Q_MAX else "GAMMA_MAX"
+                 if gamma > GAMMA_MAX else "QG_MAX" if q > QG_MAX * gamma else None)
+        if bound:
+            with pytest.raises(DomainError, match=bound):
+                positivity_threshold(BandLimitedPotential.single_line(a=0.5, q=q), gamma)
+        else:
+            p = BandLimitedPotential.single_line(a=0.5, q=q)
+            lam = positivity_threshold(p, gamma).lambda_paper
+            assert lam == TWO_PI * gamma**2 / (q**2 * p.K)
 
     def test_paper_threshold_with_infinite_k(self):
-        # 2 pi |a| overflows K to inf: 0, as where gamma^2 stays a double
-        p = BandLimitedPotential.single_line(a=1e308, q=1.0)
-        assert p.K == math.inf
-        assert positivity_threshold(p, 1.0).lambda_paper == 0.0
-        assert positivity_threshold(p, 1e160).lambda_paper == 0.0
+        # 2 pi |a| overflows K to inf past a about 2.9e307, and sup |M| overflowed from K
+        # about 1e293: such a K is past K_MAX; a gamma whose square overflowed is past
+        # GAMMA_MAX
+        with pytest.raises(DomainError, match="K_MAX = 1e\\+292"):
+            BandLimitedPotential.single_line(a=1e308, q=1.0)
+        p = BandLimitedPotential.single_line(a=1e291, q=1.0)
+        thr = positivity_threshold(p, 1.0)
+        assert thr.lambda_paper == TWO_PI / p.K and 0.0 < thr.lambda_strict < thr.lambda_paper
+        with pytest.raises(DomainError, match="GAMMA_MAX"):
+            positivity_threshold(p, 1e160)
 
     @given(
         st.lists(
@@ -648,11 +673,13 @@ class TestStepQ:
 
     @pytest.mark.parametrize("q", [1e155, 1e160, 1e300])
     def test_exponential_past_square_overflow(self, q):
-        # (s - m q)^2 overflows for m != 0 and those Lorentzians take their
-        # limit 0 without a RuntimeWarning: the m = 0 term is Q
-        p = BandLimitedPotential.single_line(a=0.3, q=q)
+        # the series' (s - m q)^2 overflowed for m != 0 from q about 1e154, past Q_MAX; at
+        # q / gamma = QG_MAX the m = 0 term is Q
+        with pytest.raises(DomainError, match="Q_MAX"):
+            BandLimitedPotential.single_line(a=0.3, q=q)
         z, s, eps, gamma = 0.3, 0.2, 0.1, 0.1
-        want = (j0(2.0 * eps * 0.3 * math.sin(q * z)) * 2.0 * gamma / (s * s + gamma * gamma)
+        p = BandLimitedPotential.single_line(a=0.3, q=QG_MAX * gamma)
+        want = (j0(2.0 * eps * 0.3 * math.sin(p.R * z)) * 2.0 * gamma / (s * s + gamma * gamma)
                 * math.exp(-gamma * abs(z)) / (TWO_PI * eps))
         assert step_q_exponential(p, z, s, eps, gamma) == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -974,13 +1001,19 @@ class TestSignLogRatio:
         np.testing.assert_allclose(log_abs, ref, rtol=1e-13, atol=0)
 
     def test_factor_past_tan_overflow(self):
-        # the first step's tan(z / 2) D overflows (D about 1e304 at s = k, gamma = 1e-152),
-        # and that factor, about 1e294, is summed again by step_m
+        # tan(z / 2) D overflowed at gamma = 1e-152 (D about 1e304 at s = k), a q / gamma past
+        # QG_MAX, which the Monte Carlo rejects before its first ratio; at QG_MAX the first
+        # step's factor, about 1e6, is finite
+        cfg = LatticeConfig(0.0, 1.0, 3, 1e-152, 0.0, 0.0)
+        with pytest.raises(DomainError, match="QG_MAX"):
+            estimate_transition_mc(COSINE, cfg, SamplerConfig(n_samples=16))
+        gamma = 1.0 / QG_MAX
         z, s = np.array([[math.pi - 1e-9, 0.5]]), np.array([[1.0, 0.3]])
-        sign, log_abs = weights._sign_log_ratio(COSINE, z, s, 0.1, 1e-152)
-        fac = 1.0 + 0.1 * np.sin(z) * lorentzian_pair(s, 1.0, 1e-152)
-        assert fac[0, 0] > 1e290 and sign[0] == 1
-        assert log_abs[0] == pytest.approx(np.sum(np.log(fac)), rel=1e-12)
+        sign, log_abs = weights._sign_log_ratio(COSINE, z, s, 0.1, gamma)
+        fac = 1.0 + 0.1 * np.sin(z) * lorentzian_pair(s, 1.0, gamma)
+        assert fac[0, 0] > 1e5 and sign[0] == 1
+        ref = np.sum(np.log(fac)) - gamma * np.sum(np.abs(z))
+        assert log_abs[0] == pytest.approx(ref, rel=1e-12)
 
     def test_zero_factor(self):
         # sin = -1 and a D = 1 exactly: the first step's factor 1 - eps M is 0
@@ -1022,6 +1055,70 @@ class TestSignLogRatio:
         ref_sign, ref_log = weights._sign_log_abs(f, 1)
         assert np.array_equal(sign, ref_sign)
         assert np.all(np.abs(log_abs - ref_log) <= 1e-12 * np.abs(ref_log))
+
+
+class TestDomain:
+    """The numeric domain declared in ``potentials``: rejected outside, finite inside."""
+
+    GAMMA_TAKERS = {
+        "step_m": lambda g: step_m(COSINE, 0.3, 0.2, g),
+        "lorentzian_pair": lambda g: lorentzian_pair(0.2, 1.0, g),
+        "m_bound": lambda g: m_bound(COSINE, g),
+        "m_sup_certified": lambda g: m_sup_certified(COSINE, g),
+        "positivity_threshold": lambda g: positivity_threshold(COSINE, g),
+        "negative_step_witness": lambda g: negative_step_witness(COSINE, g),
+        "step_q_linear": lambda g: step_q_linear(COSINE, 0.3, 0.2, 0.01, g),
+        "step_q_exponential": lambda g: step_q_exponential(COSINE, 0.3, 0.2, 0.01, g),
+    }
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.1, math.nan, math.inf, 10.0 * GAMMA_MAX])
+    @pytest.mark.parametrize("name", list(GAMMA_TAKERS))
+    def test_gamma_outside_domain_rejected(self, name, gamma):
+        # gamma = inf once gave nan thresholds and kernels, and gamma = 0 a divide-by-zero
+        # warning in the witness, before any check
+        with pytest.raises(DomainError, match=r"gamma must be positive and at most GAMMA_MAX"):
+            self.GAMMA_TAKERS[name](gamma)
+
+    # (q, gamma, a): the corners of Q_MIN <= q <= Q_MAX, q / gamma <= QG_MAX and gamma <=
+    # GAMMA_MAX, and a unit line at QG_MAX with the largest amplitude that K_MAX admits
+    @pytest.mark.parametrize("q, gamma, a", [
+        (Q_MIN, Q_MIN / QG_MAX, 1.0),
+        (Q_MIN, GAMMA_MAX, 1.0),
+        (Q_MAX, GAMMA_MAX, 1.0),
+        (1.0, 1.0 / QG_MAX, 1.0),
+        (1.0, 1.0 / QG_MAX, 0.99 * K_MAX / TWO_PI),
+    ], ids=["q-min-gamma-min", "q-min-gamma-max", "q-max-gamma-max", "unit-q", "unit-q-k-max"])
+    def test_corners_are_finite(self, q, gamma, a):
+        # every result is finite with no RuntimeWarning (an error under pyproject's filter) at
+        # |z| = Z_MAX, |s| = S_MAX, sin(q z) near 0 (tan(q z / 2) about 1.6e16) and the
+        # sampler's farthest draws (u = 0 and 1 - 2^-53): the overflow branches the domain
+        # replaced are unreachable inside it
+        p = BandLimitedPotential.single_line(a=a, q=q)
+        cfg = LatticeConfig(0.0, 1.0, 3, gamma, 0.0, 0.0)
+        draw = gamma * np.tan((np.array([[0.0, 1.0 - 2.0**-53]]) - 0.5) * math.pi)
+        assert np.all(np.abs(draw) <= S_MAX)
+        sup = m_sup_certified(p, gamma)
+        s_star = _sup_lorentzian_pair(np.array([q]), gamma)[1][0]
+        z = np.array([-Z_MAX, -math.pi / q, 0.0, math.pi / q, Z_MAX])[:, None]
+        s = np.array([-S_MAX, -s_star, 0.0, s_star, S_MAX, *draw[0]])[None, :]
+        m = step_m(p, z, s, gamma)
+        assert np.all(np.isfinite(m)) and np.max(np.abs(m)) <= sup < math.inf
+        assert np.all(np.isfinite(lorentzian_pair(s, q, gamma)))
+        thr = positivity_threshold(p, gamma)
+        assert np.all(np.isfinite([thr.lambda_paper, thr.lambda_strict, thr.m_sup]))
+        z_w, s_w, m_w = negative_step_witness(p, gamma)
+        assert np.all(np.isfinite([z_w, s_w, m_w])) and m_w <= sup
+        # the exponential form's series checks its own bound, which its far tail fails at
+        # small gamma (NonConvergenceError at |s| = 5e75, gamma = 1e-8), and its orders grow
+        # with eps a: it runs at the lines' peaks and a unit amplitude
+        forms = {"linear": [0.5 * S_MAX, -s_star], "exponential": [s_star, -s_star]}
+        for form, s_path in list(forms.items())[: 2 if a == 1.0 else 1]:
+            path = make_path(cfg, interior_from_velocity_changes(s_path, cfg))
+            w = path_weight(p, path, cfg, form)
+            assert np.all(np.isfinite([w.W, w.logabsW, *w.M, *w.Q])) and w.sign != 0
+        z = interior_from_velocity_changes(draw, cfg)
+        sign, log_abs = weights._sign_log_ratio(p, z, draw, cfg.eps, gamma)
+        assert sign[0] != 0 and np.isfinite(log_abs[0])
 
 
 class TestGridPins:
