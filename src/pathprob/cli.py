@@ -10,7 +10,6 @@ numeric domain of :mod:`~pathprob.potentials` too), 2 numeric failure
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import io
 import json
@@ -25,10 +24,9 @@ from .quadrature import transition_probability_quadrature
 from .results import _jsonable, _write_csv
 from .weights import (
     NonConvergenceError,
-    negative_step_witness,
     path_weight,
     positivity_threshold,
-    step_q_linear,
+    positivity_witness,
 )
 
 __all__ = ["main", "run"]
@@ -179,16 +177,8 @@ def _cmd_positivity(args, config: dict, p: BandLimitedPotential) -> int:
     # the strict threshold and turn negative just above it
     code = EXIT_OK
     if math.isfinite(thr.lambda_strict):
-        z_w, s_w, _ = negative_step_witness(p, gamma)
-        q_at = float(step_q_linear(p, z_w, s_w, thr.lambda_strict, gamma))
-        q_above = float(step_q_linear(p, z_w, s_w, 2.0 * thr.lambda_strict, gamma))
-        thr = dataclasses.replace(thr, witness={
-            "z": z_w,
-            "s": s_w,
-            "q_at_threshold": q_at,
-            "q_above_threshold": q_above,
-        })
-        if q_at < 0:
+        thr = positivity_witness(p, thr)
+        if thr.witness["sign_at_threshold"] < 0:
             code = EXIT_INVARIANT
     _emit(thr.to_dict(), args)
     return code

@@ -26,13 +26,17 @@ Three routes are provided:
   to quadrature accuracy at any finite n.  Its Bessel coefficients are the
   exponential step factor's, from ``weights._jacobi_anger``.
 
+The three size their block-shaped scratch from one budget, ``BLOCK``
+elements per array, so their memory does not grow with the grid.
+
 The result types live in :mod:`pathprob.results`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -56,6 +60,10 @@ AMPLITUDE_TAIL = 1e-10  # amplitude_discrete's cut-off of exp(-gamma |x|)
 AMPLITUDE_DENSITY = 6.0  # its nodes per local period, checked against 1.6 times as many
 AMPLITUDE_TOL = 1e-6  # the relative gap it allows between the two
 PRODUCT_POINTS = 1200  # Gauss-Legendre nodes per position in probability_product_form
+# elements per block of the three tensor evaluations: the tensor sum's row
+# blocks and phase tables, amplitude_discrete's kernel chunks and
+# probability_product_form's rows of its node grid
+BLOCK = 2**15
 
 
 @lru_cache
@@ -82,15 +90,27 @@ def _line_tables(p: BandLimitedPotential, cfg: LatticeConfig, line, shift, s):
     Im exp(i(q z_i + phi))``.  With ``z_i = line_i + sum_j shift[i, j, k_j]``
     the exponential is ``base[i] * prod_j ph[i, j, k_j]``, and ``D(s_i, q)``
     depends on axis ``i``'s node alone, so ``eps a D`` is folded into
-    ``ph[i, i]``.  Returns ``base`` and ``ph`` stacked over the lines.
+    ``ph[i, i]``.  Returns ``base`` and ``ph`` with the lines on the last axis.
     """
     diag = np.arange(cfg.n - 1)
-    q, a, phi = (v[:, None] for v in p.line_arrays)
-    base = np.exp(1j * (q * line + phi))
-    ph = 1j * q[:, :, None, None] * shift
+    q, a, phi = p.line_arrays
+    base = np.exp(1j * (line[:, None] * q + phi))
+    ph = 1j * shift[..., None] * q
     np.exp(ph, out=ph)
-    ph[:, diag, diag] *= (cfg.eps * a * lorentzian_pair(s, q, cfg.gamma))[:, None]
+    ph[diag, diag] *= cfg.eps * a * lorentzian_pair(s[:, None], q, cfg.gamma)
     return base, ph
+
+
+def _outer(op, a, b):
+    """``op`` of each entry of ``a`` with each of ``b`` along the first axis,
+    ``a``'s slowest; any later axes (the lines) are taken elementwise."""
+    out = op(a[:, None], b)
+    return out.reshape((out.shape[0] * out.shape[1],) + out.shape[2:])
+
+
+def _gather(op, start, per_axis, idx):
+    """``start`` combined by ``op`` with axis j's table at the nodes ``idx[j]``."""
+    return reduce(op, (t[k] for t, k in zip(per_axis, idx)), start)
 
 
 def _tensor_sum(
@@ -99,7 +119,7 @@ def _tensor_sum(
     window: float,
     nodes: np.ndarray,
     weights: np.ndarray,
-    cap: int = 2**18,
+    cap: int = BLOCK,
 ):
     """Integrand sum over the tensor grid ``nodes^d`` of tangent angles.
 
@@ -108,16 +128,24 @@ def _tensor_sum(
     beyond ``window`` and over all points.
 
     A grid point is a row (its nodes on the first ``r`` axes) and a column
-    (the others).  ``r >= 1`` is the fewest that leave at most
-    ``cap / (2L + 1)`` columns for ``L`` lines, so the column phase tables
-    hold at most ``cap`` doubles per interior point (``r = d`` if none does).
-    Its weight, ``z_i`` and line phases ``exp(i(q z_i + phi))`` are a row
-    share times, plus or times a column share.  So a block of rows against
-    all columns takes ``1 - eps M = 1 + sum_lines Im(row * col)`` as one
-    matrix product per interior point, instead of a ``sin`` per point.  The
-    column shares are outer products over the column axes.  A block's row
-    shares are gathered from the per-axis tables by node index, one interior
-    point at a time, so the rows take memory in proportion to the block.
+    (the others).  Its weight, ``z_i`` and line phases ``exp(i(q z_i +
+    phi))`` are a row share times, plus or times a column share.  So a block
+    of rows against all columns takes ``1 - eps M = 1 + sum_lines Im(row *
+    col)`` as one matrix product per interior point, instead of a ``sin`` per
+    point.  The column shares are outer products over the column axes.  A
+    block is a run of outer rows (their nodes on the first ``r - 1`` axes)
+    against the whole last row axis, or one outer row against a run of it,
+    so its row shares are the outer rows' shares, gathered from the per-axis
+    tables by node index, times the last row axis's table.
+
+    Every block-shaped array holds at most ``cap`` elements (``BLOCK``),
+    beside a row or column of ones.  For ``L`` lines, ``r >= 1`` is the
+    fewest row axes that leave at most ``cap / 2L`` columns, so each interior
+    point's column phase table (``2L`` entries a column) fits (``r = d`` if
+    none does), and a block has at most ``cap / columns`` and ``cap / 2L``
+    rows, so its buffers and its row phase table fit.  At n = 6 with 12 and
+    with 32 nodes per axis on a single line, a sum peaks at 1.3 and 1.7 MB
+    under ``tracemalloc``, and at 16 nodes on 64 lines at 3.9 MB.
 
     ``out_mass`` is the only output the window moves.  Each block is first
     checked against it: if for every interior point ``i`` the largest
@@ -129,63 +157,69 @@ def _tensor_sum(
     the per-point maximum and adds up the mass of its points outside.
     """
     d = cfg.n - 1
+    m = nodes.size
     line, Tinv = _bridge_solve(cfg)
     s = cfg.gamma * np.tan(nodes)
     # shift[i, j, k]: the change of z_i from node k on axis j
     shift = cfg.eps * Tinv[:, :, None] * s[None, None, :]
     base, ph = _line_tables(p, cfg, line, shift, s)
     n_lines = len(p.lines)
-    width = 2 * n_lines + 1  # a column's table entries per interior point
-    r = next((k for k in range(1, d) if width * nodes.size ** (d - k) <= cap), d)
+    # a column's or row's phase table entries per interior point; at least
+    # one, so that the free particle's columns stay within cap too
+    width = max(2 * n_lines, 1)
+    r = next((k for k in range(1, d) if width * m ** (d - k) <= cap), d)
+    add, mul = partial(_outer, np.add), partial(_outer, np.multiply)
 
-    # per interior point, a column's share of z_i and the Re rows, Im rows
-    # and a row of ones of its lines' phase shares
-    w_col = np.ravel(reduce(np.multiply.outer, [weights] * (d - r), [1.0]))
+    # per interior point, a column's share of z_i and the table of its lines'
+    # phase shares c: rows Im c, Re c of each line in turn and a row of ones,
+    # so that a row share's Re, Im pairs (its float view) and a 1 against
+    # them give 1 + sum Im(row * c)
+    w_col = reduce(mul, [weights] * (d - r), np.ones(1))
     z_col, col_tab = [], []
     for i in range(d):
-        z_col.append(np.ravel(reduce(np.add.outer, shift[i, r:], [line[i]])))
-        col = [np.ravel(reduce(np.multiply.outer, t[i, r:], [b[i]])) for b, t in zip(base, ph)]
-        col_tab.append(
-            np.stack([x.real for x in col] + [x.imag for x in col] + [np.ones_like(w_col)])
-        )
-    col_max = [float(np.max(np.abs(zc))) for zc in z_col]
+        z_col.append(reduce(add, shift[i, r:], line[i : i + 1]))
+        col = reduce(mul, ph[i, r:], base[i][None])
+        col_tab.append(np.vstack([(1j * col.conj()).view(float).T, np.ones_like(w_col)]))
+    col_max = np.array([np.max(np.abs(zc)) for zc in z_col])
 
-    n_rows = nodes.size**r
-    step = max(1, cap // w_col.size)
+    step = max(1, cap // max(w_col.size, width))
+    b_out, b_in = max(1, step // m), min(step, m)
     # the block-sized work reuses these buffers: fresh block-sized
     # temporaries cost page faults and raise the peak memory
-    bufs = np.empty((5, min(step, n_rows), w_col.size))
-    # a block's row table: rows Im, Re, 1 against columns Re, Im, 1 give
-    # 1 + sum_lines Im(row * col); row-major, since matmul takes BLAS only on
+    bufs = np.empty((5, b_out * b_in, w_col.size))
+    # a block's row table, row-major, since matmul takes BLAS only on
     # contiguous blocks
-    row_bufs = np.empty((min(step, n_rows), width))
+    row_bufs = np.empty((b_out * b_in, 2 * n_lines + 1))
     row_bufs[:, -1] = 1.0
-
-    def gather(op, one, per_axis, idx):
-        """``one`` combined by ``op`` with row axis j's table at the nodes ``idx[j]``."""
-        return reduce(op, (t[..., k] for t, k in zip(per_axis, idx)), one)
+    n_outer = m ** (r - 1)
+    # shift_rows[j, k, i] = shift[i, j, k] and ph_rows[j, k, i] = ph[i, j, k],
+    # so that one gather over the outer axes takes every interior point's share
+    shift_rows, ph_rows = shift.transpose(1, 2, 0), ph.transpose(1, 2, 0, 3)
+    # what the row shares start from: no shift, unit weight and unit phases
+    zero, one, ones = np.zeros((1, d)), np.ones(1), np.ones((1, d, n_lines))
 
     acc = out_mass = tot_mass = 0.0
-    for start in range(0, n_rows, step):
-        # the block's node index on each row axis, first axis slowest
-        idx = np.unravel_index(np.arange(start, min(start + step, n_rows)), (nodes.size,) * r)
-        z, fac, prod, abs_sum, zmax = bufs[:, : idx[0].size]
-        row_tab = row_bufs[: idx[0].size]
-        z_row = [gather(np.add, 0.0, shift[i], idx) for i in range(d)]
+    for o0, k0 in itertools.product(range(0, n_outer, b_out), range(0, m, b_in)):
+        outer = np.arange(o0, min(o0 + b_out, n_outer))
+        # the outer rows' node index on each outer axis, first axis slowest;
+        # a block's row shares are its outer rows' shares combined with the
+        # last row axis's table at the nodes k
+        o_idx = np.unravel_index(outer, (m,) * (r - 1)) if r > 1 else ()
+        k = slice(k0, k0 + b_in)
+        z_row = _outer(np.add, _gather(np.add, zero, shift_rows, o_idx), shift_rows[r - 1][k])
+        ph_outer = _gather(np.multiply, ones, ph_rows, o_idx)
+        z, fac, prod, abs_sum, zmax = bufs[:, : z_row.shape[0]]
+        row_tab = row_bufs[: z_row.shape[0]]
         # the block certificate: no |z_i| in the block exceeds the window
-        inside = all(
-            float(np.max(np.abs(zr))) + cm <= window for zr, cm in zip(z_row, col_max)
-        )
+        inside = bool(np.all(np.max(np.abs(z_row), axis=0) + col_max <= window))
         if not inside:
             zmax.fill(0.0)
         for i in range(d):
-            row_ph = gather(np.multiply, 1.0, ph[:, i].swapaxes(0, 1), idx)
-            row_tab[:, :n_lines] = row_ph.imag.T
-            row_tab[:, n_lines:-1] = row_ph.real.T
+            row_tab[:, :-1] = _outer(np.multiply, ph_outer[:, i], ph[i, r - 1, k]).view(float)
             np.matmul(row_tab, col_tab[i], out=prod if i == 0 else fac)
             # |z_0| goes straight into abs_sum, the later |z_i| through z
             term = z if i else abs_sum
-            np.add(z_row[i][:, None], z_col[i], out=term)
+            np.add(z_row[:, i, None], z_col[i], out=term)
             np.abs(term, out=term)
             if i:
                 prod *= fac
@@ -195,7 +229,8 @@ def _tensor_sum(
         np.multiply(abs_sum, -cfg.gamma, out=abs_sum)
         vals = np.exp(abs_sum, out=abs_sum)
         vals *= prod
-        acc += float(gather(np.multiply, 1.0, [weights] * r, idx) @ (vals @ w_col))
+        w_row = _outer(np.multiply, _gather(np.multiply, one, [weights] * r, o_idx), weights[k])
+        acc += float(w_row @ (vals @ w_col))
         mass = np.abs(vals, out=z)
         tot_mass += float(np.sum(mass))
         if not inside:
@@ -291,7 +326,7 @@ def _amplitude_value(p, cfg, density):
     psi = np.exp(0.5j * (x - cfg.z_a) ** 2 / eps) * layer
     for _ in range(n - 2):
         new = np.empty_like(psi)
-        chunk = max(1, int(4e6 // x.size))
+        chunk = max(1, BLOCK // x.size)
         for st in range(0, x.size, chunk):
             sl = slice(st, st + chunk)
             kern = np.exp(0.5j * (x[sl, None] - x[None, :]) ** 2 / eps)
@@ -307,7 +342,9 @@ def amplitude_discrete(p: BandLimitedPotential, cfg: LatticeConfig) -> KernelEst
 
     Nested oscillatory quadrature over the n-1 intermediate positions, each
     damped by the step factor's ``exp(-gamma |x|)``, the damping for which
-    ``|A|^2`` is :func:`probability_product_form`'s integral.
+    ``|A|^2`` is :func:`probability_product_form`'s integral.  The kernel
+    between two layers is formed ``BLOCK`` elements at a time; on criterion
+    4's input a call peaks at 1.8 MB under ``tracemalloc``.
     The result is verified against a refined node set; failing the
     ``AMPLITUDE_TOL`` comparison raises with panel diagnostics.
     """
@@ -326,22 +363,25 @@ def amplitude_discrete(p: BandLimitedPotential, cfg: LatticeConfig) -> KernelEst
 
 # -- squared amplitude in product form --------------------------------
 
-def _pair_integral_line(z, s, a, q, phi, eps, gamma):
-    """Closed-form pair-separation integral for a single-line potential.
+def _bessel_table(beta):
+    """``J_m(beta)``, ``m = -M .. M``, along a new last axis of ``beta``'s shape.
 
-    ``int du exp(-2 gamma max(|z|, |u|/2)) exp(-ius) exp(i eps [V(z - u/2)
-    - V(z + u/2)])`` via the Bessel expansion of the oscillating phase in
-    ``beta = 2 a eps sin(qz + phi)``: each node's coefficients ``J_m(beta)``
-    come from ``weights._jacobi_anger``, whose dropped orders add at most 2e-17,
-    zero-padded to the longest.  Vectorized over arrays z, s that broadcast.
+    Each node's coefficients come from ``weights._jacobi_anger``, whose
+    dropped orders add at most 2e-17, zero-padded to the longest.
     """
-    beta = 2.0 * a * eps * np.sin(q * z + phi)
-    series = [_jacobi_anger(b, 1e-17)[0] for b in beta.ravel().tolist()]
+    series = [_jacobi_anger(b, 1e-17)[0] for b in np.ravel(beta).tolist()]
     m_terms = max(c.size for c in series) // 2
     j = np.zeros((len(series), 2 * m_terms + 1))
     for row, c in zip(j, series):  # J_-M .. J_M centred on order 0
         row[m_terms - c.size // 2 :][: c.size] = c
-    j = j.reshape(beta.shape + (-1,))
+    return j.reshape(np.shape(beta) + (-1,))
+
+
+def _pair_sum(z, s, j, q, gamma):
+    """``sum_m J_m g(z, s - m q / 2)`` over the orders of the table ``j``
+    (:func:`_bessel_table`), ``g`` the pair integral of one order; ``z``,
+    ``s`` and ``j``'s leading axes broadcast."""
+    m_terms = j.shape[-1] // 2
     out = np.zeros_like(np.asarray(z, dtype=float))
     az2 = 2.0 * np.abs(z)
     decay = np.exp(-gamma * az2)
@@ -357,6 +397,18 @@ def _pair_integral_line(z, s, a, q, phi, eps, gamma):
     return out
 
 
+def _pair_integral_line(z, s, a, q, phi, eps, gamma):
+    """Closed-form pair-separation integral for a single-line potential.
+
+    ``int du exp(-2 gamma max(|z|, |u|/2)) exp(-ius) exp(i eps [V(z - u/2)
+    - V(z + u/2)])`` via the Bessel expansion of the oscillating phase in
+    ``beta = 2 a eps sin(qz + phi)`` (:func:`_bessel_table`).  Vectorized
+    over arrays z, s that broadcast.
+    """
+    beta = 2.0 * a * eps * np.sin(q * z + phi)
+    return _pair_sum(z, s, _bessel_table(beta), q, gamma)
+
+
 def probability_product_form(
     p: BandLimitedPotential,
     cfg: LatticeConfig,
@@ -370,13 +422,19 @@ def probability_product_form(
     pair separation.  ``PRODUCT_POINTS`` Gauss-Legendre nodes per position.
     Single-line potentials only (the separation integral is closed form
     there); n <= 3.
+
+    Every position takes the same nodes, so the Bessel table is built once
+    and shared.  The integrand is filled into the node grid ``BLOCK``
+    elements at a time, a block of rows of the first axis against all of the
+    second, and the assembled grid is then contracted axis by axis.  On
+    criterion 4's input a call peaks at 15 MB under ``tracemalloc``, 11.5 MB
+    of it the grid.
     """
     if len(p.lines) > 1:
         raise ValueError("product form needs a single-line or zero potential")
     if cfg.n > 3:
         raise ValueError("product form is implemented for n <= 3")
     n = cfg.n
-    d = n - 1
     eps = cfg.eps
     gamma = cfg.gamma
     if p.lines:
@@ -389,17 +447,21 @@ def probability_product_form(
     nodes = z_window * x
     wts = z_window * w
     pref = (TWO_PI * eps) ** (-n)
+    j = _bessel_table(2.0 * a * eps * np.sin(q * nodes + phi))
 
-    # z[j] for j = 1..d on axis j - 1 of the d node axes, the endpoints pinned
-    z = [cfg.z_a] + [nodes.reshape((-1,) + (1,) * (d - j)) for j in range(1, n)] + [cfg.z_b]
-    stencil = [(z[j + 1] - 2.0 * z[j] + z[j - 1]) / eps for j in range(1, n)]
-    vals = reduce(
-        np.multiply,
-        [_pair_integral_line(z[j], s, a, q, phi, eps, gamma) for j, s in enumerate(stencil, 1)],
-    )
-    for _ in range(d):
-        vals = wts @ vals
-    return float(pref * vals)
+    if n == 2:
+        vals = _pair_sum(nodes, (cfg.z_b - 2.0 * nodes + cfg.z_a) / eps, j, q, gamma)
+        return float(pref * (wts @ vals))
+    # z_1 on the rows, z_2 on the columns
+    vals = np.empty((nodes.size, nodes.size))
+    step = max(1, BLOCK // nodes.size)
+    for start in range(0, nodes.size, step):
+        rows = slice(start, start + step)
+        z1 = nodes[rows, None]
+        first = _pair_sum(z1, (nodes - 2.0 * z1 + cfg.z_a) / eps, j[rows, None], q, gamma)
+        second = _pair_sum(nodes, (cfg.z_b - 2.0 * nodes + z1) / eps, j, q, gamma)
+        np.multiply(first, second, out=vals[rows])
+    return float(pref * (wts @ (wts @ vals)))
 
 
 def extrapolate_gamma(gammas, values):

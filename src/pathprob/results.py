@@ -167,8 +167,8 @@ class PositivityResult(_Result):
     """The step sizes below which every step factor is nonnegative, for one ``gamma``.
 
     ``m_sup`` is the certified ``sup |M|``, set where the potential has lines;
-    ``witness`` is the CLI's check of the strict threshold at a point near that
-    supremum.
+    ``witness`` is :func:`~pathprob.weights.positivity_witness`'s check of the
+    strict threshold at a point near that supremum, which the CLI adds.
     """
 
     gamma: float

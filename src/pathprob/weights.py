@@ -76,6 +76,7 @@ raises :class:`~pathprob.potentials.DomainError`, a ValueError, outside it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -96,6 +97,7 @@ __all__ = [
     "batch_log_weights",
     "positivity_threshold",
     "negative_step_witness",
+    "positivity_witness",
 ]
 
 
@@ -538,3 +540,31 @@ def negative_step_witness(p: BandLimitedPotential, gamma: float):
     i, j = np.unravel_index(np.argmax(mm), mm.shape)
     return float(zg[i, 0]), float(sg[0, j]), float(mm[i, j])
 
+
+def positivity_witness(p: BandLimitedPotential, thr: PositivityResult) -> PositivityResult:
+    """``thr`` with its strict threshold checked at :func:`negative_step_witness`'s point.
+
+    The linearized ``Q`` there must be nonnegative at ``eps = lambda_strict`` and
+    negative at twice it.  The verdict is the sign of ``g = 1 - eps M``, which is
+    finite.  ``Q = exp(-gamma |z|) g rho(s) / eps`` (module docstring) is formed
+    from its log, since ``1 / eps`` can pass the largest double where
+    ``lambda_strict`` is tiny: a ``Q`` beyond the largest double is reported as
+    ``None``, and ``q_representable`` as false.  ``thr`` needs a finite
+    ``lambda_strict``.
+    """
+    gamma = thr.gamma
+    z, s, m = negative_step_witness(p, gamma)
+    # log |Q| - log |g| + log eps: the damping and rho(s)
+    log_rest = math.log(gamma / (math.pi * (s * s + gamma * gamma))) - gamma * abs(z)
+    witness = {"z": z, "s": s}
+    for key, eps in (("at", thr.lambda_strict), ("above", 2.0 * thr.lambda_strict)):
+        g = 1.0 - eps * m
+        witness[f"sign_{key}_threshold"] = int(np.sign(g))
+        log_abs = math.log(abs(g)) + log_rest - math.log(eps) if g else -math.inf
+        witness[f"q_{key}_threshold"] = (
+            math.copysign(math.exp(log_abs), g)
+            if log_abs <= math.log(np.finfo(float).max)
+            else None
+        )
+    witness["q_representable"] = None not in witness.values()
+    return dataclasses.replace(thr, witness=witness)

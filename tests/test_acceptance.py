@@ -24,12 +24,7 @@ from pathprob.oracle import (
     propagate,
 )
 from pathprob.potentials import BandLimitedPotential
-from pathprob.quadrature import (
-    amplitude_discrete,
-    extrapolate_gamma,
-    probability_product_form,
-    transition_probability_quadrature,
-)
+from pathprob.quadrature import extrapolate_gamma, transition_probability_quadrature
 from pathprob.weights import (
     batch_log_weights,
     m_bound,
@@ -161,11 +156,12 @@ def test_criterion_03_free_particle_value():
     )
 
 
-def test_criterion_04_change_of_variables_identity():
-    p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
-    cfg = LatticeConfig(0.0, 3.0, 3, 1.0, 0.1, -0.2)
-    lhs = amplitude_discrete(p, cfg).modulus_squared
-    rhs = probability_product_form(p, cfg)
+def test_criterion_04_change_of_variables_identity(criterion_4):
+    # both sides on a single line, a=0.2, q=1, phi=0.3, at n=3, T=3, gamma=1, from 0.1
+    # to -0.2: amplitude_discrete and probability_product_form, evaluated once a session
+    # (conftest.py), since test_quadrature.py pins the same values
+    lhs = criterion_4.amplitude.modulus_squared
+    rhs = criterion_4.product_form
     rel = abs(lhs - rhs) / lhs
     ok = rel <= 1e-6
     report(4, ok, f"|A|^2 vs pair-separation product form: relative delta {rel:.3e} (<=1e-6)")

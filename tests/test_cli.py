@@ -94,6 +94,18 @@ class TestPositivity:
         assert payload["witness"]["q_at_threshold"] >= 0
         assert payload["witness"]["q_above_threshold"] < 0
 
+    def test_witness_past_the_largest_double(self, tmp_path):
+        # lambda_strict is 6.7e-308: the witness's Q is past the largest double, which the
+        # output says, and the verdict is the sign of 1 - eps M
+        f = tmp_path / "tiny.json"
+        f.write_text(json.dumps({"potential": {"lines": [{"q": 1e-72, "a": 1.5e291}]}}))
+        code, payload = run_json(["positivity", "-c", str(f), "--gamma", "1e-80"], tmp_path)
+        assert code == 0
+        w = payload["witness"]
+        assert w["sign_at_threshold"] == 1 and w["sign_above_threshold"] == -1
+        assert w["q_at_threshold"] is None and w["q_above_threshold"] is None
+        assert w["q_representable"] is False
+
     def test_zero_potential(self, free_json, tmp_path):
         code, payload = run_json(["positivity", "-c", free_json, "--gamma", "0.1"], tmp_path)
         assert code == 0

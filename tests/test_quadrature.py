@@ -188,6 +188,13 @@ def cosine_grid(a):
     return band_limit(x, a * np.cos(x), R=2.0)[0]
 
 
+def budget_bytes(d):
+    """The tensor sum's memory at the default cap: the column phase tables take
+    at most d blocks of ``quadrature.BLOCK`` doubles and the block buffers 5,
+    and as much again is left for the row tables and the rest."""
+    return 2 * (d + 5) * quadrature.BLOCK * 8
+
+
 class TestTensorSum:
     @given(
         st.lists(
@@ -238,10 +245,10 @@ class TestTensorSum:
         assert got[2] == pytest.approx(tot_mass, rel=1e-12)
 
     def test_many_lines_split_keeps_column_tables_in_cap(self):
-        # 76 lines: each column holds 153 table entries per interior point, so
-        # this cap leaves 16^2 columns against 16^2 rows in blocks of 153;
-        # at the 16^3 columns that the cap alone allows, the column tables
-        # took over 80 cap doubles
+        # 76 lines: each column holds 152 phase table entries per interior
+        # point, so this cap leaves 16^2 columns against 16^2 rows in blocks
+        # of 144 (nine runs of the last row axis); at the 16^3 columns that
+        # the cap alone allows, the column tables took over 80 cap doubles
         p = cosine_grid(0.2)
         d, m = 4, 16
         cfg = LatticeConfig(0.0, 1.0, d + 1, 0.3, 0.1, -0.2)
@@ -262,30 +269,37 @@ class TestTensorSum:
         assert_out_mass(got[1], out_mass)
         assert got[2] == pytest.approx(tot_mass, rel=1e-12)
 
-    def test_row_tables_held_one_block_at_a_time(self):
+    def test_row_tables_held_one_block_at_a_time(self, traced):
         # two cosines band-limited at R = 1.5 make 64 lines, so each row or
-        # column holds 129 table entries per interior point; at n = 6 with 16
-        # nodes per axis the default cap makes 16^3 rows against 16^2 columns
+        # column holds 128 phase table entries per interior point; at n = 6
+        # with 16 nodes per axis the default cap makes 16^3 rows against 16^2
+        # columns
         x = np.linspace(-20.0, 20.0, 201)
         p = band_limit(x, 0.03 * np.cos(0.6 * x + 0.5) + 0.04 * np.cos(1.1 * x + 1.7), 1.5)[0]
         assert len(p.lines) == 64
-        d, m, cap = 5, 16, 2**18
+        d, m = 5, 16
         cfg = LatticeConfig(0.0, 1.0, d + 1, 0.5, 0.0, 0.2)
         x, w = np.polynomial.legendre.leggauss(m)
-        tracemalloc.start()
-        try:
-            got = _tensor_sum(p, cfg, 30.0, 0.5 * np.pi * x, 0.5 * np.pi * w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # below the block buffers (5 cap doubles) plus the whole grid's row
-        # tables (m^3 rows x 129 x d doubles, 21 MB), which a sum holding the
-        # row tables whole exceeds
-        assert peak <= (5 * cap + m**3 * 129 * d) * 8
+        got, peak = traced(_tensor_sum, p, cfg, 30.0, 0.5 * np.pi * x, 0.5 * np.pi * w)
+        # in the block budget; a sum holding the whole grid's row tables (m^3
+        # rows x 128 x d doubles, 21 MB) exceeds it, and so does one with
+        # block buffers of 2^18 doubles (19 MB)
+        assert peak <= budget_bytes(d)
         # flat_tensor_sum's values on this input (12 s and 430 MB to rerun)
         assert got[0] == pytest.approx(131.7596081310125, rel=1e-12)
         assert got[1] == 0.0
         assert got[2] == pytest.approx(202134.8244860763, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [12, 32])
+    def test_single_line_n6_in_block_budget(self, m, traced):
+        # criterion 10's n = 6 sums at quad_sweep_n6's finest level (12 nodes per
+        # axis) and at criterion 10's (32); blocks of 2^18 doubles take 14 and 17 MB
+        p = BandLimitedPotential.single_line(a=0.1, q=1.0)
+        cfg = LatticeConfig(0.0, 1.0, 6, 0.05, 0.0, 0.3)
+        x, w = np.polynomial.legendre.leggauss(m)
+        window = 0.3 + 14.0 / cfg.gamma
+        _, peak = traced(_tensor_sum, p, cfg, window, 0.5 * np.pi * x, 0.5 * np.pi * w)
+        assert peak <= budget_bytes(cfg.n - 1)
 
     @pytest.mark.parametrize("kind", ["single line", "64 lines", "zero"])
     def test_window_moves_only_out_mass(self, kind):
@@ -393,11 +407,23 @@ class TestProductForm:
             "all zero": np.all(beta == 0.0),
         }[where]
 
-    def test_criterion_4_value_pinned(self):
-        # the shared Gauss-Legendre rule gives the value leggauss did
-        p = BandLimitedPotential.single_line(a=0.2, q=1.0, phi=0.3)
-        cfg = LatticeConfig(0.0, 3.0, 3, 1.0, 0.1, -0.2)
-        assert repr(probability_product_form(p, cfg)) == "0.008006054713712966"
+    def test_criterion_4_value_pinned(self, criterion_4):
+        # the shared Gauss-Legendre rule gives the value leggauss did; criterion 4's input,
+        # evaluated once a session (conftest.py)
+        assert repr(criterion_4.product_form) == "0.008006054713712966"
+
+    def test_criterion_4_amplitude_pinned(self, criterion_4):
+        # the kernel's chunk size moves no bit of the amplitude
+        a = criterion_4.amplitude.amplitude
+        assert (repr(a.real), repr(a.imag)) == ("-0.01986511173974527", "-0.08724353772563645")
+
+    def test_criterion_4_in_block_budget(self, criterion_4):
+        # the product form's node grid (1200^2 doubles) and its block scratch, and
+        # amplitude_discrete's kernel chunks; forming every element of either at once
+        # takes over 120 MB
+        block = quadrature.BLOCK * 8
+        assert criterion_4.product_form_peak <= quadrature.PRODUCT_POINTS**2 * 8 + 24 * block
+        assert criterion_4.amplitude_peak <= 12 * block
 
     def test_multi_line_rejected(self):
         p = BandLimitedPotential.from_lines([(1.0, 0.1, 0.0), (0.5, 0.1, 0.0)])

@@ -36,6 +36,7 @@ from pathprob.weights import (
     negative_step_witness,
     path_weight,
     positivity_threshold,
+    positivity_witness,
     step_m,
     step_q_exponential,
     step_q_linear,
@@ -601,6 +602,27 @@ class TestThresholds:
         if len(p.lines) == 1:
             # one line attains its certified supremum, so twice the step is too long
             assert step_q_linear(p, z_w, s_w, 2.0 * eps, gamma) < 0
+
+    def test_witness_is_step_q_linear(self):
+        thr = positivity_witness(COSINE, positivity_threshold(COSINE, 0.1))
+        w = thr.witness
+        assert w["q_representable"] is True
+        for key, eps, sign in (("at", thr.lambda_strict, 1), ("above", 2 * thr.lambda_strict, -1)):
+            assert w[f"sign_{key}_threshold"] == sign
+            q = step_q_linear(COSINE, w["z"], w["s"], eps, 0.1)
+            assert w[f"q_{key}_threshold"] == pytest.approx(q, rel=1e-12)
+
+    def test_witness_where_q_passes_the_largest_double(self):
+        # lambda_strict is 6.7e-308 here: eps (s^2 + gamma^2) underflows, and step_q_linear
+        # at the witness divides by zero, since the true Q is past the largest double; the
+        # verdict is the sign of 1 - eps M, and Q is reported as not representable
+        p = BandLimitedPotential.single_line(a=1.5e291, q=1e-72)
+        thr = positivity_witness(p, positivity_threshold(p, 1e-80))
+        assert 0.0 < thr.lambda_strict < 1e-307
+        w = thr.witness
+        assert (w["sign_at_threshold"], w["sign_above_threshold"]) == (1, -1)
+        assert w["q_at_threshold"] is None and w["q_above_threshold"] is None
+        assert w["q_representable"] is False
 
 
 class TestStepQ:
